@@ -8,7 +8,7 @@ import numpy as np
 from gasmld.qcore import (
     HADAMARD,
     apply_1q,
-    apply_cnot,
+    apply_controlled_phase,
     apply_iqft,
     apply_qft,
     hadamard_all,
@@ -19,12 +19,13 @@ from gasmld.qcore import (
 
 
 def main():
-    # Bell pair: H on qubit 0, then CNOT 0 -> 1
-    state = zero_state(2)
-    state = apply_1q(state, HADAMARD, 0)
-    state = apply_cnot(state, 0, 1)
+    # Bell pair: H on both qubits, controlled-phase(pi), H on qubit 1
+    # (a CNOT 0 -> 1 written as H . CZ . H on the target)
+    state = hadamard_all(zero_state(2))
+    state = apply_controlled_phase(state, {0}, 1, np.pi)
+    state = apply_1q(state, HADAMARD, 1)
     print("Bell pair amplitudes:", np.round(state.amps, 6))
-    print("joint distribution:  ", np.round(state.probabilities(), 6))
+    print("joint distribution:  ", np.round(register_distribution(state, [0, 1]), 6))
 
     # Uniform superposition over 3 qubits and a few samples
     state = hadamard_all(zero_state(3))

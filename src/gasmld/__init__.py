@@ -4,7 +4,7 @@ Library layout:
 
 - ``qcore``    dense statevector engine (gates, QFT/IQFT, sampling)
 - ``circuits`` cost-threshold search operators on top of qcore
-- ``qubo``     detection cost -> QUBO / Ising conversions
+- ``qubo``     detection cost -> QUBO, exhaustive cost table
 - ``gas``      the adaptive threshold search driver
 - ``channel``  RIS cascade channel model and circulant link algebra
 - ``detect``   MLD / MMSE / hybrid detectors

@@ -58,6 +58,8 @@ class SweepConfig:
             raise ConfigError("RIS element counts must be non-negative")
         if self.N < self.L_bi + self.L_iu - 1:
             raise ConfigError("block length must cover the channel delay spread")
+        if not self.output_path:
+            raise ConfigError("output path must be nonempty")
         return self
 
 
@@ -133,7 +135,10 @@ def _run_point(args) -> BerRecord:
 
 def _worker_count(points: int) -> int:
     env = os.environ.get("GASMLD_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(f"GASMLD_THREADS must be an integer, got {env!r}") from None
     return max(1, min(cap, points))
 
 
@@ -200,10 +205,49 @@ def _parse_list(raw: str, conv):
     return [conv(s) for s in items]
 
 
+# key -> (field, converter); "gas." keys set fields of the GasConfig
+_KEYS = {
+    "snr_db": ("snr_db_list", lambda v: _parse_list(v, float)),
+    "detectors": ("detectors", lambda v: _parse_list(v, str)),
+    "ris": ("R_list", lambda v: _parse_list(v, int)),
+    "n": ("N", int),
+    "l_bi": ("L_bi", int),
+    "l_iu": ("L_iu", int),
+    "trials": ("trials_per_point", int),
+    "seed": ("master_seed", int),
+    "out": ("output_path", str),
+    "gas.m": ("m", lambda v: None if v == "auto" else int(v)),
+    "gas.lambda": ("growth_factor", float),
+    "gas.max_rounds": ("max_rounds", int),
+    "gas.stall_rounds": ("stall_rounds", int),
+    "gas.encoding": ("encoding", str),
+    "gas.engine": ("engine", str),
+}
+
+
+def apply_settings(base: SweepConfig, settings) -> SweepConfig:
+    """A validated copy of ``base`` with ``(where, key, value)`` text settings
+    applied in order; ``where`` names the source in error messages."""
+    cfg = replace(base)
+    gas = replace(cfg.gas)
+    for where, key, value in settings:
+        if key not in _KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        name, conv = _KEYS[key]
+        try:
+            setattr(gas if key.startswith("gas.") else cfg, name, conv(value))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+    try:
+        cfg.gas = replace(gas)  # re-runs GasConfig validation
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg.validate()
+
+
 def parse_config(text: str, base: SweepConfig | None = None) -> SweepConfig:
     """Flat `key = value` lines; '#' starts a comment; later keys win."""
-    cfg = replace(base) if base is not None else SweepConfig()
-    gas = replace(cfg.gas)
+    settings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,48 +255,8 @@ def parse_config(text: str, base: SweepConfig | None = None) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        try:
-            if key == "snr_db":
-                cfg.snr_db_list = _parse_list(value, float)
-            elif key == "detectors":
-                cfg.detectors = _parse_list(value, str)
-            elif key == "ris":
-                cfg.R_list = _parse_list(value, int)
-            elif key == "n":
-                cfg.N = int(value)
-            elif key == "l_bi":
-                cfg.L_bi = int(value)
-            elif key == "l_iu":
-                cfg.L_iu = int(value)
-            elif key == "trials":
-                cfg.trials_per_point = int(value)
-            elif key == "seed":
-                cfg.master_seed = int(value)
-            elif key == "out":
-                cfg.output_path = value
-            elif key == "gas.m":
-                gas.m = None if value == "auto" else int(value)
-            elif key == "gas.lambda":
-                gas.growth_factor = float(value)
-            elif key == "gas.max_rounds":
-                gas.max_rounds = int(value)
-            elif key == "gas.stall_rounds":
-                gas.stall_rounds = int(value)
-            elif key == "gas.encoding":
-                gas.encoding = value
-            elif key == "gas.engine":
-                gas.engine = value
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    try:
-        cfg.gas = replace(gas)  # re-runs GasConfig validation
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+        settings.append((f"line {lineno}", key, value))
+    return apply_settings(base if base is not None else SweepConfig(), settings)
 
 
 def format_config(cfg: SweepConfig) -> str:

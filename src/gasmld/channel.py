@@ -30,22 +30,6 @@ class RisChannel:
     phases: np.ndarray
     h_eff: np.ndarray
 
-    @property
-    def num_taps(self) -> int:
-        return self.h_eff.shape[0]
-
-
-@dataclass
-class TxBlock:
-    """One transmitted block: payload bits and their BPSK symbols."""
-
-    bits: np.ndarray
-    x: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.x.shape[0]
-
 
 def modulate(bits) -> np.ndarray:
     """BPSK: bit 0 -> -1, bit 1 -> +1 (complex baseband)."""
@@ -57,13 +41,14 @@ def demodulate(x) -> np.ndarray:
     return (np.real(np.asarray(x)) >= 0).astype(np.int8)
 
 
-def block_from_bits(bits) -> TxBlock:
+def block_from_bits(bits) -> np.ndarray:
+    """The BPSK symbol vector of one block of payload bits, after validation."""
     bits = np.asarray(bits, dtype=np.int8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty vector")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
-    return TxBlock(bits=bits, x=modulate(bits))
+    return modulate(bits)
 
 
 def _cn_taps(shape, tap_variance: float, rng: np.random.Generator) -> np.ndarray:
@@ -140,13 +125,13 @@ def circulant_matrix(h_eff, N: int) -> np.ndarray:
     return padded[idx]
 
 
-def transmit(block: TxBlock, H: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+def transmit(x: np.ndarray, H: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """y = H x + w with w ~ CN(0, sigma2 I): variance sigma2/2 per quadrature."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
-    y = H @ block.x
+    y = H @ x
     if sigma2 > 0:
-        y = y + _cn_taps(block.N, sigma2, rng)
+        y = y + _cn_taps(x.shape[0], sigma2, rng)
     return y
 
 

@@ -10,7 +10,6 @@ set.  Negative values rely on two's-complement wraparound of the readout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,10 +45,6 @@ class PhasePolynomial:
     def n(self) -> int:
         return self.linear.shape[0]
 
-    def evaluate(self, bits) -> float:
-        b = np.asarray(bits, dtype=float)
-        return float(b @ self.quadratic @ b + self.linear @ b + self.constant)
-
     def evaluate_all(self) -> np.ndarray:
         """Values over every bit pattern, indexed by sum_i b_i 2^i."""
         patterns = bit_patterns(self.n)
@@ -64,9 +59,10 @@ class PhasePolynomial:
         return bool(np.all(np.abs(coeffs - np.round(coeffs)) <= tol))
 
 
-def bit_patterns(n: int) -> np.ndarray:
-    """(2^n, n) array of bit vectors; row v holds the bits of the integer v."""
-    values = np.arange(1 << n)
+def bit_patterns(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """(stop - start, n) array of bit vectors; row k holds the bits of the
+    integer start + k.  The default range covers all 2^n patterns."""
+    values = np.arange(start, (1 << n) if stop is None else stop)
     return ((values[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
 
 
@@ -126,15 +122,6 @@ class GasCircuitSpec:
         self._validated = True
 
 
-def coefficient_phase(coefficient: float, m: int) -> float:
-    """Base rotation angle 2 pi a / 2^m for one polynomial coefficient.
-
-    Deliberately not reduced mod 2 pi; the complex exponential in the gate
-    application takes care of that.
-    """
-    return 2.0 * np.pi * coefficient / (1 << m)
-
-
 def _monomials(spec: GasCircuitSpec):
     """Yield (coefficient, key-qubit list) with zero coefficients dropped."""
     poly = spec.poly
@@ -158,7 +145,9 @@ def apply_value_encoding(state: Statevector, spec: GasCircuitSpec, invert: bool 
     spec.validate_range()
     sign = -1.0 if invert else 1.0
     for coeff, keys in _monomials(spec):
-        base = sign * coefficient_phase(coeff, spec.m)
+        # base angle 2 pi a / 2^m, deliberately not reduced mod 2 pi; the
+        # complex exponential in the gate application takes care of that
+        base = sign * (2.0 * np.pi * coeff / (1 << spec.m))
         for t in range(spec.m):
             qcore.apply_controlled_phase(state, keys, spec.n + t, base * (1 << t))
     return state
@@ -180,12 +169,6 @@ def apply_state_preparation_inverse(state: Statevector, spec: GasCircuitSpec) ->
     return state
 
 
-def build_state_preparation(spec: GasCircuitSpec) -> Callable[[Statevector], Statevector]:
-    """Return the preparation procedure as a reusable callable."""
-    spec.validate_range()
-    return lambda state: apply_state_preparation(state, spec)
-
-
 def apply_oracle(state: Statevector, spec: GasCircuitSpec) -> Statevector:
     """Phase-flip branches whose cost readout is negative.
 
@@ -195,13 +178,12 @@ def apply_oracle(state: Statevector, spec: GasCircuitSpec) -> Statevector:
     return qcore.apply_1q(state, qcore.PAULI_Z, spec.sign_qubit)
 
 
-def apply_diffusion(state: Statevector, spec: GasCircuitSpec | None = None) -> Statevector:
+def apply_diffusion(state: Statevector) -> Statevector:
     """Reflect about |0...0> on the full register: 2|0><0| - I.
 
     Conjugating with the state preparation (A D A^dagger) turns this into the
     reflection about the prepared state.
     """
-    del spec  # geometry is implicit in the state itself
     state.amps[1:] *= -1.0
     return state
 
@@ -213,7 +195,7 @@ def grover_power(state: Statevector, spec: GasCircuitSpec, power: int) -> Statev
     for _ in range(power):
         apply_oracle(state, spec)
         apply_state_preparation_inverse(state, spec)
-        apply_diffusion(state, spec)
+        apply_diffusion(state)
         apply_state_preparation(state, spec)
     return state
 

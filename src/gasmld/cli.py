@@ -9,7 +9,7 @@ import sys
 from .bench import (
     ConfigError,
     SweepConfig,
-    _parse_list,
+    apply_settings,
     emit_csv,
     fig_recipe,
     format_config,
@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", metavar="FILE", help="flat key=value config file")
     sweep.add_argument("--recipe", choices=("fig2", "fig3"), help="start from a preset")
     sweep.add_argument("--snr", help="comma list of SNR points in dB")
-    sweep.add_argument("--trials", type=int, help="trials per sweep point")
-    sweep.add_argument("--seed", type=int, help="master seed")
+    sweep.add_argument("--trials", help="trials per sweep point")
+    sweep.add_argument("--seed", help="master seed")
     sweep.add_argument("--detector", help="comma list of detectors")
     sweep.add_argument("--ris", help="comma list of reflecting-element counts")
     sweep.add_argument("--out", help="output CSV path")
@@ -46,6 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# sweep flag -> config key; flags go through the same key table as a config file
+_FLAG_KEYS = {"snr": "snr_db", "detector": "detectors", "ris": "ris",
+              "trials": "trials", "seed": "seed", "out": "out"}
+
+
 def _cmd_sweep(args) -> int:
     cfg = fig_recipe(args.recipe) if args.recipe else SweepConfig()
     if args.config:
@@ -55,19 +60,9 @@ def _cmd_sweep(args) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text, base=cfg)
-    if args.snr:
-        cfg.snr_db_list = _parse_list(args.snr, float)
-    if args.detector:
-        cfg.detectors = _parse_list(args.detector, str)
-    if args.ris:
-        cfg.R_list = _parse_list(args.ris, int)
-    if args.trials is not None:
-        cfg.trials_per_point = args.trials
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.out:
-        cfg.output_path = args.out
-    cfg.validate()
+    flags = [(f"--{flag}", key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items()
+             if getattr(args, flag) is not None]
+    cfg = apply_settings(cfg, flags)
     records = run_sweep(cfg)
     emit_csv(records, cfg.output_path)
     print(f"wrote {cfg.output_path} ({len(records)} records)")

@@ -11,14 +11,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import demodulate
+from .channel import demodulate, modulate
 from .circuits import bit_patterns
 from .gas import GasConfig, run_gas
 from .qcore import CapacityError
-from .qubo import MldInstance, bits_to_bipolar, mld_to_qubo
+from .qubo import BRUTE_FORCE_MAX_N, MldInstance, mld_to_qubo
 
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
-MLD_MAX_BITS = 24
 _CHUNK = 1 << 16
 
 
@@ -53,7 +52,7 @@ def mld_detect(inst: MldInstance) -> DetectionReport:
     updates over an ascending enumeration.
     """
     N = inst.N
-    if N > MLD_MAX_BITS:
+    if N > BRUTE_FORCE_MAX_N:
         raise CapacityError(f"exhaustive search over {N} bits exceeds the cap")
     G = np.real(inst.H.conj().T @ inst.H)
     v = np.real(inst.H.conj().T @ inst.y)
@@ -63,15 +62,14 @@ def mld_detect(inst: MldInstance) -> DetectionReport:
     total = 1 << N
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        values = np.arange(start, stop)
-        bits = ((values[:, None] >> np.arange(N)[None, :]) & 1).astype(float)
+        bits = bit_patterns(N, start, stop).astype(float)
         X = 2.0 * bits - 1.0
         costs = base - 2.0 * (X @ v) + np.einsum("ki,ij,kj->k", X, G, X)
         local = int(np.argmin(costs))
         if costs[local] < best_cost:
             best_cost = float(costs[local])
             best_index = start + local
-    x = bits_to_bipolar(((best_index >> np.arange(N)) & 1)).astype(complex)
+    x = modulate(bit_patterns(N, best_index, best_index + 1)[0])
     return _report(inst, x, "MLD", 0)
 
 
@@ -94,7 +92,7 @@ def mmse_equalize(inst: MldInstance) -> np.ndarray:
 
 def mmse_detect(inst: MldInstance) -> DetectionReport:
     soft = mmse_equalize(inst)
-    x = bits_to_bipolar(demodulate(soft)).astype(complex)
+    x = modulate(demodulate(soft))
     return _report(inst, x, "MMSE", 0)
 
 
@@ -103,7 +101,7 @@ def _run_search(inst: MldInstance, cfg: GasConfig, warm_bits, method: str,
     q = mld_to_qubo(inst)
     cfg = replace(cfg, warm_start=warm_bits)
     result = run_gas(q, cfg, rng)
-    x = bits_to_bipolar(result.best_bits).astype(complex)
+    x = modulate(result.best_bits)
     return _report(inst, x, method, result.oracle_queries)
 
 

@@ -118,7 +118,8 @@ def required_value_qubits(q: QuboProblem, y0: float | None = None, encoding: str
     Thresholds are always attained costs, so the worst shift spans
     [lo - hi, hi - lo].  Integer encoding needs the exact span strictly
     inside the signed window; real encoding reserves a factor-2 margin so
-    spectral side lobes stay clear of the sign boundary.
+    spectral side lobes stay clear of the sign boundary.  The search stops
+    at the qubits the engine cap leaves beside the n key qubits.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
@@ -126,15 +127,14 @@ def required_value_qubits(q: QuboProblem, y0: float | None = None, encoding: str
     spread = hi - lo
     if y0 is not None:
         spread = max(spread, hi - y0, y0 - lo)
-    m = 2
-    while True:
+    for m in range(2, MAX_QUBITS - q.n + 1):
         if encoding == "integer":
             if (1 << (m - 1)) >= spread + 1.0:
                 return m
         else:
             if (1 << (m - 2)) >= spread:
                 return m
-        m += 1
+    raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - q.n} value qubits")
 
 
 def _phase_scale(q: QuboProblem, m: int, encoding: str) -> float:
@@ -239,12 +239,6 @@ class _AnalyticEngine:
         return np.sin(angle) ** 2 * w_good / p0 + np.cos(angle) ** 2 * w_bad / (1.0 - p0)
 
 
-def _make_engine(q: QuboProblem, cfg: GasConfig, m: int, scale: float):
-    if cfg.engine == "statevector":
-        return _StatevectorEngine(q, m, cfg.encoding, scale)
-    return _AnalyticEngine(q, m, cfg.encoding, scale)
-
-
 def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = None) -> GasResult:
     """Algorithm driver; see the module docstring for the round structure."""
     if rng is None:
@@ -254,7 +248,8 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
     if n + m > MAX_QUBITS:
         raise CapacityError(f"{n} key + {m} value qubits exceed the {MAX_QUBITS}-qubit cap")
     scale = _phase_scale(q, m, cfg.encoding)
-    engine = _make_engine(q, cfg, m, scale)
+    engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _AnalyticEngine
+    engine = engine_cls(q, m, cfg.encoding, scale)
     patterns = bit_patterns(n)
 
     if cfg.warm_start is not None:
@@ -300,17 +295,3 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
         measurements=measurements,
         threshold_trace=trace,
     )
-
-
-def query_complexity_summary(results: list, optimal_costs) -> tuple[float, float, float]:
-    """(mean queries, mean measurements, fraction ending at the known optimum)."""
-    if not results:
-        raise ValueError("need at least one result")
-    optima = np.asarray(optimal_costs, dtype=float)
-    if optima.shape[0] != len(results):
-        raise ValueError("one optimal cost per result required")
-    queries = np.array([r.oracle_queries for r in results], dtype=float)
-    meas = np.array([r.measurements for r in results], dtype=float)
-    achieved = np.array([r.best_cost for r in results], dtype=float)
-    hits = np.abs(achieved - optima) <= 1e-9
-    return float(queries.mean()), float(meas.mean()), float(hits.mean())

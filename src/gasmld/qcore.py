@@ -20,14 +20,7 @@ MAX_QUBITS = 26
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 HADAMARD = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def phase_gate(theta: float) -> np.ndarray:
-    """diag(1, e^{i*theta}) on a single qubit."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1.0j * theta)]], dtype=complex)
 
 
 class CapacityError(ValueError):
@@ -47,12 +40,6 @@ class Statevector:
 
     def copy(self) -> "Statevector":
         return Statevector(self.num_qubits, self.amps.copy())
-
-    def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 def zero_state(num_qubits: int, cap: int = MAX_QUBITS) -> Statevector:
@@ -112,49 +99,6 @@ def apply_controlled_phase(
         raise ValueError("target qubit listed among the controls")
     sel = _axis_select(n, ctrl | {target})
     state.amps.reshape([2] * n)[sel] *= np.exp(1.0j * theta)
-    return state
-
-
-def _flip_target(v: np.ndarray, sub_axis: int) -> None:
-    i0 = [slice(None)] * v.ndim
-    i1 = [slice(None)] * v.ndim
-    i0[sub_axis], i1[sub_axis] = 0, 1
-    tmp = v[tuple(i0)].copy()
-    v[tuple(i0)] = v[tuple(i1)]
-    v[tuple(i1)] = tmp
-
-
-def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
-    """Flip ``target`` where ``control`` is 1, in place."""
-    n = state.num_qubits
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
-        raise ValueError("control and target must differ")
-    v = state.amps.reshape([2] * n)
-    axc, axt = n - 1 - control, n - 1 - target
-    sel = [slice(None)] * n
-    sel[axc] = 1
-    sub = v[tuple(sel)]
-    _flip_target(sub, axt - (1 if axc < axt else 0))
-    return state
-
-
-def apply_ccx(state: Statevector, control1: int, control2: int, target: int) -> Statevector:
-    """Toffoli: flip ``target`` where both controls are 1, in place."""
-    n = state.num_qubits
-    qubits = {control1, control2, target}
-    if len(qubits) != 3:
-        raise ValueError("control1, control2 and target must be distinct")
-    for q in qubits:
-        _check_qubit(q, n)
-    v = state.amps.reshape([2] * n)
-    ax1, ax2, axt = (n - 1 - q for q in (control1, control2, target))
-    sel = [slice(None)] * n
-    sel[ax1] = 1
-    sel[ax2] = 1
-    sub = v[tuple(sel)]
-    _flip_target(sub, axt - sum(1 for a in (ax1, ax2) if a < axt))
     return state
 
 
@@ -245,8 +189,3 @@ def sample_index(distribution: np.ndarray, rng: np.random.Generator) -> int:
     cdf = np.cumsum(distribution)
     u = rng.random() * cdf[-1]
     return int(min(np.searchsorted(cdf, u, side="right"), len(distribution) - 1))
-
-
-def measure_register(state: Statevector, register, rng: np.random.Generator) -> int:
-    """Sample the register's value.  Non-collapsing: the state is untouched."""
-    return sample_index(register_distribution(state, register), rng)

@@ -1,13 +1,14 @@
-"""Detection cost to binary optimization conversions.
+"""Detection cost to binary optimization.
 
 The squared residual ||y - H x||^2 over BPSK symbols x in {-1,+1}^N expands
-into a real quadratic form; substituting x = 2b - 1 turns it into a QUBO over
-bits, and b_i = (1 - Z_i)/2 maps the QUBO onto an Ising Hamiltonian.  Every
-step preserves the cost of each candidate exactly, which the tests lean on.
+into a real quadratic form, and substituting x = 2b - 1 turns it into a QUBO
+over bits.  The conversion preserves the cost of each candidate exactly,
+which the tests lean on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class MldInstance:
             raise ValueError("H must be square")
         if self.y.shape != (N,):
             raise ValueError("y length must match H")
+        finite = np.isfinite(np.concatenate((self.H.ravel(), self.y))).all()
+        if not (finite and math.isfinite(self.sigma2)):
+            raise ValueError("H, y and sigma2 must be finite")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be non-negative")
         # circulant check is exact: row i is row 0 rolled right by i
@@ -44,19 +48,6 @@ class MldInstance:
     @property
     def N(self) -> int:
         return self.H.shape[0]
-
-
-@dataclass
-class BipolarQuadratic:
-    """Cost x^T Q x + c^T x + const over bipolar symbols x in {-1,+1}^n."""
-
-    Q: np.ndarray
-    c: np.ndarray
-    const: float
-
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.Q @ x + self.c @ x + self.const)
 
 
 @dataclass
@@ -73,6 +64,9 @@ class QuboProblem:
         n = self.c.shape[0]
         if self.Q.shape != (n, n):
             raise ValueError("Q must be n x n")
+        finite = np.isfinite(np.concatenate((self.Q.ravel(), self.c))).all()
+        if not (finite and math.isfinite(self.offset)):
+            raise ValueError("Q, c and offset must be finite")
         if not np.allclose(self.Q, self.Q.T, atol=0):
             raise ValueError("Q must be symmetric")
 
@@ -81,56 +75,23 @@ class QuboProblem:
         return self.c.shape[0]
 
 
-@dataclass
-class IsingModel:
-    """sum_i h_i Z_i + sum_{i<j} J_ij Z_i Z_j + const with Z_i = 1 - 2 b_i."""
+def mld_to_qubo(inst: MldInstance) -> QuboProblem:
+    """Residual cost over x down to a QUBO over bits.
 
-    h: np.ndarray
-    J: np.ndarray
-    const: float
-
-    def evaluate(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(self.h @ z + z @ self.J @ z + self.const)
-
-
-def mld_to_bipolar(inst: MldInstance) -> BipolarQuadratic:
-    """Expand ||y - H x||^2 for real bipolar x.
-
-    Q = Re(H^H H), c = -2 Re(H^H y), const = ||y||^2.  The imaginary parts of
-    the Hermitian Gram matrix cancel against real x, so nothing is lost.
+    Over bipolar x the cost is x^T G x + v^T x + ||y||^2 with G = Re(H^H H)
+    and v = -2 Re(H^H y); the imaginary parts of the Hermitian Gram matrix
+    cancel against real x, so nothing is lost.  Substituting x = 2b - 1 gives
+    Q = 4G, c = 2v - 4 G 1, and the offset picks up the rest.
     """
-    gram = inst.H.conj().T @ inst.H
-    return BipolarQuadratic(
-        Q=np.real(gram),
-        c=-2.0 * np.real(inst.H.conj().T @ inst.y),
-        const=float(np.real(np.vdot(inst.y, inst.y))),
-    )
-
-
-def bipolar_to_binary(bip: BipolarQuadratic) -> QuboProblem:
-    """Substitute x = 2b - 1: Q' = 4Q, c' = 2c - 4 Q 1, offset picks up the rest."""
-    Q = np.asarray(bip.Q, dtype=float)
-    c = np.asarray(bip.c, dtype=float)
-    ones = np.ones(Q.shape[0])
+    G = np.real(inst.H.conj().T @ inst.H)
+    v = -2.0 * np.real(inst.H.conj().T @ inst.y)
+    const = float(np.real(np.vdot(inst.y, inst.y)))
+    ones = np.ones(G.shape[0])
     return QuboProblem(
-        Q=4.0 * Q,
-        c=2.0 * c - 4.0 * (Q @ ones),
-        offset=float(bip.const + ones @ Q @ ones - c @ ones),
+        Q=4.0 * G,
+        c=2.0 * v - 4.0 * (G @ ones),
+        offset=float(const + ones @ G @ ones - v @ ones),
     )
-
-
-def to_ising(q: QuboProblem) -> IsingModel:
-    """Substitute b_i = (1 - Z_i)/2.
-
-    Diagonal entries of Q act linearly on bits (b^2 = b) and fold into h.
-    """
-    Q, c = q.Q, q.c
-    h = -0.5 * (c + Q.sum(axis=1))
-    J = np.triu(Q, k=1) * 0.5
-    off_diag = Q.sum() - np.trace(Q)
-    const = q.offset + 0.5 * c.sum() + 0.5 * np.trace(Q) + 0.25 * off_diag
-    return IsingModel(h=h, J=J, const=float(const))
 
 
 def evaluate_cost(q: QuboProblem, bits) -> float:
@@ -147,48 +108,15 @@ def evaluate_all_costs(q: QuboProblem) -> np.ndarray:
     out = np.empty(total)
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        values = np.arange(start, stop)
-        B = ((values[:, None] >> np.arange(q.n)[None, :]) & 1).astype(float)
+        B = bit_patterns(q.n, start, stop).astype(float)
         out[start:stop] = np.einsum("ki,ij,kj->k", B, q.Q, B) + B @ q.c + q.offset
     return out
 
 
-def brute_force_min(q: QuboProblem) -> tuple[np.ndarray, float]:
-    """Exhaustive minimum; ties resolve to the smallest bit-pattern integer."""
-    costs = evaluate_all_costs(q)
-    v = int(np.argmin(costs))  # argmin returns the first, i.e. smallest, index
-    bits = np.array([(v >> i) & 1 for i in range(q.n)], dtype=np.int8)
-    return bits, float(costs[v])
-
-
-def bits_to_bipolar(bits) -> np.ndarray:
-    """0 -> -1, 1 -> +1."""
-    return 2.0 * np.asarray(bits, dtype=float) - 1.0
-
-
-def bipolar_to_bits(x) -> np.ndarray:
-    """+1 -> 1, -1 -> 0 (on the real part's sign, with sign(0) -> +1)."""
-    return (np.real(np.asarray(x)) >= 0).astype(np.int8)
-
-
-def mld_to_qubo(inst: MldInstance) -> QuboProblem:
-    """Full chain: residual cost over x down to a QUBO over bits."""
-    return bipolar_to_binary(mld_to_bipolar(inst))
-
-
 __all__ = [
     "MldInstance",
-    "BipolarQuadratic",
     "QuboProblem",
-    "IsingModel",
-    "mld_to_bipolar",
-    "bipolar_to_binary",
-    "to_ising",
     "evaluate_cost",
     "evaluate_all_costs",
-    "brute_force_min",
-    "bits_to_bipolar",
-    "bipolar_to_bits",
     "mld_to_qubo",
-    "bit_patterns",
 ]

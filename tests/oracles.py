@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from gasmld.qubo import QuboProblem, evaluate_all_costs
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
 
 def dense_1q(gate: np.ndarray, target: int, n: int) -> np.ndarray:
     """Full 2^n x 2^n matrix for a single-qubit gate (qubit 0 = index LSB)."""
@@ -27,25 +31,6 @@ def dense_controlled_phase(controls, target: int, theta: float, n: int) -> np.nd
     idx = np.arange(dim)
     diag[(idx & need) == need] = np.exp(1.0j * theta)
     return np.diag(diag)
-
-
-def dense_cnot(control: int, target: int, n: int) -> np.ndarray:
-    dim = 1 << n
-    op = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        y = x ^ (1 << target) if (x >> control) & 1 else x
-        op[y, x] = 1.0
-    return op
-
-
-def dense_ccx(c1: int, c2: int, target: int, n: int) -> np.ndarray:
-    dim = 1 << n
-    op = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        both = ((x >> c1) & 1) and ((x >> c2) & 1)
-        y = x ^ (1 << target) if both else x
-        op[y, x] = 1.0
-    return op
 
 
 def dense_qft(m: int) -> np.ndarray:
@@ -87,6 +72,15 @@ def value_distribution_reference(theta: float, m: int) -> np.ndarray:
         g_l = basis_phase_vector(2.0 * np.pi * l / M, m)
         out[l] = abs(np.vdot(g_l, g_t)) ** 2
     return out
+
+
+def brute_force_min(q: QuboProblem) -> tuple[np.ndarray, float]:
+    """Exhaustive minimum over the QUBO cost table; ties resolve to the
+    smallest bit-pattern integer."""
+    costs = evaluate_all_costs(q)
+    v = int(np.argmin(costs))  # argmin returns the first, i.e. smallest, index
+    bits = np.array([(v >> i) & 1 for i in range(q.n)], dtype=np.int8)
+    return bits, float(costs[v])
 
 
 def qfunc(x: float) -> float:

@@ -36,10 +36,11 @@ from gasmld.qcore import hadamard_all, zero_state
 from gasmld.qubo import (
     MldInstance,
     QuboProblem,
-    brute_force_min,
     evaluate_all_costs,
     mld_to_qubo,
 )
+
+from oracles import brute_force_min
 
 
 def _line(label, status, detail, t0):

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env
 from gasmld.bench import (
@@ -22,7 +24,8 @@ from gasmld.bench import (
     trial_instance,
 )
 from gasmld.cli import main
-from gasmld.gas import GasConfig
+from gasmld.detect import METHODS
+from gasmld.gas import ENCODINGS, ENGINES, GasConfig
 
 
 def identity_channel(rng, R, L_bi, L_iu, N):
@@ -150,6 +153,39 @@ def test_config_roundtrip_and_errors():
         parse_config("n = 1")  # below the delay spread
 
 
+@st.composite
+def sweep_configs(draw):
+    """Valid SweepConfigs over every key the config grammar carries."""
+    small = st.integers(1, 50)
+    L_bi, L_iu = draw(small), draw(small)
+    gas = GasConfig(
+        m=draw(st.none() | st.integers(2, 26)),
+        growth_factor=draw(st.floats(1.0, 1e6, exclude_min=True)),
+        max_rounds=draw(small),
+        stall_rounds=draw(small),
+        encoding=draw(st.sampled_from(ENCODINGS)),
+        engine=draw(st.sampled_from(ENGINES)),
+    )
+    return SweepConfig(
+        snr_db_list=draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)),
+        detectors=draw(st.lists(st.sampled_from(METHODS), min_size=1)),
+        R_list=draw(st.lists(st.integers(0, 1 << 40), min_size=1)),
+        N=L_bi + L_iu - 1 + draw(st.integers(0, 50)),
+        L_bi=L_bi,
+        L_iu=L_iu,
+        trials_per_point=draw(st.integers(1, 1 << 40)),
+        master_seed=draw(st.integers(0, 1 << 64)),
+        gas=gas,
+        output_path=draw(st.text("abcXYZ019._-/", min_size=1)),
+    ).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_configs())
+def test_config_roundtrip_property(cfg):
+    assert parse_config(format_config(cfg)) == cfg
+
+
 def test_config_comments_and_precedence():
     text = "# comment\nsnr_db = 1,2 # trailing\ntrials = 5\ntrials = 6\n"
     cfg = parse_config(text)
@@ -181,12 +217,20 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     assert out.read_text().count("\n") == 2  # header + one record
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["sweep", "--detector", "bogus", "--trials", "1"]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["sweep", "--trials", "-3"]) == 1
-    capsys.readouterr()
+    for flags in (["--snr", "abc"], ["--ris", "x"]):
+        assert main(["sweep", *flags, "--trials", "1"]) == 1
+        assert "config error: " + flags[0] in capsys.readouterr().err
+    monkeypatch.setenv("GASMLD_THREADS", "two")
+    out = tmp_path / "threads.csv"
+    assert main(["sweep", "--snr", "0,1", "--detector", "MMSE", "--ris", "0",
+                 "--trials", "1", "--out", str(out)]) == 1
+    assert "config error: GASMLD_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_subprocess_determinism(tmp_path):
@@ -223,3 +267,5 @@ def test_sweep_config_validation():
         small_config(R_list=[-1]).validate()
     with pytest.raises(ConfigError):
         small_config(N=2).validate()  # L_bi + L_iu - 1 = 3
+    with pytest.raises(ConfigError):
+        small_config(output_path="").validate()

@@ -132,7 +132,7 @@ def test_cyclic_prefix_oracle_equivalence():
     # explicit CP add / linear convolution / CP strip equals the circulant model
     rng = np.random.default_rng(6)
     ch = generate_channel(R=3, L_bi=2, L_iu=2, rng=rng)
-    L = ch.num_taps
+    L = ch.h_eff.shape[0]
     N = 5
     H = circulant_matrix(ch.h_eff, N)
     bits = rng.integers(0, 2, size=N)
@@ -147,14 +147,15 @@ def test_cyclic_prefix_oracle_equivalence():
 def test_transmit_noiseless_and_noise_stats():
     rng = np.random.default_rng(7)
     H = circulant_matrix(np.array([1.0, 0.5]), 4)
-    block = block_from_bits([1, 0, 0, 1])
-    y0 = transmit(block, H, 0.0, rng)
-    assert np.array_equal(y0, H @ block.x)
+    x = block_from_bits([1, 0, 0, 1])
+    assert np.array_equal(x, [1, -1, -1, 1])
+    y0 = transmit(x, H, 0.0, rng)
+    assert np.array_equal(y0, H @ x)
     sigma2 = 0.8
     draws = 10_000
     noise = np.empty((draws, 4), dtype=complex)
     for i in range(draws):
-        noise[i] = transmit(block, H, sigma2, rng) - y0
+        noise[i] = transmit(x, H, sigma2, rng) - y0
     assert np.real(noise).var() == pytest.approx(sigma2 / 2, rel=0.03)
     assert np.imag(noise).var() == pytest.approx(sigma2 / 2, rel=0.03)
     assert np.abs(noise.mean()) < 0.02
@@ -164,8 +165,7 @@ def test_identity_channel_roundtrip():
     rng = np.random.default_rng(8)
     H = np.eye(3, dtype=complex)
     bits = np.array([1, 0, 1])
-    block = block_from_bits(bits)
-    y = transmit(block, H, 0.0, rng)
+    y = transmit(block_from_bits(bits), H, 0.0, rng)
     assert np.array_equal(demodulate(y), bits)
 
 
@@ -174,8 +174,10 @@ def test_modulate_demodulate():
     x = modulate(bits)
     assert np.array_equal(x, np.array([-1, 1, 1, -1], dtype=complex))
     assert np.array_equal(demodulate(x), bits)
-    # sign(0) convention
+    # decisions on the real part's sign, with sign(0) -> +1, i.e. bit 1
     assert demodulate(np.array([0.0]))[0] == 1
+    assert np.array_equal(demodulate([-0.3, 0.2, 1.0]), [0, 1, 1])
+    assert np.array_equal(demodulate(np.array([1 + 5j, -1 + 5j])), [1, 0])
 
 
 def test_block_validation():

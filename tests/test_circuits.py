@@ -13,15 +13,14 @@ from gasmld.circuits import (
     apply_state_preparation_inverse,
     apply_value_encoding,
     bit_patterns,
-    build_state_preparation,
-    coefficient_phase,
     conditional_value_distributions,
     fejer_distribution,
     grover_power,
 )
-from gasmld.qcore import HADAMARD, PAULI_X, zero_state
+from gasmld.qcore import HADAMARD, zero_state
 
 from oracles import (
+    PAULI_X,
     dense_1q,
     dense_controlled_phase,
     dense_qft,
@@ -44,22 +43,24 @@ def prepared(spec):
 
 
 def test_coefficient_phase_examples():
-    assert coefficient_phase(1, 3) == pytest.approx(2 * np.pi / 8)
-    assert coefficient_phase(-1, 3) == pytest.approx(-2 * np.pi / 8)
-    # half the register span maps to pi, not to -pi: no mod-2pi reduction here
-    assert coefficient_phase(4, 3) == pytest.approx(np.pi)
-    assert coefficient_phase(16, 3) == pytest.approx(4 * np.pi)
+    # a constant a puts e^{i 2 pi a j / 2^m} on value j of every key branch;
+    # index = key + 2 value, so each phase repeats once per key
+    m = 3
+    j = np.arange(1 << m)
+    for a in (1.0, -1.0, 2.5, -4.0):
+        spec = spec_for(poly_const(a), m)
+        state = qcore.hadamard_all(zero_state(spec.total_qubits))
+        apply_value_encoding(state, spec)
+        phases = np.exp(2j * np.pi * a * j / (1 << m))
+        expect = np.repeat(phases, 2) / np.sqrt(1 << spec.total_qubits)
+        assert np.allclose(state.amps, expect, atol=1e-12)
 
 
 def test_phase_polynomial_evaluate():
     poly = PhasePolynomial(2.0, np.array([1.0, -3.0]), np.array([[0.0, 4.0], [0.0, 0.0]]))
-    assert poly.evaluate([0, 0]) == 2.0
-    assert poly.evaluate([1, 0]) == 3.0
-    assert poly.evaluate([0, 1]) == -1.0
-    assert poly.evaluate([1, 1]) == 4.0
     values = poly.evaluate_all()
     # index = b0 + 2 b1
-    assert np.allclose(values, [2.0, 3.0, -1.0, 4.0], atol=1e-12)
+    assert values.tolist() == [2.0, 3.0, -1.0, 4.0]
 
 
 def test_phase_polynomial_rejects_lower_triangle():
@@ -74,10 +75,10 @@ def test_phase_polynomial_matches_shifted_cost():
     quad = np.triu(rng.normal(size=(n, n)), k=1)
     lin = rng.normal(size=n)
     const = rng.normal()
-    poly = PhasePolynomial(const, lin, quad)
-    for bits in bit_patterns(n):
+    values = PhasePolynomial(const, lin, quad).evaluate_all()
+    for v, bits in enumerate(bit_patterns(n)):
         direct = bits @ quad @ bits + lin @ bits + const
-        assert abs(poly.evaluate(bits) - direct) < 1e-12
+        assert abs(values[v] - direct) < 1e-12
 
 
 def test_value_encoding_zero_polynomial_is_identity():
@@ -149,8 +150,8 @@ def test_conditional_distributions_match_reference_across_random_polys():
         poly = PhasePolynomial(rng.uniform(-2, 2), rng.uniform(-2, 2, size=n), quad)
         spec = spec_for(poly, m)
         cond = conditional_value_distributions(prepared(spec), spec)
-        for v, bits in enumerate(bit_patterns(n)):
-            theta = 2 * np.pi * poly.evaluate(bits) / (1 << m)
+        for v, value in enumerate(poly.evaluate_all()):
+            theta = 2 * np.pi * value / (1 << m)
             assert np.allclose(cond[v], value_distribution_reference(theta, m), atol=1e-9)
 
 
@@ -193,7 +194,7 @@ def test_conjugated_diffusion_fixes_prepared_state():
     state = prepared(spec)
     reference = state.amps.copy()
     apply_state_preparation_inverse(state, spec)
-    apply_diffusion(state, spec)
+    apply_diffusion(state)
     apply_state_preparation(state, spec)
     ratio = state.amps[np.argmax(np.abs(reference))] / reference[np.argmax(np.abs(reference))]
     assert abs(abs(ratio) - 1.0) < 1e-9
@@ -224,7 +225,7 @@ def plain_grover_success(n, marked, iterations):
         qcore.hadamard_all(state)
         apply_diffusion(state)
         qcore.hadamard_all(state)
-    return state.probabilities()[marked]
+    return abs(state.amps[marked]) ** 2
 
 
 def test_plain_grover_single_marked():
@@ -330,15 +331,7 @@ def test_norm_drift_over_full_circuit():
     spec = spec_for(poly, 8)
     state = prepared(spec)
     grover_power(state, spec, 3)
-    assert abs(state.norm_sq() - 1.0) < 1e-8
-
-
-def test_build_state_preparation_callable():
-    spec = spec_for(poly_const(2.0), 3)
-    prep = build_state_preparation(spec)
-    state = prep(zero_state(spec.total_qubits))
-    cond = conditional_value_distributions(state, spec)
-    assert cond[0, 2] > 1 - 1e-9
+    assert abs(np.vdot(state.amps, state.amps) - 1.0) < 1e-8
 
 
 def test_validate_range_rejects_overflow():

@@ -24,7 +24,9 @@ from gasmld.detect import (
 )
 from gasmld.gas import GasConfig
 from gasmld.qcore import CapacityError
-from gasmld.qubo import MldInstance, brute_force_min, mld_to_qubo
+from gasmld.qubo import MldInstance, mld_to_qubo
+
+from oracles import brute_force_min
 
 
 def random_instance(rng, N=3, R=2, L_bi=2, L_iu=2, snr_db=4.0):

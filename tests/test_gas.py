@@ -9,14 +9,15 @@ from gasmld.gas import (
     _StatevectorEngine,
     cost_bounds,
     grow_k,
-    query_complexity_summary,
     required_value_qubits,
     run_gas,
     sample_rotation_count,
 )
 from gasmld.qcore import CapacityError
-from gasmld.qubo import QuboProblem, brute_force_min, evaluate_cost, mld_to_qubo, MldInstance
+from gasmld.qubo import QuboProblem, evaluate_cost, mld_to_qubo, MldInstance
 from gasmld.channel import circulant_matrix
+
+from oracles import brute_force_min
 
 
 def toy_problem():
@@ -65,6 +66,11 @@ def test_required_value_qubits_integer():
     q = QuboProblem(Q=np.zeros((1, 1)), c=np.array([3.0]), offset=0.0)
     assert required_value_qubits(q) == 3
     assert required_value_qubits(toy_problem()) == 5  # spread 12 needs 2^{m-1} >= 13
+    # spread 1e9 needs 31 (integer) or 32 (real) value qubits: past the cap beside 3 keys
+    wide = QuboProblem(Q=np.zeros((3, 3)), c=np.array([1e9, 0.0, 0.0]), offset=0.0)
+    for encoding in ("integer", "real_direct"):
+        with pytest.raises(CapacityError):
+            required_value_qubits(wide, encoding=encoding)
 
 
 def test_required_value_qubits_degenerate_and_real():
@@ -197,16 +203,6 @@ def test_reaches_optimum_small_problems():
         hits += res.best_cost == best
         assert all(y2 <= y1 for (_, y1), (_, y2) in zip(res.threshold_trace, res.threshold_trace[1:]))
     assert hits >= 19
-
-
-def test_query_summary():
-    res = run_gas(toy_problem(), GasConfig(m=None, seed=0, encoding="integer"))
-    mean_q, mean_m, rate = query_complexity_summary([res], [4.0])
-    assert mean_q == res.oracle_queries
-    assert mean_m == res.measurements
-    assert rate in (0.0, 1.0)
-    with pytest.raises(ValueError):
-        query_complexity_summary([], [])
 
 
 def test_validation_errors():

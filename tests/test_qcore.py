@@ -7,25 +7,21 @@ from gasmld import qcore
 from gasmld.qcore import (
     CapacityError,
     HADAMARD,
-    PAULI_X,
     PAULI_Z,
     apply_1q,
-    apply_ccx,
-    apply_cnot,
     apply_controlled_phase,
     apply_iqft,
     apply_qft,
+    apply_swap,
     hadamard_all,
-    measure_register,
-    phase_gate,
     register_distribution,
+    sample_index,
     zero_state,
 )
 
 from oracles import (
+    PAULI_X,
     dense_1q,
-    dense_ccx,
-    dense_cnot,
     dense_controlled_phase,
     dense_qft,
     embed_on_register,
@@ -137,28 +133,6 @@ def test_controlled_phase_rejects_overlap():
         apply_controlled_phase(s, {1}, 1, 0.1)
 
 
-def test_cnot_examples():
-    s = apply_1q(zero_state(2), PAULI_X, 0)  # |01> (qubit0=1)
-    apply_cnot(s, 0, 1)
-    assert np.allclose(s.amps, [0, 0, 0, 1])  # |11>
-    apply_cnot(s, 0, 1)
-    assert np.allclose(s.amps, [0, 1, 0, 0])  # involution
-
-
-def test_cnot_ccx_match_dense():
-    rng = np.random.default_rng(13)
-    for control, target, n in [(0, 1, 2), (1, 0, 3), (2, 0, 3)]:
-        s = random_state(n, rng)
-        expect = dense_cnot(control, target, n) @ s.amps
-        apply_cnot(s, control, target)
-        assert np.allclose(s.amps, expect, atol=1e-12)
-    for c1, c2, target, n in [(0, 1, 2, 3), (2, 0, 1, 3), (1, 3, 0, 4)]:
-        s = random_state(n, rng)
-        expect = dense_ccx(c1, c2, target, n) @ s.amps
-        apply_ccx(s, c1, c2, target)
-        assert np.allclose(s.amps, expect, atol=1e-12)
-
-
 def test_qft_matches_dense_matrix():
     rng = np.random.default_rng(17)
     for m in (1, 2, 3):
@@ -211,10 +185,10 @@ def test_iqft_decodes_linear_phase():
 
 
 def test_register_distribution_examples():
-    # Bell pair: qubit-0 marginal is uniform
-    s = zero_state(2)
-    apply_1q(s, HADAMARD, 0)
-    apply_cnot(s, 0, 1)
+    # Bell pair from H on both, CZ, H on qubit 1: qubit-0 marginal is uniform
+    s = hadamard_all(zero_state(2))
+    apply_controlled_phase(s, {0}, 1, np.pi)
+    apply_1q(s, HADAMARD, 1)
     assert np.allclose(register_distribution(s, [0]), [0.5, 0.5], atol=1e-12)
     # joint distribution picks out |00> and |11>
     assert np.allclose(register_distribution(s, [0, 1]), [0.5, 0, 0, 0.5], atol=1e-12)
@@ -242,7 +216,7 @@ def test_measure_register_deterministic_and_noncollapsing():
     rng = np.random.default_rng(0)
     before = s.amps.copy()
     for _ in range(10):
-        assert measure_register(s, [0, 1], rng) == 2
+        assert sample_index(register_distribution(s, [0, 1]), rng) == 2
     assert np.array_equal(s.amps, before)
 
 
@@ -252,7 +226,7 @@ def test_measure_register_frequencies():
     counts = np.zeros(4)
     trials = 100_000
     for _ in range(trials):
-        counts[measure_register(s, [0, 1], rng)] += 1
+        counts[sample_index(register_distribution(s, [0, 1]), rng)] += 1
     assert np.all(np.abs(counts / trials - 0.25) < 0.01)
 
 
@@ -261,10 +235,10 @@ def test_norm_preserved_after_gates():
     s = random_state(4, rng)
     apply_1q(s, HADAMARD, 0)
     apply_controlled_phase(s, {0, 2}, 3, 0.7)
-    apply_cnot(s, 1, 3)
+    apply_swap(s, 1, 3)
     apply_qft(s, [0, 1, 2, 3])
     apply_iqft(s, [0, 1, 2, 3])
-    assert abs(s.norm_sq() - 1.0) < 1e-10
+    assert abs(np.vdot(s.amps, s.amps) - 1.0) < 1e-10
 
 
 def test_random_circuit_matches_dense_composition():
@@ -275,9 +249,9 @@ def test_random_circuit_matches_dense_composition():
         original = s.amps.copy()
         dense = np.eye(1 << n, dtype=complex)
         for _ in range(12):
-            kind = rng.integers(0, 4)
+            kind = rng.integers(0, 3)
             if kind == 0:
-                gate = [HADAMARD, PAULI_X, PAULI_Z, phase_gate(0.3)][rng.integers(0, 4)]
+                gate = [HADAMARD, PAULI_X, PAULI_Z, np.diag([1.0, np.exp(0.3j)])][rng.integers(0, 4)]
                 t = int(rng.integers(0, n))
                 apply_1q(s, gate, t)
                 dense = dense_1q(gate, t, n) @ dense
@@ -286,10 +260,6 @@ def test_random_circuit_matches_dense_composition():
                 theta = float(rng.uniform(-np.pi, np.pi))
                 apply_controlled_phase(s, {int(qs[0])}, int(qs[1]), theta)
                 dense = dense_controlled_phase({int(qs[0])}, int(qs[1]), theta, n) @ dense
-            elif kind == 2:
-                qs = rng.choice(n, size=2, replace=False)
-                apply_cnot(s, int(qs[0]), int(qs[1]))
-                dense = dense_cnot(int(qs[0]), int(qs[1]), n) @ dense
             else:
                 m = int(rng.integers(1, min(n, 3) + 1))
                 register = sorted(int(q) for q in rng.choice(n, size=m, replace=False))
@@ -308,10 +278,8 @@ def test_dense_oracle_forward_agreement():
     ops = [
         ("h", 2),
         ("cp", {0, 3}, 5, 1.1),
-        ("cnot", 4, 1),
         ("iqft", [1, 2, 4]),
         ("cp", {5}, 0, -2.2),
-        ("ccx", 0, 5, 3),
     ]
     for op in ops:
         if op[0] == "h":
@@ -320,12 +288,6 @@ def test_dense_oracle_forward_agreement():
         elif op[0] == "cp":
             apply_controlled_phase(s, op[1], op[2], op[3])
             dense = dense_controlled_phase(op[1], op[2], op[3], n) @ dense
-        elif op[0] == "cnot":
-            apply_cnot(s, op[1], op[2])
-            dense = dense_cnot(op[1], op[2], n) @ dense
-        elif op[0] == "ccx":
-            apply_ccx(s, op[1], op[2], op[3])
-            dense = dense_ccx(op[1], op[2], op[3], n) @ dense
         else:
             apply_iqft(s, op[1])
             dense = embed_on_register(dense_qft(len(op[1])).conj().T, op[1], n) @ dense

@@ -1,24 +1,19 @@
-"""Cost-conversion chain checks: residual -> bipolar -> QUBO -> Ising."""
+"""Cost-conversion checks: residual -> QUBO, exhaustive cost table."""
 
 import numpy as np
 import pytest
 
+from gasmld.channel import circulant_matrix, demodulate, modulate
+from gasmld.circuits import bit_patterns
 from gasmld.qubo import (
-    IsingModel,
     MldInstance,
     QuboProblem,
-    bipolar_to_binary,
-    bipolar_to_bits,
-    bit_patterns,
-    bits_to_bipolar,
-    brute_force_min,
     evaluate_all_costs,
     evaluate_cost,
-    mld_to_bipolar,
     mld_to_qubo,
-    to_ising,
 )
-from gasmld.channel import circulant_matrix
+
+from oracles import brute_force_min
 
 
 def random_instance(N, rng, taps=None):
@@ -30,63 +25,39 @@ def random_instance(N, rng, taps=None):
 
 
 def test_scalar_real_example():
+    # |3 - x|^2 over the cost table: b = 0 (x = -1) costs 16, b = 1 (x = +1) costs 4
     inst = MldInstance(H=np.array([[1.0]]), y=np.array([3.0]), sigma2=0.1)
-    bip = mld_to_bipolar(inst)
-    assert np.allclose(bip.Q, [[1.0]])
-    assert np.allclose(bip.c, [-6.0])
-    assert bip.const == pytest.approx(9.0)
-    assert bip.evaluate([1.0]) == pytest.approx(4.0)
-    assert bip.evaluate([-1.0]) == pytest.approx(16.0)
+    assert np.allclose(evaluate_all_costs(mld_to_qubo(inst)), [16.0, 4.0])
 
 
 def test_scalar_complex_example():
+    # |j - j x|^2: Re(H^H H) = 1, Re(H^H y) = 1, ||y||^2 = 1 over x
     inst = MldInstance(H=np.array([[1j]]), y=np.array([1j]), sigma2=0.1)
-    bip = mld_to_bipolar(inst)
-    assert np.allclose(bip.Q, [[1.0]])
-    assert np.allclose(bip.c, [-2.0])
-    assert bip.const == pytest.approx(1.0)
-    assert bip.evaluate([1.0]) == pytest.approx(0.0)
+    q = mld_to_qubo(inst)
+    assert np.allclose(q.Q, [[4.0]])
+    assert np.allclose(q.c, [-8.0])
+    assert q.offset == pytest.approx(4.0)
+    assert evaluate_cost(q, [1]) == pytest.approx(0.0)
+    assert evaluate_cost(q, [0]) == pytest.approx(4.0)
 
 
 def test_bipolar_matches_residual_exhaustively():
     rng = np.random.default_rng(7)
     inst = random_instance(3, rng)
-    bip = mld_to_bipolar(inst)
+    q = mld_to_qubo(inst)
     for bits in bit_patterns(3):
-        x = bits_to_bipolar(bits)
-        residual = float(np.linalg.norm(inst.y - inst.H @ x) ** 2)
-        assert bip.evaluate(x) == pytest.approx(residual, abs=1e-9)
+        residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
+        assert evaluate_cost(q, bits) == pytest.approx(residual, abs=1e-9)
 
 
 def test_binary_transform_example():
     inst = MldInstance(H=np.array([[1.0]]), y=np.array([3.0]), sigma2=0.1)
-    q = bipolar_to_binary(mld_to_bipolar(inst))
+    q = mld_to_qubo(inst)
     assert np.allclose(q.Q, [[4.0]])
     assert np.allclose(q.c, [-16.0])
     assert q.offset == pytest.approx(16.0)
     assert evaluate_cost(q, [1]) == pytest.approx(4.0)
     assert evaluate_cost(q, [0]) == pytest.approx(16.0)
-
-
-def test_ising_example():
-    inst = MldInstance(H=np.array([[1.0]]), y=np.array([3.0]), sigma2=0.1)
-    ising = to_ising(mld_to_qubo(inst))
-    assert np.allclose(ising.h, [6.0])
-    assert ising.const == pytest.approx(10.0)
-    # Z = 1 - 2b reproduces the QUBO costs
-    assert ising.evaluate([-1.0]) == pytest.approx(4.0)  # b=1
-    assert ising.evaluate([1.0]) == pytest.approx(16.0)  # b=0
-
-
-def test_ising_reproduces_costs_generally():
-    rng = np.random.default_rng(11)
-    for N in (1, 2, 3, 4):
-        inst = random_instance(N, rng)
-        q = mld_to_qubo(inst)
-        ising = to_ising(q)
-        for bits in bit_patterns(N):
-            z = 1.0 - 2.0 * bits
-            assert ising.evaluate(z) == pytest.approx(evaluate_cost(q, bits), abs=1e-9)
 
 
 def test_chain_consistency_exhaustive():
@@ -97,8 +68,7 @@ def test_chain_consistency_exhaustive():
         q = mld_to_qubo(inst)
         costs = evaluate_all_costs(q)
         for v, bits in enumerate(bit_patterns(N)):
-            x = bits_to_bipolar(bits)
-            residual = float(np.linalg.norm(inst.y - inst.H @ x) ** 2)
+            residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
             assert abs(costs[v] - residual) < 1e-9
 
 
@@ -111,7 +81,7 @@ def test_brute_force_min_matches_direct_search():
             bits, cost = brute_force_min(q)
             # independent route: enumerate symbol vectors directly
             best = min(
-                (float(np.linalg.norm(inst.y - inst.H @ bits_to_bipolar(b)) ** 2) for b in bit_patterns(N)),
+                (float(np.linalg.norm(inst.y - inst.H @ modulate(b)) ** 2) for b in bit_patterns(N)),
             )
             assert cost == pytest.approx(best, abs=1e-9)
             assert evaluate_cost(q, bits) == pytest.approx(cost, abs=1e-12)
@@ -138,19 +108,29 @@ def test_instance_validation():
         MldInstance(H=np.eye(2), y=np.zeros(3), sigma2=0.1)
     with pytest.raises(ValueError):
         MldInstance(H=np.eye(2), y=np.zeros(2), sigma2=-1.0)
+    for H, y, sigma2 in [(np.eye(2), [np.nan, 0.0], 0.1), (np.full((2, 2), np.inf), np.zeros(2), 0.1),
+                         (np.eye(2), np.zeros(2), np.nan)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            MldInstance(H=H, y=y, sigma2=sigma2)
 
 
 def test_qubo_validation():
     with pytest.raises(ValueError):
         QuboProblem(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), c=np.zeros(2), offset=0.0)
+    # non-finite entries are reported as such, not as asymmetry, before they
+    # can reach the value-register sizing
+    with pytest.raises(ValueError, match="must be finite"):
+        QuboProblem(Q=np.eye(3), c=[np.inf, 0.0, 0.0], offset=0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        QuboProblem(Q=np.full((2, 2), np.nan), c=np.zeros(2), offset=0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        QuboProblem(Q=np.eye(2), c=np.zeros(2), offset=np.inf)
 
 
 def test_bit_symbol_maps():
-    assert np.array_equal(bits_to_bipolar([0, 1, 1]), [-1.0, 1.0, 1.0])
-    assert np.array_equal(bipolar_to_bits([-0.3, 0.2, 1.0]), [0, 1, 1])
-    # sign(0) resolves to +1 by convention
-    assert np.array_equal(bipolar_to_bits([0.0]), [1])
-    assert np.array_equal(bipolar_to_bits(np.array([1 + 5j, -1 + 5j])), [1, 0])
+    # the bit <-> symbol map the QUBO cost table is indexed by
+    assert np.array_equal(modulate([0, 1, 1]), [-1.0, 1.0, 1.0])
+    assert np.array_equal(demodulate([-0.3, 0.2, 1.0]), [0, 1, 1])
 
 
 def test_offset_makes_costs_nonnegative_for_residuals():
