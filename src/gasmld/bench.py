@@ -9,6 +9,7 @@ index in METHODS appended, so adding or reordering detectors in a config
 never perturbs any other column.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -52,10 +53,19 @@ class SweepConfig:
         for det in self.detectors:
             if det not in METHODS:
                 raise ConfigError(f"unknown detector {det!r}; choose from {METHODS}")
+        if any(math.isnan(s) or s == -math.inf for s in self.snr_db_list):
+            raise ConfigError("SNR points must be numbers or inf (noiseless), not nan or -inf")
+        if self.master_seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.gas.encoding == "integer" and {"GAS_random", "GAS_warm"} & set(self.detectors):
+            raise ConfigError("gas.encoding = integer needs integer cost coefficients, which "
+                              "the sweep's Gaussian channels never give; use real_direct")
         if self.trials_per_point < 1:
             raise ConfigError("trials must be positive")
         if min(self.R_list) < 0:
             raise ConfigError("RIS element counts must be non-negative")
+        if self.L_bi < 1 or self.L_iu < 1:
+            raise ConfigError("each link needs at least one tap (l_bi, l_iu >= 1)")
         if self.N < self.L_bi + self.L_iu - 1:
             raise ConfigError("block length must cover the channel delay spread")
         if not self.output_path:

@@ -1,4 +1,5 @@
-"""Command-line front end: sweeps, recipe printing, selftest.
+"""Command-line front end with two subcommands: ``sweep`` runs a Monte-Carlo
+sweep and writes its CSV, ``recipe`` prints a preset as a config file.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -16,7 +17,6 @@ from .bench import (
     parse_config,
     run_sweep,
 )
-from .selftest import run_selftest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     recipe = sub.add_parser("recipe", help="print a preset as a config file")
     recipe.add_argument("name", choices=("fig2", "fig3"))
-
-    sub.add_parser("selftest", help="run the built-in invariant checks")
     return parser
 
 
@@ -74,10 +72,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "recipe":
-            sys.stdout.write(format_config(fig_recipe(args.name)))
-            return 0
-        return run_selftest()
+        sys.stdout.write(format_config(fig_recipe(args.name)))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

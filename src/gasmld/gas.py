@@ -21,6 +21,11 @@ value bins, so no cross terms survive the marginalisation.  Both engines
 draw identically from the supplied generator (one integer for L, one
 uniform for the measurement per round), which makes their traces directly
 comparable seed for seed.
+
+A search computes its cost table once (n <= 16) and takes the cost bounds,
+the automatic value-register size, the real-encoding scale and the analytic
+weights from it.  One per-threshold cache serves both engines: per threshold
+the statevector engine prepares A|0>, the analytic engine w_good, w_bad, p0.
 """
 
 from dataclasses import dataclass, field
@@ -100,10 +105,12 @@ def grow_k(k: float, growth_factor: float, n: int) -> float:
     return min(growth_factor * k, float(np.sqrt(2.0 ** n)))
 
 
-def cost_bounds(q: QuboProblem) -> tuple[float, float]:
-    """Lower/upper bounds on the cost; exact for n <= 16, L1 bound beyond."""
+def cost_bounds(q: QuboProblem, costs: np.ndarray | None = None) -> tuple[float, float]:
+    """Lower/upper bounds on the cost; exact for n <= 16 (read off the cost
+    table ``costs`` when the caller has it), L1 bound beyond."""
     if q.n <= BOUNDS_BRUTE_FORCE_MAX_N:
-        costs = evaluate_all_costs(q)
+        if costs is None:
+            costs = evaluate_all_costs(q)
         return float(costs.min()), float(costs.max())
     lin = np.diag(q.Q) + q.c
     quad = 2.0 * np.triu(q.Q, k=1)
@@ -112,44 +119,27 @@ def cost_bounds(q: QuboProblem) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def required_value_qubits(q: QuboProblem, y0: float | None = None, encoding: str = "integer") -> int:
+def required_value_qubits(q: QuboProblem, encoding: str = "integer",
+                          bounds: tuple[float, float] | None = None) -> int:
     """Smallest value register that cannot alias any shifted cost.
 
     Thresholds are always attained costs, so the worst shift spans
     [lo - hi, hi - lo].  Integer encoding needs the exact span strictly
     inside the signed window; real encoding reserves a factor-2 margin so
     spectral side lobes stay clear of the sign boundary.  The search stops
-    at the qubits the engine cap leaves beside the n key qubits.
+    at the qubits the engine cap leaves beside the n key qubits.  ``bounds``
+    is ``cost_bounds(q)`` when the caller already has it.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
-    lo, hi = cost_bounds(q)
+    lo, hi = bounds if bounds is not None else cost_bounds(q)
     spread = hi - lo
-    if y0 is not None:
-        spread = max(spread, hi - y0, y0 - lo)
+    # half the window, 2^{m-1}, must hold spread + 1 (integer) or 2 * spread (real)
+    need = spread + 1.0 if encoding == "integer" else 2.0 * spread
     for m in range(2, MAX_QUBITS - q.n + 1):
-        if encoding == "integer":
-            if (1 << (m - 1)) >= spread + 1.0:
-                return m
-        else:
-            if (1 << (m - 2)) >= spread:
-                return m
+        if (1 << (m - 1)) >= need:
+            return m
     raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - q.n} value qubits")
-
-
-def _phase_scale(q: QuboProblem, m: int, encoding: str) -> float:
-    """Multiplier applied to costs before encoding.
-
-    Integer mode encodes costs verbatim.  Real mode stretches the worst-case
-    shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window.
-    """
-    if encoding == "integer":
-        return 1.0
-    lo, hi = cost_bounds(q)
-    spread = hi - lo
-    if spread <= 0.0:
-        return 1.0
-    return float(2 ** (m - 2)) / spread
 
 
 def _build_spec(q: QuboProblem, threshold: float, m: int, encoding: str, scale: float) -> GasCircuitSpec:
@@ -159,78 +149,74 @@ def _build_spec(q: QuboProblem, threshold: float, m: int, encoding: str, scale: 
     const = scale * (q.offset - threshold)
     poly = PhasePolynomial(constant=const, linear=lin, quadratic=quad)
     spec = GasCircuitSpec(n=q.n, m=m, poly=poly)
-    if encoding == "integer":
-        if not poly.is_integer():
-            raise ValueError("integer encoding requires integer cost coefficients")
-        spec.validate_range()
+    # the value range is checked where the spec is encoded (validate_range)
+    if encoding == "integer" and not poly.is_integer():
+        raise ValueError("integer encoding requires integer cost coefficients")
     return spec
 
 
-class _StatevectorEngine:
-    """Runs the actual circuits; caches the prepared state per threshold."""
+class _Engine:
+    """One search's setup and the per-threshold cache both engines share: a
+    subclass supplies ``_prepare(threshold)``, run once per threshold, and
+    ``_evolve(prepared, L)``, the key distribution after L rotations."""
 
-    def __init__(self, q: QuboProblem, m: int, encoding: str, scale: float):
+    def __init__(self, q: QuboProblem, m: int, encoding: str, scale: float,
+                 costs: np.ndarray | None = None):
         self._q = q
         self._m = m
         self._encoding = encoding
         self._scale = scale
-        self._cache: dict[float, tuple[GasCircuitSpec, object]] = {}
-
-    def _prepared(self, threshold: float):
-        entry = self._cache.get(threshold)
-        if entry is None:
-            spec = _build_spec(self._q, threshold, self._m, self._encoding, self._scale)
-            state = zero_state(spec.total_qubits)
-            apply_state_preparation(state, spec)
-            entry = (spec, state)
-            self._cache[threshold] = entry
-        return entry
+        self._costs = costs  # the search's cost table, None above n = 16
+        self._cache: dict[float, object] = {}
 
     def key_distribution(self, threshold: float, L: int) -> np.ndarray:
-        spec, base = self._prepared(threshold)
-        state = base.copy()
-        grover_power(state, spec, L)
+        prepared = self._cache.get(threshold)
+        if prepared is None:
+            prepared = self._cache[threshold] = self._prepare(threshold)
+        return self._evolve(prepared, L)
+
+
+class _StatevectorEngine(_Engine):
+    """Runs the actual circuits; prepares the circuit spec and A|0> per threshold."""
+
+    def _prepare(self, threshold: float):
+        spec = _build_spec(self._q, threshold, self._m, self._encoding, self._scale)
+        return spec, apply_state_preparation(zero_state(spec.total_qubits), spec)
+
+    def _evolve(self, prepared, L: int) -> np.ndarray:
+        spec, base = prepared
+        state = grover_power(base.copy(), spec, L)
         return register_distribution(state, spec.key_register)
 
 
-class _AnalyticEngine:
-    """Closed-form twin of the statevector engine (see module docstring)."""
+class _AnalyticEngine(_Engine):
+    """Closed-form twin of the statevector engine (see module docstring);
+    prepares the w_good/w_bad/p0 weights per threshold from the cost table."""
 
-    def __init__(self, q: QuboProblem, m: int, encoding: str, scale: float):
-        if q.n > BOUNDS_BRUTE_FORCE_MAX_N:
-            raise CapacityError("analytic engine needs the full cost table (n <= 16)")
-        self._q = q
-        self._m = m
-        self._encoding = encoding
-        self._scale = scale
-        self._costs = evaluate_all_costs(q)
-        self._cache: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
+    def _prepare(self, threshold: float):
+        M = 1 << self._m
+        shifted = self._scale * (self._costs - threshold)
+        n_keys = self._costs.shape[0]
+        w_good = np.empty(n_keys)
+        if self._encoding == "integer":
+            # the checks _build_spec makes on the circuit path, read off the table
+            bins = np.round(shifted)
+            if np.any(np.abs(shifted - bins) > 1e-9):
+                raise ValueError("integer encoding requires integer cost coefficients")
+            if bins.min() < -(M // 2) or bins.max() >= M // 2:
+                raise ValueError(f"shifted costs exceed the signed capacity of {self._m} value qubits")
+            w_good[:] = (bins.astype(np.int64) % M >= M // 2).astype(float)
+        else:
+            for idx, a in enumerate(shifted):
+                dist = fejer_distribution(2.0 * np.pi * a / M, self._m)
+                w_good[idx] = dist[M // 2 :].sum()
+        w_good /= n_keys
+        w_bad = 1.0 / n_keys - w_good
+        p0 = float(np.clip(w_good.sum(), 0.0, 1.0))
+        return w_good, np.maximum(w_bad, 0.0), p0
 
-    def _weights(self, threshold: float):
-        entry = self._cache.get(threshold)
-        if entry is None:
-            # same validation as the circuit path, never executed
-            _build_spec(self._q, threshold, self._m, self._encoding, self._scale)
-            M = 1 << self._m
-            shifted = self._scale * (self._costs - threshold)
-            n_keys = self._costs.shape[0]
-            w_good = np.empty(n_keys)
-            if self._encoding == "integer":
-                bins = np.round(shifted).astype(np.int64) % M
-                w_good[:] = (bins >= M // 2).astype(float)
-            else:
-                for idx, a in enumerate(shifted):
-                    dist = fejer_distribution(2.0 * np.pi * a / M, self._m)
-                    w_good[idx] = dist[M // 2 :].sum()
-            w_good /= n_keys
-            w_bad = 1.0 / n_keys - w_good
-            p0 = float(np.clip(w_good.sum(), 0.0, 1.0))
-            entry = (w_good, np.maximum(w_bad, 0.0), p0)
-            self._cache[threshold] = entry
-        return entry
-
-    def key_distribution(self, threshold: float, L: int) -> np.ndarray:
-        w_good, w_bad, p0 = self._weights(threshold)
+    def _evolve(self, prepared, L: int) -> np.ndarray:
+        w_good, w_bad, p0 = prepared
         if p0 <= 0.0:
             return w_good + w_bad
         if p0 >= 1.0:
@@ -244,12 +230,23 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n = q.n
-    m = cfg.m if cfg.m is not None else required_value_qubits(q, encoding=cfg.encoding)
+    if n < 1:
+        raise ValueError("need at least one key qubit")
+    # the one cost table of this search: bounds, auto m, scale, analytic weights
+    costs = evaluate_all_costs(q) if n <= BOUNDS_BRUTE_FORCE_MAX_N else None
+    lo, hi = cost_bounds(q, costs)
+    m = cfg.m if cfg.m is not None else required_value_qubits(q, cfg.encoding, (lo, hi))
     if n + m > MAX_QUBITS:
         raise CapacityError(f"{n} key + {m} value qubits exceed the {MAX_QUBITS}-qubit cap")
-    scale = _phase_scale(q, m, cfg.encoding)
+    # integer mode encodes costs verbatim; real mode stretches the worst-case
+    # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
+    scale = 1.0
+    if cfg.encoding == "real_direct" and hi > lo:
+        scale = float(2 ** (m - 2)) / (hi - lo)
+    if cfg.engine == "analytic" and costs is None:
+        raise CapacityError("analytic engine needs the full cost table (n <= 16)")
     engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _AnalyticEngine
-    engine = engine_cls(q, m, cfg.encoding, scale)
+    engine = engine_cls(q, m, cfg.encoding, scale, costs)
     patterns = bit_patterns(n)
 
     if cfg.warm_start is not None:
@@ -258,13 +255,11 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
         best_bits = cfg.warm_start.copy()
     else:
         best_bits = rng.integers(0, 2, size=n).astype(np.int8)
-    best_cost = evaluate_cost(q, best_bits)
-    threshold = best_cost
+    threshold = evaluate_cost(q, best_bits)  # always the cost of best_bits
     trace = [(0, threshold)]
 
     k = 1.0
     queries = 0
-    measurements = 0
     stall = 0
     rounds = 0
     while rounds < cfg.max_rounds and stall < cfg.stall_rounds:
@@ -273,13 +268,11 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
         dist = engine.key_distribution(threshold, L)
         idx = sample_index(dist, rng)
         queries += L
-        measurements += 1
         candidate = patterns[idx]
         cost = evaluate_cost(q, candidate)
         if cost < threshold:
             threshold = cost
             best_bits = candidate.copy()
-            best_cost = cost
             k = 1.0
             stall = 0
         else:
@@ -289,9 +282,9 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
 
     return GasResult(
         best_bits=best_bits,
-        best_cost=best_cost,
+        best_cost=threshold,
         rounds=rounds,
         oracle_queries=queries,
-        measurements=measurements,
+        measurements=rounds,  # one key-register measurement per round
         threshold_trace=trace,
     )

@@ -155,20 +155,23 @@ def test_config_roundtrip_and_errors():
 
 @st.composite
 def sweep_configs(draw):
-    """Valid SweepConfigs over every key the config grammar carries."""
+    """Valid SweepConfigs over every key the config grammar carries; the
+    integer encoding comes only with detector lists that run no search."""
     small = st.integers(1, 50)
     L_bi, L_iu = draw(small), draw(small)
+    detectors = draw(st.lists(st.sampled_from(METHODS), min_size=1))
+    searches = {"GAS_random", "GAS_warm"} & set(detectors)
     gas = GasConfig(
         m=draw(st.none() | st.integers(2, 26)),
         growth_factor=draw(st.floats(1.0, 1e6, exclude_min=True)),
         max_rounds=draw(small),
         stall_rounds=draw(small),
-        encoding=draw(st.sampled_from(ENCODINGS)),
+        encoding=draw(st.just("real_direct") if searches else st.sampled_from(ENCODINGS)),
         engine=draw(st.sampled_from(ENGINES)),
     )
     return SweepConfig(
         snr_db_list=draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)),
-        detectors=draw(st.lists(st.sampled_from(METHODS), min_size=1)),
+        detectors=detectors,
         R_list=draw(st.lists(st.integers(0, 1 << 40), min_size=1)),
         N=L_bi + L_iu - 1 + draw(st.integers(0, 50)),
         L_bi=L_bi,
@@ -225,6 +228,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     for flags in (["--snr", "abc"], ["--ris", "x"]):
         assert main(["sweep", *flags, "--trials", "1"]) == 1
         assert "config error: " + flags[0] in capsys.readouterr().err
+    bad = tmp_path / "never.csv"
+    for flags in (["--snr", "nan"], ["--snr=-inf"], ["--seed", "-1"]):
+        assert main(["sweep", *flags, "--detector", "MMSE", "--ris", "0", "--trials", "1",
+                     "--out", str(bad)]) == 1
+        assert "config error: " in capsys.readouterr().err
+    for text in ("l_bi = 0\n", "gas.encoding = integer\ndetectors = GAS_warm\n"):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text + "trials = 1\nris = 0\nsnr_db = 0\n")
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(bad)]) == 1
+        assert "config error: " in capsys.readouterr().err
+    assert not bad.exists()
     monkeypatch.setenv("GASMLD_THREADS", "two")
     out = tmp_path / "threads.csv"
     assert main(["sweep", "--snr", "0,1", "--detector", "MMSE", "--ris", "0",
@@ -252,12 +266,6 @@ def test_cli_subprocess_determinism(tmp_path):
     assert b"GAS_warm" in outs[0]
 
 
-def test_cli_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
-
-
 def test_sweep_config_validation():
     with pytest.raises(ConfigError):
         small_config(detectors=[]).validate()
@@ -269,3 +277,17 @@ def test_sweep_config_validation():
         small_config(N=2).validate()  # L_bi + L_iu - 1 = 3
     with pytest.raises(ConfigError):
         small_config(output_path="").validate()
+    for snr in (math.nan, -math.inf):
+        with pytest.raises(ConfigError):
+            small_config(snr_db_list=[0.0, snr]).validate()
+    small_config(snr_db_list=[math.inf]).validate()  # noiseless stays valid
+    with pytest.raises(ConfigError):
+        small_config(master_seed=-1).validate()
+    for taps in ({"L_bi": 0}, {"L_iu": 0}):
+        with pytest.raises(ConfigError):
+            small_config(**taps).validate()
+    # sweep channels never give the integer costs the integer encoding needs
+    for det in ("GAS_random", "GAS_warm"):
+        with pytest.raises(ConfigError):
+            small_config(detectors=["MLD", det], gas=GasConfig(encoding="integer")).validate()
+    small_config(detectors=["MLD", "MMSE"], gas=GasConfig(encoding="integer")).validate()

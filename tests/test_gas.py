@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gasmld.gas
 from gasmld.gas import (
+    ENCODINGS,
+    ENGINES,
     GasConfig,
     _AnalyticEngine,
     _StatevectorEngine,
@@ -14,7 +19,7 @@ from gasmld.gas import (
     sample_rotation_count,
 )
 from gasmld.qcore import CapacityError
-from gasmld.qubo import QuboProblem, evaluate_cost, mld_to_qubo, MldInstance
+from gasmld.qubo import QuboProblem, evaluate_all_costs, evaluate_cost, mld_to_qubo, MldInstance
 from gasmld.channel import circulant_matrix
 
 from oracles import brute_force_min
@@ -172,7 +177,7 @@ def test_engine_distributions_match():
     q = random_integer_qubo(rng)
     costs = sorted({evaluate_cost(q, b) for b in np.ndindex(2, 2, 2)})
     sv = _StatevectorEngine(q, 8, "integer", 1.0)
-    an = _AnalyticEngine(q, 8, "integer", 1.0)
+    an = _AnalyticEngine(q, 8, "integer", 1.0, evaluate_all_costs(q))
     for y in costs[1:]:
         for L in (0, 1, 2):
             assert np.allclose(sv.key_distribution(y, L), an.key_distribution(y, L), atol=1e-9)
@@ -185,12 +190,16 @@ def test_correct_marking_probability():
     by_index = np.array(
         [evaluate_cost(q, [(v >> s) & 1 for s in range(3)]) for v in range(8)]
     )
-    y = float(np.sort(np.unique(by_index))[2])
-    sv = _StatevectorEngine(q, 10, "integer", 1.0)
-    dist = sv.key_distribution(y, 1)
-    p0 = np.mean(by_index < y)
-    predicted_miss = np.cos(3.0 * np.arcsin(np.sqrt(p0))) ** 2
-    assert abs(dist[by_index >= y].sum() - predicted_miss) < 1e-6
+    # one engine of each kind, threshold after threshold, so a cache entry
+    # kept past its threshold shows
+    engines = (_StatevectorEngine(q, 10, "integer", 1.0),
+               _AnalyticEngine(q, 10, "integer", 1.0, evaluate_all_costs(q)))
+    for y in np.unique(by_index)[1:]:
+        p0 = np.mean(by_index < y)
+        predicted_miss = np.cos(3.0 * np.arcsin(np.sqrt(p0))) ** 2
+        for engine in engines:
+            dist = engine.key_distribution(float(y), 1)
+            assert abs(dist[by_index >= y].sum() - predicted_miss) < 1e-6
 
 
 def test_reaches_optimum_small_problems():
@@ -219,10 +228,51 @@ def test_validation_errors():
     with pytest.raises(CapacityError):
         run_gas(toy_problem(), GasConfig(m=26, seed=0, encoding="integer"))
     q = QuboProblem(Q=np.array([[0.5]]), c=np.array([0.25]), offset=0.0)
-    with pytest.raises(ValueError):
-        run_gas(q, GasConfig(m=6, seed=0, encoding="integer"))
+    for engine in ENGINES:
+        # non-integer coefficients, and costs spread 12 past the [-4, 4) window of m = 3
+        with pytest.raises(ValueError):
+            run_gas(q, GasConfig(m=6, seed=0, encoding="integer", engine=engine))
+        with pytest.raises(ValueError):
+            run_gas(toy_problem(), GasConfig(m=3, seed=0, encoding="integer", engine=engine))
 
 
 def test_warm_start_length_checked():
     with pytest.raises(ValueError):
         run_gas(toy_problem(), GasConfig(m=None, seed=0, warm_start=np.array([0, 1])))
+
+
+def test_one_cost_table_per_search(monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return evaluate_all_costs(q)
+
+    monkeypatch.setattr(gasmld.gas, "evaluate_all_costs", counted)
+    q = random_integer_qubo(np.random.default_rng(10))
+    for m in (None, 8):
+        for engine in ENGINES:
+            for encoding in ENCODINGS:
+                calls.clear()
+                run_gas(q, GasConfig(m=m, seed=0, engine=engine, encoding=encoding))
+                assert len(calls) <= 1, (m, engine, encoding)
+
+
+def _outcome(q, cfg):
+    """A search's trace, picks and query count, or the type of error it raised."""
+    try:
+        res = run_gas(q, cfg)
+    except ValueError as exc:
+        return type(exc)
+    return res.threshold_trace, res.best_bits.tolist(), res.oracle_queries
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([6, 8]),
+       st.sampled_from(ENCODINGS), st.integers(0, 2**32 - 1))
+def test_engine_twin_property(n, problem_seed, m, encoding, seed):
+    # same seed, same trace, or the same error where integer costs overflow m = 6
+    q = random_integer_qubo(np.random.default_rng(problem_seed), n=n)
+    sv, an = (_outcome(q, GasConfig(m=m, seed=seed, encoding=encoding, engine=engine))
+              for engine in ENGINES)
+    assert sv == an
