@@ -171,6 +171,11 @@ def run_sweep(cfg: SweepConfig, channel_factory=None) -> list[BerRecord]:
 
 
 def emit_csv(records: list[BerRecord], path: str) -> None:
+    """Write the records sorted by (snr_db, detector, R).
+
+    The text goes to a temporary file beside ``path`` that then replaces it,
+    so a write that fails partway leaves any earlier CSV at ``path`` intact.
+    """
     lines = [CSV_HEADER]
     ordered = sorted(records, key=lambda r: (r.snr_db, r.detector, r.R))
     for r in ordered:
@@ -178,8 +183,17 @@ def emit_csv(records: list[BerRecord], path: str) -> None:
             f"{r.snr_db:.10g},{r.detector},{r.R},{r.trials},{r.bit_errors},"
             f"{r.ber:.10g},{r.mean_queries:.10g},{r.ci95:.10g}"
         )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # named by process id rather than made by tempfile, whose 0600 mode the
+    # CSV would keep after the rename
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def fig_recipe(name: str) -> SweepConfig:

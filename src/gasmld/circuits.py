@@ -3,8 +3,9 @@
 A shifted cost polynomial over key bits is written into the phases of a value
 register (one controlled rotation ladder per monomial), the inverse QFT turns
 those phases into a binary cost readout, and the sign bit of that readout
-drives the oracle.  Diffusion and the composed search iteration complete the
-set.  Negative values rely on two's-complement wraparound of the readout.
+drives the oracle.  The search iteration runs as a reflection about the
+prepared state A|0>.  Negative values rely on two's-complement wraparound of
+the readout.
 """
 
 from __future__ import annotations
@@ -169,34 +170,46 @@ def apply_state_preparation_inverse(state: Statevector, spec: GasCircuitSpec) ->
     return state
 
 
-def apply_oracle(state: Statevector, spec: GasCircuitSpec) -> Statevector:
-    """Phase-flip branches whose cost readout is negative.
+def grover_power(state: Statevector, spec: GasCircuitSpec, power: int,
+                 axis: np.ndarray | None = None) -> Statevector:
+    """Apply (A D A^dagger O)^power in place, as reflections about A|0>.
 
-    In two's complement that is exactly the branches whose sign qubit is 1,
-    so a single Z gate does the whole job.
+    With D = 2|0><0| - I, the conjugated diffusion is A D A^dagger =
+    2|psi><psi| - I for psi = A|0>, and the oracle O phase-flips the
+    branches whose sign qubit, the MSB of the index, is 1.  One iteration
+    is therefore F = -O (flip the sign of the lower half of the amplitudes)
+    followed by the Householder reflection I - 2|psi><psi|, with no gates:
+    one inner product with psi and one axpy.
+
+    ``axis`` holds the amplitudes of psi, kept apart from the state that is
+    overwritten.  Without it the input state is taken to be A|0> and copied
+    as the axis.
     """
-    return qcore.apply_1q(state, qcore.PAULI_Z, spec.sign_qubit)
-
-
-def apply_diffusion(state: Statevector) -> Statevector:
-    """Reflect about |0...0> on the full register: 2|0><0| - I.
-
-    Conjugating with the state preparation (A D A^dagger) turns this into the
-    reflection about the prepared state.
-    """
-    state.amps[1:] *= -1.0
-    return state
-
-
-def grover_power(state: Statevector, spec: GasCircuitSpec, power: int) -> Statevector:
-    """Apply (A D A^dagger O)^power, rightmost operator first."""
     if power < 0:
         raise ValueError("power must be non-negative")
+    if state.num_qubits != spec.total_qubits:
+        raise ValueError("state size does not match the circuit spec")
+    if power == 0:
+        return state
+    amps = state.amps
+    if axis is None:
+        axis = amps.copy()
+    elif axis.shape != amps.shape:
+        raise ValueError("reflection axis size does not match the state")
+    elif np.may_share_memory(axis, amps):
+        raise ValueError("reflection axis must not share memory with the state")
+    half = amps.shape[0] // 2
+    scratch = np.empty_like(amps)  # reused: a fresh temporary per iteration costs twice the time
     for _ in range(power):
-        apply_oracle(state, spec)
-        apply_state_preparation_inverse(state, spec)
-        apply_diffusion(state)
-        apply_state_preparation(state, spec)
+        amps[:half] *= -1.0
+        # <psi|amps> summed by numpy rather than np.vdot, whose OpenBLAS
+        # threads doubled the CPU time on a 2-core host and ran 15-25x slower
+        # while another process kept the second core busy
+        np.conjugate(amps, out=scratch)
+        scratch *= axis
+        overlap = np.conj(scratch.sum())
+        np.multiply(axis, 2.0 * overlap, out=scratch)
+        amps -= scratch
     return state
 
 

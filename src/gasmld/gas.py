@@ -7,7 +7,8 @@ improvement lowers the threshold and resets the schedule; otherwise the
 schedule grows geometrically up to sqrt(2^n).
 
 Two interchangeable sampling engines are provided.  The statevector engine
-builds and runs the actual circuits.  The analytic engine evaluates the
+prepares A|0> through the actual gates and runs each Grover iteration on the
+full statevector as a reflection about it.  The analytic engine evaluates the
 same measurement distribution in closed form: the Grover operator keeps the
 state inside the plane spanned by the normalised marked and unmarked
 components, so after L iterations the key-register distribution is
@@ -85,6 +86,7 @@ class GasResult:
     rounds: int
     oracle_queries: int
     measurements: int
+    stop_reason: str  # "stall": stall_rounds without improvement; "max_rounds": the round cap
     threshold_trace: list = field(default_factory=list)  # (round, threshold)
 
 
@@ -177,7 +179,8 @@ class _Engine:
 
 
 class _StatevectorEngine(_Engine):
-    """Runs the actual circuits; prepares the circuit spec and A|0> per threshold."""
+    """Runs the circuits on a statevector; prepares the circuit spec and A|0>
+    per threshold, and reflects about that A|0> in every Grover iteration."""
 
     def _prepare(self, threshold: float):
         spec = _build_spec(self._q, threshold, self._m, self._encoding, self._scale)
@@ -185,7 +188,8 @@ class _StatevectorEngine(_Engine):
 
     def _evolve(self, prepared, L: int) -> np.ndarray:
         spec, base = prepared
-        state = grover_power(base.copy(), spec, L)
+        # the cached A|0> is the reflection axis; only L > 0 needs a working copy
+        state = grover_power(base.copy() if L else base, spec, L, axis=base.amps)
         return register_distribution(state, spec.key_register)
 
 
@@ -286,5 +290,6 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
         rounds=rounds,
         oracle_queries=queries,
         measurements=rounds,  # one key-register measurement per round
+        stop_reason="stall" if stall >= cfg.stall_rounds else "max_rounds",
         threshold_trace=trace,
     )

@@ -17,11 +17,6 @@ import numpy as np
 # 2**26 complex128 amplitudes = 1 GiB; allocation guard, not a physics limit.
 MAX_QUBITS = 26
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-HADAMARD = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 class CapacityError(ValueError):
     """Requested register size exceeds the engine's allocation cap."""
@@ -64,9 +59,21 @@ def _check_unitary(gate: np.ndarray) -> None:
         raise ValueError("gate is not unitary within 1e-10")
 
 
+# Read-only and checked once here, so apply_1q can skip the per-call check
+# for these two objects; every other gate is checked on every call.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+HADAMARD = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+for _gate in (HADAMARD, PAULI_Z):
+    _check_unitary(_gate)
+    _gate.setflags(write=False)
+del _gate
+
+
 def apply_1q(state: Statevector, gate: np.ndarray, target: int) -> Statevector:
     """Apply a single-qubit unitary to ``target``, in place."""
-    _check_unitary(gate)
+    if gate is not HADAMARD and gate is not PAULI_Z:
+        _check_unitary(gate)
     _check_qubit(target, state.num_qubits)
     g = np.asarray(gate, dtype=complex)
     # view axes: (high bits, target bit, low bits)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from gasmld import qcore
+from gasmld.circuits import apply_state_preparation, apply_state_preparation_inverse
 from gasmld.qubo import QuboProblem, evaluate_all_costs
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,6 +57,36 @@ def embed_on_register(op_small: np.ndarray, register, n: int) -> np.ndarray:
             op[y, x] = op_small[yv, xv]
     del others
     return op
+
+
+def apply_oracle(state, spec):
+    """Phase-flip branches whose cost readout is negative.
+
+    In two's complement that is exactly the branches whose sign qubit is 1,
+    so a single Z gate does the whole job.
+    """
+    return qcore.apply_1q(state, qcore.PAULI_Z, spec.sign_qubit)
+
+
+def apply_diffusion(state):
+    """Reflect about |0...0> on the full register: 2|0><0| - I.
+
+    Conjugating with the state preparation (A D A^dagger) turns this into the
+    reflection about the prepared state.
+    """
+    state.amps[1:] *= -1.0
+    return state
+
+
+def grover_power_gates(state, spec, power: int):
+    """(A D A^dagger O)^power gate by gate, rightmost operator first: the
+    reference for the reflection form of ``circuits.grover_power``."""
+    for _ in range(power):
+        apply_oracle(state, spec)
+        apply_state_preparation_inverse(state, spec)
+        apply_diffusion(state)
+        apply_state_preparation(state, spec)
+    return state
 
 
 def basis_phase_vector(theta: float, m: int) -> np.ndarray:

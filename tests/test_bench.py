@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasmld.bench
 from conftest import child_env
 from gasmld.bench import (
     BerRecord,
@@ -119,6 +120,38 @@ def test_emit_csv_empty_and_single(tmp_path):
     assert float(row["snr_db"]) == 1.25
     assert int(row["bit_errors"]) == 3
     assert float(row["ber"]) == pytest.approx(1 / 7, abs=1e-9)
+
+
+def test_emit_csv_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    records = run_sweep(small_config(detectors=["MLD"], snr_db_list=[0.0]))
+    emit_csv(records, str(path))
+    before = path.read_bytes()
+
+    class HalfWriter:
+        """Passes half of what is written on to the real file, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    real_open = open
+    monkeypatch.setattr(gasmld.bench, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        emit_csv([], str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_fig_recipes():

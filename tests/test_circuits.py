@@ -7,8 +7,6 @@ from gasmld import circuits, qcore
 from gasmld.circuits import (
     GasCircuitSpec,
     PhasePolynomial,
-    apply_diffusion,
-    apply_oracle,
     apply_state_preparation,
     apply_state_preparation_inverse,
     apply_value_encoding,
@@ -21,10 +19,13 @@ from gasmld.qcore import HADAMARD, zero_state
 
 from oracles import (
     PAULI_X,
+    apply_diffusion,
+    apply_oracle,
     dense_1q,
     dense_controlled_phase,
     dense_qft,
     embed_on_register,
+    grover_power_gates,
     value_distribution_reference,
 )
 
@@ -324,6 +325,59 @@ def test_grover_iteration_matches_dense_composition():
     grover_power(state, spec, 2)
     expect = g_dense @ g_dense @ (a_dense @ np.eye(dim)[:, 0])
     assert np.allclose(state.amps, expect, atol=1e-9)
+
+
+def random_poly(rng, n, m, integer):
+    """Integer coefficients shifted to fit the signed window of m value
+    qubits, or real coefficients drawn from (-2, 2)."""
+    if not integer:
+        quad = np.triu(rng.uniform(-2, 2, size=(n, n)), k=1)
+        return PhasePolynomial(rng.uniform(-2, 2), rng.uniform(-2, 2, size=n), quad)
+    half = 1 << (m - 1)
+    while True:
+        quad = np.triu(rng.integers(-2, 3, size=(n, n)), k=1).astype(float)
+        lin = rng.integers(-3, 4, size=n).astype(float)
+        values = PhasePolynomial(0.0, lin, quad).evaluate_all()
+        const = -float(np.round(np.median(values)))
+        if values.min() + const >= -half and values.max() + const < half:
+            return PhasePolynomial(const, lin, quad)
+
+
+def test_grover_power_matches_gate_oracle():
+    # the reflection about A|0> against A D A^dagger O applied gate by gate
+    rng = np.random.default_rng(11)
+    for integer in (True, False):
+        for n in (1, 2, 3):
+            for m in (3, 4, 5, 6):
+                spec = spec_for(random_poly(rng, n, m, integer), m)
+                base = prepared(spec)
+                for L in range(5):
+                    fast = grover_power(base.copy(), spec, L)
+                    slow = grover_power_gates(base.copy(), spec, L)
+                    assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
+                # with an explicit axis the input may be any state
+                dim = 1 << spec.total_qubits
+                amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                start = qcore.Statevector(spec.total_qubits, amps / np.linalg.norm(amps))
+                fast = grover_power(start.copy(), spec, 3, axis=base.amps)
+                slow = grover_power_gates(start.copy(), spec, 3)
+                assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
+
+
+def test_grover_power_in_place_and_input_checks():
+    spec = spec_for(PhasePolynomial(-1.0, np.array([2.0]), np.zeros((1, 1))), 3)
+    state = prepared(spec)
+    before = state.amps
+    assert grover_power(state, spec, 2) is state
+    assert state.amps is before
+    with pytest.raises(ValueError, match="non-negative"):
+        grover_power(state, spec, -1)
+    with pytest.raises(ValueError, match="spec"):
+        grover_power(zero_state(spec.total_qubits + 1), spec, 1)
+    with pytest.raises(ValueError, match="axis"):
+        grover_power(state, spec, 1, axis=np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError, match="share memory"):
+        grover_power(state, spec, 1, axis=state.amps)
 
 
 def test_norm_drift_over_full_circuit():

@@ -124,6 +124,30 @@ def test_warm_start_at_optimum_never_moves():
     assert res.rounds == cfg.stall_rounds  # nothing to find, stalls out
 
 
+def test_stop_reason():
+    rng = np.random.default_rng(3)
+    q = random_integer_qubo(rng)
+    best_bits, _ = brute_force_min(q)
+    for engine in ENGINES:
+        capped = run_gas(q, GasConfig(m=None, seed=5, max_rounds=1, engine=engine))
+        assert (capped.rounds, capped.stop_reason) == (1, "max_rounds")
+        # nothing beats the warm start, so the search stalls out
+        cfg = GasConfig(m=None, seed=5, warm_start=best_bits, engine=engine)
+        stalled = run_gas(q, cfg)
+        assert (stalled.rounds, stalled.stop_reason) == (cfg.stall_rounds, "stall")
+        # when both caps are reached in the same round the stall wins
+        cfg.max_rounds = cfg.stall_rounds
+        assert run_gas(q, cfg).stop_reason == "stall"
+        # an improvement inside the last stall_rounds rounds leaves the cap to stop it
+        improved = [run_gas(toy_problem(), GasConfig(m=None, seed=seed, warm_start=np.array([0]),
+                                                     max_rounds=3, stall_rounds=3,
+                                                     encoding="integer", engine=engine))
+                    for seed in range(8)]
+        improved = [res for res in improved if res.best_cost < 16.0]
+        assert improved
+        assert all((res.rounds, res.stop_reason) == (3, "max_rounds") for res in improved)
+
+
 def test_determinism():
     rng = np.random.default_rng(4)
     q = random_integer_qubo(rng)

@@ -74,6 +74,33 @@ def test_apply_1q_rejects_bad_input():
         apply_1q(s, HADAMARD, 2)
 
 
+def test_apply_1q_checks_every_gate_but_the_constants():
+    # only the two read-only module constants skip the per-call check; an
+    # equal-looking or edited copy of them is checked like any other gate
+    s = zero_state(2)
+    for gate in (HADAMARD, PAULI_Z):
+        bent = gate.copy()
+        bent[1, 1] *= 1.01
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_1q(s, bent, 0)
+        apply_1q(s, gate.copy(), 1)
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_1q(s, 2.0 * HADAMARD, 0)
+    with pytest.raises(ValueError, match="2x2"):
+        apply_1q(s, np.eye(3, dtype=complex), 0)
+    assert np.allclose(np.linalg.norm(s.amps), 1.0)
+
+
+def test_gate_constants_are_read_only():
+    for gate in (qcore.HADAMARD, qcore.PAULI_Z):
+        before = gate.copy()
+        with pytest.raises(ValueError):
+            gate[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            gate *= 2.0
+        assert np.array_equal(gate, before)
+
+
 def test_apply_1q_matches_dense():
     rng = np.random.default_rng(7)
     for n in (1, 2, 4):
