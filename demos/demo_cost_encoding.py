@@ -1,8 +1,8 @@
 """From a detection problem to a cost written on a quantum register.
 
-Walks the chain: received block -> binary quadratic cost -> phase-encoded
-value register, then reads the conditional value distribution per bit
-pattern.  Integer costs land on single bins; real costs spread as a
+Walks the chain: received block -> binary quadratic cost -> table of
+shifted costs -> value register of the prepared state A|0>, then reads the
+conditional value distribution per bit pattern.  Integer costs land on single bins; real costs spread as a
 squared-Fejer profile around the scaled value.
 
 Run as: python3 demos/demo_cost_encoding.py
@@ -11,8 +11,8 @@ Run as: python3 demos/demo_cost_encoding.py
 import numpy as np
 
 from gasmld.channel import block_from_bits, circulant_matrix, transmit
-from gasmld.circuits import apply_state_preparation, conditional_value_distributions
-from gasmld.gas import _build_spec, required_value_qubits
+from gasmld.circuits import GasCircuitSpec, apply_state_preparation, conditional_value_distributions
+from gasmld.gas import required_value_qubits
 from gasmld.qcore import zero_state
 from gasmld.qubo import MldInstance, QuboProblem, evaluate_all_costs, mld_to_qubo
 
@@ -26,7 +26,7 @@ def integer_example():
     costs = evaluate_all_costs(q)
     y = float(costs[0])
     m = required_value_qubits(q, encoding="integer")
-    spec = _build_spec(q, y, m, "integer", 1.0)
+    spec = GasCircuitSpec(q.n, m, costs - y)
     state = apply_state_preparation(zero_state(spec.total_qubits), spec)
     cond = conditional_value_distributions(state, spec)
     print(f"integer case: m = {m} value qubits, threshold y = {y:g}")
@@ -48,7 +48,7 @@ def real_example():
     m = required_value_qubits(q, encoding="real_direct")
     spread = costs.max() - costs.min()
     scale = 2.0 ** (m - 2) / spread
-    spec = _build_spec(q, float(costs.min()), m, "real_direct", scale)
+    spec = GasCircuitSpec(q.n, m, scale * (costs - costs.min()))
     state = apply_state_preparation(zero_state(spec.total_qubits), spec)
     cond = conditional_value_distributions(state, spec)
     print(f"\nreal case: m = {m}, scale {scale:.4f} (costs span {spread:.4f})")

@@ -1,63 +1,23 @@
 """Threshold-search operators on top of the statevector engine.
 
-A shifted cost polynomial over key bits is written into the phases of a value
-register (one controlled rotation ladder per monomial), the inverse QFT turns
-those phases into a binary cost readout, and the sign bit of that readout
-drives the oracle.  The search iteration runs as a reflection about the
-prepared state A|0>.  Negative values rely on two's-complement wraparound of
-the readout.
+The value register estimates the phase of each key's shifted cost a_b, so
+the prepared state A|0> holds, on every key branch, the inverse QFT of the
+phase ramp e^{2 pi i j a_b / 2^m}; it is written in closed form by one FFT
+of the cost table, and the sign bit of the readout drives the oracle.  The
+search iteration runs as a reflection about A|0>.  Negative values rely on
+two's-complement wraparound of the readout.  ``tests/oracles.py`` keeps the
+gate-built preparation (Hadamards, controlled phases, inverse QFT) as the
+reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
 from .qcore import Statevector
-
-# Brute-force validation of the value-register range is exact up to this key size.
-_RANGE_CHECK_MAX_N = 20
-
-
-@dataclass
-class PhasePolynomial:
-    """Binary polynomial sum_i<j quad[i,j] b_i b_j + sum_i lin[i] b_i + const.
-
-    ``quadratic`` must be strictly upper triangular; diagonal quadratic terms
-    make no sense over bits (b^2 = b) and belong in ``linear``.
-    """
-
-    constant: float
-    linear: np.ndarray
-    quadratic: np.ndarray
-
-    def __post_init__(self):
-        self.linear = np.asarray(self.linear, dtype=float)
-        self.quadratic = np.asarray(self.quadratic, dtype=float)
-        n = self.linear.shape[0]
-        if self.quadratic.shape != (n, n):
-            raise ValueError("quadratic must be n x n to match linear")
-        if np.any(self.quadratic != np.triu(self.quadratic, k=1)):
-            raise ValueError("quadratic must be strictly upper triangular")
-
-    @property
-    def n(self) -> int:
-        return self.linear.shape[0]
-
-    def evaluate_all(self) -> np.ndarray:
-        """Values over every bit pattern, indexed by sum_i b_i 2^i."""
-        patterns = bit_patterns(self.n)
-        return (
-            np.einsum("ki,ij,kj->k", patterns, self.quadratic, patterns)
-            + patterns @ self.linear
-            + self.constant
-        )
-
-    def is_integer(self, tol: float = 1e-9) -> bool:
-        coeffs = np.concatenate(([self.constant], self.linear, self.quadratic.ravel()))
-        return bool(np.all(np.abs(coeffs - np.round(coeffs)) <= tol))
 
 
 def bit_patterns(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -69,21 +29,21 @@ def bit_patterns(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
 
 @dataclass
 class GasCircuitSpec:
-    """Geometry of one search circuit: n key qubits, m value qubits, and the
-    shifted cost polynomial encoded on the value register."""
+    """Geometry of one search circuit: n key qubits, m value qubits, and
+    ``values[b]``, the shifted cost of key b that the value register reads."""
 
     n: int
     m: int
-    poly: PhasePolynomial
-    _validated: bool = field(default=False, repr=False, compare=False)
+    values: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one key qubit")
         if self.m < 2:
             raise ValueError("value register needs at least 2 qubits (sign + magnitude)")
-        if self.poly.n != self.n:
-            raise ValueError("polynomial size does not match n")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (1 << self.n,):
+            raise ValueError("need one shifted cost per key")
 
     @property
     def total_qubits(self) -> int:
@@ -102,72 +62,47 @@ class GasCircuitSpec:
         # MSB of the value register, the two's-complement sign bit
         return self.n + self.m - 1
 
-    def validate_range(self) -> None:
-        """For integer polynomials, check every value fits the signed readout.
 
-        A value outside [-2^{m-1}, 2^{m-1}) would alias onto the wrong sign,
-        so this is rejected outright.  Exhaustive up to n = 20 keys; real
-        (non-integer) polynomials are the caller's job to pre-scale.
-        """
-        if self._validated or not self.poly.is_integer():
-            return
-        if self.n > _RANGE_CHECK_MAX_N:
-            return
-        values = self.poly.evaluate_all()
-        half = 1 << (self.m - 1)
-        if values.min() < -half or values.max() >= half:
-            raise ValueError(
-                f"polynomial range [{values.min()}, {values.max()}] exceeds the "
-                f"signed capacity [-{half}, {half}) of {self.m} value qubits"
-            )
-        self._validated = True
+def _value_table(state: Statevector, spec: GasCircuitSpec) -> np.ndarray:
+    """The amplitudes as a (2^m, 2^n) view: index = key + 2^n * value."""
+    if state.num_qubits != spec.total_qubits:
+        raise ValueError("state size does not match the circuit spec")
+    return state.amps.reshape(1 << spec.m, 1 << spec.n)
 
 
-def _monomials(spec: GasCircuitSpec):
-    """Yield (coefficient, key-qubit list) with zero coefficients dropped."""
-    poly = spec.poly
-    if poly.constant != 0.0:
-        yield poly.constant, []
-    for i in range(spec.n):
-        if poly.linear[i] != 0.0:
-            yield float(poly.linear[i]), [i]
-    rows, cols = np.nonzero(poly.quadratic)
-    for i, j in zip(rows, cols):
-        yield float(poly.quadratic[i, j]), [int(i), int(j)]
-
-
-def apply_value_encoding(state: Statevector, spec: GasCircuitSpec, invert: bool = False) -> Statevector:
-    """Write e^{i 2 pi j E(b) / 2^m} onto every |b>|j> branch.
-
-    Expects the value register already in uniform superposition.  Each
-    monomial becomes a ladder of m controlled rotations with doubling angles;
-    value qubit t (weight 2^t) receives 2^t times the base angle.
-    """
-    spec.validate_range()
-    sign = -1.0 if invert else 1.0
-    for coeff, keys in _monomials(spec):
-        # base angle 2 pi a / 2^m, deliberately not reduced mod 2 pi; the
-        # complex exponential in the gate application takes care of that
-        base = sign * (2.0 * np.pi * coeff / (1 << spec.m))
-        for t in range(spec.m):
-            qcore.apply_controlled_phase(state, keys, spec.n + t, base * (1 << t))
-    return state
+def _phase_ramp(spec: GasCircuitSpec, out: np.ndarray, sign: float) -> np.ndarray:
+    """e^{sign 2 pi i j a_b / 2^m} at [j, b], written into ``out``."""
+    M = 1 << spec.m
+    np.multiply.outer(np.arange(M) * (sign * 2j * np.pi / M), spec.values, out=out)
+    return np.exp(out, out=out)
 
 
 def apply_state_preparation(state: Statevector, spec: GasCircuitSpec) -> Statevector:
-    """A: Hadamards everywhere, phase-encode the cost, IQFT the value register."""
-    qcore.hadamard_all(state)
-    apply_value_encoding(state, spec)
-    qcore.apply_iqft(state, spec.value_register)
+    """A|0>: key b, value l holds fft_j(e^{2 pi i j a_b / M})[l] / (M sqrt(2^n)).
+
+    This is Hadamards everywhere, the phase e^{2 pi i j a_b / M} on every
+    |b>|j>, then the inverse QFT of the value register, in closed form.  The
+    ramp is built in the state's own buffer, so the FFT output is the only
+    state-sized temporary.  Only |0...0> is accepted as input.
+    """
+    table = _value_table(state, spec)
+    if state.amps[0] != 1.0 or np.any(state.amps[1:]):
+        raise ValueError("state preparation expects the input |0...0>")
+    spectrum = np.fft.fft(_phase_ramp(spec, table, 1.0), axis=0)
+    np.multiply(spectrum, 1.0 / ((1 << spec.m) * np.sqrt(1 << spec.n)), out=table)
     return state
 
 
 def apply_state_preparation_inverse(state: Statevector, spec: GasCircuitSpec) -> Statevector:
-    """Exact inverse of apply_state_preparation."""
-    qcore.apply_qft(state, spec.value_register)
-    apply_value_encoding(state, spec, invert=True)
-    qcore.hadamard_all(state)
-    return state
+    """A^dagger on any state: the value-register QFT (by FFT), the conjugate
+    cost phases, then Hadamards everywhere."""
+    table = _value_table(state, spec)
+    # the QFT's e^{+2 pi i u j / M} / sqrt(M) is sqrt(M) times numpy's ifft
+    spectrum = np.fft.ifft(table, axis=0)
+    _phase_ramp(spec, table, -1.0)
+    table *= spectrum
+    table *= np.sqrt(1 << spec.m)
+    return qcore.hadamard_all(state)
 
 
 def grover_power(state: Statevector, spec: GasCircuitSpec, power: int,

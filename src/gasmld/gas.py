@@ -7,11 +7,12 @@ improvement lowers the threshold and resets the schedule; otherwise the
 schedule grows geometrically up to sqrt(2^n).
 
 Two interchangeable sampling engines are provided.  The statevector engine
-prepares A|0> through the actual gates and runs each Grover iteration on the
-full statevector as a reflection about it.  The analytic engine evaluates the
-same measurement distribution in closed form: the Grover operator keeps the
-state inside the plane spanned by the normalised marked and unmarked
-components, so after L iterations the key-register distribution is
+writes A|0> in closed form, one FFT of the shifted cost table, and runs each
+Grover iteration on the full statevector as a reflection about it.  The
+analytic engine evaluates the same measurement distribution in closed form:
+the Grover operator keeps the state inside the plane spanned by the
+normalised marked and unmarked components, so after L iterations the
+key-register distribution is
 
     P_L(b) = sin^2((2L+1) alpha) w_good(b) / p0
            + cos^2((2L+1) alpha) w_bad(b) / (1 - p0),
@@ -23,17 +24,19 @@ draw identically from the supplied generator (one integer for L, one
 uniform for the measurement per round), which makes their traces directly
 comparable seed for seed.
 
-A search computes its cost table once (n <= 16) and takes the cost bounds,
-the automatic value-register size, the real-encoding scale and the analytic
-weights from it.  One per-threshold cache serves both engines: per threshold
-the statevector engine prepares A|0>, the analytic engine w_good, w_bad, p0.
+A search computes its cost table once and takes the cost bounds (n <= 16),
+the automatic value-register size, the real-encoding scale and both engines'
+input from it.  Per threshold both engines read the same shifted table
+a_b = scale (E(b) - threshold), checked once against the integer encoding,
+and one per-threshold cache serves both: the statevector engine prepares
+A|0> from the table, the analytic engine w_good, w_bad, p0.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import GasCircuitSpec, PhasePolynomial, bit_patterns, fejer_distribution
+from .circuits import GasCircuitSpec, bit_patterns, fejer_distribution
 from .circuits import apply_state_preparation, grover_power
 from .qcore import CapacityError, MAX_QUBITS, register_distribution, sample_index, zero_state
 from .qubo import QuboProblem, evaluate_all_costs, evaluate_cost
@@ -144,46 +147,51 @@ def required_value_qubits(q: QuboProblem, encoding: str = "integer",
     raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - q.n} value qubits")
 
 
-def _build_spec(q: QuboProblem, threshold: float, m: int, encoding: str, scale: float) -> GasCircuitSpec:
-    """Circuit geometry for one threshold: poly(b) = scale * (E(b) - threshold)."""
-    lin = scale * (np.diag(q.Q) + q.c)
-    quad = scale * 2.0 * np.triu(q.Q, k=1)
-    const = scale * (q.offset - threshold)
-    poly = PhasePolynomial(constant=const, linear=lin, quadratic=quad)
-    spec = GasCircuitSpec(n=q.n, m=m, poly=poly)
-    # the value range is checked where the spec is encoded (validate_range)
-    if encoding == "integer" and not poly.is_integer():
-        raise ValueError("integer encoding requires integer cost coefficients")
-    return spec
-
-
 class _Engine:
     """One search's setup and the per-threshold cache both engines share: a
-    subclass supplies ``_prepare(threshold)``, run once per threshold, and
-    ``_evolve(prepared, L)``, the key distribution after L rotations."""
+    subclass supplies ``_prepare(shifted)``, run once per threshold on the
+    shifted cost table, and ``_evolve(prepared, L)``, the key distribution
+    after L rotations."""
 
-    def __init__(self, q: QuboProblem, m: int, encoding: str, scale: float,
-                 costs: np.ndarray | None = None):
-        self._q = q
+    def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
+        self._costs = costs  # the search's cost table, indexed by key
         self._m = m
         self._encoding = encoding
         self._scale = scale
-        self._costs = costs  # the search's cost table, None above n = 16
         self._cache: dict[float, object] = {}
 
     def key_distribution(self, threshold: float, L: int) -> np.ndarray:
         prepared = self._cache.get(threshold)
         if prepared is None:
-            prepared = self._cache[threshold] = self._prepare(threshold)
+            prepared = self._cache[threshold] = self._prepare(self._shifted(threshold))
         return self._evolve(prepared, L)
+
+    def _shifted(self, threshold: float) -> np.ndarray:
+        """a_b = scale (E(b) - threshold) for every key.  The integer encoding
+        writes each a_b as an exact bin, so there it must be an integer inside
+        the signed window [-2^{m-1}, 2^{m-1}), or it would alias onto the
+        wrong sign; it is returned rounded."""
+        shifted = self._scale * (self._costs - threshold)
+        if self._encoding != "integer":
+            return shifted
+        bins = np.round(shifted)
+        if np.any(np.abs(shifted - bins) > 1e-9):
+            raise ValueError("integer encoding requires integer costs")
+        half = 1 << (self._m - 1)
+        if bins.min() < -half or bins.max() >= half:
+            raise ValueError(
+                f"shifted cost range [{bins.min():g}, {bins.max():g}] exceeds the signed "
+                f"capacity [-{half}, {half}) of {self._m} value qubits"
+            )
+        return bins
 
 
 class _StatevectorEngine(_Engine):
-    """Runs the circuits on a statevector; prepares the circuit spec and A|0>
-    per threshold, and reflects about that A|0> in every Grover iteration."""
+    """Runs the search on a statevector; prepares A|0> per threshold from the
+    shifted cost table, and reflects about it in every Grover iteration."""
 
-    def _prepare(self, threshold: float):
-        spec = _build_spec(self._q, threshold, self._m, self._encoding, self._scale)
+    def _prepare(self, shifted: np.ndarray):
+        spec = GasCircuitSpec(shifted.shape[0].bit_length() - 1, self._m, shifted)
         return spec, apply_state_preparation(zero_state(spec.total_qubits), spec)
 
     def _evolve(self, prepared, L: int) -> np.ndarray:
@@ -195,22 +203,16 @@ class _StatevectorEngine(_Engine):
 
 class _AnalyticEngine(_Engine):
     """Closed-form twin of the statevector engine (see module docstring);
-    prepares the w_good/w_bad/p0 weights per threshold from the cost table."""
+    prepares the w_good/w_bad/p0 weights per threshold from the shifted table."""
 
-    def _prepare(self, threshold: float):
+    def _prepare(self, shifted: np.ndarray):
         M = 1 << self._m
-        shifted = self._scale * (self._costs - threshold)
-        n_keys = self._costs.shape[0]
-        w_good = np.empty(n_keys)
+        n_keys = shifted.shape[0]
         if self._encoding == "integer":
-            # the checks _build_spec makes on the circuit path, read off the table
-            bins = np.round(shifted)
-            if np.any(np.abs(shifted - bins) > 1e-9):
-                raise ValueError("integer encoding requires integer cost coefficients")
-            if bins.min() < -(M // 2) or bins.max() >= M // 2:
-                raise ValueError(f"shifted costs exceed the signed capacity of {self._m} value qubits")
-            w_good[:] = (bins.astype(np.int64) % M >= M // 2).astype(float)
+            # an exact bin inside the signed window reads negative iff it is
+            w_good = (shifted < 0).astype(float)
         else:
+            w_good = np.empty(n_keys)
             for idx, a in enumerate(shifted):
                 dist = fejer_distribution(2.0 * np.pi * a / M, self._m)
                 w_good[idx] = dist[M // 2 :].sum()
@@ -236,7 +238,7 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
     n = q.n
     if n < 1:
         raise ValueError("need at least one key qubit")
-    # the one cost table of this search: bounds, auto m, scale, analytic weights
+    # the one cost table of this search: bounds, auto m, scale, engine input
     costs = evaluate_all_costs(q) if n <= BOUNDS_BRUTE_FORCE_MAX_N else None
     lo, hi = cost_bounds(q, costs)
     m = cfg.m if cfg.m is not None else required_value_qubits(q, cfg.encoding, (lo, hi))
@@ -247,10 +249,12 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
     scale = 1.0
     if cfg.encoding == "real_direct" and hi > lo:
         scale = float(2 ** (m - 2)) / (hi - lo)
-    if cfg.engine == "analytic" and costs is None:
-        raise CapacityError("analytic engine needs the full cost table (n <= 16)")
+    if costs is None:
+        if cfg.engine == "analytic":
+            raise CapacityError("analytic engine needs the full cost table (n <= 16)")
+        costs = evaluate_all_costs(q)  # n + m <= MAX_QUBITS keeps n within its cap
     engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _AnalyticEngine
-    engine = engine_cls(q, m, cfg.encoding, scale, costs)
+    engine = engine_cls(costs, m, cfg.encoding, scale)
     patterns = bit_patterns(n)
 
     if cfg.warm_start is not None:

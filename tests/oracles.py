@@ -1,16 +1,18 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: dense Kronecker-product operators,
-explicit DFT matrices, exhaustive enumeration.  Slow but obviously correct,
+explicit DFT matrices, circuits applied gate by gate, exhaustive enumeration.  Slow but obviously correct,
 which is the point.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from gasmld import qcore
-from gasmld.circuits import apply_state_preparation, apply_state_preparation_inverse
+from gasmld.circuits import GasCircuitSpec, bit_patterns
 from gasmld.qubo import QuboProblem, evaluate_all_costs
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -59,13 +61,104 @@ def embed_on_register(op_small: np.ndarray, register, n: int) -> np.ndarray:
     return op
 
 
-def apply_oracle(state, spec):
+@dataclass
+class PhasePolynomial:
+    """Binary polynomial sum_i<j quad[i,j] b_i b_j + sum_i lin[i] b_i + const.
+
+    ``quadratic`` must be strictly upper triangular; diagonal quadratic terms
+    make no sense over bits (b^2 = b) and belong in ``linear``.
+    """
+
+    constant: float
+    linear: np.ndarray
+    quadratic: np.ndarray
+
+    def __post_init__(self):
+        self.linear = np.asarray(self.linear, dtype=float)
+        self.quadratic = np.asarray(self.quadratic, dtype=float)
+        n = self.linear.shape[0]
+        if self.quadratic.shape != (n, n):
+            raise ValueError("quadratic must be n x n to match linear")
+        if np.any(self.quadratic != np.triu(self.quadratic, k=1)):
+            raise ValueError("quadratic must be strictly upper triangular")
+
+    @property
+    def n(self) -> int:
+        return self.linear.shape[0]
+
+    def evaluate_all(self) -> np.ndarray:
+        """Values over every bit pattern, indexed by sum_i b_i 2^i."""
+        patterns = bit_patterns(self.n)
+        return (
+            np.einsum("ki,ij,kj->k", patterns, self.quadratic, patterns)
+            + patterns @ self.linear
+            + self.constant
+        )
+
+
+def shifted_cost_polynomial(q: QuboProblem, threshold: float) -> PhasePolynomial:
+    """E(b) - threshold as a polynomial read off the QUBO's coefficients."""
+    return PhasePolynomial(q.offset - threshold, np.diag(q.Q) + q.c, 2.0 * np.triu(q.Q, k=1))
+
+
+def spec_of(poly: PhasePolynomial, m: int) -> GasCircuitSpec:
+    """The circuit spec whose shifted cost table is the polynomial's values."""
+    return GasCircuitSpec(poly.n, m, poly.evaluate_all())
+
+
+def _monomials(poly: PhasePolynomial):
+    """Yield (coefficient, key-qubit list) with zero coefficients dropped."""
+    if poly.constant != 0.0:
+        yield poly.constant, []
+    for i in range(poly.n):
+        if poly.linear[i] != 0.0:
+            yield float(poly.linear[i]), [i]
+    rows, cols = np.nonzero(poly.quadratic)
+    for i, j in zip(rows, cols):
+        yield float(poly.quadratic[i, j]), [int(i), int(j)]
+
+
+def apply_value_encoding(state, poly: PhasePolynomial, m: int, invert: bool = False):
+    """Write e^{i 2 pi j E(b) / 2^m} onto every |b>|j> branch, gate by gate.
+
+    Expects the value register already in uniform superposition.  Each
+    monomial becomes a ladder of m controlled rotations with doubling angles;
+    value qubit t (weight 2^t) receives 2^t times the base angle.
+    """
+    sign = -1.0 if invert else 1.0
+    for coeff, keys in _monomials(poly):
+        # base angle 2 pi a / 2^m, deliberately not reduced mod 2 pi; the
+        # complex exponential in the gate application takes care of that
+        base = sign * (2.0 * np.pi * coeff / (1 << m))
+        for t in range(m):
+            qcore.apply_controlled_phase(state, keys, poly.n + t, base * (1 << t))
+    return state
+
+
+def state_preparation_gates(state, poly: PhasePolynomial, m: int):
+    """A from gates: Hadamards everywhere, phase-encode the polynomial, IQFT
+    the value register; the reference for ``circuits.apply_state_preparation``."""
+    qcore.hadamard_all(state)
+    apply_value_encoding(state, poly, m)
+    qcore.apply_iqft(state, range(poly.n, poly.n + m))
+    return state
+
+
+def state_preparation_inverse_gates(state, poly: PhasePolynomial, m: int):
+    """A^dagger from gates, the exact inverse of state_preparation_gates."""
+    qcore.apply_qft(state, range(poly.n, poly.n + m))
+    apply_value_encoding(state, poly, m, invert=True)
+    qcore.hadamard_all(state)
+    return state
+
+
+def apply_oracle(state, sign_qubit: int):
     """Phase-flip branches whose cost readout is negative.
 
     In two's complement that is exactly the branches whose sign qubit is 1,
     so a single Z gate does the whole job.
     """
-    return qcore.apply_1q(state, qcore.PAULI_Z, spec.sign_qubit)
+    return qcore.apply_1q(state, qcore.PAULI_Z, sign_qubit)
 
 
 def apply_diffusion(state):
@@ -78,14 +171,14 @@ def apply_diffusion(state):
     return state
 
 
-def grover_power_gates(state, spec, power: int):
+def grover_power_gates(state, poly: PhasePolynomial, m: int, power: int):
     """(A D A^dagger O)^power gate by gate, rightmost operator first: the
     reference for the reflection form of ``circuits.grover_power``."""
     for _ in range(power):
-        apply_oracle(state, spec)
-        apply_state_preparation_inverse(state, spec)
+        apply_oracle(state, poly.n + m - 1)
+        state_preparation_inverse_gates(state, poly, m)
         apply_diffusion(state)
-        apply_state_preparation(state, spec)
+        state_preparation_gates(state, poly, m)
     return state
 
 

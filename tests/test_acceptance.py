@@ -18,7 +18,6 @@ from gasmld.bench import SweepConfig, detector_rng, run_sweep, trial_instance
 from gasmld.channel import block_from_bits, circulant_matrix, snr_db_to_sigma2, transmit
 from gasmld.circuits import (
     GasCircuitSpec,
-    PhasePolynomial,
     apply_state_preparation,
     conditional_value_distributions,
     fejer_distribution,
@@ -31,7 +30,7 @@ from gasmld.detect import (
     mmse_equalize,
     residual_cost,
 )
-from gasmld.gas import GasConfig, _build_spec, required_value_qubits, run_gas
+from gasmld.gas import GasConfig, required_value_qubits, run_gas
 from gasmld.qcore import hadamard_all, zero_state
 from gasmld.qubo import (
     MldInstance,
@@ -40,7 +39,13 @@ from gasmld.qubo import (
     mld_to_qubo,
 )
 
-from oracles import brute_force_min
+from oracles import (
+    PhasePolynomial,
+    brute_force_min,
+    shifted_cost_polynomial,
+    spec_of,
+    state_preparation_gates,
+)
 
 
 def _line(label, status, detail, t0):
@@ -127,7 +132,9 @@ def test_a01_amplification_law():
 
 def test_a02_integer_cost_readout():
     """50 random integer problems: the prepared state reads (E(b) - y) mod 2^m
-    on the value register with probability 1, on every key branch."""
+    on the value register with probability 1, on every key branch, both as
+    the engine writes it from the cost table and as the gates build it from
+    the QUBO's coefficients."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20)
     worst = 0.0
@@ -137,12 +144,13 @@ def test_a02_integer_cost_readout():
         costs = evaluate_all_costs(q)
         y = float(costs[rng.integers(0, costs.size)])
         m = required_value_qubits(q, encoding="integer")
-        spec = _build_spec(q, y, m, "integer", 1.0)
-        state = apply_state_preparation(zero_state(spec.total_qubits), spec)
-        cond = conditional_value_distributions(state, spec)
-        for b in range(1 << n):
-            target_bin = int(round(costs[b] - y)) % (1 << m)
-            worst = max(worst, abs(cond[b, target_bin] - 1.0))
+        spec = GasCircuitSpec(n, m, costs - y)
+        for state in (apply_state_preparation(zero_state(n + m), spec),
+                      state_preparation_gates(zero_state(n + m), shifted_cost_polynomial(q, y), m)):
+            cond = conditional_value_distributions(state, spec)
+            for b in range(1 << n):
+                target_bin = int(round(costs[b] - y)) % (1 << m)
+                worst = max(worst, abs(cond[b, target_bin] - 1.0))
     ok = worst <= 1e-9
     _line("A02 integer cost readout", "PASS" if ok else "FAIL",
           f"50 problems, worst point-mass deviation {worst:.1e}", t0)
@@ -154,7 +162,8 @@ def test_a02_integer_cost_readout():
 
 def test_a03_real_cost_readout():
     """20 random real-coefficient polynomials: every key branch's value
-    distribution matches the squared-Fejer closed form bin by bin."""
+    distribution matches the squared-Fejer closed form bin by bin, in the
+    FFT-written state and in the gate-built one."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(21)
     worst = 0.0
@@ -166,13 +175,13 @@ def test_a03_real_cost_readout():
             rng.normal(size=n) * 2.0,
             np.triu(rng.normal(size=(n, n)) * 2.0, k=1),
         )
-        spec = GasCircuitSpec(n=n, m=m, poly=poly)
-        state = apply_state_preparation(zero_state(spec.total_qubits), spec)
-        cond = conditional_value_distributions(state, spec)
-        values = poly.evaluate_all()
-        for b in range(1 << n):
-            ref = fejer_distribution(2.0 * np.pi * values[b] / (1 << m), m)
-            worst = max(worst, float(np.max(np.abs(cond[b] - ref))))
+        spec = spec_of(poly, m)
+        for state in (apply_state_preparation(zero_state(n + m), spec),
+                      state_preparation_gates(zero_state(n + m), poly, m)):
+            cond = conditional_value_distributions(state, spec)
+            for b in range(1 << n):
+                ref = fejer_distribution(2.0 * np.pi * spec.values[b] / (1 << m), m)
+                worst = max(worst, float(np.max(np.abs(cond[b] - ref))))
     ok = worst <= 1e-9
     _line("A03 real cost readout", "PASS" if ok else "FAIL",
           f"20 polynomials, worst bin deviation {worst:.1e}", t0)

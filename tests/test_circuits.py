@@ -1,4 +1,4 @@
-"""Search-operator checks: phase encoding, oracle, diffusion, iteration."""
+"""Search-operator checks: state preparation, oracle, diffusion, iteration."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from gasmld import circuits, qcore
 from gasmld.circuits import (
     GasCircuitSpec,
-    PhasePolynomial,
     apply_state_preparation,
     apply_state_preparation_inverse,
-    apply_value_encoding,
     bit_patterns,
     conditional_value_distributions,
     fejer_distribution,
@@ -19,23 +17,24 @@ from gasmld.qcore import HADAMARD, zero_state
 
 from oracles import (
     PAULI_X,
+    PhasePolynomial,
     apply_diffusion,
     apply_oracle,
+    apply_value_encoding,
     dense_1q,
     dense_controlled_phase,
     dense_qft,
     embed_on_register,
     grover_power_gates,
+    spec_of,
+    state_preparation_gates,
+    state_preparation_inverse_gates,
     value_distribution_reference,
 )
 
 
 def poly_const(value, n=1):
     return PhasePolynomial(value, np.zeros(n), np.zeros((n, n)))
-
-
-def spec_for(poly, m):
-    return GasCircuitSpec(poly.n, m, poly)
 
 
 def prepared(spec):
@@ -49,11 +48,10 @@ def test_coefficient_phase_examples():
     m = 3
     j = np.arange(1 << m)
     for a in (1.0, -1.0, 2.5, -4.0):
-        spec = spec_for(poly_const(a), m)
-        state = qcore.hadamard_all(zero_state(spec.total_qubits))
-        apply_value_encoding(state, spec)
+        state = qcore.hadamard_all(zero_state(1 + m))
+        apply_value_encoding(state, poly_const(a), m)
         phases = np.exp(2j * np.pi * a * j / (1 << m))
-        expect = np.repeat(phases, 2) / np.sqrt(1 << spec.total_qubits)
+        expect = np.repeat(phases, 2) / np.sqrt(1 << (1 + m))
         assert np.allclose(state.amps, expect, atol=1e-12)
 
 
@@ -83,18 +81,17 @@ def test_phase_polynomial_matches_shifted_cost():
 
 
 def test_value_encoding_zero_polynomial_is_identity():
-    spec = spec_for(poly_const(0.0), 3)
-    state = zero_state(spec.total_qubits)
+    state = zero_state(4)
     qcore.hadamard_all(state)
     before = state.amps.copy()
-    apply_value_encoding(state, spec)
+    apply_value_encoding(state, poly_const(0.0), 3)
     assert np.array_equal(state.amps, before)
 
 
 def test_integer_point_mass_per_branch():
     # E(b) = 2b on one key bit: branch |1> reads 2, branch |0> reads 0
     poly = PhasePolynomial(0.0, np.array([2.0]), np.zeros((1, 1)))
-    spec = spec_for(poly, 3)
+    spec = spec_of(poly, 3)
     cond = conditional_value_distributions(prepared(spec), spec)
     assert cond[0, 0] > 1 - 1e-9
     assert cond[1, 2] > 1 - 1e-9
@@ -102,7 +99,7 @@ def test_integer_point_mass_per_branch():
 
 def test_negative_constant_wraps_twos_complement():
     # constant -1 on m=3 reads 7
-    spec = spec_for(poly_const(-1.0), 3)
+    spec = spec_of(poly_const(-1.0), 3)
     cond = conditional_value_distributions(prepared(spec), spec)
     assert cond[0, 7] > 1 - 1e-9
     assert cond[1, 7] > 1 - 1e-9
@@ -110,7 +107,7 @@ def test_negative_constant_wraps_twos_complement():
 
 def test_real_coefficient_fejer_profile():
     # a = 1.5 on m=3: symmetric peaks on bins 1 and 2
-    spec = spec_for(poly_const(1.5), 3)
+    spec = spec_of(poly_const(1.5), 3)
     cond = conditional_value_distributions(prepared(spec), spec)
     reference = value_distribution_reference(2 * np.pi * 1.5 / 8, 3)
     assert np.allclose(cond[0], reference, atol=1e-10)
@@ -134,7 +131,7 @@ def test_quadratic_monomial_touches_only_its_branch():
     quad = np.zeros((2, 2))
     quad[0, 1] = 3.0
     poly = PhasePolynomial(0.0, np.zeros(2), quad)
-    spec = spec_for(poly, 4)
+    spec = spec_of(poly, 4)
     cond = conditional_value_distributions(prepared(spec), spec)
     assert cond[0, 0] > 1 - 1e-9
     assert cond[1, 0] > 1 - 1e-9
@@ -149,7 +146,7 @@ def test_conditional_distributions_match_reference_across_random_polys():
         m = int(rng.integers(2, 6))
         quad = np.triu(rng.uniform(-2, 2, size=(n, n)), k=1)
         poly = PhasePolynomial(rng.uniform(-2, 2), rng.uniform(-2, 2, size=n), quad)
-        spec = spec_for(poly, m)
+        spec = spec_of(poly, m)
         cond = conditional_value_distributions(prepared(spec), spec)
         for v, value in enumerate(poly.evaluate_all()):
             theta = 2 * np.pi * value / (1 << m)
@@ -159,10 +156,10 @@ def test_conditional_distributions_match_reference_across_random_polys():
 def test_oracle_flips_exactly_negative_branches():
     # costs straddle zero: sign-bit branches flip, the rest do not
     poly = PhasePolynomial(-2.0, np.array([3.0]), np.zeros((1, 1)))  # values -2, 1
-    spec = spec_for(poly, 3)
+    spec = spec_of(poly, 3)
     state = prepared(spec)
     before = state.amps.copy()
-    apply_oracle(state, spec)
+    apply_oracle(state, spec.sign_qubit)
     signs = state.amps / np.where(before == 0, 1.0, before)
     idx = np.arange(1 << spec.total_qubits)
     msb = (idx >> (spec.total_qubits - 1)) & 1
@@ -172,10 +169,10 @@ def test_oracle_flips_exactly_negative_branches():
 
 
 def test_oracle_identity_when_nothing_negative():
-    spec = spec_for(poly_const(1.0), 3)
+    spec = spec_of(poly_const(1.0), 3)
     state = prepared(spec)
     before = state.amps.copy()
-    apply_oracle(state, spec)
+    apply_oracle(state, spec.sign_qubit)
     assert np.allclose(state.amps, before, atol=1e-12)
 
 
@@ -190,20 +187,22 @@ def test_diffusion_reflects_about_zero_state():
 
 
 def test_conjugated_diffusion_fixes_prepared_state():
-    # A D A^dagger has A|0> as its reflection axis, so A|0> is fixed up to phase
-    spec = spec_for(PhasePolynomial(0.5, np.array([1.0]), np.zeros((1, 1))), 3)
+    # A D A^dagger has A|0> as its reflection axis, so A|0> is fixed up to
+    # phase; A^dagger in closed form, A from gates (the FFT form takes only |0>)
+    poly = PhasePolynomial(0.5, np.array([1.0]), np.zeros((1, 1)))
+    spec = spec_of(poly, 3)
     state = prepared(spec)
     reference = state.amps.copy()
     apply_state_preparation_inverse(state, spec)
     apply_diffusion(state)
-    apply_state_preparation(state, spec)
+    state_preparation_gates(state, poly, 3)
     ratio = state.amps[np.argmax(np.abs(reference))] / reference[np.argmax(np.abs(reference))]
     assert abs(abs(ratio) - 1.0) < 1e-9
     assert np.allclose(state.amps, ratio * reference, atol=1e-9)
 
 
 def test_preparation_inverse_roundtrip():
-    spec = spec_for(PhasePolynomial(-1.0, np.array([2.0, 1.0]), np.zeros((2, 2))), 4)
+    spec = spec_of(PhasePolynomial(-1.0, np.array([2.0, 1.0]), np.zeros((2, 2))), 4)
     state = prepared(spec)
     apply_state_preparation_inverse(state, spec)
     expect = np.zeros(1 << spec.total_qubits)
@@ -250,7 +249,7 @@ def test_plain_grover_follows_amplification_law():
 def test_over_rotation_half_marked():
     # marked fraction 1/2: one iteration gives no gain, sin^2(3 pi/4) = 1/2
     poly = PhasePolynomial(-1.0, np.array([2.0]), np.zeros((1, 1)))  # values -1, 1
-    spec = spec_for(poly, 3)
+    spec = spec_of(poly, 3)
     state = prepared(spec)
     grover_power(state, spec, 1)
     p_marked = conditional_key_mass(state, spec, lambda value: value >= 4)
@@ -279,7 +278,7 @@ def test_grover_power_matches_amplification_law():
         poly = PhasePolynomial(const - shift, lin, quad)
         values = poly.evaluate_all()
         m = int(np.ceil(np.log2(np.abs(values).max() + 1))) + 2
-        spec = spec_for(poly, m)
+        spec = spec_of(poly, m)
         p0 = float((values < 0).sum()) / (1 << n)
         if p0 in (0.0, 1.0):
             continue
@@ -297,7 +296,7 @@ def test_grover_iteration_matches_dense_composition():
     quad = np.zeros((n, n))
     quad[0, 1] = 2.0
     poly = PhasePolynomial(-2.0, np.array([1.0, 2.0]), quad)
-    spec = spec_for(poly, m)
+    spec = spec_of(poly, m)
     total = n + m
     dim = 1 << total
 
@@ -349,23 +348,24 @@ def test_grover_power_matches_gate_oracle():
     for integer in (True, False):
         for n in (1, 2, 3):
             for m in (3, 4, 5, 6):
-                spec = spec_for(random_poly(rng, n, m, integer), m)
+                poly = random_poly(rng, n, m, integer)
+                spec = spec_of(poly, m)
                 base = prepared(spec)
                 for L in range(5):
                     fast = grover_power(base.copy(), spec, L)
-                    slow = grover_power_gates(base.copy(), spec, L)
+                    slow = grover_power_gates(base.copy(), poly, m, L)
                     assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
                 # with an explicit axis the input may be any state
                 dim = 1 << spec.total_qubits
                 amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
                 start = qcore.Statevector(spec.total_qubits, amps / np.linalg.norm(amps))
                 fast = grover_power(start.copy(), spec, 3, axis=base.amps)
-                slow = grover_power_gates(start.copy(), spec, 3)
+                slow = grover_power_gates(start.copy(), poly, m, 3)
                 assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
 
 
 def test_grover_power_in_place_and_input_checks():
-    spec = spec_for(PhasePolynomial(-1.0, np.array([2.0]), np.zeros((1, 1))), 3)
+    spec = spec_of(PhasePolynomial(-1.0, np.array([2.0]), np.zeros((1, 1))), 3)
     state = prepared(spec)
     before = state.amps
     assert grover_power(state, spec, 2) is state
@@ -382,22 +382,53 @@ def test_grover_power_in_place_and_input_checks():
 
 def test_norm_drift_over_full_circuit():
     poly = PhasePolynomial(-3.7, np.array([2.2, -1.1, 0.4]), np.zeros((3, 3)))
-    spec = spec_for(poly, 8)
+    spec = spec_of(poly, 8)
     state = prepared(spec)
     grover_power(state, spec, 3)
     assert abs(np.vdot(state.amps, state.amps) - 1.0) < 1e-8
 
 
-def test_validate_range_rejects_overflow():
-    spec = spec_for(poly_const(4.0), 3)  # 4 does not fit [-4, 4)
-    with pytest.raises(ValueError):
-        spec.validate_range()
-    spec_ok = spec_for(poly_const(-4.0), 3)  # -4 does
-    spec_ok.validate_range()
+def test_state_preparation_matches_gate_oracle():
+    # A|0> by one FFT against Hadamards, controlled phases and the IQFT
+    rng = np.random.default_rng(12)
+    for integer in (True, False):
+        for n in (1, 2, 3):
+            for m in (2, 3, 4, 5, 6):
+                poly = random_poly(rng, n, m, integer)
+                fast = prepared(spec_of(poly, m))
+                slow = state_preparation_gates(zero_state(n + m), poly, m)
+                assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
+    # 15 qubits, real values stretched to |a_b| = 2^{m-2}, the real encoding's reach
+    n, m = 3, 12
+    poly = random_poly(rng, n, m, False)
+    stretch = (1 << (m - 2)) / np.abs(poly.evaluate_all()).max()
+    poly = PhasePolynomial(stretch * poly.constant, stretch * poly.linear, stretch * poly.quadratic)
+    spec = spec_of(poly, m)
+    fast = prepared(spec)
+    slow = state_preparation_gates(zero_state(n + m), poly, m)
+    assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
+    # the closed-form inverse acts on any state
+    dim = 1 << (n + m)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    start = qcore.Statevector(n + m, amps / np.linalg.norm(amps))
+    fast = apply_state_preparation_inverse(start.copy(), spec)
+    slow = state_preparation_inverse_gates(start.copy(), poly, m)
+    assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
+
+
+def test_state_preparation_input_checks():
+    spec = spec_of(poly_const(1.0), 3)
+    state = prepared(spec)
+    with pytest.raises(ValueError, match="expects the input"):
+        apply_state_preparation(state, spec)
+    with pytest.raises(ValueError, match="spec"):
+        apply_state_preparation(zero_state(spec.total_qubits + 1), spec)
+    with pytest.raises(ValueError, match="one shifted cost per key"):
+        GasCircuitSpec(1, 3, np.zeros(4))
 
 
 def test_spec_register_layout():
-    spec = spec_for(poly_const(0.0, n=2), 4)
+    spec = spec_of(poly_const(0.0, n=2), 4)
     assert spec.key_register == [0, 1]
     assert spec.value_register == [2, 3, 4, 5]
     assert spec.sign_qubit == 5

@@ -37,6 +37,12 @@ def random_integer_qubo(rng, n=3, span=4):
     return QuboProblem(Q=Q, c=c, offset=float(rng.integers(0, span)))
 
 
+def random_real_qubo(rng, n):
+    upper = np.triu(rng.normal(size=(n, n)), k=1)
+    return QuboProblem(Q=upper + upper.T + np.diag(rng.normal(size=n)), c=rng.normal(size=n),
+                       offset=float(rng.normal()))
+
+
 def test_rotation_count_singleton():
     rng = np.random.default_rng(0)
     assert all(sample_rotation_count(1.0, rng) == 0 for _ in range(20))
@@ -200,8 +206,8 @@ def test_engine_distributions_match():
     rng = np.random.default_rng(7)
     q = random_integer_qubo(rng)
     costs = sorted({evaluate_cost(q, b) for b in np.ndindex(2, 2, 2)})
-    sv = _StatevectorEngine(q, 8, "integer", 1.0)
-    an = _AnalyticEngine(q, 8, "integer", 1.0, evaluate_all_costs(q))
+    sv = _StatevectorEngine(evaluate_all_costs(q), 8, "integer", 1.0)
+    an = _AnalyticEngine(evaluate_all_costs(q), 8, "integer", 1.0)
     for y in costs[1:]:
         for L in (0, 1, 2):
             assert np.allclose(sv.key_distribution(y, L), an.key_distribution(y, L), atol=1e-9)
@@ -216,8 +222,8 @@ def test_correct_marking_probability():
     )
     # one engine of each kind, threshold after threshold, so a cache entry
     # kept past its threshold shows
-    engines = (_StatevectorEngine(q, 10, "integer", 1.0),
-               _AnalyticEngine(q, 10, "integer", 1.0, evaluate_all_costs(q)))
+    engines = (_StatevectorEngine(evaluate_all_costs(q), 10, "integer", 1.0),
+               _AnalyticEngine(evaluate_all_costs(q), 10, "integer", 1.0))
     for y in np.unique(by_index)[1:]:
         p0 = np.mean(by_index < y)
         predicted_miss = np.cos(3.0 * np.arcsin(np.sqrt(p0))) ** 2
@@ -260,6 +266,32 @@ def test_validation_errors():
             run_gas(toy_problem(), GasConfig(m=3, seed=0, encoding="integer", engine=engine))
 
 
+def test_integer_window_edge():
+    # m = 3 reads [-4, 4): a shifted cost of -4 is the last one that fits
+    for engine_cls in (_StatevectorEngine, _AnalyticEngine):
+        dist = engine_cls(np.array([-4.0, 0.0]), 3, "integer", 1.0).key_distribution(0.0, 0)
+        assert np.allclose(dist, [0.5, 0.5], atol=1e-12)
+        with pytest.raises(ValueError, match="capacity"):
+            engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0).key_distribution(0.0, 0)
+
+
+def test_statevector_engine_above_analytic_cap():
+    # n = 17 is past the analytic engine's cap in run_gas, so build it directly
+    n, m = 17, 3
+    rng = np.random.default_rng(12)
+    q = random_real_qubo(rng, n)
+    costs = evaluate_all_costs(q)
+    scale = 2.0 ** (m - 2) / (costs.max() - costs.min())
+    threshold = float(np.median(costs))
+    sv = _StatevectorEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
+    an = _AnalyticEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
+    assert np.max(np.abs(sv - an)) <= 1e-9
+    res = run_gas(q, GasConfig(m=m, seed=0, max_rounds=2, engine="statevector"))
+    assert res.rounds == 2
+    with pytest.raises(CapacityError, match="analytic"):
+        run_gas(q, GasConfig(m=m, seed=0, engine="analytic"))
+
+
 def test_warm_start_length_checked():
     with pytest.raises(ValueError):
         run_gas(toy_problem(), GasConfig(m=None, seed=0, warm_start=np.array([0, 1])))
@@ -299,4 +331,14 @@ def test_engine_twin_property(n, problem_seed, m, encoding, seed):
     q = random_integer_qubo(np.random.default_rng(problem_seed), n=n)
     sv, an = (_outcome(q, GasConfig(m=m, seed=seed, encoding=encoding, engine=engine))
               for engine in ENGINES)
+    assert sv == an
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from([6, 8]),
+       st.integers(0, 2**32 - 1))
+def test_engine_twin_property_real(n, problem_seed, m, seed):
+    # real-valued costs; up to n = 5 the schedule reaches L >= 2
+    q = random_real_qubo(np.random.default_rng(problem_seed), n)
+    sv, an = (_outcome(q, GasConfig(m=m, seed=seed, engine=engine)) for engine in ENGINES)
     assert sv == an
