@@ -18,11 +18,12 @@ key-register distribution is
            + cos^2((2L+1) alpha) w_bad(b) / (1 - p0),
 
 with alpha = arcsin(sqrt(p0)) and w_good(b) the joint weight of key b and a
-negative encoded value.  Marked and unmarked components occupy disjoint
-value bins, so no cross terms survive the marginalisation.  Both engines
-draw identically from the supplied generator (one integer for L, one
-uniform for the measurement per round), which makes their traces directly
-comparable seed for seed.
+negative encoded value, 2^-n times the upper-half mass of the key's Fejer
+readout, which ``circuits.fejer_upper_mass`` gives for all keys at once.
+Marked and unmarked components occupy disjoint value bins, so no cross terms
+survive the marginalisation.  Both engines draw identically from the
+supplied generator (one integer for L, one uniform for the measurement per
+round), which makes their traces directly comparable seed for seed.
 
 A search computes its cost table once and takes the cost bounds (n <= 16),
 the automatic value-register size, the real-encoding scale and both engines'
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import GasCircuitSpec, bit_patterns, fejer_distribution
+from .circuits import GasCircuitSpec, bit_patterns, fejer_upper_mass
 from .circuits import apply_state_preparation, grover_power
 from .qcore import CapacityError, MAX_QUBITS, register_distribution, sample_index, zero_state
 from .qubo import QuboProblem, evaluate_all_costs, evaluate_cost
@@ -206,16 +207,12 @@ class _AnalyticEngine(_Engine):
     prepares the w_good/w_bad/p0 weights per threshold from the shifted table."""
 
     def _prepare(self, shifted: np.ndarray):
-        M = 1 << self._m
         n_keys = shifted.shape[0]
         if self._encoding == "integer":
             # an exact bin inside the signed window reads negative iff it is
             w_good = (shifted < 0).astype(float)
         else:
-            w_good = np.empty(n_keys)
-            for idx, a in enumerate(shifted):
-                dist = fejer_distribution(2.0 * np.pi * a / M, self._m)
-                w_good[idx] = dist[M // 2 :].sum()
+            w_good = fejer_upper_mass(shifted, self._m)
         w_good /= n_keys
         w_bad = 1.0 / n_keys - w_good
         p0 = float(np.clip(w_good.sum(), 0.0, 1.0))

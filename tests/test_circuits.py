@@ -11,6 +11,7 @@ from gasmld.circuits import (
     bit_patterns,
     conditional_value_distributions,
     fejer_distribution,
+    fejer_upper_mass,
     grover_power,
 )
 from gasmld.qcore import HADAMARD, zero_state
@@ -124,6 +125,21 @@ def test_closed_form_fejer_matches_reference():
                 value_distribution_reference(theta, m),
                 atol=1e-12,
             )
+
+
+def test_fejer_upper_mass_matches_fejer_rows():
+    # the odd-frequency polynomial against the upper-half sum of each key's
+    # Fejer row, on random reals and on every bin the real encoding reaches
+    rng = np.random.default_rng(14)
+    for m in range(2, 15):
+        M = 1 << m
+        reach = 1 << (m - 2)
+        a = np.concatenate([rng.uniform(-reach, reach, 300),
+                            np.arange(-reach, reach + 1, dtype=float)])
+        rows = np.array([fejer_distribution(2.0 * np.pi * x / M, m)[M // 2:].sum() for x in a])
+        mass = fejer_upper_mass(a, m)
+        assert np.max(np.abs(mass - rows)) <= 1e-11, m
+        assert np.all((mass >= 0.0) & (mass <= 1.0)), m
 
 
 def test_quadratic_monomial_touches_only_its_branch():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasmld.circuits
 import gasmld.gas
 from gasmld.gas import (
     ENCODINGS,
@@ -21,6 +22,7 @@ from gasmld.gas import (
 from gasmld.qcore import CapacityError
 from gasmld.qubo import QuboProblem, evaluate_all_costs, evaluate_cost, mld_to_qubo, MldInstance
 from gasmld.channel import circulant_matrix
+from gasmld.circuits import fejer_distribution
 
 from oracles import brute_force_min
 
@@ -290,6 +292,23 @@ def test_statevector_engine_above_analytic_cap():
     assert res.rounds == 2
     with pytest.raises(CapacityError, match="analytic"):
         run_gas(q, GasConfig(m=m, seed=0, engine="analytic"))
+
+
+def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
+    # the analytic engine reads its good mass off fejer_upper_mass, never a row
+    calls = []
+
+    def counted(theta, m):
+        calls.append(m)
+        return fejer_distribution(theta, m)
+
+    # patched wherever the engine could look it up, as the traced benchmark does
+    for module in (gasmld.circuits, gasmld.gas):
+        monkeypatch.setattr(module, "fejer_distribution", counted, raising=False)
+    q = random_real_qubo(np.random.default_rng(13), 3)
+    for m in (3, 12):
+        run_gas(q, GasConfig(m=m, seed=0, engine="analytic"))
+    assert calls == []
 
 
 def test_warm_start_length_checked():
