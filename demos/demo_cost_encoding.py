@@ -11,10 +11,18 @@ Run as: python3 demos/demo_cost_encoding.py
 import numpy as np
 
 from gasmld.channel import block_from_bits, circulant_matrix, transmit
-from gasmld.circuits import GasCircuitSpec, apply_state_preparation, conditional_value_distributions
+from gasmld.circuits import GasCircuitSpec, apply_state_preparation
 from gasmld.gas import required_value_qubits
 from gasmld.qcore import zero_state
 from gasmld.qubo import MldInstance, QuboProblem, evaluate_all_costs, mld_to_qubo
+
+
+def value_rows(spec):
+    """Row b is the value-register distribution given key b.  Every key branch
+    of A|0> weighs 2^-n, so it is 2^n |A|0>|^2 at index key + 2^n * value."""
+    state = apply_state_preparation(zero_state(spec.total_qubits), spec)
+    joint = (1 << spec.n) * np.abs(state.amps) ** 2
+    return joint.reshape(1 << spec.m, 1 << spec.n).T
 
 
 def integer_example():
@@ -27,8 +35,7 @@ def integer_example():
     y = float(costs[0])
     m = required_value_qubits(q, encoding="integer")
     spec = GasCircuitSpec(q.n, m, costs - y)
-    state = apply_state_preparation(zero_state(spec.total_qubits), spec)
-    cond = conditional_value_distributions(state, spec)
+    cond = value_rows(spec)
     print(f"integer case: m = {m} value qubits, threshold y = {y:g}")
     for b in range(4):
         peak = int(np.argmax(cond[b]))
@@ -49,8 +56,7 @@ def real_example():
     spread = costs.max() - costs.min()
     scale = 2.0 ** (m - 2) / spread
     spec = GasCircuitSpec(q.n, m, scale * (costs - costs.min()))
-    state = apply_state_preparation(zero_state(spec.total_qubits), spec)
-    cond = conditional_value_distributions(state, spec)
+    cond = value_rows(spec)
     print(f"\nreal case: m = {m}, scale {scale:.4f} (costs span {spread:.4f})")
     for b in range(4):
         peak = int(np.argmax(cond[b]))

@@ -25,7 +25,8 @@ from .channel import (
 )
 from .detect import METHODS, gas_detect, hybrid_detect, mld_detect, mmse_detect
 from .gas import GasConfig
-from .qubo import MldInstance
+from .qcore import MAX_QUBITS
+from .qubo import BRUTE_FORCE_MAX_N, MldInstance
 
 CSV_HEADER = "snr_db,detector,R,trials,bit_errors,ber,mean_queries,ci95"
 
@@ -57,7 +58,8 @@ class SweepConfig:
             raise ConfigError("SNR points must be numbers or inf (noiseless), not nan or -inf")
         if self.master_seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.gas.encoding == "integer" and {"GAS_random", "GAS_warm"} & set(self.detectors):
+        searches = bool({"GAS_random", "GAS_warm"} & set(self.detectors))
+        if self.gas.encoding == "integer" and searches:
             raise ConfigError("gas.encoding = integer needs integer cost coefficients, which "
                               "the sweep's Gaussian channels never give; use real_direct")
         if self.trials_per_point < 1:
@@ -68,6 +70,14 @@ class SweepConfig:
             raise ConfigError("each link needs at least one tap (l_bi, l_iu >= 1)")
         if self.N < self.L_bi + self.L_iu - 1:
             raise ConfigError("block length must cover the channel delay spread")
+        # MLD and the searches enumerate all 2^N keys; a search also holds
+        # N key and m value qubits
+        if (searches or "MLD" in self.detectors) and self.N > BRUTE_FORCE_MAX_N:
+            raise ConfigError(f"n = {self.N} exceeds the exhaustive cap of {BRUTE_FORCE_MAX_N} "
+                              "bits that MLD and GAS detectors need")
+        if searches and self.gas.m is not None and self.N + self.gas.m > MAX_QUBITS:
+            raise ConfigError(f"{self.N} key + {self.gas.m} value qubits exceed the "
+                              f"{MAX_QUBITS}-qubit cap")
         if not self.output_path:
             raise ConfigError("output path must be nonempty")
         return self

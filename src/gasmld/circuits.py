@@ -247,15 +247,3 @@ def fejer_upper_mass(a: np.ndarray, m: int) -> np.ndarray:
         odd_sum[start:start + _MASS_CHUNK] = total.real
     return np.clip(0.5 - odd_sum, 0.0, 1.0)
 
-
-def conditional_value_distributions(state: Statevector, spec: GasCircuitSpec) -> np.ndarray:
-    """(2^n, 2^m) array: row b is the value-register distribution given key b.
-
-    Rows with (numerically) zero key probability are returned as zeros.
-    """
-    joint = np.abs(state.amps) ** 2
-    # index = key + 2^n * value, so a (2^m, 2^n) reshape puts value on axis 0
-    table = joint.reshape(1 << spec.m, 1 << spec.n).T.copy()
-    totals = table.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0.0, totals, 1.0)
-    return np.where(totals > 0.0, table / safe, 0.0)

@@ -2,7 +2,7 @@
 
 The driver repeats: sample a rotation count L from the current schedule,
 amplify states whose encoded cost falls below the incumbent threshold,
-measure the key register, and re-evaluate the candidate classically.  An
+measure the key register, and look the candidate's cost up classically.  An
 improvement lowers the threshold and resets the schedule; otherwise the
 schedule grows geometrically up to sqrt(2^n).
 
@@ -25,12 +25,15 @@ survive the marginalisation.  Both engines draw identically from the
 supplied generator (one integer for L, one uniform for the measurement per
 round), which makes their traces directly comparable seed for seed.
 
-A search computes its cost table once and takes the cost bounds (n <= 16),
-the automatic value-register size, the real-encoding scale and both engines'
-input from it.  Per threshold both engines read the same shifted table
-a_b = scale (E(b) - threshold), checked once against the integer encoding,
-and one per-threshold cache serves both: the statevector engine prepares
-A|0> from the table, the analytic engine w_good, w_bad, p0.
+A search computes its cost table once and takes the exact cost bounds, the
+automatic value-register size, the real-encoding scale and both engines'
+input from it.  The incumbent is a key index into that table: each round
+compares the measured key's table entry with the threshold, and the bits of
+the best key are decoded once, at return.  Per threshold both engines read
+the same shifted table a_b = scale (E(b) - threshold), checked once against
+the integer encoding, and a one-slot cache holds the latest threshold's
+preparation: the statevector engine's A|0>, the analytic engine's w_good,
+w_bad, p0.
 """
 
 from dataclasses import dataclass, field
@@ -40,11 +43,10 @@ import numpy as np
 from .circuits import GasCircuitSpec, bit_patterns, fejer_upper_mass
 from .circuits import apply_state_preparation, grover_power
 from .qcore import CapacityError, MAX_QUBITS, register_distribution, sample_index, zero_state
-from .qubo import QuboProblem, evaluate_all_costs, evaluate_cost
+from .qubo import QuboProblem, evaluate_all_costs
 
 ENCODINGS = ("integer", "real_direct")
 ENGINES = ("statevector", "analytic")
-BOUNDS_BRUTE_FORCE_MAX_N = 16
 
 
 @dataclass
@@ -112,17 +114,11 @@ def grow_k(k: float, growth_factor: float, n: int) -> float:
 
 
 def cost_bounds(q: QuboProblem, costs: np.ndarray | None = None) -> tuple[float, float]:
-    """Lower/upper bounds on the cost; exact for n <= 16 (read off the cost
-    table ``costs`` when the caller has it), L1 bound beyond."""
-    if q.n <= BOUNDS_BRUTE_FORCE_MAX_N:
-        if costs is None:
-            costs = evaluate_all_costs(q)
-        return float(costs.min()), float(costs.max())
-    lin = np.diag(q.Q) + q.c
-    quad = 2.0 * np.triu(q.Q, k=1)
-    lo = q.offset + np.minimum(lin, 0.0).sum() + np.minimum(quad, 0.0).sum()
-    hi = q.offset + np.maximum(lin, 0.0).sum() + np.maximum(quad, 0.0).sum()
-    return float(lo), float(hi)
+    """Exact lower/upper bounds on the cost: the least and greatest entry of
+    the cost table, ``costs`` when the caller already has it."""
+    if costs is None:
+        costs = evaluate_all_costs(q)
+    return float(costs.min()), float(costs.max())
 
 
 def required_value_qubits(q: QuboProblem, encoding: str = "integer",
@@ -149,7 +145,7 @@ def required_value_qubits(q: QuboProblem, encoding: str = "integer",
 
 
 class _Engine:
-    """One search's setup and the per-threshold cache both engines share: a
+    """One search's setup and the threshold cache both engines share: a
     subclass supplies ``_prepare(shifted)``, run once per threshold on the
     shifted cost table, and ``_evolve(prepared, L)``, the key distribution
     after L rotations."""
@@ -159,13 +155,13 @@ class _Engine:
         self._m = m
         self._encoding = encoding
         self._scale = scale
-        self._cache: dict[float, object] = {}
+        self._cache = None  # (threshold, prepared): the threshold only ever falls
 
     def key_distribution(self, threshold: float, L: int) -> np.ndarray:
-        prepared = self._cache.get(threshold)
-        if prepared is None:
-            prepared = self._cache[threshold] = self._prepare(self._shifted(threshold))
-        return self._evolve(prepared, L)
+        if self._cache is None or self._cache[0] != threshold:
+            self._cache = None  # release the old preparation before building the next
+            self._cache = (threshold, self._prepare(self._shifted(threshold)))
+        return self._evolve(self._cache[1], L)
 
     def _shifted(self, threshold: float) -> np.ndarray:
         """a_b = scale (E(b) - threshold) for every key.  The integer encoding
@@ -235,32 +231,30 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
     n = q.n
     if n < 1:
         raise ValueError("need at least one key qubit")
+    if cfg.warm_start is not None and cfg.warm_start.shape[0] != n:
+        raise ValueError("warm start length does not match problem size")
+    # checked before the 2^n table is built; the automatic m takes at least 2 qubits
+    least_m = cfg.m if cfg.m is not None else 2
+    if n + least_m > MAX_QUBITS:
+        raise CapacityError(f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
     # the one cost table of this search: bounds, auto m, scale, engine input
-    costs = evaluate_all_costs(q) if n <= BOUNDS_BRUTE_FORCE_MAX_N else None
+    # and every cost the search compares
+    costs = evaluate_all_costs(q)
     lo, hi = cost_bounds(q, costs)
     m = cfg.m if cfg.m is not None else required_value_qubits(q, cfg.encoding, (lo, hi))
-    if n + m > MAX_QUBITS:
-        raise CapacityError(f"{n} key + {m} value qubits exceed the {MAX_QUBITS}-qubit cap")
     # integer mode encodes costs verbatim; real mode stretches the worst-case
     # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
     scale = 1.0
     if cfg.encoding == "real_direct" and hi > lo:
         scale = float(2 ** (m - 2)) / (hi - lo)
-    if costs is None:
-        if cfg.engine == "analytic":
-            raise CapacityError("analytic engine needs the full cost table (n <= 16)")
-        costs = evaluate_all_costs(q)  # n + m <= MAX_QUBITS keeps n within its cap
     engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _AnalyticEngine
     engine = engine_cls(costs, m, cfg.encoding, scale)
-    patterns = bit_patterns(n)
 
-    if cfg.warm_start is not None:
-        if cfg.warm_start.shape[0] != n:
-            raise ValueError("warm start length does not match problem size")
-        best_bits = cfg.warm_start.copy()
-    else:
-        best_bits = rng.integers(0, 2, size=n).astype(np.int8)
-    threshold = evaluate_cost(q, best_bits)  # always the cost of best_bits
+    # the incumbent is a key index; a random start is still drawn as n bits,
+    # the draw that every seeded sweep's stream goes through
+    bits = cfg.warm_start if cfg.warm_start is not None else rng.integers(0, 2, size=n)
+    best = int(bits @ (1 << np.arange(n)))
+    threshold = float(costs[best])  # always the cost of best
     trace = [(0, threshold)]
 
     k = 1.0
@@ -273,11 +267,9 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
         dist = engine.key_distribution(threshold, L)
         idx = sample_index(dist, rng)
         queries += L
-        candidate = patterns[idx]
-        cost = evaluate_cost(q, candidate)
-        if cost < threshold:
-            threshold = cost
-            best_bits = candidate.copy()
+        if costs[idx] < threshold:
+            threshold = float(costs[idx])
+            best = idx
             k = 1.0
             stall = 0
         else:
@@ -286,7 +278,7 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
         trace.append((rounds, threshold))
 
     return GasResult(
-        best_bits=best_bits,
+        best_bits=bit_patterns(n, best, best + 1)[0],
         best_cost=threshold,
         rounds=rounds,
         oracle_queries=queries,

@@ -199,6 +199,19 @@ def value_distribution_reference(theta: float, m: int) -> np.ndarray:
     return out
 
 
+def conditional_value_distributions(state, spec: GasCircuitSpec) -> np.ndarray:
+    """(2^n, 2^m) array: row b is the value-register distribution given key b.
+
+    Rows with (numerically) zero key probability are returned as zeros.
+    """
+    joint = np.abs(state.amps) ** 2
+    # index = key + 2^n * value, so a (2^m, 2^n) reshape puts value on axis 0
+    table = joint.reshape(1 << spec.m, 1 << spec.n).T.copy()
+    totals = table.sum(axis=1, keepdims=True)
+    safe = np.where(totals > 0.0, totals, 1.0)
+    return np.where(totals > 0.0, table / safe, 0.0)
+
+
 def brute_force_min(q: QuboProblem) -> tuple[np.ndarray, float]:
     """Exhaustive minimum over the QUBO cost table; ties resolve to the
     smallest bit-pattern integer."""

@@ -19,7 +19,6 @@ from gasmld.channel import block_from_bits, circulant_matrix, snr_db_to_sigma2, 
 from gasmld.circuits import (
     GasCircuitSpec,
     apply_state_preparation,
-    conditional_value_distributions,
     fejer_distribution,
 )
 from gasmld.detect import (
@@ -42,6 +41,7 @@ from gasmld.qubo import (
 from oracles import (
     PhasePolynomial,
     brute_force_min,
+    conditional_value_distributions,
     shifted_cost_polynomial,
     spec_of,
     state_preparation_gates,

@@ -27,6 +27,8 @@ from gasmld.bench import (
 from gasmld.cli import main
 from gasmld.detect import METHODS
 from gasmld.gas import ENCODINGS, ENGINES, GasConfig
+from gasmld.qcore import MAX_QUBITS
+from gasmld.qubo import BRUTE_FORCE_MAX_N
 
 
 def identity_channel(rng, R, L_bi, L_iu, N):
@@ -189,13 +191,17 @@ def test_config_roundtrip_and_errors():
 @st.composite
 def sweep_configs(draw):
     """Valid SweepConfigs over every key the config grammar carries; the
-    integer encoding comes only with detector lists that run no search."""
+    integer encoding comes only with detector lists that run no search, and
+    N and m stay within the caps of the detectors listed."""
     small = st.integers(1, 50)
-    L_bi, L_iu = draw(small), draw(small)
     detectors = draw(st.lists(st.sampled_from(METHODS), min_size=1))
     searches = {"GAS_random", "GAS_warm"} & set(detectors)
+    # MLD and the searches enumerate all 2^N keys; a search also holds N + m qubits
+    N = draw(st.integers(1, BRUTE_FORCE_MAX_N if searches or "MLD" in detectors else 150))
+    L_bi = draw(st.integers(1, min(N, 50)))
+    L_iu = draw(st.integers(1, min(N - L_bi + 1, 50)))
     gas = GasConfig(
-        m=draw(st.none() | st.integers(2, 26)),
+        m=draw(st.none() | st.integers(2, MAX_QUBITS - N if searches else MAX_QUBITS)),
         growth_factor=draw(st.floats(1.0, 1e6, exclude_min=True)),
         max_rounds=draw(small),
         stall_rounds=draw(small),
@@ -206,7 +212,7 @@ def sweep_configs(draw):
         snr_db_list=draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)),
         detectors=detectors,
         R_list=draw(st.lists(st.integers(0, 1 << 40), min_size=1)),
-        N=L_bi + L_iu - 1 + draw(st.integers(0, 50)),
+        N=N,
         L_bi=L_bi,
         L_iu=L_iu,
         trials_per_point=draw(st.integers(1, 1 << 40)),
@@ -266,7 +272,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["sweep", *flags, "--detector", "MMSE", "--ris", "0", "--trials", "1",
                      "--out", str(bad)]) == 1
         assert "config error: " in capsys.readouterr().err
-    for text in ("l_bi = 0\n", "gas.encoding = integer\ndetectors = GAS_warm\n"):
+    for text in ("l_bi = 0\n", "gas.encoding = integer\ndetectors = GAS_warm\n",
+                 "n = 30\ndetectors = MLD\n", "n = 10\ndetectors = GAS_warm\ngas.m = 20\n"):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(text + "trials = 1\nris = 0\nsnr_db = 0\n")
         assert main(["sweep", "--config", str(cfg_file), "--out", str(bad)]) == 1
@@ -324,3 +331,15 @@ def test_sweep_config_validation():
         with pytest.raises(ConfigError):
             small_config(detectors=["MLD", det], gas=GasConfig(encoding="integer")).validate()
     small_config(detectors=["MLD", "MMSE"], gas=GasConfig(encoding="integer")).validate()
+    # past the exhaustive cap for MLD and the searches, or the qubit cap for a fixed m
+    for det in ("MLD", "GAS_random", "GAS_warm"):
+        auto_m = GasConfig(m=None)
+        with pytest.raises(ConfigError, match="exhaustive cap"):
+            small_config(detectors=[det], N=BRUTE_FORCE_MAX_N + 1, gas=auto_m).validate()
+        small_config(detectors=[det], N=BRUTE_FORCE_MAX_N, gas=auto_m).validate()
+    small_config(detectors=["MMSE"], N=10 * BRUTE_FORCE_MAX_N).validate()
+    for det in ("GAS_random", "GAS_warm"):
+        with pytest.raises(ConfigError, match="qubit cap"):
+            small_config(detectors=[det], N=10, gas=GasConfig(m=MAX_QUBITS - 9)).validate()
+        small_config(detectors=[det], N=10, gas=GasConfig(m=MAX_QUBITS - 10)).validate()
+    small_config(detectors=["MLD", "MMSE"], N=10, gas=GasConfig(m=MAX_QUBITS)).validate()

@@ -9,7 +9,6 @@ from gasmld.circuits import (
     apply_state_preparation,
     apply_state_preparation_inverse,
     bit_patterns,
-    conditional_value_distributions,
     fejer_distribution,
     fejer_upper_mass,
     grover_power,
@@ -22,6 +21,7 @@ from oracles import (
     apply_diffusion,
     apply_oracle,
     apply_value_encoding,
+    conditional_value_distributions,
     dense_1q,
     dense_controlled_phase,
     dense_qft,

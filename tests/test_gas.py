@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import gasmld.circuits
 import gasmld.gas
+import gasmld.qubo
 from gasmld.gas import (
     ENCODINGS,
     ENGINES,
@@ -93,14 +94,13 @@ def test_required_value_qubits_degenerate_and_real():
     assert required_value_qubits(q, encoding="real_direct") == 4
 
 
-def test_cost_bounds_exact_and_l1():
+def test_cost_bounds_exact():
     q = toy_problem()
     assert cost_bounds(q) == (4.0, 16.0)
-    n = 20  # beyond the brute-force cutoff
-    Q = np.zeros((n, n))
-    c = -np.ones(n)
-    lo, hi = cost_bounds(QuboProblem(Q=Q, c=c, offset=5.0))
-    assert lo <= 5.0 - n and hi >= 5.0
+    n = 20  # exact at every n the table reaches: E(b) = 5 - popcount(b)
+    q = QuboProblem(Q=np.zeros((n, n)), c=-np.ones(n), offset=5.0)
+    assert cost_bounds(q) == (-15.0, 5.0)
+    assert cost_bounds(q, evaluate_all_costs(q)) == (-15.0, 5.0)
 
 
 def test_toy_trace():
@@ -277,8 +277,7 @@ def test_integer_window_edge():
             engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0).key_distribution(0.0, 0)
 
 
-def test_statevector_engine_above_analytic_cap():
-    # n = 17 is past the analytic engine's cap in run_gas, so build it directly
+def test_engine_twin_above_n16():
     n, m = 17, 3
     rng = np.random.default_rng(12)
     q = random_real_qubo(rng, n)
@@ -288,10 +287,23 @@ def test_statevector_engine_above_analytic_cap():
     sv = _StatevectorEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
     an = _AnalyticEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
     assert np.max(np.abs(sv - an)) <= 1e-9
-    res = run_gas(q, GasConfig(m=m, seed=0, max_rounds=2, engine="statevector"))
-    assert res.rounds == 2
-    with pytest.raises(CapacityError, match="analytic"):
-        run_gas(q, GasConfig(m=m, seed=0, engine="analytic"))
+    runs = [_outcome(q, GasConfig(m=m, seed=0, max_rounds=2, engine=engine)) for engine in ENGINES]
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 3  # the start and two rounds
+
+
+def test_capacity_checked_before_cost_table(monkeypatch):
+    def refuse(q):
+        raise AssertionError("cost table built past the qubit cap")
+
+    monkeypatch.setattr(gasmld.gas, "evaluate_all_costs", refuse)
+    # 25 key qubits leave fewer than the 2 value qubits the automatic m needs
+    q = QuboProblem(Q=np.zeros((25, 25)), c=np.zeros(25), offset=0.0)
+    for engine in ENGINES:
+        with pytest.raises(CapacityError, match="26-qubit cap"):
+            run_gas(q, GasConfig(m=None, seed=0, engine=engine))
+    with pytest.raises(CapacityError, match="26-qubit cap"):
+        run_gas(toy_problem(), GasConfig(m=26, seed=0))
 
 
 def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
@@ -316,6 +328,26 @@ def test_warm_start_length_checked():
         run_gas(toy_problem(), GasConfig(m=None, seed=0, warm_start=np.array([0, 1])))
 
 
+def test_search_reads_costs_off_its_table(monkeypatch):
+    # every cost the search compares is a table entry, never a second evaluation
+    calls = []
+
+    def counted(q, bits):
+        calls.append(bits)
+        return evaluate_cost(q, bits)
+
+    for module in (gasmld.qubo, gasmld.gas):
+        monkeypatch.setattr(module, "evaluate_cost", counted, raising=False)
+    q = random_integer_qubo(np.random.default_rng(14))
+    for m in (None, 8):
+        for engine in ENGINES:
+            for encoding in ENCODINGS:
+                for warm_start in (None, np.array([1, 0, 1])):
+                    run_gas(q, GasConfig(m=m, seed=0, engine=engine, encoding=encoding,
+                                         warm_start=warm_start))
+    assert calls == []
+
+
 def test_one_cost_table_per_search(monkeypatch):
     calls = []
 
@@ -334,12 +366,13 @@ def test_one_cost_table_per_search(monkeypatch):
 
 
 def _outcome(q, cfg):
-    """A search's trace, picks and query count, or the type of error it raised."""
+    """A search's trace, picks, query count and best cost, or the type of error
+    it raised."""
     try:
         res = run_gas(q, cfg)
     except ValueError as exc:
         return type(exc)
-    return res.threshold_trace, res.best_bits.tolist(), res.oracle_queries
+    return res.threshold_trace, res.best_bits.tolist(), res.oracle_queries, res.best_cost
 
 
 @settings(max_examples=50, deadline=None)
@@ -361,3 +394,7 @@ def test_engine_twin_property_real(n, problem_seed, m, seed):
     q = random_real_qubo(np.random.default_rng(problem_seed), n)
     sv, an = (_outcome(q, GasConfig(m=m, seed=seed, engine=engine)) for engine in ENGINES)
     assert sv == an
+    # the best cost is the table entry of the best bits, and their cost
+    _, bits, _, best_cost = sv
+    assert best_cost == evaluate_all_costs(q)[int(np.dot(bits, 1 << np.arange(n)))]
+    assert abs(best_cost - evaluate_cost(q, bits)) <= 1e-9

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasmld.channel import circulant_matrix, demodulate, modulate
 from gasmld.circuits import bit_patterns
@@ -60,16 +62,21 @@ def test_binary_transform_example():
     assert evaluate_cost(q, [0]) == pytest.approx(16.0)
 
 
-def test_chain_consistency_exhaustive():
-    # E(b) equals the residual of the mapped symbol vector for every b
-    rng = np.random.default_rng(13)
-    for N in (1, 2, 4, 6, 8, 10):
-        inst = random_instance(N, rng, taps=min(N, 3))
-        q = mld_to_qubo(inst)
-        costs = evaluate_all_costs(q)
-        for v, bits in enumerate(bit_patterns(N)):
-            residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
-            assert abs(costs[v] - residual) < 1e-9
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_chain_consistency_exhaustive(N, taps, magnitude, seed):
+    # every cost-table entry E(b) equals the residual of the mapped symbol
+    # vector, on random complex circulant channels; the search takes every
+    # cost it compares from this table
+    rng = np.random.default_rng(seed)
+    taps = min(taps, N)
+    h = magnitude * (rng.normal(size=taps) + 1j * rng.normal(size=taps))
+    y = magnitude * (rng.normal(size=N) + 1j * rng.normal(size=N))
+    inst = MldInstance(H=circulant_matrix(h, N), y=y, sigma2=0.5)
+    costs = evaluate_all_costs(mld_to_qubo(inst))
+    for v, bits in enumerate(bit_patterns(N)):
+        residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
+        assert abs(costs[v] - residual) <= 1e-9 * max(1.0, residual)
 
 
 def test_brute_force_min_matches_direct_search():
