@@ -1,8 +1,11 @@
 """Block detectors: exhaustive search, frequency-domain equalizer, hybrid.
 
 All detectors consume an MldInstance and emit a DetectionReport whose cost
-is the achieved squared residual of the hard decision.  The hybrid keeps
-the equalizer decision as the search incumbent, so it can match but never
+is the achieved squared residual of the hard decision.  The exhaustive
+search and the equalizer are written for a stack of instances
+(``mld_decisions``, ``mmse_soft``), which is how a sweep runs them; the
+one-instance detectors are the stack of one.  The hybrid keeps the
+equalizer decision as the search incumbent, so it can match but never
 trail the equalizer on any single instance.
 """
 
@@ -45,38 +48,54 @@ def _report(inst: MldInstance, x: np.ndarray, method: str, queries: int) -> Dete
     )
 
 
-def mld_detect(inst: MldInstance) -> DetectionReport:
-    """Exhaustive minimum-distance search over every bipolar vector.
+def mld_decisions(H: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exhaustive minimum-distance bits for a stack of instances.
 
-    Ties break toward the lowest bit-pattern integer: strict less-than
-    updates over an ascending enumeration.
+    ``H`` is (T, N, N) and ``y`` is (T, N); row t of the (T, N) result holds
+    the bits of the pattern that minimises ||y_t - H_t x||^2 over every
+    bipolar x.  Ties break toward the lowest bit-pattern integer: a row-wise
+    argmin over ascending patterns, kept only on a strict improvement.  No
+    cost array holds more than ``_CHUNK`` entries.
     """
-    N = inst.N
+    T, N = y.shape
     if N > BRUTE_FORCE_MAX_N:
         raise CapacityError(f"exhaustive search over {N} bits exceeds the cap")
-    G = np.real(inst.H.conj().T @ inst.H)
-    v = np.real(inst.H.conj().T @ inst.y)
-    base = float(np.sum(np.abs(inst.y) ** 2))
-    best_cost = np.inf
-    best_index = -1
+    HH = np.conj(np.swapaxes(H, -1, -2))
+    G = np.real(HH @ H)
+    v = np.real(HH @ y[..., None])[..., 0]
+    base = np.sum(np.abs(y) ** 2, axis=-1)
     total = 1 << N
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        bits = bit_patterns(N, start, stop).astype(float)
-        X = 2.0 * bits - 1.0
-        costs = base - 2.0 * (X @ v) + np.einsum("ki,ij,kj->k", X, G, X)
-        local = int(np.argmin(costs))
-        if costs[local] < best_cost:
-            best_cost = float(costs[local])
-            best_index = start + local
-    x = modulate(bit_patterns(N, best_index, best_index + 1)[0])
-    return _report(inst, x, "MLD", 0)
+    width = min(total, _CHUNK)
+    rows = _CHUNK // width  # trials per cost array
+    best_cost = np.full(T, np.inf)
+    best_index = np.zeros(T, dtype=np.int64)
+    for start in range(0, total, width):
+        X = 2.0 * bit_patterns(N, start, start + width).astype(float) - 1.0
+        for lo in range(0, T, rows):
+            t = slice(lo, lo + rows)
+            costs = (base[t, None] - 2.0 * (X @ v[t, :, None])[..., 0]
+                     + np.einsum("ki,tij,kj->tk", X, G[t], X))
+            local = np.argmin(costs, axis=1)
+            cost = costs[np.arange(local.size), local]
+            better = cost < best_cost[t]
+            best_cost[t] = np.where(better, cost, best_cost[t])
+            best_index[t] = np.where(better, start + local, best_index[t])
+    return ((best_index[:, None] >> np.arange(N)) & 1).astype(np.int8)
 
 
-def mmse_filter(inst: MldInstance) -> np.ndarray:
-    """Per-bin taps conj(lam)/(|lam|^2 + sigma^2); zero bins stay zero."""
-    lam = np.fft.fft(inst.H[:, 0])
-    denom = np.abs(lam) ** 2 + inst.sigma2
+def mld_detect(inst: MldInstance) -> DetectionReport:
+    """Exhaustive search on one instance: ``mld_decisions`` of a stack of one."""
+    bits = mld_decisions(inst.H[None], inst.y[None])[0]
+    return _report(inst, modulate(bits), "MLD", 0)
+
+
+def mmse_taps(h: np.ndarray, sigma2) -> np.ndarray:
+    """Per-bin taps conj(lam)/(|lam|^2 + sigma^2) of the circulant channels
+    whose first columns are the rows of ``h`` (any leading shape, bins on the
+    last axis) at noise power ``sigma2``, a scalar or an array that
+    broadcasts against them; zero bins stay zero and warn once per call."""
+    lam = np.fft.fft(h, axis=-1)
+    denom = np.abs(lam) ** 2 + sigma2
     phi = np.zeros_like(lam)
     dead = denom == 0.0
     if np.any(dead):
@@ -85,9 +104,15 @@ def mmse_filter(inst: MldInstance) -> np.ndarray:
     return phi
 
 
+def mmse_soft(h: np.ndarray, y: np.ndarray, sigma2) -> np.ndarray:
+    """Soft equalized symbols IDFT(taps * DFT(y)), one FFT pair per call
+    along the last axis of the stacked first columns ``h`` and blocks ``y``."""
+    return np.fft.ifft(mmse_taps(h, sigma2) * np.fft.fft(y, axis=-1), axis=-1)
+
+
 def mmse_equalize(inst: MldInstance) -> np.ndarray:
-    """Soft equalized symbols: IDFT(filter * DFT(y))."""
-    return np.fft.ifft(mmse_filter(inst) * np.fft.fft(inst.y))
+    """Soft equalized symbols of one instance."""
+    return mmse_soft(inst.H[:, 0], inst.y, inst.sigma2)
 
 
 def mmse_detect(inst: MldInstance) -> DetectionReport:

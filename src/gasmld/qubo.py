@@ -41,9 +41,9 @@ class MldInstance:
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be non-negative")
         # circulant check is exact: row i is row 0 rolled right by i
-        for i in range(1, N):
-            if not np.array_equal(self.H[i], np.roll(self.H[0], i)):
-                raise ValueError("H is not circulant")
+        lag = (np.arange(N) - np.arange(N)[:, None]) % N
+        if not np.array_equal(self.H, self.H[0][lag]):
+            raise ValueError("H is not circulant")
 
     @property
     def N(self) -> int:

@@ -3,8 +3,10 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import gasmld.bench
 from conftest import child_env
 from gasmld.bench import (
+    BLOCK_TRIALS,
     BerRecord,
     ConfigError,
     SweepConfig,
@@ -25,7 +28,7 @@ from gasmld.bench import (
     trial_instance,
 )
 from gasmld.cli import main
-from gasmld.detect import METHODS
+from gasmld.detect import METHODS, mld_detect, mmse_detect
 from gasmld.gas import ENCODINGS, ENGINES, GasConfig
 from gasmld.qcore import MAX_QUBITS
 from gasmld.qubo import BRUTE_FORCE_MAX_N
@@ -79,6 +82,90 @@ def test_sweep_records_and_query_accounting():
         assert 0.0 <= rec.ber <= 1.0
         assert rec.trials == 10
         assert rec.bit_errors == round(rec.ber * rec.trials * cfg.N)
+
+
+def test_block_boundaries_keep_each_column(monkeypatch):
+    # three blocks per point, the last one partial: every trial's instance is
+    # built once, and each detector's row is the row it gets when swept alone
+    cfg = small_config(detectors=["MLD", "MMSE", "GAS_warm"], trials_per_point=2 * BLOCK_TRIALS + 7,
+                       R_list=[4], master_seed=21)
+    built = []
+
+    def counted(cfg, snr_idx, r_idx, trial, channel_factory=None):
+        built.append(trial)
+        return trial_instance(cfg, snr_idx, r_idx, trial, channel_factory)
+
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    monkeypatch.setattr(gasmld.bench, "trial_instance", counted)
+    together = {r.detector: r for r in run_sweep(cfg)}
+    assert built == list(range(cfg.trials_per_point))
+    for det in cfg.detectors:
+        (alone,) = run_sweep(small_config(detectors=[det], trials_per_point=cfg.trials_per_point,
+                                          R_list=[4], master_seed=21))
+        assert together[det] == alone
+    # and the batched columns count every trial once, as the one-instance detectors do
+    for det, detect in (("MLD", mld_detect), ("MMSE", mmse_detect)):
+        errors = 0
+        for trial in range(cfg.trials_per_point):
+            inst, bits = trial_instance(cfg, 0, 0, trial)
+            errors += int(np.sum(detect(inst).bits_hat != bits))
+        assert together[det].bit_errors == errors
+
+
+def test_identity_channel_bookkeeping():
+    # on H = I every detector decides by the sign of Re(y), so a shared
+    # instance gives every column the same errors, summed over two blocks
+    cfg = small_config(detectors=["MLD", "MMSE", "GAS_warm"], trials_per_point=BLOCK_TRIALS + 3,
+                       snr_db_list=[0.0, 60.0])
+    records = run_sweep(cfg, channel_factory=identity_channel)
+    assert len(records) == 6
+    for snr in cfg.snr_db_list:
+        row = [r for r in records if r.snr_db == snr]
+        assert {r.bit_errors for r in row} == {row[0].bit_errors}
+        assert all(r.trials == cfg.trials_per_point for r in row)
+    assert records[0].bit_errors > 0 and records[-1].bit_errors == 0
+
+
+@contextmanager
+def worker_cap(value: str):
+    saved = os.environ.get("GASMLD_THREADS")
+    os.environ["GASMLD_THREADS"] = value
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["GASMLD_THREADS"]
+        else:
+            os.environ["GASMLD_THREADS"] = saved
+
+
+@st.composite
+def small_sweeps(draw):
+    detectors = draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True))
+    searches = {"GAS_random", "GAS_warm"} & set(detectors)
+    return small_config(
+        snr_db_list=draw(st.lists(st.sampled_from([-5.0, 0.0, 5.0]), min_size=1, max_size=2)),
+        detectors=detectors,
+        # two points at least, so that two workers both get a job
+        R_list=draw(st.lists(st.sampled_from([0, 4, 8]), min_size=2, max_size=2, unique=True)),
+        N=draw(st.integers(3, 4)),
+        # only the classical detectors are cheap enough to cross a block edge
+        trials_per_point=draw(st.integers(1, 12 if searches else BLOCK_TRIALS + 40)),
+        master_seed=draw(st.integers(0, 1 << 32)),
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_sweeps())
+def test_csv_independent_of_worker_count(tmp_path_factory, cfg):
+    out = tmp_path_factory.mktemp("workers")
+    blobs = []
+    for threads in ("1", "2"):
+        path = out / f"{threads}.csv"
+        with worker_cap(threads):
+            emit_csv(run_sweep(cfg), str(path))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_awgn_ber_matches_closed_form():
@@ -194,7 +281,7 @@ def sweep_configs(draw):
     integer encoding comes only with detector lists that run no search, and
     N and m stay within the caps of the detectors listed."""
     small = st.integers(1, 50)
-    detectors = draw(st.lists(st.sampled_from(METHODS), min_size=1))
+    detectors = draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True))
     searches = {"GAS_random", "GAS_warm"} & set(detectors)
     # MLD and the searches enumerate all 2^N keys; a search also holds N + m qubits
     N = draw(st.integers(1, BRUTE_FORCE_MAX_N if searches or "MLD" in detectors else 150))
@@ -272,6 +359,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["sweep", *flags, "--detector", "MMSE", "--ris", "0", "--trials", "1",
                      "--out", str(bad)]) == 1
         assert "config error: " in capsys.readouterr().err
+    assert main(["sweep", "--detector", "MLD,MLD", "--ris", "0", "--trials", "5",
+                 "--out", str(bad)]) == 1
+    assert "config error: detector listed twice" in capsys.readouterr().err
     for text in ("l_bi = 0\n", "gas.encoding = integer\ndetectors = GAS_warm\n",
                  "n = 30\ndetectors = MLD\n", "n = 10\ndetectors = GAS_warm\ngas.m = 20\n"):
         cfg_file = tmp_path / "bad.cfg"
@@ -317,6 +407,8 @@ def test_sweep_config_validation():
         small_config(N=2).validate()  # L_bi + L_iu - 1 = 3
     with pytest.raises(ConfigError):
         small_config(output_path="").validate()
+    with pytest.raises(ConfigError, match="listed twice"):
+        small_config(detectors=["MLD", "MMSE", "MLD"]).validate()
     for snr in (math.nan, -math.inf):
         with pytest.raises(ConfigError):
             small_config(snr_db_list=[0.0, snr]).validate()

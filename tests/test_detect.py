@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import gasmld.detect
 from gasmld.channel import (
     block_from_bits,
     circulant_matrix,
+    demodulate,
     generate_channel,
     snr_db_to_sigma2,
     transmit,
@@ -16,10 +18,12 @@ from gasmld.detect import (
     DetectionReport,
     gas_detect,
     hybrid_detect,
+    mld_decisions,
     mld_detect,
     mmse_detect,
     mmse_equalize,
-    mmse_filter,
+    mmse_soft,
+    mmse_taps,
     residual_cost,
 )
 from gasmld.gas import GasConfig
@@ -73,9 +77,75 @@ def test_mld_capacity():
         mld_detect(inst)
 
 
+def _stack(instances):
+    H = np.array([inst.H for inst in instances])
+    y = np.array([inst.y for inst in instances])
+    return H, y
+
+
+def test_batched_decisions_match_single_instance():
+    rng = np.random.default_rng(11)
+    instances = [random_instance(rng, snr_db=rng.uniform(-5, 10))[0] for _ in range(200)]
+    mld = np.array([mld_detect(inst).bits_hat for inst in instances])
+    mmse = np.array([mmse_detect(inst).bits_hat for inst in instances])
+    H, y = _stack(instances)
+    sigma2 = np.array([inst.sigma2 for inst in instances])[:, None]
+    for block in (1, 7, 200):
+        for lo in range(0, len(instances), block):
+            t = slice(lo, lo + block)
+            assert np.array_equal(mld_decisions(H[t], y[t]), mld[t])
+            assert np.array_equal(demodulate(mmse_soft(H[t, :, 0], y[t], sigma2[t])), mmse[t])
+
+
+def test_batched_mld_chunking(monkeypatch):
+    # cost arrays capped at 2 or 4 entries split both the patterns and the
+    # trials; the decisions must not move
+    rng = np.random.default_rng(12)
+    H, y = _stack([random_instance(rng, N=3)[0] for _ in range(30)])
+    ref = mld_decisions(H, y)
+    for cap in (2, 4):
+        monkeypatch.setattr(gasmld.detect, "_CHUNK", cap)
+        assert np.array_equal(mld_decisions(H, y), ref)
+
+
+def test_batched_mld_tie_goes_to_lowest_index(monkeypatch):
+    # y = 0 on h = [1, -1]: x = (-1, -1) and (+1, +1) both cost 0, and the
+    # lowest pattern 0 must win, in a batch and across pattern chunks
+    rng = np.random.default_rng(13)
+    tie = MldInstance(H=circulant_matrix(np.array([1.0 + 0j, -1.0]), 2),
+                      y=np.zeros(2, dtype=complex), sigma2=0.1)
+    other = random_instance(rng, N=2, R=1, L_bi=1, L_iu=1)[0]
+    H, y = _stack([other, tie, tie])
+    for cap in (gasmld.detect._CHUNK, 2):
+        monkeypatch.setattr(gasmld.detect, "_CHUNK", cap)
+        bits = mld_decisions(H, y)
+        assert np.array_equal(bits[1:], [[0, 0], [0, 0]])
+        assert np.array_equal(bits[0], mld_detect(other).bits_hat)
+    assert np.array_equal(mld_detect(tie).bits_hat, [0, 0])
+
+
+def test_batched_mmse_dead_bin_warns():
+    rng = np.random.default_rng(14)
+    dead = MldInstance(H=circulant_matrix(np.array([1.0 + 0j, -1.0]), 2),
+                       y=np.array([0.5 + 0j, -0.5]), sigma2=0.0)
+    block = [MldInstance(H=inst.H, y=inst.y, sigma2=0.0)
+             for inst, _ in (random_instance(rng, N=2, R=1, L_bi=1, L_iu=1) for _ in range(4))]
+    block.insert(2, dead)
+    H, y = _stack(block)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        soft = mmse_soft(H[:, :, 0], y, 0.0)
+    assert len(caught) == 1
+    assert np.all(np.isfinite(soft))
+    for row, inst in zip(soft, block):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.array_equal(row, mmse_equalize(inst))
+
+
 def test_mmse_scalar_tap():
     inst = MldInstance(H=np.array([[2.0 + 0j]]), y=np.array([1.0 + 0j]), sigma2=1.0)
-    assert mmse_filter(inst)[0] == pytest.approx(0.4)
+    assert mmse_taps(inst.H[:, 0], inst.sigma2)[0] == pytest.approx(0.4)
 
 
 def test_mmse_identity_noiseless_equals_mld():
@@ -84,7 +154,7 @@ def test_mmse_identity_noiseless_equals_mld():
     bits = rng.integers(0, 2, size=4)
     y = transmit(block_from_bits(bits), H, 0.0, rng)
     inst = MldInstance(H=H, y=y, sigma2=0.0)
-    assert np.allclose(mmse_filter(inst), 1.0)
+    assert np.allclose(mmse_taps(inst.H[:, 0], inst.sigma2), 1.0)
     rep = mmse_detect(inst)
     assert np.array_equal(rep.bits_hat, mld_detect(inst).bits_hat)
 
@@ -95,7 +165,7 @@ def test_mmse_dead_bin_flagged():
     inst = MldInstance(H=H, y=np.array([0.5 + 0j, -0.5]), sigma2=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        phi = mmse_filter(inst)
+        phi = mmse_taps(inst.H[:, 0], inst.sigma2)
     assert len(caught) == 1
     assert phi[0] == 0.0
     assert np.all(np.isfinite(mmse_equalize(inst)))
