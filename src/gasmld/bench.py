@@ -184,7 +184,9 @@ def _worker_count(jobs: int) -> int:
     try:
         cap = int(env) if env else (os.cpu_count() or 1)
     except ValueError:
-        raise ConfigError(f"GASMLD_THREADS must be an integer, got {env!r}") from None
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"GASMLD_THREADS must be a positive integer, got {env!r}")
     return max(1, min(cap, jobs))
 
 

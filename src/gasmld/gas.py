@@ -33,7 +33,9 @@ the best key are decoded once, at return.  Per threshold both engines read
 the same shifted table a_b = scale (E(b) - threshold), checked once against
 the integer encoding, and a one-slot cache holds the latest threshold's
 preparation: the statevector engine's A|0>, the analytic engine's w_good,
-w_bad, p0.
+w_bad, p0.  Beside it the cache keeps the key distribution of each rotation
+count already drawn at that threshold, so a search evolves each
+(threshold, L) pair once however many rounds draw it.
 """
 
 from dataclasses import dataclass, field
@@ -148,20 +150,35 @@ class _Engine:
     """One search's setup and the threshold cache both engines share: a
     subclass supplies ``_prepare(shifted)``, run once per threshold on the
     shifted cost table, and ``_evolve(prepared, L)``, the key distribution
-    after L rotations."""
+    after L rotations.
+
+    The cache holds one threshold's preparation and, per rotation count L
+    drawn at that threshold, the distribution ``_evolve`` returned, read-only:
+    a later round with the same (threshold, L) reads the same array, so every
+    draw, and hence every trace, is what re-evaluating it would give.  Both
+    are dropped when the threshold falls.  At most stall_rounds rounds run at
+    one threshold and L < k <= sqrt(2^n), so the memo holds at most
+    min(stall_rounds, max_rounds, floor(2^(n/2))) float64 arrays of 2^n
+    entries: two 8-entry arrays at n = 3, and at n = 10 with the default
+    caps fifteen, 120 KiB."""
 
     def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
         self._costs = costs  # the search's cost table, indexed by key
         self._m = m
         self._encoding = encoding
         self._scale = scale
-        self._cache = None  # (threshold, prepared): the threshold only ever falls
+        # (threshold, prepared, {L: key distribution}): the threshold only ever falls
+        self._cache = None
 
     def key_distribution(self, threshold: float, L: int) -> np.ndarray:
         if self._cache is None or self._cache[0] != threshold:
             self._cache = None  # release the old preparation before building the next
-            self._cache = (threshold, self._prepare(self._shifted(threshold)))
-        return self._evolve(self._cache[1], L)
+            self._cache = (threshold, self._prepare(self._shifted(threshold)), {})
+        _, prepared, evolved = self._cache
+        if L not in evolved:
+            evolved[L] = self._evolve(prepared, L)
+            evolved[L].flags.writeable = False  # shared by every later round with this L
+        return evolved[L]
 
     def _shifted(self, threshold: float) -> np.ndarray:
         """a_b = scale (E(b) - threshold) for every key.  The integer encoding

@@ -369,12 +369,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["sweep", "--config", str(cfg_file), "--out", str(bad)]) == 1
         assert "config error: " in capsys.readouterr().err
     assert not bad.exists()
-    monkeypatch.setenv("GASMLD_THREADS", "two")
     out = tmp_path / "threads.csv"
-    assert main(["sweep", "--snr", "0,1", "--detector", "MMSE", "--ris", "0",
-                 "--trials", "1", "--out", str(out)]) == 1
-    assert "config error: GASMLD_THREADS" in capsys.readouterr().err
-    assert not out.exists()
+    for threads in ("two", "0", "-3"):
+        monkeypatch.setenv("GASMLD_THREADS", threads)
+        assert main(["sweep", "--snr", "0,1", "--detector", "MMSE", "--ris", "0",
+                     "--trials", "1", "--out", str(out)]) == 1
+        assert "config error: GASMLD_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_subprocess_determinism(tmp_path):

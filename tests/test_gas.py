@@ -13,6 +13,7 @@ from gasmld.gas import (
     ENGINES,
     GasConfig,
     _AnalyticEngine,
+    _Engine,
     _StatevectorEngine,
     cost_bounds,
     grow_k,
@@ -366,13 +367,14 @@ def test_one_cost_table_per_search(monkeypatch):
 
 
 def _outcome(q, cfg):
-    """A search's trace, picks, query count and best cost, or the type of error
-    it raised."""
+    """A search's trace, picks, query count, best cost, round count and stop
+    reason, or the type of error it raised."""
     try:
         res = run_gas(q, cfg)
     except ValueError as exc:
         return type(exc)
-    return res.threshold_trace, res.best_bits.tolist(), res.oracle_queries, res.best_cost
+    return (res.threshold_trace, res.best_bits.tolist(), res.oracle_queries, res.best_cost,
+            res.rounds, res.stop_reason)
 
 
 @settings(max_examples=50, deadline=None)
@@ -395,6 +397,87 @@ def test_engine_twin_property_real(n, problem_seed, m, seed):
     sv, an = (_outcome(q, GasConfig(m=m, seed=seed, engine=engine)) for engine in ENGINES)
     assert sv == an
     # the best cost is the table entry of the best bits, and their cost
-    _, bits, _, best_cost = sv
+    _, bits, _, best_cost, *_ = sv
     assert best_cost == evaluate_all_costs(q)[int(np.dot(bits, 1 << np.arange(n)))]
     assert abs(best_cost - evaluate_cost(q, bits)) <= 1e-9
+
+
+def _evolve_every_round(self, threshold, L):
+    """``key_distribution`` without the threshold cache or the memo: every
+    round prepares and evolves afresh."""
+    return self._evolve(self._prepare(self._shifted(threshold)), L)
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
+    # span 1 keeps the automatic m, and so the N = 10 statevector, small
+    q = random_integer_qubo(np.random.default_rng(30 + n), n=n, span=1)
+    for seed in range(3):
+        warm_start = np.arange(n) % 2 if seed == 2 else None
+        cfg = GasConfig(m=None, seed=seed, encoding=encoding, engine=engine, warm_start=warm_start)
+        memoized = _outcome(q, cfg)
+        assert isinstance(memoized, tuple)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Engine, "key_distribution", _evolve_every_round)
+            assert _outcome(q, cfg) == memoized
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from([6, 8]),
+       st.sampled_from(ENGINES), st.integers(0, 2**32 - 1))
+def test_memo_changes_no_search_property(n, problem_seed, m, engine, seed):
+    # the engine-twin draw: real-valued costs, where up to n = 5 L >= 2 is drawn
+    q = random_real_qubo(np.random.default_rng(problem_seed), n)
+    cfg = GasConfig(m=m, seed=seed, engine=engine)
+    memoized = _outcome(q, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Engine, "key_distribution", _evolve_every_round)
+        assert _outcome(q, cfg) == memoized
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("n, growth_factor", [(3, 8.0 / 7.0), (10, 4.0)])
+def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, growth_factor):
+    draws, evolutions, memo_sizes = [], [], []
+
+    def recorded_draw(k, rng):
+        draws.append(sample_rotation_count(k, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(gasmld.gas, "sample_rotation_count", recorded_draw)
+    for cls in (_StatevectorEngine, _AnalyticEngine):
+        def counted(self, prepared, L, evolve=cls._evolve):
+            evolutions.append(L)
+            return evolve(self, prepared, L)
+
+        monkeypatch.setattr(cls, "_evolve", counted)
+
+    memoized = _Engine.key_distribution
+
+    def checked(self, threshold, L):
+        previous = self._cache
+        dist = memoized(self, threshold, L)
+        cached_threshold, _, by_rotation = self._cache
+        assert cached_threshold == threshold and by_rotation[L] is dist
+        with pytest.raises(ValueError):
+            dist[0] = 0.0  # no caller can corrupt the memo
+        if previous is not None and previous[0] != threshold:
+            assert list(by_rotation) == [L]  # a new threshold starts an empty memo
+        memo_sizes.append(len(by_rotation))
+        return dist
+
+    monkeypatch.setattr(_Engine, "key_distribution", checked)
+    q = random_real_qubo(np.random.default_rng(40 + n), n)
+    cfg = GasConfig(m=6, seed=3, engine=engine, growth_factor=growth_factor)
+    res = run_gas(q, cfg)
+    # round r runs at the threshold the trace holds after round r - 1
+    pairs = set(zip((y for _, y in res.threshold_trace[:-1]), draws))
+    assert len(draws) == res.rounds
+    assert len(evolutions) == len(pairs)
+    assert max(memo_sizes) <= min(cfg.stall_rounds, int(np.floor(2 ** (n / 2))))
+    if n == 3:
+        assert len(evolutions) < res.rounds
+    else:
+        assert max(memo_sizes) > 7  # past the L <= 6 that growth 8/7 reaches in 15 rounds
