@@ -12,7 +12,7 @@ import numpy as np
 
 from gasmld.channel import block_from_bits, circulant_matrix, transmit
 from gasmld.circuits import GasCircuitSpec, apply_state_preparation
-from gasmld.gas import required_value_qubits
+from gasmld.gas import cost_bounds, required_value_qubits
 from gasmld.qcore import zero_state
 from gasmld.qubo import MldInstance, QuboProblem, evaluate_all_costs, mld_to_qubo
 
@@ -33,7 +33,7 @@ def integer_example():
     )
     costs = evaluate_all_costs(q)
     y = float(costs[0])
-    m = required_value_qubits(q, encoding="integer")
+    m = required_value_qubits(q.n, cost_bounds(costs), "integer")
     spec = GasCircuitSpec(q.n, m, costs - y)
     cond = value_rows(spec)
     print(f"integer case: m = {m} value qubits, threshold y = {y:g}")
@@ -52,7 +52,7 @@ def real_example():
     inst = MldInstance(H=H, y=y, sigma2=0.2)
     q = mld_to_qubo(inst)
     costs = evaluate_all_costs(q)
-    m = required_value_qubits(q, encoding="real_direct")
+    m = required_value_qubits(q.n, cost_bounds(costs), "real_direct")
     spread = costs.max() - costs.min()
     scale = 2.0 ** (m - 2) / spread
     spec = GasCircuitSpec(q.n, m, scale * (costs - costs.min()))

@@ -62,6 +62,11 @@ class SweepConfig:
             raise ConfigError(f"detector listed twice in {self.detectors}")
         if any(math.isnan(s) or s == -math.inf for s in self.snr_db_list):
             raise ConfigError("SNR points must be numbers or inf (noiseless), not nan or -inf")
+        # 0 and -0.0 are one point: a set keeps numerically equal values once
+        if len(set(self.snr_db_list)) < len(self.snr_db_list):
+            raise ConfigError(f"SNR point listed twice in {self.snr_db_list}")
+        if len(set(self.R_list)) < len(self.R_list):
+            raise ConfigError(f"RIS element count listed twice in {self.R_list}")
         if self.master_seed < 0:
             raise ConfigError("seed must be non-negative")
         searches = bool({"GAS_random", "GAS_warm"} & set(self.detectors))
@@ -281,23 +286,26 @@ def _parse_list(raw: str, conv):
     return [conv(s) for s in items]
 
 
-# key -> (field, converter); "gas." keys set fields of the GasConfig
+# key -> (field, parser, formatter whose text the parser reads back exactly);
+# "gas." keys set fields of the GasConfig
 _KEYS = {
-    "snr_db": ("snr_db_list", lambda v: _parse_list(v, float)),
-    "detectors": ("detectors", lambda v: _parse_list(v, str)),
-    "ris": ("R_list", lambda v: _parse_list(v, int)),
-    "n": ("N", int),
-    "l_bi": ("L_bi", int),
-    "l_iu": ("L_iu", int),
-    "trials": ("trials_per_point", int),
-    "seed": ("master_seed", int),
-    "out": ("output_path", str),
-    "gas.m": ("m", lambda v: None if v == "auto" else int(v)),
-    "gas.lambda": ("growth_factor", float),
-    "gas.max_rounds": ("max_rounds", int),
-    "gas.stall_rounds": ("stall_rounds", int),
-    "gas.encoding": ("encoding", str),
-    "gas.engine": ("engine", str),
+    "snr_db": ("snr_db_list", lambda v: _parse_list(v, float),
+               lambda v: ",".join(repr(float(s)) for s in v)),
+    "detectors": ("detectors", lambda v: _parse_list(v, str), ",".join),
+    "ris": ("R_list", lambda v: _parse_list(v, int), lambda v: ",".join(str(int(r)) for r in v)),
+    "n": ("N", int, str),
+    "l_bi": ("L_bi", int, str),
+    "l_iu": ("L_iu", int, str),
+    "trials": ("trials_per_point", int, str),
+    "seed": ("master_seed", int, str),
+    "out": ("output_path", str, str),
+    "gas.m": ("m", lambda v: None if v == "auto" else int(v),
+              lambda v: "auto" if v is None else str(v)),
+    "gas.lambda": ("growth_factor", float, repr),
+    "gas.max_rounds": ("max_rounds", int, str),
+    "gas.stall_rounds": ("stall_rounds", int, str),
+    "gas.encoding": ("encoding", str, str),
+    "gas.engine": ("engine", str, str),
 }
 
 
@@ -309,7 +317,7 @@ def apply_settings(base: SweepConfig, settings) -> SweepConfig:
     for where, key, value in settings:
         if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        name, conv = _KEYS[key]
+        name, conv, _ = _KEYS[key]
         try:
             setattr(gas if key.startswith("gas.") else cfg, name, conv(value))
         except ValueError as exc:
@@ -336,22 +344,9 @@ def parse_config(text: str, base: SweepConfig | None = None) -> SweepConfig:
 
 
 def format_config(cfg: SweepConfig) -> str:
-    """Inverse of parse_config; floats via repr so round-trips are exact."""
-    lines = [
-        "snr_db = " + ",".join(repr(float(v)) for v in cfg.snr_db_list),
-        "detectors = " + ",".join(cfg.detectors),
-        "ris = " + ",".join(str(int(v)) for v in cfg.R_list),
-        f"n = {cfg.N}",
-        f"l_bi = {cfg.L_bi}",
-        f"l_iu = {cfg.L_iu}",
-        f"trials = {cfg.trials_per_point}",
-        f"seed = {cfg.master_seed}",
-        f"out = {cfg.output_path}",
-        "gas.m = " + ("auto" if cfg.gas.m is None else str(cfg.gas.m)),
-        f"gas.lambda = {cfg.gas.growth_factor!r}",
-        f"gas.max_rounds = {cfg.gas.max_rounds}",
-        f"gas.stall_rounds = {cfg.gas.stall_rounds}",
-        f"gas.encoding = {cfg.gas.encoding}",
-        f"gas.engine = {cfg.gas.engine}",
-    ]
+    """Inverse of parse_config: every key of the grammar, in ``_KEYS`` order."""
+    lines = []
+    for key, (name, _, fmt) in _KEYS.items():
+        owner = cfg.gas if key.startswith("gas.") else cfg
+        lines.append(f"{key} = {fmt(getattr(owner, name))}")
     return "\n".join(lines) + "\n"

@@ -29,13 +29,6 @@ _EXP_SPLIT = 64  # width of the smaller table in _exp_tables
 _MASS_CHUNK = 64  # keys per contraction in fejer_upper_mass: bounds its temporaries
 
 
-def bit_patterns(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """(stop - start, n) array of bit vectors; row k holds the bits of the
-    integer start + k.  The default range covers all 2^n patterns."""
-    values = np.arange(start, (1 << n) if stop is None else stop)
-    return ((values[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-
-
 @dataclass
 class GasCircuitSpec:
     """Geometry of one search circuit: n key qubits, m value qubits, and

@@ -4,9 +4,10 @@ All detectors consume an MldInstance and emit a DetectionReport whose cost
 is the achieved squared residual of the hard decision.  The exhaustive
 search and the equalizer are written for a stack of instances
 (``mld_decisions``, ``mmse_soft``), which is how a sweep runs them; the
-one-instance detectors are the stack of one.  The hybrid keeps the
-equalizer decision as the search incumbent, so it can match but never
-trail the equalizer on any single instance.
+one-instance detectors are the stack of one.  The exhaustive search is an
+argmin over ``qubo``'s costs, the ones a search's table holds.  The hybrid
+keeps the equalizer decision as the search incumbent, so it can match but
+never trail the equalizer on any single instance.
 """
 
 import warnings
@@ -15,13 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import demodulate, modulate
-from .circuits import bit_patterns
 from .gas import GasConfig, run_gas
-from .qcore import CapacityError
-from .qubo import BRUTE_FORCE_MAX_N, MldInstance, mld_to_qubo
+from .qubo import MldInstance, bits_of, cost_chunks, mld_to_qubo, qubo_terms
 
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
-_CHUNK = 1 << 16
 
 
 @dataclass
@@ -52,35 +50,20 @@ def mld_decisions(H: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exhaustive minimum-distance bits for a stack of instances.
 
     ``H`` is (T, N, N) and ``y`` is (T, N); row t of the (T, N) result holds
-    the bits of the pattern that minimises ||y_t - H_t x||^2 over every
-    bipolar x.  Ties break toward the lowest bit-pattern integer: a row-wise
-    argmin over ascending patterns, kept only on a strict improvement.  No
-    cost array holds more than ``_CHUNK`` entries.
+    the bits of the pattern whose QUBO cost, ||y_t - H_t x||^2, is least.
+    Ties break toward the lowest bit-pattern integer: a row-wise argmin over
+    ``qubo.cost_chunks``, whose patterns ascend, kept only on a strict
+    improvement.
     """
-    T, N = y.shape
-    if N > BRUTE_FORCE_MAX_N:
-        raise CapacityError(f"exhaustive search over {N} bits exceeds the cap")
-    HH = np.conj(np.swapaxes(H, -1, -2))
-    G = np.real(HH @ H)
-    v = np.real(HH @ y[..., None])[..., 0]
-    base = np.sum(np.abs(y) ** 2, axis=-1)
-    total = 1 << N
-    width = min(total, _CHUNK)
-    rows = _CHUNK // width  # trials per cost array
-    best_cost = np.full(T, np.inf)
-    best_index = np.zeros(T, dtype=np.int64)
-    for start in range(0, total, width):
-        X = 2.0 * bit_patterns(N, start, start + width).astype(float) - 1.0
-        for lo in range(0, T, rows):
-            t = slice(lo, lo + rows)
-            costs = (base[t, None] - 2.0 * (X @ v[t, :, None])[..., 0]
-                     + np.einsum("ki,tij,kj->tk", X, G[t], X))
-            local = np.argmin(costs, axis=1)
-            cost = costs[np.arange(local.size), local]
-            better = cost < best_cost[t]
-            best_cost[t] = np.where(better, cost, best_cost[t])
-            best_index[t] = np.where(better, start + local, best_index[t])
-    return ((best_index[:, None] >> np.arange(N)) & 1).astype(np.int8)
+    best_cost = np.full(y.shape[0], np.inf)
+    best_index = np.zeros(y.shape[0], dtype=np.int64)
+    for rows, start, costs in cost_chunks(*qubo_terms(H, y)):
+        local = np.argmin(costs, axis=1)
+        cost = costs[np.arange(local.size), local]
+        better = cost < best_cost[rows]
+        best_cost[rows] = np.where(better, cost, best_cost[rows])
+        best_index[rows] = np.where(better, start + local, best_index[rows])
+    return bits_of(best_index, y.shape[-1])
 
 
 def mld_detect(inst: MldInstance) -> DetectionReport:

@@ -42,10 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import GasCircuitSpec, bit_patterns, fejer_upper_mass
-from .circuits import apply_state_preparation, grover_power
+from .circuits import GasCircuitSpec, apply_state_preparation, fejer_upper_mass, grover_power
 from .qcore import CapacityError, MAX_QUBITS, register_distribution, sample_index, zero_state
-from .qubo import QuboProblem, evaluate_all_costs
+from .qubo import QuboProblem, bits_of, evaluate_all_costs
 
 ENCODINGS = ("integer", "real_direct")
 ENGINES = ("statevector", "analytic")
@@ -115,35 +114,32 @@ def grow_k(k: float, growth_factor: float, n: int) -> float:
     return min(growth_factor * k, float(np.sqrt(2.0 ** n)))
 
 
-def cost_bounds(q: QuboProblem, costs: np.ndarray | None = None) -> tuple[float, float]:
+def cost_bounds(costs: np.ndarray) -> tuple[float, float]:
     """Exact lower/upper bounds on the cost: the least and greatest entry of
-    the cost table, ``costs`` when the caller already has it."""
-    if costs is None:
-        costs = evaluate_all_costs(q)
+    the cost table."""
     return float(costs.min()), float(costs.max())
 
 
-def required_value_qubits(q: QuboProblem, encoding: str = "integer",
-                          bounds: tuple[float, float] | None = None) -> int:
-    """Smallest value register that cannot alias any shifted cost.
+def required_value_qubits(n: int, bounds: tuple[float, float], encoding: str) -> int:
+    """Smallest value register that cannot alias any shifted cost of an
+    n-bit problem whose ``cost_bounds`` are ``bounds``.
 
     Thresholds are always attained costs, so the worst shift spans
     [lo - hi, hi - lo].  Integer encoding needs the exact span strictly
     inside the signed window; real encoding reserves a factor-2 margin so
     spectral side lobes stay clear of the sign boundary.  The search stops
-    at the qubits the engine cap leaves beside the n key qubits.  ``bounds``
-    is ``cost_bounds(q)`` when the caller already has it.
+    at the qubits the engine cap leaves beside the n key qubits.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
-    lo, hi = bounds if bounds is not None else cost_bounds(q)
+    lo, hi = bounds
     spread = hi - lo
     # half the window, 2^{m-1}, must hold spread + 1 (integer) or 2 * spread (real)
     need = spread + 1.0 if encoding == "integer" else 2.0 * spread
-    for m in range(2, MAX_QUBITS - q.n + 1):
+    for m in range(2, MAX_QUBITS - n + 1):
         if (1 << (m - 1)) >= need:
             return m
-    raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - q.n} value qubits")
+    raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - n} value qubits")
 
 
 class _Engine:
@@ -257,8 +253,8 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
     # the one cost table of this search: bounds, auto m, scale, engine input
     # and every cost the search compares
     costs = evaluate_all_costs(q)
-    lo, hi = cost_bounds(q, costs)
-    m = cfg.m if cfg.m is not None else required_value_qubits(q, cfg.encoding, (lo, hi))
+    lo, hi = cost_bounds(costs)
+    m = cfg.m if cfg.m is not None else required_value_qubits(n, (lo, hi), cfg.encoding)
     # integer mode encodes costs verbatim; real mode stretches the worst-case
     # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
     scale = 1.0
@@ -295,7 +291,7 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = No
         trace.append((rounds, threshold))
 
     return GasResult(
-        best_bits=bit_patterns(n, best, best + 1)[0],
+        best_bits=bits_of(best, n),
         best_cost=threshold,
         rounds=rounds,
         oracle_queries=queries,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gasmld import qcore
-from gasmld.circuits import GasCircuitSpec, bit_patterns
-from gasmld.qubo import QuboProblem, evaluate_all_costs
+from gasmld.circuits import GasCircuitSpec
+from gasmld.qubo import QuboProblem, bits_of, evaluate_all_costs
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -88,7 +88,7 @@ class PhasePolynomial:
 
     def evaluate_all(self) -> np.ndarray:
         """Values over every bit pattern, indexed by sum_i b_i 2^i."""
-        patterns = bit_patterns(self.n)
+        patterns = bits_of(np.arange(1 << self.n), self.n)
         return (
             np.einsum("ki,ij,kj->k", patterns, self.quadratic, patterns)
             + patterns @ self.linear

@@ -29,7 +29,7 @@ from gasmld.detect import (
     mmse_equalize,
     residual_cost,
 )
-from gasmld.gas import GasConfig, required_value_qubits, run_gas
+from gasmld.gas import GasConfig, cost_bounds, required_value_qubits, run_gas
 from gasmld.qcore import hadamard_all, zero_state
 from gasmld.qubo import (
     MldInstance,
@@ -143,7 +143,7 @@ def test_a02_integer_cost_readout():
         q = _random_integer_qubo(rng, n)
         costs = evaluate_all_costs(q)
         y = float(costs[rng.integers(0, costs.size)])
-        m = required_value_qubits(q, encoding="integer")
+        m = required_value_qubits(n, cost_bounds(costs), "integer")
         spec = GasCircuitSpec(n, m, costs - y)
         for state in (apply_state_preparation(zero_state(n + m), spec),
                       state_preparation_gates(zero_state(n + m), shifted_cost_polynomial(q, y), m)):

@@ -144,7 +144,8 @@ def small_sweeps(draw):
     detectors = draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True))
     searches = {"GAS_random", "GAS_warm"} & set(detectors)
     return small_config(
-        snr_db_list=draw(st.lists(st.sampled_from([-5.0, 0.0, 5.0]), min_size=1, max_size=2)),
+        snr_db_list=draw(st.lists(st.sampled_from([-5.0, 0.0, 5.0]), min_size=1, max_size=2,
+                                  unique=True)),
         detectors=detectors,
         # two points at least, so that two workers both get a job
         R_list=draw(st.lists(st.sampled_from([0, 4, 8]), min_size=2, max_size=2, unique=True)),
@@ -296,9 +297,10 @@ def sweep_configs(draw):
         engine=draw(st.sampled_from(ENGINES)),
     )
     return SweepConfig(
-        snr_db_list=draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)),
+        snr_db_list=draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                                  unique=True)),
         detectors=detectors,
-        R_list=draw(st.lists(st.integers(0, 1 << 40), min_size=1)),
+        R_list=draw(st.lists(st.integers(0, 1 << 40), min_size=1, unique=True)),
         N=N,
         L_bi=L_bi,
         L_iu=L_iu,
@@ -362,6 +364,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--detector", "MLD,MLD", "--ris", "0", "--trials", "5",
                  "--out", str(bad)]) == 1
     assert "config error: detector listed twice" in capsys.readouterr().err
+    for flags, what in ((["--snr", "0,0", "--ris", "4,4"], "SNR point"),
+                        (["--snr", "0,-0.0", "--ris", "4"], "SNR point"),
+                        (["--snr", "0", "--ris", "4,0,4"], "RIS element count")):
+        assert main(["sweep", *flags, "--detector", "MLD", "--trials", "50",
+                     "--out", str(bad)]) == 1
+        assert f"config error: {what} listed twice" in capsys.readouterr().err
     for text in ("l_bi = 0\n", "gas.encoding = integer\ndetectors = GAS_warm\n",
                  "n = 30\ndetectors = MLD\n", "n = 10\ndetectors = GAS_warm\ngas.m = 20\n"):
         cfg_file = tmp_path / "bad.cfg"
@@ -410,6 +418,12 @@ def test_sweep_config_validation():
         small_config(output_path="").validate()
     with pytest.raises(ConfigError, match="listed twice"):
         small_config(detectors=["MLD", "MMSE", "MLD"]).validate()
+    # numerically equal SNR points and repeated R values name one point twice
+    for snr in ([0.0, 0.0], [0.0, -0.0], [5.0, math.inf, 5]):
+        with pytest.raises(ConfigError, match="SNR point listed twice"):
+            small_config(snr_db_list=snr).validate()
+    with pytest.raises(ConfigError, match="RIS element count listed twice"):
+        small_config(R_list=[4, 0, 4]).validate()
     for snr in (math.nan, -math.inf):
         with pytest.raises(ConfigError):
             small_config(snr_db_list=[0.0, snr]).validate()

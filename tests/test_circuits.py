@@ -8,12 +8,12 @@ from gasmld.circuits import (
     GasCircuitSpec,
     apply_state_preparation,
     apply_state_preparation_inverse,
-    bit_patterns,
     fejer_distribution,
     fejer_upper_mass,
     grover_power,
 )
 from gasmld.qcore import HADAMARD, zero_state
+from gasmld.qubo import bits_of
 
 from oracles import (
     PAULI_X,
@@ -76,7 +76,7 @@ def test_phase_polynomial_matches_shifted_cost():
     lin = rng.normal(size=n)
     const = rng.normal()
     values = PhasePolynomial(const, lin, quad).evaluate_all()
-    for v, bits in enumerate(bit_patterns(n)):
+    for v, bits in enumerate(bits_of(np.arange(1 << n), n)):
         direct = bits @ quad @ bits + lin @ bits + const
         assert abs(values[v] - direct) < 1e-12
 

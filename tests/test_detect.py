@@ -1,16 +1,18 @@
 """Detector checks: optimality, equalizer algebra, hybrid guarantees."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-import gasmld.detect
+import gasmld.qubo
 from gasmld.channel import (
     block_from_bits,
     circulant_matrix,
     demodulate,
     generate_channel,
+    modulate,
     snr_db_to_sigma2,
     transmit,
 )
@@ -28,7 +30,7 @@ from gasmld.detect import (
 )
 from gasmld.gas import GasConfig
 from gasmld.qcore import CapacityError
-from gasmld.qubo import MldInstance, mld_to_qubo
+from gasmld.qubo import MldInstance, bits_of, mld_to_qubo
 
 from oracles import brute_force_min
 
@@ -104,7 +106,7 @@ def test_batched_mld_chunking(monkeypatch):
     H, y = _stack([random_instance(rng, N=3)[0] for _ in range(30)])
     ref = mld_decisions(H, y)
     for cap in (2, 4):
-        monkeypatch.setattr(gasmld.detect, "_CHUNK", cap)
+        monkeypatch.setattr(gasmld.qubo, "_CHUNK", cap)
         assert np.array_equal(mld_decisions(H, y), ref)
 
 
@@ -116,12 +118,41 @@ def test_batched_mld_tie_goes_to_lowest_index(monkeypatch):
                       y=np.zeros(2, dtype=complex), sigma2=0.1)
     other = random_instance(rng, N=2, R=1, L_bi=1, L_iu=1)[0]
     H, y = _stack([other, tie, tie])
-    for cap in (gasmld.detect._CHUNK, 2):
-        monkeypatch.setattr(gasmld.detect, "_CHUNK", cap)
+    for cap in (gasmld.qubo._CHUNK, 2):
+        monkeypatch.setattr(gasmld.qubo, "_CHUNK", cap)
         bits = mld_decisions(H, y)
         assert np.array_equal(bits[1:], [[0, 0], [0, 0]])
         assert np.array_equal(bits[0], mld_detect(other).bits_hat)
     assert np.array_equal(mld_detect(tie).bits_hat, [0, 0])
+
+
+def test_mld_decisions_minimise_direct_residual(monkeypatch):
+    # an oracle apart from the QUBO: the least residual ||y - H modulate(b)||^2
+    # over symbol vectors enumerated with itertools; each row of a stacked
+    # decision must reach it, whatever the block and the chunk bound
+    rng = np.random.default_rng(15)
+
+    def residual(inst, bits):
+        return float(np.sum(np.abs(inst.y - inst.H @ modulate(bits)) ** 2))
+
+    for N in (3, 4):
+        instances = [random_instance(rng, N=N, snr_db=rng.uniform(-5, 10))[0] for _ in range(200)]
+        least = [min(residual(inst, b) for b in itertools.product((0, 1), repeat=N))
+                 for inst in instances]
+        H, y = _stack(instances)
+        for cap in (gasmld.qubo._CHUNK, 2, 4):
+            monkeypatch.setattr(gasmld.qubo, "_CHUNK", cap)
+            for block in (1, 7, 200):
+                for lo in range(0, len(instances), block):
+                    t = slice(lo, lo + block)
+                    for inst, bits, best in zip(instances[t], mld_decisions(H[t], y[t]), least[t]):
+                        assert residual(inst, bits) <= best + 1e-9 * max(1.0, best)
+    # the index codec: bits_of(v, n) is the n-bit expansion of v, LSB first
+    for n in range(1, 25):
+        v = np.concatenate(([0, (1 << n) - 1], rng.integers(0, 1 << n, size=50)))
+        bits = bits_of(v, n)
+        assert bits.shape == (v.size, n) and np.all((bits == 0) | (bits == 1))
+        assert np.array_equal(bits @ (1 << np.arange(n)), v)
 
 
 def test_batched_mmse_dead_bin_warns():
@@ -168,7 +199,9 @@ def test_mmse_dead_bin_flagged():
         phi = mmse_taps(inst.H[:, 0], inst.sigma2)
     assert len(caught) == 1
     assert phi[0] == 0.0
-    assert np.all(np.isfinite(mmse_equalize(inst)))
+    with pytest.warns(UserWarning, match="zero-energy frequency bin"):
+        soft = mmse_equalize(inst)
+    assert np.all(np.isfinite(soft))
 
 
 def test_mmse_matches_time_domain_form():

@@ -78,30 +78,27 @@ def test_growth_schedule():
 
 def test_required_value_qubits_integer():
     # costs {0, 3}: shifted range [-3, 3] sits strictly inside [-4, 4)
-    q = QuboProblem(Q=np.zeros((1, 1)), c=np.array([3.0]), offset=0.0)
-    assert required_value_qubits(q) == 3
-    assert required_value_qubits(toy_problem()) == 5  # spread 12 needs 2^{m-1} >= 13
+    assert required_value_qubits(1, (0.0, 3.0), "integer") == 3
+    toy = cost_bounds(evaluate_all_costs(toy_problem()))
+    assert required_value_qubits(1, toy, "integer") == 5  # spread 12 needs 2^{m-1} >= 13
     # spread 1e9 needs 31 (integer) or 32 (real) value qubits: past the cap beside 3 keys
-    wide = QuboProblem(Q=np.zeros((3, 3)), c=np.array([1e9, 0.0, 0.0]), offset=0.0)
     for encoding in ("integer", "real_direct"):
         with pytest.raises(CapacityError):
-            required_value_qubits(wide, encoding=encoding)
+            required_value_qubits(3, (0.0, 1e9), encoding)
+    with pytest.raises(ValueError, match="unknown encoding"):
+        required_value_qubits(1, (0.0, 3.0), "bcd")
 
 
 def test_required_value_qubits_degenerate_and_real():
-    flat = QuboProblem(Q=np.zeros((1, 1)), c=np.zeros(1), offset=7.0)
-    assert required_value_qubits(flat) == 2
-    q = QuboProblem(Q=np.zeros((1, 1)), c=np.array([3.9]), offset=0.0)
-    assert required_value_qubits(q, encoding="real_direct") == 4
+    assert required_value_qubits(1, (7.0, 7.0), "integer") == 2
+    assert required_value_qubits(1, (0.0, 3.9), "real_direct") == 4
 
 
 def test_cost_bounds_exact():
-    q = toy_problem()
-    assert cost_bounds(q) == (4.0, 16.0)
+    assert cost_bounds(evaluate_all_costs(toy_problem())) == (4.0, 16.0)
     n = 20  # exact at every n the table reaches: E(b) = 5 - popcount(b)
     q = QuboProblem(Q=np.zeros((n, n)), c=-np.ones(n), offset=5.0)
-    assert cost_bounds(q) == (-15.0, 5.0)
-    assert cost_bounds(q, evaluate_all_costs(q)) == (-15.0, 5.0)
+    assert cost_bounds(evaluate_all_costs(q)) == (-15.0, 5.0)
 
 
 def test_toy_trace():

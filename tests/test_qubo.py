@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasmld.channel import circulant_matrix, demodulate, modulate
-from gasmld.circuits import bit_patterns
 from gasmld.qubo import (
     MldInstance,
     QuboProblem,
+    bits_of,
     evaluate_all_costs,
     evaluate_cost,
     mld_to_qubo,
@@ -47,7 +47,7 @@ def test_bipolar_matches_residual_exhaustively():
     rng = np.random.default_rng(7)
     inst = random_instance(3, rng)
     q = mld_to_qubo(inst)
-    for bits in bit_patterns(3):
+    for bits in bits_of(np.arange(8), 3):
         residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
         assert evaluate_cost(q, bits) == pytest.approx(residual, abs=1e-9)
 
@@ -74,7 +74,7 @@ def test_chain_consistency_exhaustive(N, taps, magnitude, seed):
     y = magnitude * (rng.normal(size=N) + 1j * rng.normal(size=N))
     inst = MldInstance(H=circulant_matrix(h, N), y=y, sigma2=0.5)
     costs = evaluate_all_costs(mld_to_qubo(inst))
-    for v, bits in enumerate(bit_patterns(N)):
+    for v, bits in enumerate(bits_of(np.arange(1 << N), N)):
         residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
         assert abs(costs[v] - residual) <= 1e-9 * max(1.0, residual)
 
@@ -88,7 +88,7 @@ def test_brute_force_min_matches_direct_search():
             bits, cost = brute_force_min(q)
             # independent route: enumerate symbol vectors directly
             best = min(
-                (float(np.linalg.norm(inst.y - inst.H @ modulate(b)) ** 2) for b in bit_patterns(N)),
+                (float(np.linalg.norm(inst.y - inst.H @ modulate(b)) ** 2) for b in bits_of(np.arange(1 << N), N)),
             )
             assert cost == pytest.approx(best, abs=1e-9)
             assert evaluate_cost(q, bits) == pytest.approx(cost, abs=1e-12)
