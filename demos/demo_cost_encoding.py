@@ -46,10 +46,9 @@ def integer_example():
 def real_example():
     rng = np.random.default_rng(3)
     h = (rng.normal(size=2) + 1j * rng.normal(size=2)) / np.sqrt(2)
-    H = circulant_matrix(h, 2)
     bits = np.array([1, 0])
-    y = transmit(block_from_bits(bits), H, 0.2, rng)
-    inst = MldInstance(H=H, y=y, sigma2=0.2)
+    y = transmit(block_from_bits(bits), circulant_matrix(h, 2), 0.2, rng)
+    inst = MldInstance(h=h, y=y, sigma2=0.2)
     q = mld_to_qubo(inst)
     costs = evaluate_all_costs(q)
     m = required_value_qubits(q.n, cost_bounds(costs), "real_direct")

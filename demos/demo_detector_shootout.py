@@ -21,11 +21,10 @@ def main():
     rng = np.random.default_rng(17)
     N, snr_db = 3, 2.0
     ch = generate_channel(R=4, L_bi=2, L_iu=2, rng=rng)
-    H = circulant_matrix(ch.h_eff, N)
     bits = rng.integers(0, 2, size=N)
     sigma2 = snr_db_to_sigma2(snr_db)
-    y = transmit(block_from_bits(bits), H, sigma2, rng)
-    inst = MldInstance(H=H, y=y, sigma2=sigma2)
+    y = transmit(block_from_bits(bits), circulant_matrix(ch.h_eff, N), sigma2, rng)
+    inst = MldInstance(h=ch.h_eff, y=y, sigma2=sigma2)
     print(f"true bits: {bits}, SNR {snr_db:g} dB, R = 4 surface elements")
     print(f"effective channel taps: {np.round(ch.h_eff, 3)}\n")
 

@@ -9,7 +9,6 @@ index in METHODS appended, so adding or reordering detectors in a config
 never perturbs any other column.
 """
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -60,8 +59,9 @@ class SweepConfig:
                 raise ConfigError(f"unknown detector {det!r}; choose from {METHODS}")
         if len(set(self.detectors)) < len(self.detectors):
             raise ConfigError(f"detector listed twice in {self.detectors}")
-        if any(math.isnan(s) or s == -math.inf for s in self.snr_db_list):
-            raise ConfigError("SNR points must be numbers or inf (noiseless), not nan or -inf")
+        # sigma2 = 10^(-snr/10) stays at most 1e300, where every cost is finite
+        if any(not s >= -3000.0 for s in self.snr_db_list):
+            raise ConfigError("SNR points must be at least -3000 dB or inf (noiseless)")
         # 0 and -0.0 are one point: a set keeps numerically equal values once
         if len(set(self.snr_db_list)) < len(self.snr_db_list):
             raise ConfigError(f"SNR point listed twice in {self.snr_db_list}")
@@ -107,22 +107,22 @@ class BerRecord:
 
 
 def default_channel(rng: np.random.Generator, R: int, L_bi: int, L_iu: int, N: int) -> np.ndarray:
-    ch = generate_channel(R=R, L_bi=L_bi, L_iu=L_iu, rng=rng)
-    return circulant_matrix(ch.h_eff, N)
+    return generate_channel(R=R, L_bi=L_bi, L_iu=L_iu, rng=rng).h_eff
 
 
 def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int,
                    channel_factory=None):
-    """The (instance, true bits) pair a given trial presents to every detector."""
+    """The (instance, true bits) pair a given trial presents to every detector;
+    ``channel_factory(rng, R, L_bi, L_iu, N)`` returns its response, at most N taps."""
     factory = channel_factory or default_channel
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
     )
-    H = factory(rng, cfg.R_list[r_idx], cfg.L_bi, cfg.L_iu, cfg.N)
+    h = factory(rng, cfg.R_list[r_idx], cfg.L_bi, cfg.L_iu, cfg.N)
     bits = rng.integers(0, 2, size=cfg.N)
     sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])
-    y = transmit(block_from_bits(bits), H, sigma2, rng)
-    return MldInstance(H=H, y=y, sigma2=sigma2), bits
+    y = transmit(block_from_bits(bits), circulant_matrix(h, cfg.N), sigma2, rng)
+    return MldInstance(h=h, y=y, sigma2=sigma2), bits
 
 
 def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detector: str):
@@ -148,19 +148,16 @@ def _run_block(job) -> list[tuple[int, int]]:
     size, N = stop - start, cfg.N
     truth = np.empty((size, N), dtype=np.int8)
     y = np.empty((size, N), dtype=complex)
-    h = np.empty((size, N), dtype=complex)  # first columns, all that MMSE needs
-    H = np.empty((size, N, N), dtype=complex) if "MLD" in tallies else None  # N <= 24
+    h = np.empty((size, N), dtype=complex)
     for row, trial in enumerate(range(start, stop)):
         inst, bits = trial_instance(cfg, snr_idx, r_idx, trial, channel_factory)
-        truth[row], y[row], h[row] = bits, inst.y, inst.H[:, 0]
-        if H is not None:
-            H[row] = inst.H
+        truth[row], y[row], h[row] = bits, inst.y, inst.h
         for det, search in searches:
             rep = search(inst, cfg.gas, detector_rng(cfg, snr_idx, r_idx, trial, det))
             tallies[det][0] += int(np.sum(rep.bits_hat != bits))
             tallies[det][1] += rep.oracle_queries
-    if H is not None:
-        tallies["MLD"][0] = int(np.sum(mld_decisions(H, y) != truth))
+    if "MLD" in tallies:  # N <= 24
+        tallies["MLD"][0] = int(np.sum(mld_decisions(circulant_matrix(h, N), y) != truth))
     if "MMSE" in tallies:
         soft = mmse_soft(h, y, snr_db_to_sigma2(cfg.snr_db_list[snr_idx]))
         tallies["MMSE"][0] = int(np.sum(demodulate(soft) != truth))

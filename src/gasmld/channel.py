@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,20 +110,31 @@ def generate_channel(R: int, L_bi: int, L_iu: int, rng: np.random.Generator) -> 
     return RisChannel(R=R, h_bi=h_bi, h_iu=h_iu, phases=phases, h_eff=h_eff)
 
 
-def circulant_matrix(h_eff, N: int) -> np.ndarray:
-    """Circulant channel matrix whose first column is h_eff zero-padded to N.
+def first_column(h, N: int) -> np.ndarray:
+    """Each response on the last axis of ``h`` zero-padded to N taps, a
+    circulant's first column; N must cover the delay spread."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim == 0 or h.shape[-1] == 0:
+        raise ValueError("h must hold at least one tap")
+    if N < h.shape[-1]:
+        raise ValueError(f"block length {N} shorter than the {h.shape[-1]}-tap response")
+    padded = np.zeros(h.shape[:-1] + (N,), dtype=complex)
+    padded[..., : h.shape[-1]] = h
+    return padded
 
-    Requires N >= len(h_eff): the cyclic prefix must cover the delay spread.
-    """
-    h = np.asarray(h_eff, dtype=complex)
-    if h.ndim != 1 or h.size == 0:
-        raise ValueError("h_eff must be a non-empty vector")
-    if N < h.shape[0]:
-        raise ValueError(f"block length {N} shorter than the {h.shape[0]}-tap response")
-    padded = np.zeros(N, dtype=complex)
-    padded[: h.shape[0]] = h
+
+@lru_cache(maxsize=None)
+def _lag(N: int) -> np.ndarray:
+    """(i - j) mod N at row i, column j, read-only: shared by every size-N circulant."""
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    return padded[idx]
+    idx.flags.writeable = False
+    return idx
+
+
+def circulant_matrix(h, N: int) -> np.ndarray:
+    """The (..., N, N) circulant channels whose first columns are the (..., L)
+    responses ``h`` zero-padded to N (``first_column``)."""
+    return first_column(h, N)[..., _lag(N)]
 
 
 def transmit(x: np.ndarray, H: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:

@@ -55,15 +55,6 @@ class GasCircuitSpec:
     def key_register(self) -> list[int]:
         return list(range(self.n))
 
-    @property
-    def value_register(self) -> list[int]:
-        return list(range(self.n, self.n + self.m))
-
-    @property
-    def sign_qubit(self) -> int:
-        # MSB of the value register, the two's-complement sign bit
-        return self.n + self.m - 1
-
 
 def _value_table(state: Statevector, spec: GasCircuitSpec) -> np.ndarray:
     """The amplitudes as a (2^m, 2^n) view: index = key + 2^n * value."""

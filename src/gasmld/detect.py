@@ -5,7 +5,7 @@ is the achieved squared residual of the hard decision.  The exhaustive
 search and the equalizer are written for a stack of instances
 (``mld_decisions``, ``mmse_soft``), which is how a sweep runs them; the
 one-instance detectors are the stack of one.  The exhaustive search is an
-argmin over ``qubo``'s costs, the ones a search's table holds.  The hybrid
+argmin over ``qubo``'s costs, a search's table but for a few ulps.  The hybrid
 keeps the equalizer decision as the search incumbent, so it can match but
 never trail the equalizer on any single instance.
 """
@@ -95,7 +95,7 @@ def mmse_soft(h: np.ndarray, y: np.ndarray, sigma2) -> np.ndarray:
 
 def mmse_equalize(inst: MldInstance) -> np.ndarray:
     """Soft equalized symbols of one instance."""
-    return mmse_soft(inst.H[:, 0], inst.y, inst.sigma2)
+    return mmse_soft(inst.h, inst.y, inst.sigma2)
 
 
 def mmse_detect(inst: MldInstance) -> DetectionReport:

@@ -64,11 +64,10 @@ def _random_mld_instance(rng, n_max=4):
     N = int(rng.integers(1, n_max + 1))
     L = int(rng.integers(1, N + 1))
     h = (rng.normal(size=L) + 1j * rng.normal(size=L)) / np.sqrt(2.0)
-    H = circulant_matrix(h, N)
     bits = rng.integers(0, 2, size=N)
     sigma2 = float(10.0 ** rng.uniform(-1.0, 1.0))
-    y = transmit(block_from_bits(bits), H, sigma2, rng)
-    return MldInstance(H=H, y=y, sigma2=sigma2), bits
+    y = transmit(block_from_bits(bits), circulant_matrix(h, N), sigma2, rng)
+    return MldInstance(h=h, y=y, sigma2=sigma2), bits
 
 
 # -- A01 ------------------------------------------------------------------
@@ -362,7 +361,7 @@ def test_a09_linear_equalizer_identity():
         H = circulant_matrix(h, N)
         sigma2 = float(10.0 ** rng.uniform(-1.3, 0.3))
         y = (rng.normal(size=N) + 1j * rng.normal(size=N)) / np.sqrt(2.0)
-        inst = MldInstance(H=H, y=y, sigma2=sigma2)
+        inst = MldInstance(h=h, y=y, sigma2=sigma2)
         ref = np.linalg.solve(
             H.conj().T @ H + sigma2 * np.eye(N), H.conj().T @ y
         )

@@ -28,14 +28,14 @@ from gasmld.bench import (
     trial_instance,
 )
 from gasmld.cli import main
-from gasmld.detect import METHODS, mld_detect, mmse_detect
+from gasmld.detect import METHODS, mld_decisions, mld_detect, mmse_detect
 from gasmld.gas import ENCODINGS, ENGINES, GasConfig
 from gasmld.qcore import MAX_QUBITS
 from gasmld.qubo import BRUTE_FORCE_MAX_N
 
 
 def identity_channel(rng, R, L_bi, L_iu, N):
-    return np.eye(N, dtype=complex)
+    return np.array([1.0 + 0j])
 
 
 def small_config(**kw):
@@ -56,7 +56,7 @@ def test_trial_instances_are_detector_independent():
     cfg = small_config(detectors=["MLD", "MMSE", "GAS_warm"])
     a, bits_a = trial_instance(cfg, 0, 0, 5)
     b, bits_b = trial_instance(cfg, 0, 0, 5)
-    assert np.array_equal(a.H, b.H)
+    assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(bits_a, bits_b)
     c, _ = trial_instance(cfg, 0, 0, 6)
@@ -110,6 +110,27 @@ def test_block_boundaries_keep_each_column(monkeypatch):
             inst, bits = trial_instance(cfg, 0, 0, trial)
             errors += int(np.sum(detect(inst).bits_hat != bits))
         assert together[det].bit_errors == errors
+
+
+def test_block_channels_are_each_trials_own(monkeypatch):
+    # the block's MLD pass sees each trial's own circulant H, built from the
+    # stacked responses in one call
+    cfg = small_config(detectors=["MLD", "MMSE"], R_list=[4], N=5, trials_per_point=9)
+    seen = []
+
+    def capture(H, y):
+        seen.append((H.copy(), y.copy()))
+        return mld_decisions(H, y)
+
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    monkeypatch.setattr(gasmld.bench, "mld_decisions", capture)
+    run_sweep(cfg)
+    ((H, y),) = seen
+    assert H.shape == (9, 5, 5)
+    for trial in range(9):
+        inst, _ = trial_instance(cfg, 0, 0, trial)
+        assert np.array_equal(H[trial], inst.H)
+        assert np.array_equal(y[trial], inst.y)
 
 
 def test_identity_channel_bookkeeping():
@@ -297,7 +318,7 @@ def sweep_configs(draw):
         engine=draw(st.sampled_from(ENGINES)),
     )
     return SweepConfig(
-        snr_db_list=draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+        snr_db_list=draw(st.lists(st.floats(-3000.0, allow_infinity=False), min_size=1,
                                   unique=True)),
         detectors=detectors,
         R_list=draw(st.lists(st.integers(0, 1 << 40), min_size=1, unique=True)),
@@ -357,10 +378,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["sweep", *flags, "--trials", "1"]) == 1
         assert "config error: " + flags[0] in capsys.readouterr().err
     bad = tmp_path / "never.csv"
-    for flags in (["--snr", "nan"], ["--snr=-inf"], ["--seed", "-1"]):
+    for flags in (["--snr", "nan"], ["--snr=-inf"], ["--snr=-4000"], ["--seed", "-1"]):
         assert main(["sweep", *flags, "--detector", "MMSE", "--ris", "0", "--trials", "1",
                      "--out", str(bad)]) == 1
         assert "config error: " in capsys.readouterr().err
+    assert main(["sweep", "--snr=-3080", "--detector", "MLD,MMSE,GAS_warm", "--ris", "0",
+                 "--trials", "2", "--out", str(bad)]) == 1
+    assert "config error: SNR points must be at least -3000 dB" in capsys.readouterr().err
     assert main(["sweep", "--detector", "MLD,MLD", "--ris", "0", "--trials", "5",
                  "--out", str(bad)]) == 1
     assert "config error: detector listed twice" in capsys.readouterr().err
@@ -424,10 +448,11 @@ def test_sweep_config_validation():
             small_config(snr_db_list=snr).validate()
     with pytest.raises(ConfigError, match="RIS element count listed twice"):
         small_config(R_list=[4, 0, 4]).validate()
-    for snr in (math.nan, -math.inf):
-        with pytest.raises(ConfigError):
+    # below -3000 dB sigma2 passes 1e300 and the costs overflow
+    for snr in (math.nan, -math.inf, -4000.0, -3080.0, -3000.5):
+        with pytest.raises(ConfigError, match="at least -3000 dB"):
             small_config(snr_db_list=[0.0, snr]).validate()
-    small_config(snr_db_list=[math.inf]).validate()  # noiseless stays valid
+    small_config(snr_db_list=[-3000.0, math.inf]).validate()  # noiseless stays valid
     with pytest.raises(ConfigError):
         small_config(master_seed=-1).validate()
     for taps in ({"L_bi": 0}, {"L_iu": 0}):

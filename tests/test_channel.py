@@ -9,6 +9,7 @@ from gasmld.channel import (
     RisChannel,
     block_from_bits,
     circulant_matrix,
+    first_column,
     demodulate,
     generate_channel,
     modulate,
@@ -114,8 +115,25 @@ def test_circulant_structure_example():
 
 
 def test_circulant_requires_enough_block_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shorter than the 4-tap response"):
         circulant_matrix(np.ones(4), 3)
+    with pytest.raises(ValueError, match="at least one tap"):
+        circulant_matrix(np.ones((2, 0)), 3)
+
+
+def test_circulant_of_a_stack():
+    # a (..., L) stack of responses gives the (..., N, N) stack of their circulants
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(2, 5, 3)) + 1j * rng.normal(size=(2, 5, 3))
+    H = circulant_matrix(h, 4)
+    assert H.shape == (2, 5, 4, 4)
+    for i, j in np.ndindex(2, 5):
+        assert np.array_equal(H[i, j], circulant_matrix(h[i, j], 4))
+    assert np.array_equal(first_column(h, 4)[..., 3], np.zeros((2, 5)))
+    # each call returns its own array: writing one leaves the next call intact
+    H[...] = 0
+    assert np.array_equal(circulant_matrix(h, 4)[1, 2], circulant_matrix(h[1, 2], 4))
+    assert circulant_matrix(h, 4)[0, 0, 0, 0] == h[0, 0, 0]
 
 
 def test_circulant_diagonalised_by_dft():

@@ -175,7 +175,7 @@ def test_oracle_flips_exactly_negative_branches():
     spec = spec_of(poly, 3)
     state = prepared(spec)
     before = state.amps.copy()
-    apply_oracle(state, spec.sign_qubit)
+    apply_oracle(state, spec.n + spec.m - 1)
     signs = state.amps / np.where(before == 0, 1.0, before)
     idx = np.arange(1 << spec.total_qubits)
     msb = (idx >> (spec.total_qubits - 1)) & 1
@@ -188,7 +188,7 @@ def test_oracle_identity_when_nothing_negative():
     spec = spec_of(poly_const(1.0), 3)
     state = prepared(spec)
     before = state.amps.copy()
-    apply_oracle(state, spec.sign_qubit)
+    apply_oracle(state, spec.n + spec.m - 1)
     assert np.allclose(state.amps, before, atol=1e-12)
 
 
@@ -325,7 +325,7 @@ def test_grover_iteration_matches_dense_composition():
         b, j = x & ((1 << n) - 1), x >> n
         phase_diag[x] = np.exp(2j * np.pi * j * values[b] / (1 << m))
     encode = np.diag(phase_diag)
-    iqft = embed_on_register(dense_qft(m).conj().T, spec.value_register, total)
+    iqft = embed_on_register(dense_qft(m).conj().T, list(range(spec.n, spec.n + spec.m)), total)
     a_dense = iqft @ encode @ h_all
 
     oracle_diag = np.ones(dim, dtype=complex)
@@ -446,6 +446,4 @@ def test_state_preparation_input_checks():
 def test_spec_register_layout():
     spec = spec_of(poly_const(0.0, n=2), 4)
     assert spec.key_register == [0, 1]
-    assert spec.value_register == [2, 3, 4, 5]
-    assert spec.sign_qubit == 5
     assert spec.total_qubits == 6

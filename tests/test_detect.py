@@ -30,22 +30,21 @@ from gasmld.detect import (
 )
 from gasmld.gas import GasConfig
 from gasmld.qcore import CapacityError
-from gasmld.qubo import MldInstance, bits_of, mld_to_qubo
+from gasmld.qubo import MldInstance, bits_of, evaluate_all_costs, mld_to_qubo, qubo_terms
 
 from oracles import brute_force_min
 
 
 def random_instance(rng, N=3, R=2, L_bi=2, L_iu=2, snr_db=4.0):
     ch = generate_channel(R=R, L_bi=L_bi, L_iu=L_iu, rng=rng)
-    H = circulant_matrix(ch.h_eff, N)
     bits = rng.integers(0, 2, size=N)
     sigma2 = snr_db_to_sigma2(snr_db)
-    y = transmit(block_from_bits(bits), H, sigma2, rng)
-    return MldInstance(H=H, y=y, sigma2=sigma2), bits
+    y = transmit(block_from_bits(bits), circulant_matrix(ch.h_eff, N), sigma2, rng)
+    return MldInstance(h=ch.h_eff, y=y, sigma2=sigma2), bits
 
 
 def test_mld_scalar_example():
-    inst = MldInstance(H=np.array([[1.0 + 0j]]), y=np.array([3.0 + 0j]), sigma2=1.0)
+    inst = MldInstance(h=[1.0 + 0j], y=[3.0 + 0j], sigma2=1.0)
     rep = mld_detect(inst)
     assert rep.x_hat[0] == 1.0 + 0j
     assert rep.cost == pytest.approx(4.0)
@@ -73,8 +72,7 @@ def test_mld_matches_qubo_brute_force():
 
 
 def test_mld_capacity():
-    H = np.eye(25, dtype=complex)
-    inst = MldInstance(H=H, y=np.zeros(25, dtype=complex), sigma2=1.0)
+    inst = MldInstance(h=[1.0], y=np.zeros(25, dtype=complex), sigma2=1.0)
     with pytest.raises(CapacityError):
         mld_detect(inst)
 
@@ -114,7 +112,7 @@ def test_batched_mld_tie_goes_to_lowest_index(monkeypatch):
     # y = 0 on h = [1, -1]: x = (-1, -1) and (+1, +1) both cost 0, and the
     # lowest pattern 0 must win, in a batch and across pattern chunks
     rng = np.random.default_rng(13)
-    tie = MldInstance(H=circulant_matrix(np.array([1.0 + 0j, -1.0]), 2),
+    tie = MldInstance(h=[1.0 + 0j, -1.0],
                       y=np.zeros(2, dtype=complex), sigma2=0.1)
     other = random_instance(rng, N=2, R=1, L_bi=1, L_iu=1)[0]
     H, y = _stack([other, tie, tie])
@@ -155,11 +153,40 @@ def test_mld_decisions_minimise_direct_residual(monkeypatch):
         assert np.array_equal(bits @ (1 << np.arange(n)), v)
 
 
+def test_stacked_terms_agree_with_each_instance():
+    # a stack's Q and c are each instance's own, bit for bit; its offset may
+    # round differently (matmul sums in another order), by a few ulps; and
+    # the stacked decisions are the argmins of each instance's own table
+    for N, seed in ((3, 31), (4, 32), (10, 33)):
+        rng = np.random.default_rng(seed)
+        instances = [random_instance(rng, N=N, R=4, snr_db=rng.uniform(-5, 10))[0]
+                     for _ in range(100)]
+        H, y = _stack(instances)
+        Q, c, offset = qubo_terms(H, y)
+        decisions = mld_decisions(H, y)
+        for t, inst in enumerate(instances):
+            q = mld_to_qubo(inst)
+            assert np.array_equal(Q[t], q.Q) and np.array_equal(c[t], q.c)
+            assert offset[t] == pytest.approx(q.offset, rel=1e-12, abs=0)
+            costs = evaluate_all_costs(q)
+            assert np.array_equal(decisions[t], bits_of(np.argmin(costs), N))
+
+
+def test_equalizer_reads_the_response():
+    # the instance's stored response is H's first column, so the equalizer
+    # gives what it gave when it read H[:, 0]
+    rng = np.random.default_rng(34)
+    for N in (3, 5, 8):
+        for _ in range(50):
+            inst, _ = random_instance(rng, N=N, snr_db=rng.uniform(-5, 10))
+            assert np.array_equal(mmse_equalize(inst), mmse_soft(inst.H[:, 0], inst.y, inst.sigma2))
+
+
 def test_batched_mmse_dead_bin_warns():
     rng = np.random.default_rng(14)
-    dead = MldInstance(H=circulant_matrix(np.array([1.0 + 0j, -1.0]), 2),
+    dead = MldInstance(h=[1.0 + 0j, -1.0],
                        y=np.array([0.5 + 0j, -0.5]), sigma2=0.0)
-    block = [MldInstance(H=inst.H, y=inst.y, sigma2=0.0)
+    block = [MldInstance(h=inst.h, y=inst.y, sigma2=0.0)
              for inst, _ in (random_instance(rng, N=2, R=1, L_bi=1, L_iu=1) for _ in range(4))]
     block.insert(2, dead)
     H, y = _stack(block)
@@ -175,28 +202,26 @@ def test_batched_mmse_dead_bin_warns():
 
 
 def test_mmse_scalar_tap():
-    inst = MldInstance(H=np.array([[2.0 + 0j]]), y=np.array([1.0 + 0j]), sigma2=1.0)
-    assert mmse_taps(inst.H[:, 0], inst.sigma2)[0] == pytest.approx(0.4)
+    inst = MldInstance(h=[2.0 + 0j], y=[1.0 + 0j], sigma2=1.0)
+    assert mmse_taps(inst.h, inst.sigma2)[0] == pytest.approx(0.4)
 
 
 def test_mmse_identity_noiseless_equals_mld():
     rng = np.random.default_rng(2)
-    H = np.eye(4, dtype=complex)
     bits = rng.integers(0, 2, size=4)
-    y = transmit(block_from_bits(bits), H, 0.0, rng)
-    inst = MldInstance(H=H, y=y, sigma2=0.0)
-    assert np.allclose(mmse_taps(inst.H[:, 0], inst.sigma2), 1.0)
+    y = transmit(block_from_bits(bits), np.eye(4, dtype=complex), 0.0, rng)
+    inst = MldInstance(h=[1.0], y=y, sigma2=0.0)
+    assert np.allclose(mmse_taps(inst.h, inst.sigma2), 1.0)
     rep = mmse_detect(inst)
     assert np.array_equal(rep.bits_hat, mld_detect(inst).bits_hat)
 
 
 def test_mmse_dead_bin_flagged():
     # h = [1, -1] on N=2 puts a spectral null at DC
-    H = circulant_matrix(np.array([1.0 + 0j, -1.0]), 2)
-    inst = MldInstance(H=H, y=np.array([0.5 + 0j, -0.5]), sigma2=0.0)
+    inst = MldInstance(h=[1.0 + 0j, -1.0], y=[0.5 + 0j, -0.5], sigma2=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        phi = mmse_taps(inst.H[:, 0], inst.sigma2)
+        phi = mmse_taps(inst.h, inst.sigma2)
     assert len(caught) == 1
     assert phi[0] == 0.0
     with pytest.warns(UserWarning, match="zero-energy frequency bin"):

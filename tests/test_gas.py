@@ -188,10 +188,9 @@ def test_engines_agree_real_direct():
     rng = np.random.default_rng(6)
     for seed in range(6):
         h = rng.normal(size=2) + 1j * rng.normal(size=2)
-        H = circulant_matrix(h, 3)
         x = 2.0 * rng.integers(0, 2, size=3) - 1.0
-        y = H @ x + 0.3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-        q = mld_to_qubo(MldInstance(H=H, y=y, sigma2=0.1))
+        y = circulant_matrix(h, 3) @ x + 0.3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        q = mld_to_qubo(MldInstance(h=h, y=y, sigma2=0.1))
         runs = []
         for engine in ("statevector", "analytic"):
             cfg = GasConfig(m=8, seed=seed, encoding="real_direct", engine=engine)

@@ -1,9 +1,12 @@
-"""The benchmark's hook points exist in the package.
+"""The benchmark's hook points and inputs exist in the package.
 
 ``perfbench/spans.py`` wraps every ``layer.attr`` of its ``WRAPPED`` list by
 name and reads the rotation count of ``circuits.grover_power`` from its
 third positional argument.  A rename or move that breaks either makes the
 traced benchmark fail with an AttributeError or a wrong count.
+``perfbench/workloads.py`` reaches the package only through the config text
+it writes and the CLI, so a removed config key or a broken default channel
+would fail every benchmark run as a config error.
 """
 
 import importlib
@@ -11,6 +14,7 @@ import inspect
 from pathlib import Path
 
 from gasmld import circuits
+from gasmld.bench import parse_config, trial_instance
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,3 +32,15 @@ def test_wrapped_functions_resolve(monkeypatch):
 def test_grover_power_takes_power_third():
     params = list(inspect.signature(circuits.grover_power).parameters)
     assert params[:3] == ["state", "spec", "power"]
+
+
+def test_workload_configs_parse_and_build(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert workloads.WORKLOADS
+    for name, w in workloads.WORKLOADS.items():
+        text = workloads.config_text(w, w.trials, workloads.DEFAULT_SEED, str(tmp_path / "w.csv"))
+        cfg = parse_config(text).validate()
+        assert cfg.N == w.n and cfg.detectors == list(w.detectors), name
+        inst, bits = trial_instance(cfg, 0, 0, 0)
+        assert inst.y.shape == bits.shape == (w.n,), name

@@ -1,10 +1,13 @@
 """Cost-conversion checks: residual -> QUBO, exhaustive cost table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasmld.qubo
 from gasmld.channel import circulant_matrix, demodulate, modulate
 from gasmld.qubo import (
     MldInstance,
@@ -21,20 +24,19 @@ from oracles import brute_force_min
 def random_instance(N, rng, taps=None):
     L = taps or N
     h = rng.normal(size=L) + 1j * rng.normal(size=L)
-    H = circulant_matrix(h, N)
     y = rng.normal(size=N) + 1j * rng.normal(size=N)
-    return MldInstance(H=H, y=y, sigma2=0.5)
+    return MldInstance(h=h, y=y, sigma2=0.5)
 
 
 def test_scalar_real_example():
     # |3 - x|^2 over the cost table: b = 0 (x = -1) costs 16, b = 1 (x = +1) costs 4
-    inst = MldInstance(H=np.array([[1.0]]), y=np.array([3.0]), sigma2=0.1)
+    inst = MldInstance(h=[1.0], y=[3.0], sigma2=0.1)
     assert np.allclose(evaluate_all_costs(mld_to_qubo(inst)), [16.0, 4.0])
 
 
 def test_scalar_complex_example():
     # |j - j x|^2: Re(H^H H) = 1, Re(H^H y) = 1, ||y||^2 = 1 over x
-    inst = MldInstance(H=np.array([[1j]]), y=np.array([1j]), sigma2=0.1)
+    inst = MldInstance(h=[1j], y=[1j], sigma2=0.1)
     q = mld_to_qubo(inst)
     assert np.allclose(q.Q, [[4.0]])
     assert np.allclose(q.c, [-8.0])
@@ -53,7 +55,7 @@ def test_bipolar_matches_residual_exhaustively():
 
 
 def test_binary_transform_example():
-    inst = MldInstance(H=np.array([[1.0]]), y=np.array([3.0]), sigma2=0.1)
+    inst = MldInstance(h=[1.0], y=[3.0], sigma2=0.1)
     q = mld_to_qubo(inst)
     assert np.allclose(q.Q, [[4.0]])
     assert np.allclose(q.c, [-16.0])
@@ -72,7 +74,7 @@ def test_chain_consistency_exhaustive(N, taps, magnitude, seed):
     taps = min(taps, N)
     h = magnitude * (rng.normal(size=taps) + 1j * rng.normal(size=taps))
     y = magnitude * (rng.normal(size=N) + 1j * rng.normal(size=N))
-    inst = MldInstance(H=circulant_matrix(h, N), y=y, sigma2=0.5)
+    inst = MldInstance(h=h, y=y, sigma2=0.5)
     costs = evaluate_all_costs(mld_to_qubo(inst))
     for v, bits in enumerate(bits_of(np.arange(1 << N), N)):
         residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
@@ -109,16 +111,42 @@ def test_brute_force_cap():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        MldInstance(H=np.array([[1.0, 2.0], [3.0, 4.0]]), y=np.zeros(2), sigma2=0.1)
-    with pytest.raises(ValueError):
-        MldInstance(H=np.eye(2), y=np.zeros(3), sigma2=0.1)
-    with pytest.raises(ValueError):
-        MldInstance(H=np.eye(2), y=np.zeros(2), sigma2=-1.0)
-    for H, y, sigma2 in [(np.eye(2), [np.nan, 0.0], 0.1), (np.full((2, 2), np.inf), np.zeros(2), 0.1),
-                         (np.eye(2), np.zeros(2), np.nan)]:
+    with pytest.raises(ValueError, match="shorter than the 3-tap response"):
+        MldInstance(h=np.ones(3), y=np.zeros(2), sigma2=0.1)
+    for h, y in ((np.eye(2), np.zeros(2)), ([1.0], np.zeros((2, 2))), (1.0, np.zeros(2))):
+        with pytest.raises(ValueError, match="must be vectors"):
+            MldInstance(h=h, y=y, sigma2=0.1)
+    with pytest.raises(ValueError, match="at least one tap"):
+        MldInstance(h=[], y=np.zeros(2), sigma2=0.1)
+    with pytest.raises(ValueError, match="non-negative"):
+        MldInstance(h=[1.0], y=np.zeros(2), sigma2=-1.0)
+    for h, y, sigma2 in [([1.0], [np.nan, 0.0], 0.1), ([np.inf, 0.0], np.zeros(2), 0.1),
+                         ([1.0, np.nan], np.zeros(2), 0.1), ([1.0], [0.0, np.inf], 0.1),
+                         ([1.0], np.zeros(2), np.nan)]:
         with pytest.raises(ValueError, match="must be finite"):
-            MldInstance(H=H, y=y, sigma2=sigma2)
+            MldInstance(h=h, y=y, sigma2=sigma2)
+
+
+def test_instance_channel_is_its_response_circulant(monkeypatch):
+    # h is stored zero-padded to N, and H is the circulant of h, built once
+    rng = np.random.default_rng(23)
+    h = rng.normal(size=3) + 1j * rng.normal(size=3)
+    inst = MldInstance(h=h, y=rng.normal(size=5), sigma2=0.5)
+    assert inst.N == 5
+    assert np.array_equal(inst.h, np.concatenate((h, np.zeros(2))))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return circulant_matrix(*args)
+
+    monkeypatch.setattr(gasmld.qubo, "circulant_matrix", counted)
+    H = inst.H
+    mld_to_qubo(inst)  # reads inst.H again
+    assert inst.H is H and len(built) == 1
+    assert np.array_equal(H, circulant_matrix(inst.h, 5))
+    assert np.array_equal(H, circulant_matrix(h, 5))
+    assert "H" not in {f.name for f in dataclasses.fields(MldInstance)}
 
 
 def test_qubo_validation():
