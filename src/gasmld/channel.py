@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class RisChannel:
     """Static channel snapshot for one transmission block.
 

@@ -11,8 +11,10 @@ preparation (Hadamards, controlled phases, inverse QFT) as the reference.
 
 The readout of one key is a Fejer kernel (``fejer_distribution``), and the
 analytic engine needs only its mass on the negative half, the chance that
-the key is marked: ``fejer_upper_mass`` evaluates that for every key at once
-as a trigonometric polynomial with cached coefficients, with no per-bin row.
+the key is marked.  ``fejer_upper_mass`` evaluates that for every key at once
+in O(W) work per key, W = 16, whatever m, with no per-bin row: it sums the
+kernel's csc^2 form over the 2W + 1 bins nearest the key's pole one by one,
+and the two smooth tails of the half-band by the Euler-Maclaurin formula.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from . import qcore
 from .qcore import Statevector
 
 _EXP_SPLIT = 64  # width of the smaller table in _exp_tables
-_MASS_CHUNK = 64  # keys per contraction in fejer_upper_mass: bounds its temporaries
+_WINDOW = 16  # W: bins summed term by term on each side of a key's pole in fejer_upper_mass
+_WINDOW_KEYS = 256  # keys per block in fejer_upper_mass: bounds its (keys, 2W + 1) temporaries
 
 
-@dataclass
+@dataclass(eq=False)
 class GasCircuitSpec:
     """Geometry of one search circuit: n key qubits, m value qubits, and
     ``values[b]``, the shifted cost of key b that the value register reads."""
@@ -189,45 +192,97 @@ def fejer_distribution(theta: float, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_mass_coefficients(m: int) -> np.ndarray:
-    """(2/M^2)(M - d)(1 - i cot(pi d / M)) for the odd d = 1 + 2(V u + v) < M,
-    at [u, v] with V = min(64, M/2); read-only, as the cache shares it."""
+def _band_window(m: int):
+    """Cached terms of ``fejer_upper_mass`` at M = 2^m: the window offsets j
+    in [-lo, hi] with sin(pi j / M) and cos(pi j / M), read-only as the cache
+    shares them, and the coefficients of Q(c) = c (q1 + q3 c^2 + q5 c^4 + q7 c^6).
+
+    The window holds 2W + 1 bins, or all M when M < 2W + 2, each once.  Q is
+    the antiderivative -c / h of csc^2 with c = cot(h t) and h = pi / M, plus
+    the midpoint Euler-Maclaurin corrections -(1/24) h g' + (7/5760) h^3 g'''
+    - (31/967680) h^5 g^(5), each derivative of g = 1 + c^2 written in c.
+    """
     M = 1 << m
-    d = 1.0 + 2.0 * np.arange(M // 2)
-    angle = np.pi * d / M
-    coeffs = (2.0 / M**2) * (M - d) * (1.0 - 1j * np.cos(angle) / np.sin(angle))
-    coeffs = coeffs.reshape(-1, min(_EXP_SPLIT, M // 2))
-    coeffs.flags.writeable = False
-    return coeffs
+    lo, hi = min(_WINDOW, M // 2), min(_WINDOW, M // 2 - 1)
+    j = np.arange(-lo, hi + 1)[:, None]
+    h = np.pi / M
+    sin_j, cos_j = np.sin(h * j), np.cos(h * j)
+    for table in (j, sin_j, cos_j):
+        table.flags.writeable = False
+    poly = (527 * h**5 / 60480 - 7 * h**3 / 360 + h / 12 - 1 / h,
+            341 * h**5 / 8640 - 7 * h**3 / 144 + h / 12,
+            31 * h**5 / 576 - 7 * h**3 / 240,
+            31 * h**5 / 1344)
+    return j, sin_j, cos_j, poly, lo, hi
 
 
 def fejer_upper_mass(a: np.ndarray, m: int) -> np.ndarray:
     """Mass of ``fejer_distribution(2 pi a_b / 2^m, m)`` on the bins l >= 2^m / 2,
     for every a_b of the 1-D array ``a``: the chance that key b reads negative.
 
-    Summing the Fejer kernel over the upper half-band cancels every even
-    frequency but 0, which leaves, with M = 2^m and theta = 2 pi a / M,
+    Bin l of the readout is sin^2(pi a) / (M sin(pi (l - a) / M))^2 with
+    M = 2^m, so the mass is
 
-        f(a) = 1/2 - (2/M^2) Re sum_{odd d < M} (M - d)(1 - i cot(pi d / M)) e^{i d theta}.
+        f(a) = sin^2(pi a) / M^2 * sum_{l = M/2}^{M-1} csc^2(pi (l - a) / M),
 
-    The coefficients are cached per m.  With d = 1 + 2(V u + v), each key
-    needs only the two small tables of ``_exp_tables`` for the step 2 theta,
-    and the sum is one contraction against the coefficients, run with plain
-    ``np.einsum`` (a BLAS product would start threads) in chunks of
-    ``_MASS_CHUNK`` keys to keep the temporaries small.  The result is
-    clipped to [0, 1], which rounding leaves by about 1e-16 at a bin.
+    summed here in O(W) per key with W = 16, whatever m.  The key is reduced
+    exactly: with n = rint(a) and delta = a - n, bin l contributes
+    csc^2(pi (j - delta) / M) for the integer j = l - n, whose pole is
+    j = 0 (mod M), and sin^2(pi a) = sin^2(pi delta).  The band bins with
+    j in [-W, W] are summed term by term, their sines built by angle addition
+    from cached sin and cos of pi j / M.  The rest of the band is at most two
+    runs of bins, each at least W from every pole; a run p..q sums by the
+    midpoint Euler-Maclaurin formula to Q(q + 1/2) - Q(p - 1/2), with Q the
+    odd polynomial in cot of ``_band_window``.  Its truncation error stays
+    below 1e-13 for every m; an empty run reads Q twice at one point, away
+    from every pole, and cancels exactly.  When M < 2W + 2 the window holds
+    every bin and both runs are empty.  Keys go in blocks of
+    ``_WINDOW_KEYS`` to bound the temporaries, and the result is clipped to
+    [0, 1], which rounding leaves by about 1e-16 at a bin.
     """
     a = np.asarray(a, dtype=float)
-    M = 1 << m
-    coeffs = _upper_mass_coefficients(m)
-    theta = a * (2.0 * np.pi / M)
-    odd_sum = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], _MASS_CHUNK):
-        chunk = theta[start:start + _MASS_CHUNK]
-        high, low = _exp_tables(2.0 * chunk, M // 2)
-        inner = np.einsum("uv,bv->bu", coeffs, low)
-        # each d = 1 + 2k carries one e^{i theta} beyond the tables' e^{2 i theta k}
-        total = _cis(chunk) * np.einsum("bu,bu->b", inner, high)
-        odd_sum[start:start + _MASS_CHUNK] = total.real
-    return np.clip(0.5 - odd_sum, 0.0, 1.0)
+    mass = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], _WINDOW_KEYS):
+        mass[start:start + _WINDOW_KEYS] = _block_mass(a[start:start + _WINDOW_KEYS], m)
+    return np.clip(mass, 0.0, 1.0, out=mass)
 
+
+def _block_mass(key: np.ndarray, m: int) -> np.ndarray:
+    """``fejer_upper_mass`` of one block of keys, unclipped; its temporaries
+    are freed on return."""
+    M = 1 << m
+    j, sin_j, cos_j, (q1, q3, q5, q7), lo, hi = _band_window(m)
+    n = np.rint(key)
+    delta = key - n
+    # the band's first bin, counted from bin n: it runs to s + M/2 - 1
+    s = (M // 2 - n.astype(np.int64)) & (M - 1)
+    step = delta * (np.pi / M)
+    sin_d, cos_d = np.sin(step), np.cos(step)
+    pre = np.sin(np.pi * delta) / M
+    # window bin j lies in the band iff (j - s) mod M < M/2, a clear bit m - 1
+    inside = ((j - s) & (M // 2)) == 0
+    sines = sin_j * cos_d  # sin(pi (j - delta) / M) at [j, key]
+    ratio = cos_j * sin_d
+    sines -= ratio
+    # bin n itself at delta = 0 is 0/0, with limit 1
+    np.copyto(ratio, inside)
+    np.divide(pre, sines, out=ratio, where=inside & (sines != 0.0))
+    window = np.einsum("jk,jk->k", ratio, ratio)
+    # the runs [max(s, hi + 1), min(e, M - lo - 1)] and [M + hi + 1, e]
+    # with e = s + M/2 - 1, by their half-integer ends
+    ends = np.empty((4, key.shape[0]))
+    np.maximum(s - 0.5, hi + 0.5, out=ends[0])
+    np.minimum(s + (M / 2 - 0.5), M - lo - 0.5, out=ends[1])
+    np.maximum(ends[1], ends[0], out=ends[1])
+    ends[2] = M + hi + 0.5
+    np.maximum(s + (M / 2 - 0.5), M + hi + 0.5, out=ends[3])
+    ends -= delta
+    ends *= np.pi / M
+    # cos / sin, not 1 / tan: np.tan's code pages added 0.15 MiB to a fig2 sweep's peak RSS
+    cot = np.cos(ends)
+    cot /= np.sin(ends)
+    sq = cot * cot
+    poly = ((q7 * sq + q5) * sq + q3) * sq + q1
+    poly *= cot
+    tails = (poly[1] - poly[0]) + (poly[3] - poly[2])
+    return window + pre * pre * tails

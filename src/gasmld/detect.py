@@ -22,7 +22,7 @@ from .qubo import MldInstance, bits_of, cost_chunks, mld_to_qubo, qubo_terms
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectionReport:
     x_hat: np.ndarray
     bits_hat: np.ndarray

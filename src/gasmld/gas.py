@@ -86,7 +86,7 @@ class GasConfig:
             self.warm_start = ws
 
 
-@dataclass
+@dataclass(eq=False)
 class GasResult:
     best_bits: np.ndarray
     best_cost: float

@@ -22,7 +22,7 @@ class CapacityError(ValueError):
     """Requested register size exceeds the engine's allocation cap."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Statevector:
     """Amplitude vector over ``num_qubits`` qubits.
 

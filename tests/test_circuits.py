@@ -1,7 +1,11 @@
 """Search-operator checks: state preparation, oracle, diffusion, iteration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasmld import circuits, qcore
 from gasmld.circuits import (
@@ -128,8 +132,8 @@ def test_closed_form_fejer_matches_reference():
 
 
 def test_fejer_upper_mass_matches_fejer_rows():
-    # the odd-frequency polynomial against the upper-half sum of each key's
-    # Fejer row, on random reals and on every bin the real encoding reaches
+    # the half-band sum against the upper-half sum of each key's Fejer row,
+    # on random reals and on every bin the real encoding reaches
     rng = np.random.default_rng(14)
     for m in range(2, 15):
         M = 1 << m
@@ -140,6 +144,58 @@ def test_fejer_upper_mass_matches_fejer_rows():
         mass = fejer_upper_mass(a, m)
         assert np.max(np.abs(mass - rows)) <= 1e-11, m
         assert np.all((mass >= 0.0) & (mass <= 1.0)), m
+
+
+
+@st.composite
+def hard_keys(draw):
+    """m in 2..14 and keys where the half-band sum is hardest to get right:
+    within 1e-3 of a bin, on a bin or half-way between two, and where the
+    window of W = 16 bins around the key's pole crosses a band edge or
+    misses the band (a = M/2 +- W +- 1/2 and a = +-M/4 +- W +- 1/2, mod M),
+    all shifted by up to 4M, beside uniform keys in [-4M, 4M]."""
+    m = draw(st.integers(2, 14))
+    M = 1 << m
+    W = circuits._WINDOW
+    bins = st.integers(-4 * M, 4 * M).map(float)
+    near_bin = st.tuples(bins, st.floats(-1e-3, 1e-3)).map(sum)
+    on_grid = st.tuples(bins, st.sampled_from([0.0, 0.5, -0.5])).map(sum)
+    edge = st.tuples(st.sampled_from([M / 2, M / 4, -M / 4]), st.sampled_from([W, -W, W + 1, -W - 1]),
+                     st.sampled_from([0.5, -0.5, 0.4999, -0.4999]), st.integers(-4, 3)
+                     ).map(lambda t: t[0] + t[1] + t[2] + t[3] * M)
+    uniform = st.floats(-4.0 * M, 4.0 * M)
+    keys = draw(st.lists(st.one_of(near_bin, on_grid, edge, uniform), min_size=1, max_size=24))
+    return m, np.array(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_keys())
+def test_fejer_upper_mass_on_hard_keys(case):
+    # against the Fejer row sums within 1e-11, clipped to [0, 1]; the oracle
+    # reads the key reduced exactly into [-M/2, M/2], because its own rounding
+    # grows with |a| (about 1e-11 at |a| = 4M, m = 14), and the kernel's
+    # exact reduction makes a key and its reduction give the same bits
+    m, a = case
+    M = 1 << m
+    reduced = a - M * np.rint(a / M)
+    rows = np.array([fejer_distribution(2.0 * np.pi * x / M, m)[M // 2:].sum() for x in reduced])
+    mass = fejer_upper_mass(a, m)
+    assert np.array_equal(mass, fejer_upper_mass(reduced, m))
+    assert np.max(np.abs(mass - rows)) <= 1e-11
+    assert np.all((mass >= 0.0) & (mass <= 1.0))
+
+
+@pytest.mark.parametrize("m", [12, 14])
+def test_fejer_upper_mass_heap_does_not_grow_with_m(m):
+    # one call on 4,096 keys stays within 512 KiB of traced heap at any m
+    a = np.random.default_rng(m).uniform(-(1 << (m - 2)), 1 << (m - 2), 4096)
+    tracemalloc.start()
+    try:
+        fejer_upper_mass(a, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
 
 
 def test_quadratic_monomial_touches_only_its_branch():

@@ -162,6 +162,57 @@ def test_qubo_validation():
         QuboProblem(Q=np.eye(2), c=np.zeros(2), offset=np.inf)
 
 
+
+def test_qubo_symmetry_tolerance():
+    # the check is np.allclose(Q, Q.T, atol=0): a relative asymmetry of 1e-6
+    # passes, one of 1e-4 fails, and random perturbations agree with allclose
+    base = np.array([[2.0, 1.0, -3.0], [1.0, 0.0, 0.5], [-3.0, 0.5, 4.0]])
+    for rel, ok in ((1e-6, True), (1e-4, False)):
+        Q = base.copy()
+        Q[0, 1] *= 1.0 + rel
+        if ok:
+            QuboProblem(Q=Q, c=np.zeros(3), offset=0.0)
+        else:
+            with pytest.raises(ValueError, match="Q must be symmetric"):
+                QuboProblem(Q=Q, c=np.zeros(3), offset=0.0)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        Q = base * (1.0 + rng.choice([0.0, 1e-7, 5e-6, 2e-5, 1e-3]) * rng.normal(size=(3, 3)))
+        try:
+            QuboProblem(Q=Q, c=np.zeros(3), offset=0.0)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == np.allclose(Q, Q.T, atol=0)
+
+
+def test_array_dataclasses_compare_by_identity():
+    # == on two equal-content records is identity, not an elementwise
+    # comparison that raises on its array fields
+    from gasmld.channel import RisChannel
+    from gasmld.circuits import GasCircuitSpec
+    from gasmld.detect import DetectionReport
+    from gasmld.gas import GasResult
+    from gasmld.qcore import Statevector
+
+    def pair(make):
+        return make(), make()
+
+    pairs = [
+        pair(lambda: MldInstance(h=[1.0], y=[1.0, 2.0], sigma2=0.1)),
+        pair(lambda: QuboProblem(Q=np.eye(2), c=np.zeros(2), offset=0.0)),
+        pair(lambda: GasCircuitSpec(2, 3, np.zeros(4))),
+        pair(lambda: RisChannel(1, np.ones((1, 2)), np.ones((1, 2)), np.ones(1), np.ones(2))),
+        pair(lambda: Statevector(1, np.array([1.0, 0.0], dtype=complex))),
+        pair(lambda: DetectionReport(np.ones(2), np.ones(2), "MLD", 0, 0.0)),
+        pair(lambda: GasResult(np.ones(2), 0.0, 1, 1, 1, "stall")),
+    ]
+    for a, b in pairs:
+        assert a == a
+        assert not (a == b)
+        assert a != b
+
+
 def test_bit_symbol_maps():
     # the bit <-> symbol map the QUBO cost table is indexed by
     assert np.array_equal(modulate([0, 1, 1]), [-1.0, 1.0, 1.0])
