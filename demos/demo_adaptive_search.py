@@ -24,15 +24,16 @@ def main():
     print("costs over all 8 patterns:", costs.astype(int))
     print("global minimum:", int(costs.min()))
 
-    cfg = GasConfig(m=None, seed=9, encoding="integer", engine="statevector")
-    res = run_gas(q, cfg)
+    cfg = GasConfig(m=None, encoding="integer", engine="statevector")
+    res = run_gas(q, cfg, np.random.default_rng(9))
     print("\nstatevector run:")
     for rnd, thr in res.threshold_trace:
         print(f"  round {rnd:2d}: incumbent cost {thr:g}")
     print(f"finished in {res.rounds} rounds, {res.oracle_queries} oracle queries, "
           f"best cost {res.best_cost:g}")
 
-    twin = run_gas(q, GasConfig(m=None, seed=9, encoding="integer", engine="analytic"))
+    twin = run_gas(q, GasConfig(m=None, encoding="integer", engine="analytic"),
+                   np.random.default_rng(9))
     same = (twin.threshold_trace == res.threshold_trace
             and np.array_equal(twin.best_bits, res.best_bits)
             and twin.oracle_queries == res.oracle_queries)

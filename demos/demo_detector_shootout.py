@@ -28,7 +28,7 @@ def main():
     print(f"true bits: {bits}, SNR {snr_db:g} dB, R = 4 surface elements")
     print(f"effective channel taps: {np.round(ch.h_eff, 3)}\n")
 
-    cfg = GasConfig(engine="analytic", seed=0)
+    cfg = GasConfig(engine="analytic")
     reports = [
         mld_detect(inst),
         mmse_detect(inst),

@@ -106,19 +106,14 @@ class BerRecord:
     ci95: float
 
 
-def default_channel(rng: np.random.Generator, R: int, L_bi: int, L_iu: int, N: int) -> np.ndarray:
-    return generate_channel(R=R, L_bi=L_bi, L_iu=L_iu, rng=rng).h_eff
-
-
-def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int,
-                   channel_factory=None):
-    """The (instance, true bits) pair a given trial presents to every detector;
-    ``channel_factory(rng, R, L_bi, L_iu, N)`` returns its response, at most N taps."""
-    factory = channel_factory or default_channel
+def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int):
+    """The (instance, true bits) pair a given trial presents to every detector:
+    from the trial's stream, the channel's effective response, then the
+    payload bits, then the noise."""
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
     )
-    h = factory(rng, cfg.R_list[r_idx], cfg.L_bi, cfg.L_iu, cfg.N)
+    h = generate_channel(R=cfg.R_list[r_idx], L_bi=cfg.L_bi, L_iu=cfg.L_iu, rng=rng).h_eff
     bits = rng.integers(0, 2, size=cfg.N)
     sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])
     y = transmit(block_from_bits(bits), circulant_matrix(h, cfg.N), sigma2, rng)
@@ -141,7 +136,7 @@ def _run_block(job) -> list[tuple[int, int]]:
     over the whole block.  Returns (bit errors, oracle queries) per detector,
     in ``cfg.detectors`` order.
     """
-    cfg, snr_idx, r_idx, start, stop, channel_factory = job
+    cfg, snr_idx, r_idx, start, stop = job
     tallies = {det: [0, 0] for det in cfg.detectors}
     searches = [(det, fn) for det, fn in (("GAS_random", gas_detect), ("GAS_warm", hybrid_detect))
                 if det in tallies]
@@ -150,7 +145,7 @@ def _run_block(job) -> list[tuple[int, int]]:
     y = np.empty((size, N), dtype=complex)
     h = np.empty((size, N), dtype=complex)
     for row, trial in enumerate(range(start, stop)):
-        inst, bits = trial_instance(cfg, snr_idx, r_idx, trial, channel_factory)
+        inst, bits = trial_instance(cfg, snr_idx, r_idx, trial)
         truth[row], y[row], h[row] = bits, inst.y, inst.h
         for det, search in searches:
             rep = search(inst, cfg.gas, detector_rng(cfg, snr_idx, r_idx, trial, det))
@@ -192,13 +187,12 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(cap, jobs))
 
 
-def run_sweep(cfg: SweepConfig, channel_factory=None) -> list[BerRecord]:
+def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
     cfg.validate()
     points = [(snr_idx, r_idx) for snr_idx in range(len(cfg.snr_db_list))
               for r_idx in range(len(cfg.R_list))]
     jobs = [
-        (cfg, snr_idx, r_idx, start, min(start + BLOCK_TRIALS, cfg.trials_per_point),
-         channel_factory)
+        (cfg, snr_idx, r_idx, start, min(start + BLOCK_TRIALS, cfg.trials_per_point))
         for snr_idx, r_idx in points
         for start in range(0, cfg.trials_per_point, BLOCK_TRIALS)
     ]

@@ -42,14 +42,22 @@ def demodulate(x) -> np.ndarray:
     return (np.real(np.asarray(x)) >= 0).astype(np.int8)
 
 
+def bit_vector(bits, message: str) -> np.ndarray:
+    """``bits`` as an int8 vector, or ValueError(message) unless it is flat and
+    every entry equals 0 or 1.  The check precedes the cast, which would
+    truncate 0.5 to 0, wrap 256.0 to 0 and turn NaN into 0."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
+        raise ValueError(message)
+    return bits.astype(np.int8, copy=False)
+
+
 def block_from_bits(bits) -> np.ndarray:
     """The BPSK symbol vector of one block of payload bits, after validation."""
-    bits = np.asarray(bits, dtype=np.int8)
+    bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty vector")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0/1")
-    return modulate(bits)
+    return modulate(bit_vector(bits, "bits must be 0/1"))
 
 
 def _cn_taps(shape, tap_variance: float, rng: np.random.Generator) -> np.ndarray:

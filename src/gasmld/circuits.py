@@ -27,7 +27,7 @@ import numpy as np
 from . import qcore
 from .qcore import Statevector
 
-_EXP_SPLIT = 64  # width of the smaller table in _exp_tables
+_EXP_SPLIT = 64  # width of the smaller table in _phase_ramp
 _WINDOW = 16  # W: bins summed term by term on each side of a key's pole in fejer_upper_mass
 _WINDOW_KEYS = 256  # keys per block in fejer_upper_mass: bounds its (keys, 2W + 1) temporaries
 
@@ -66,33 +66,23 @@ def _value_table(state: Statevector, spec: GasCircuitSpec) -> np.ndarray:
     return state.amps.reshape(1 << spec.m, 1 << spec.n)
 
 
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """e^{i phase} by np.cos and np.sin, which run as fast as a complex np.exp;
-    that exp, with np.tan, added about 0.2 MiB to a fig2 sweep's peak RSS."""
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
-
-
-def _exp_tables(step: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """e^{i step_b j} for every j < size, as two small tables.
-
-    With V = min(64, size) and j = V u + v, the entry is high[b, u] * low[b, v]:
-    ``high`` is (len(step), size / V) and ``low`` is (len(step), V), so only
-    size / V + V exponentials run per step instead of size.  ``size`` is a
-    power of two.
-    """
-    V = min(_EXP_SPLIT, size)
-    return (_cis(np.multiply.outer(step, np.arange(0, size, V))),
-            _cis(np.multiply.outer(step, np.arange(V))))
-
-
 def _phase_ramp(spec: GasCircuitSpec, out: np.ndarray, sign: float) -> np.ndarray:
-    """e^{sign 2 pi i j a_b / 2^m} at [j, b], written into ``out`` as the
-    product of the two small tables of ``_exp_tables``."""
+    """e^{sign 2 pi i j a_b / 2^m} at [j, b], written into ``out``.
+
+    With M = 2^m, V = min(64, M) and j = V u + v, the entry is
+    high[b, u] * low[b, v]: ``high`` is (2^n, M / V) and ``low`` is (2^n, V),
+    so only M / V + V exponentials run per key instead of M.  Each table is
+    filled by np.cos and np.sin, which run as fast as a complex np.exp; that
+    exp, with np.tan, added about 0.2 MiB to a fig2 sweep's peak RSS.
+    """
     M = 1 << spec.m
-    high, low = _exp_tables(spec.values * (sign * 2.0 * np.pi / M), M)
+    V = min(_EXP_SPLIT, M)
+    step = spec.values * (sign * 2.0 * np.pi / M)
+    high, low = (np.empty((step.shape[0], size), dtype=complex) for size in (M // V, V))
+    for table, j in ((high, np.arange(0, M, V)), (low, np.arange(V))):
+        phase = np.multiply.outer(step, j)
+        np.cos(phase, out=table.real)
+        np.sin(phase, out=table.imag)
     # out is C-contiguous, so the split j = V u + v is a view of it
     np.multiply(high.T[:, None, :], low.T[None, :, :],
                 out=out.reshape(high.shape[1], low.shape[1], out.shape[1]))
@@ -128,7 +118,7 @@ def apply_state_preparation_inverse(state: Statevector, spec: GasCircuitSpec) ->
 
 
 def grover_power(state: Statevector, spec: GasCircuitSpec, power: int,
-                 axis: np.ndarray | None = None) -> Statevector:
+                 axis: np.ndarray) -> Statevector:
     """Apply (A D A^dagger O)^power in place, as reflections about A|0>.
 
     With D = 2|0><0| - I, the conjugated diffusion is A D A^dagger =
@@ -139,8 +129,8 @@ def grover_power(state: Statevector, spec: GasCircuitSpec, power: int,
     one inner product with psi and one axpy.
 
     ``axis`` holds the amplitudes of psi, kept apart from the state that is
-    overwritten.  Without it the input state is taken to be A|0> and copied
-    as the axis.
+    overwritten; at power 0 nothing is overwritten, so the state may be psi
+    itself.
     """
     if power < 0:
         raise ValueError("power must be non-negative")
@@ -149,11 +139,9 @@ def grover_power(state: Statevector, spec: GasCircuitSpec, power: int,
     if power == 0:
         return state
     amps = state.amps
-    if axis is None:
-        axis = amps.copy()
-    elif axis.shape != amps.shape:
+    if axis.shape != amps.shape:
         raise ValueError("reflection axis size does not match the state")
-    elif np.may_share_memory(axis, amps):
+    if np.may_share_memory(axis, amps):
         raise ValueError("reflection axis must not share memory with the state")
     half = amps.shape[0] // 2
     scratch = np.empty_like(amps)  # reused: a fresh temporary per iteration costs twice the time

@@ -35,11 +35,12 @@ def residual_cost(inst: MldInstance, x: np.ndarray) -> float:
     return float(np.sum(np.abs(inst.y - inst.H @ x) ** 2))
 
 
-def _report(inst: MldInstance, x: np.ndarray, method: str, queries: int) -> DetectionReport:
-    x = np.asarray(x, dtype=complex)
+def _report(inst: MldInstance, bits: np.ndarray, method: str, queries: int) -> DetectionReport:
+    """The report of decided ``bits``: their symbols and residual cost."""
+    x = modulate(bits)
     return DetectionReport(
         x_hat=x,
-        bits_hat=demodulate(x),
+        bits_hat=bits,
         method=method,
         oracle_queries=queries,
         cost=residual_cost(inst, x),
@@ -68,8 +69,7 @@ def mld_decisions(H: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def mld_detect(inst: MldInstance) -> DetectionReport:
     """Exhaustive search on one instance: ``mld_decisions`` of a stack of one."""
-    bits = mld_decisions(inst.H[None], inst.y[None])[0]
-    return _report(inst, modulate(bits), "MLD", 0)
+    return _report(inst, mld_decisions(inst.H[None], inst.y[None])[0], "MLD", 0)
 
 
 def mmse_taps(h: np.ndarray, sigma2) -> np.ndarray:
@@ -99,26 +99,20 @@ def mmse_equalize(inst: MldInstance) -> np.ndarray:
 
 
 def mmse_detect(inst: MldInstance) -> DetectionReport:
-    soft = mmse_equalize(inst)
-    x = modulate(demodulate(soft))
-    return _report(inst, x, "MMSE", 0)
+    return _report(inst, demodulate(mmse_equalize(inst)), "MMSE", 0)
 
 
 def _run_search(inst: MldInstance, cfg: GasConfig, warm_bits, method: str,
-                rng: np.random.Generator | None) -> DetectionReport:
-    q = mld_to_qubo(inst)
-    cfg = replace(cfg, warm_start=warm_bits)
-    result = run_gas(q, cfg, rng)
-    x = modulate(result.best_bits)
-    return _report(inst, x, method, result.oracle_queries)
+                rng: np.random.Generator) -> DetectionReport:
+    result = run_gas(mld_to_qubo(inst), replace(cfg, warm_start=warm_bits), rng)
+    return _report(inst, result.best_bits, method, result.oracle_queries)
 
 
-def gas_detect(inst: MldInstance, cfg: GasConfig, rng: np.random.Generator | None = None) -> DetectionReport:
+def gas_detect(inst: MldInstance, cfg: GasConfig, rng: np.random.Generator) -> DetectionReport:
     """Plain adaptive search from a uniformly sampled starting point."""
     return _run_search(inst, cfg, None, "GAS_random", rng)
 
 
-def hybrid_detect(inst: MldInstance, cfg: GasConfig, rng: np.random.Generator | None = None) -> DetectionReport:
+def hybrid_detect(inst: MldInstance, cfg: GasConfig, rng: np.random.Generator) -> DetectionReport:
     """Equalize, hard-decide, then search with that decision as incumbent."""
-    warm = demodulate(mmse_equalize(inst))
-    return _run_search(inst, cfg, warm, "GAS_warm", rng)
+    return _run_search(inst, cfg, demodulate(mmse_equalize(inst)), "GAS_warm", rng)

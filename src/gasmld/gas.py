@@ -19,7 +19,8 @@ key-register distribution is
 
 with alpha = arcsin(sqrt(p0)) and w_good(b) the joint weight of key b and a
 negative encoded value, 2^-n times the upper-half mass of the key's Fejer
-readout, which ``circuits.fejer_upper_mass`` gives for all keys at once.
+readout, which ``circuits.fejer_upper_mass`` gives for all keys at once, for
+both encodings: on an integer's exact bin it reads 1 below zero, else 0.
 Marked and unmarked components occupy disjoint value bins, so no cross terms
 survive the marginalisation.  Both engines draw identically from the
 supplied generator (one integer for L, one uniform for the measurement per
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import bit_vector
 from .circuits import GasCircuitSpec, apply_state_preparation, fejer_upper_mass, grover_power
 from .qcore import CapacityError, MAX_QUBITS, register_distribution, sample_index, zero_state
 from .qubo import QuboProblem, bits_of, evaluate_all_costs
@@ -52,7 +54,8 @@ ENGINES = ("statevector", "analytic")
 
 @dataclass
 class GasConfig:
-    """Knobs for one adaptive search run.
+    """Knobs for one adaptive search run, whose draws come from the generator
+    given to ``run_gas``.
 
     ``m=None`` sizes the value register automatically from the cost range.
     ``warm_start`` replaces the uniform initial sample with a supplied bit
@@ -63,7 +66,6 @@ class GasConfig:
     growth_factor: float = 8.0 / 7.0
     max_rounds: int = 50
     stall_rounds: int = 15
-    seed: int | None = None
     warm_start: np.ndarray | None = None
     encoding: str = "real_direct"
     engine: str = "statevector"
@@ -80,10 +82,7 @@ class GasConfig:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.warm_start is not None:
-            ws = np.asarray(self.warm_start, dtype=np.int8)
-            if ws.ndim != 1 or not np.all((ws == 0) | (ws == 1)):
-                raise ValueError("warm start must be a flat 0/1 vector")
-            self.warm_start = ws
+            self.warm_start = bit_vector(self.warm_start, "warm start must be a flat 0/1 vector")
 
 
 @dataclass(eq=False)
@@ -217,11 +216,7 @@ class _AnalyticEngine(_Engine):
 
     def _prepare(self, shifted: np.ndarray):
         n_keys = shifted.shape[0]
-        if self._encoding == "integer":
-            # an exact bin inside the signed window reads negative iff it is
-            w_good = (shifted < 0).astype(float)
-        else:
-            w_good = fejer_upper_mass(shifted, self._m)
+        w_good = fejer_upper_mass(shifted, self._m)
         w_good /= n_keys
         w_bad = 1.0 / n_keys - w_good
         p0 = float(np.clip(w_good.sum(), 0.0, 1.0))
@@ -237,10 +232,8 @@ class _AnalyticEngine(_Engine):
         return np.sin(angle) ** 2 * w_good / p0 + np.cos(angle) ** 2 * w_bad / (1.0 - p0)
 
 
-def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator | None = None) -> GasResult:
-    """Algorithm driver; see the module docstring for the round structure."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator) -> GasResult:
+    """Algorithm driver, drawing from ``rng`` only; see the module docstring."""
     n = q.n
     if n < 1:
         raise ValueError("need at least one key qubit")

@@ -37,10 +37,10 @@ class Statevector:
         return Statevector(self.num_qubits, self.amps.copy())
 
 
-def zero_state(num_qubits: int, cap: int = MAX_QUBITS) -> Statevector:
+def zero_state(num_qubits: int) -> Statevector:
     """Allocate |0...0> on ``num_qubits`` qubits."""
-    if not 1 <= num_qubits <= cap:
-        raise CapacityError(f"num_qubits must be in [1, {cap}], got {num_qubits}")
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = 1.0
     return Statevector(num_qubits, amps)

@@ -220,8 +220,8 @@ def test_a05_adaptive_search_convergence():
         rng = np.random.default_rng(np.random.SeedSequence((23, trial)))
         q = _random_integer_qubo(rng, 3)
         optimum = float(evaluate_all_costs(q).min())
-        cfg = GasConfig(m=None, seed=trial, encoding="integer", engine="statevector")
-        res = run_gas(q, cfg)
+        cfg = GasConfig(m=None, encoding="integer", engine="statevector")
+        res = run_gas(q, cfg, np.random.default_rng(trial))
         hits += res.best_cost <= optimum + 1e-9
     ok = hits >= 99
     _line("A05 adaptive search convergence", "PASS" if ok else "FAIL",

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,8 +35,14 @@ from gasmld.qcore import MAX_QUBITS
 from gasmld.qubo import BRUTE_FORCE_MAX_N
 
 
-def identity_channel(rng, R, L_bi, L_iu, N):
-    return np.array([1.0 + 0j])
+@pytest.fixture
+def identity_channel(monkeypatch):
+    """Every trial's channel is H = I: ``generate_channel`` is patched where
+    the sweep looks it up, on one worker so no other process imports it
+    afresh.  It draws nothing, so the bits and noise keep their streams."""
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    monkeypatch.setattr(gasmld.bench, "generate_channel",
+                        lambda R, L_bi, L_iu, rng: SimpleNamespace(h_eff=np.array([1.0 + 0j])))
 
 
 def small_config(**kw):
@@ -91,9 +98,9 @@ def test_block_boundaries_keep_each_column(monkeypatch):
                        R_list=[4], master_seed=21)
     built = []
 
-    def counted(cfg, snr_idx, r_idx, trial, channel_factory=None):
+    def counted(cfg, snr_idx, r_idx, trial):
         built.append(trial)
-        return trial_instance(cfg, snr_idx, r_idx, trial, channel_factory)
+        return trial_instance(cfg, snr_idx, r_idx, trial)
 
     monkeypatch.setenv("GASMLD_THREADS", "1")
     monkeypatch.setattr(gasmld.bench, "trial_instance", counted)
@@ -133,12 +140,12 @@ def test_block_channels_are_each_trials_own(monkeypatch):
         assert np.array_equal(y[trial], inst.y)
 
 
-def test_identity_channel_bookkeeping():
+def test_identity_channel_bookkeeping(identity_channel):
     # on H = I every detector decides by the sign of Re(y), so a shared
     # instance gives every column the same errors, summed over two blocks
     cfg = small_config(detectors=["MLD", "MMSE", "GAS_warm"], trials_per_point=BLOCK_TRIALS + 3,
                        snr_db_list=[0.0, 60.0])
-    records = run_sweep(cfg, channel_factory=identity_channel)
+    records = run_sweep(cfg)
     assert len(records) == 6
     for snr in cfg.snr_db_list:
         row = [r for r in records if r.snr_db == snr]
@@ -190,13 +197,13 @@ def test_csv_independent_of_worker_count(tmp_path_factory, cfg):
     assert blobs[0] == blobs[1]
 
 
-def test_awgn_ber_matches_closed_form():
+def test_awgn_ber_matches_closed_form(identity_channel):
     # identity channel: BPSK over AWGN, BER = Q(sqrt(2 snr))
     snr_db = 0.0
     cfg = small_config(
         detectors=["MMSE"], snr_db_list=[snr_db], trials_per_point=4000, master_seed=3
     )
-    (rec,) = run_sweep(cfg, channel_factory=identity_channel)
+    (rec,) = run_sweep(cfg)
     snr = 10 ** (snr_db / 10)
     q_func = 0.5 * math.erfc(math.sqrt(2 * snr) / math.sqrt(2))
     assert abs(rec.ber - q_func) <= 3 * rec.ci95

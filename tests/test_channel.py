@@ -207,6 +207,20 @@ def test_block_validation():
         generate_channel(R=-1, L_bi=2, L_iu=2, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bits", [[0.5, 1.0], np.array([256.0, 1.0]), [np.nan, 1.0]])
+def test_block_bits_checked_before_cast(bits):
+    # an int8 cast would read each as the valid block [0, 1]
+    with pytest.raises(ValueError, match="bits must be 0/1"):
+        block_from_bits(bits)
+
+
+def test_block_accepts_bits_of_any_dtype():
+    for bits in ([0.0, 1.0], np.array([False, True]), np.array([0, 1], dtype=np.uint8)):
+        assert np.array_equal(block_from_bits(bits), [-1, 1])
+    with pytest.raises(ValueError, match="non-empty vector"):
+        block_from_bits([[0, 1]])
+
+
 def test_snr_conversion():
     assert snr_db_to_sigma2(0.0) == pytest.approx(1.0)
     assert snr_db_to_sigma2(10.0) == pytest.approx(0.1)

@@ -146,6 +146,15 @@ def test_fejer_upper_mass_matches_fejer_rows():
         assert np.all((mass >= 0.0) & (mass <= 1.0)), m
 
 
+def test_fejer_upper_mass_exact_on_integer_bins():
+    # every bin of the signed window [-M/2, M/2), which the integer encoding
+    # writes, reads 1 below zero and 0 from zero up, bit for bit: the analytic
+    # engine's good mass for both encodings
+    for m in range(2, 15):
+        M = 1 << m
+        a = np.arange(-M // 2, M // 2, dtype=float)
+        assert np.array_equal(fejer_upper_mass(a, m), (a < 0).astype(float)), m
+
 
 @st.composite
 def hard_keys(draw):
@@ -323,7 +332,7 @@ def test_over_rotation_half_marked():
     poly = PhasePolynomial(-1.0, np.array([2.0]), np.zeros((1, 1)))  # values -1, 1
     spec = spec_of(poly, 3)
     state = prepared(spec)
-    grover_power(state, spec, 1)
+    grover_power(state, spec, 1, state.amps.copy())
     p_marked = conditional_key_mass(state, spec, lambda value: value >= 4)
     assert p_marked == pytest.approx(0.5, abs=1e-9)
 
@@ -357,7 +366,7 @@ def test_grover_power_matches_amplification_law():
         alpha = np.arcsin(np.sqrt(p0))
         for L in (0, 1, 2, 3):
             state = prepared(spec)
-            grover_power(state, spec, L)
+            grover_power(state, spec, L, state.amps.copy())
             marked = conditional_key_mass(state, spec, lambda v: v >= (1 << (m - 1)))
             assert marked == pytest.approx(np.sin((2 * L + 1) * alpha) ** 2, abs=1e-6)
 
@@ -393,7 +402,7 @@ def test_grover_iteration_matches_dense_composition():
     g_dense = a_dense @ d_dense @ a_dense.conj().T @ o_dense
 
     state = prepared(spec)
-    grover_power(state, spec, 2)
+    grover_power(state, spec, 2, state.amps.copy())
     expect = g_dense @ g_dense @ (a_dense @ np.eye(dim)[:, 0])
     assert np.allclose(state.amps, expect, atol=1e-9)
 
@@ -424,10 +433,10 @@ def test_grover_power_matches_gate_oracle():
                 spec = spec_of(poly, m)
                 base = prepared(spec)
                 for L in range(5):
-                    fast = grover_power(base.copy(), spec, L)
+                    fast = grover_power(base.copy(), spec, L, base.amps)
                     slow = grover_power_gates(base.copy(), poly, m, L)
                     assert np.max(np.abs(fast.amps - slow.amps)) <= 1e-12
-                # with an explicit axis the input may be any state
+                # reflected about A|0>, the input may be any state
                 dim = 1 << spec.total_qubits
                 amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
                 start = qcore.Statevector(spec.total_qubits, amps / np.linalg.norm(amps))
@@ -440,12 +449,14 @@ def test_grover_power_in_place_and_input_checks():
     spec = spec_of(PhasePolynomial(-1.0, np.array([2.0]), np.zeros((1, 1))), 3)
     state = prepared(spec)
     before = state.amps
-    assert grover_power(state, spec, 2) is state
+    # at power 0 nothing is overwritten, so the state may be its own axis
+    assert grover_power(state, spec, 0, axis=state.amps) is state
+    assert grover_power(state, spec, 2, state.amps.copy()) is state
     assert state.amps is before
     with pytest.raises(ValueError, match="non-negative"):
-        grover_power(state, spec, -1)
+        grover_power(state, spec, -1, state.amps.copy())
     with pytest.raises(ValueError, match="spec"):
-        grover_power(zero_state(spec.total_qubits + 1), spec, 1)
+        grover_power(zero_state(spec.total_qubits + 1), spec, 1, state.amps.copy())
     with pytest.raises(ValueError, match="axis"):
         grover_power(state, spec, 1, axis=np.zeros(4, dtype=complex))
     with pytest.raises(ValueError, match="share memory"):
@@ -456,7 +467,7 @@ def test_norm_drift_over_full_circuit():
     poly = PhasePolynomial(-3.7, np.array([2.2, -1.1, 0.4]), np.zeros((3, 3)))
     spec = spec_of(poly, 8)
     state = prepared(spec)
-    grover_power(state, spec, 3)
+    grover_power(state, spec, 3, state.amps.copy())
     assert abs(np.vdot(state.amps, state.amps) - 1.0) < 1e-8
 
 

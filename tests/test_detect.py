@@ -244,12 +244,12 @@ def test_mmse_matches_time_domain_form():
 def test_report_invariants_all_methods():
     rng = np.random.default_rng(4)
     inst, _ = random_instance(rng)
-    cfg = GasConfig(seed=7, engine="analytic")
+    cfg = GasConfig(engine="analytic")
     reports = [
         mld_detect(inst),
         mmse_detect(inst),
-        gas_detect(inst, cfg),
-        hybrid_detect(inst, cfg),
+        gas_detect(inst, cfg, np.random.default_rng(7)),
+        hybrid_detect(inst, cfg, np.random.default_rng(7)),
     ]
     for rep in reports:
         assert isinstance(rep, DetectionReport)
@@ -263,8 +263,7 @@ def test_hybrid_never_worse_than_mmse():
     rng = np.random.default_rng(5)
     for trial in range(500):
         inst, _ = random_instance(rng, snr_db=rng.uniform(-6, 10))
-        cfg = GasConfig(seed=trial, engine="analytic")
-        hyb = hybrid_detect(inst, cfg)
+        hyb = hybrid_detect(inst, GasConfig(engine="analytic"), np.random.default_rng(trial))
         ref = mmse_detect(inst)
         assert hyb.cost <= ref.cost + 1e-9
 
@@ -275,7 +274,7 @@ def test_hybrid_keeps_optimal_warm_start():
     mld = mld_detect(inst)
     if not np.array_equal(mmse_detect(inst).bits_hat, mld.bits_hat):
         pytest.skip("seed no longer gives an optimal equalizer decision")
-    rep = hybrid_detect(inst, GasConfig(seed=0, engine="analytic"))
+    rep = hybrid_detect(inst, GasConfig(engine="analytic"), np.random.default_rng(0))
     assert np.array_equal(rep.bits_hat, mld.bits_hat)
     assert rep.cost == pytest.approx(mld.cost, abs=1e-9)
 
@@ -286,7 +285,7 @@ def test_hybrid_tracks_mld():
     for trial in range(100):
         inst, _ = random_instance(rng, R=4, snr_db=4.0)
         mld = mld_detect(inst)
-        hyb = hybrid_detect(inst, GasConfig(seed=trial, engine="analytic"))
+        hyb = hybrid_detect(inst, GasConfig(engine="analytic"), np.random.default_rng(trial))
         match += np.array_equal(hyb.bits_hat, mld.bits_hat)
     assert match >= 95
 
@@ -294,7 +293,7 @@ def test_hybrid_tracks_mld():
 def test_gas_random_runs_and_reports_queries():
     rng = np.random.default_rng(8)
     inst, _ = random_instance(rng)
-    rep = gas_detect(inst, GasConfig(seed=3, engine="analytic"))
+    rep = gas_detect(inst, GasConfig(engine="analytic"), np.random.default_rng(3))
     assert rep.method == "GAS_random"
     assert rep.oracle_queries >= 0
     assert set(rep.bits_hat.tolist()) <= {0, 1}

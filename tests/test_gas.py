@@ -105,8 +105,8 @@ def test_toy_trace():
     q = toy_problem()
     reached = 0
     for seed in range(5):
-        cfg = GasConfig(m=None, seed=seed, warm_start=np.array([0]), max_rounds=30, encoding="integer")
-        res = run_gas(q, cfg)
+        cfg = GasConfig(m=None, warm_start=np.array([0]), max_rounds=30, encoding="integer")
+        res = run_gas(q, cfg, np.random.default_rng(seed))
         values = [y for _, y in res.threshold_trace]
         assert values[0] == 16.0
         assert all(v in (16.0, 4.0) for v in values)
@@ -122,8 +122,8 @@ def test_warm_start_at_optimum_never_moves():
     rng = np.random.default_rng(3)
     q = random_integer_qubo(rng)
     best_bits, best_cost = brute_force_min(q)
-    cfg = GasConfig(m=None, seed=11, warm_start=best_bits, encoding="integer")
-    res = run_gas(q, cfg)
+    cfg = GasConfig(m=None, warm_start=best_bits, encoding="integer")
+    res = run_gas(q, cfg, np.random.default_rng(11))
     assert res.best_cost == best_cost
     assert np.array_equal(res.best_bits, best_bits)
     assert all(y == best_cost for _, y in res.threshold_trace)
@@ -135,19 +135,20 @@ def test_stop_reason():
     q = random_integer_qubo(rng)
     best_bits, _ = brute_force_min(q)
     for engine in ENGINES:
-        capped = run_gas(q, GasConfig(m=None, seed=5, max_rounds=1, engine=engine))
+        capped = run_gas(q, GasConfig(m=None, max_rounds=1, engine=engine), np.random.default_rng(5))
         assert (capped.rounds, capped.stop_reason) == (1, "max_rounds")
         # nothing beats the warm start, so the search stalls out
-        cfg = GasConfig(m=None, seed=5, warm_start=best_bits, engine=engine)
-        stalled = run_gas(q, cfg)
+        cfg = GasConfig(m=None, warm_start=best_bits, engine=engine)
+        stalled = run_gas(q, cfg, np.random.default_rng(5))
         assert (stalled.rounds, stalled.stop_reason) == (cfg.stall_rounds, "stall")
         # when both caps are reached in the same round the stall wins
         cfg.max_rounds = cfg.stall_rounds
-        assert run_gas(q, cfg).stop_reason == "stall"
+        assert run_gas(q, cfg, np.random.default_rng(5)).stop_reason == "stall"
         # an improvement inside the last stall_rounds rounds leaves the cap to stop it
-        improved = [run_gas(toy_problem(), GasConfig(m=None, seed=seed, warm_start=np.array([0]),
+        improved = [run_gas(toy_problem(), GasConfig(m=None, warm_start=np.array([0]),
                                                      max_rounds=3, stall_rounds=3,
-                                                     encoding="integer", engine=engine))
+                                                     encoding="integer", engine=engine),
+                            np.random.default_rng(seed))
                     for seed in range(8)]
         improved = [res for res in improved if res.best_cost < 16.0]
         assert improved
@@ -157,9 +158,9 @@ def test_stop_reason():
 def test_determinism():
     rng = np.random.default_rng(4)
     q = random_integer_qubo(rng)
-    cfg = GasConfig(m=8, seed=42, encoding="integer")
-    a = run_gas(q, cfg)
-    b = run_gas(q, cfg)
+    cfg = GasConfig(m=8, encoding="integer")
+    a = run_gas(q, cfg, np.random.default_rng(42))
+    b = run_gas(q, cfg, np.random.default_rng(42))
     assert a.threshold_trace == b.threshold_trace
     assert np.array_equal(a.best_bits, b.best_bits)
     assert (a.oracle_queries, a.measurements, a.rounds) == (
@@ -175,8 +176,8 @@ def test_engines_agree_integer():
         q = random_integer_qubo(rng)
         runs = []
         for engine in ("statevector", "analytic"):
-            cfg = GasConfig(m=8, seed=seed, engine=engine, encoding="integer")
-            runs.append(run_gas(q, cfg))
+            cfg = GasConfig(m=8, engine=engine, encoding="integer")
+            runs.append(run_gas(q, cfg, np.random.default_rng(seed)))
         a, b = runs
         assert a.threshold_trace == b.threshold_trace
         assert np.array_equal(a.best_bits, b.best_bits)
@@ -193,8 +194,8 @@ def test_engines_agree_real_direct():
         q = mld_to_qubo(MldInstance(h=h, y=y, sigma2=0.1))
         runs = []
         for engine in ("statevector", "analytic"):
-            cfg = GasConfig(m=8, seed=seed, encoding="real_direct", engine=engine)
-            runs.append(run_gas(q, cfg))
+            cfg = GasConfig(m=8, encoding="real_direct", engine=engine)
+            runs.append(run_gas(q, cfg, np.random.default_rng(seed)))
         a, b = runs
         assert a.threshold_trace == b.threshold_trace
         assert np.array_equal(a.best_bits, b.best_bits)
@@ -237,7 +238,7 @@ def test_reaches_optimum_small_problems():
     for seed in range(20):
         q = random_integer_qubo(rng)
         _, best = brute_force_min(q)
-        res = run_gas(q, GasConfig(m=None, seed=seed, encoding="integer"))
+        res = run_gas(q, GasConfig(m=None, encoding="integer"), np.random.default_rng(seed))
         hits += res.best_cost == best
         assert all(y2 <= y1 for (_, y1), (_, y2) in zip(res.threshold_trace, res.threshold_trace[1:]))
     assert hits >= 19
@@ -255,14 +256,28 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         GasConfig(warm_start=np.array([0, 2]))
     with pytest.raises(CapacityError):
-        run_gas(toy_problem(), GasConfig(m=26, seed=0, encoding="integer"))
+        run_gas(toy_problem(), GasConfig(m=26, encoding="integer"), np.random.default_rng(0))
     q = QuboProblem(Q=np.array([[0.5]]), c=np.array([0.25]), offset=0.0)
     for engine in ENGINES:
         # non-integer coefficients, and costs spread 12 past the [-4, 4) window of m = 3
         with pytest.raises(ValueError):
-            run_gas(q, GasConfig(m=6, seed=0, encoding="integer", engine=engine))
+            run_gas(q, GasConfig(m=6, encoding="integer", engine=engine), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            run_gas(toy_problem(), GasConfig(m=3, seed=0, encoding="integer", engine=engine))
+            run_gas(toy_problem(), GasConfig(m=3, encoding="integer", engine=engine),
+                    np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("warm_start", [[0.7, 1.2], [257.0, 1.0], [np.nan, 1.0], [[0, 1]]])
+def test_warm_start_checked_before_cast(warm_start):
+    # an int8 cast would read [0.7, 1.2] as [0, 1], [257.0, 1.0] as [1, 1]
+    # and NaN as 0
+    with pytest.raises(ValueError, match="warm start must be a flat 0/1 vector"):
+        GasConfig(warm_start=warm_start)
+
+
+def test_warm_start_cast_after_check():
+    ws = GasConfig(warm_start=[1.0, 0.0, 1.0]).warm_start
+    assert ws.dtype == np.int8 and ws.tolist() == [1, 0, 1]
 
 
 def test_integer_window_edge():
@@ -284,7 +299,7 @@ def test_engine_twin_above_n16():
     sv = _StatevectorEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
     an = _AnalyticEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
     assert np.max(np.abs(sv - an)) <= 1e-9
-    runs = [_outcome(q, GasConfig(m=m, seed=0, max_rounds=2, engine=engine)) for engine in ENGINES]
+    runs = [_outcome(q, GasConfig(m=m, max_rounds=2, engine=engine), 0) for engine in ENGINES]
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == 3  # the start and two rounds
 
@@ -298,9 +313,9 @@ def test_capacity_checked_before_cost_table(monkeypatch):
     q = QuboProblem(Q=np.zeros((25, 25)), c=np.zeros(25), offset=0.0)
     for engine in ENGINES:
         with pytest.raises(CapacityError, match="26-qubit cap"):
-            run_gas(q, GasConfig(m=None, seed=0, engine=engine))
+            run_gas(q, GasConfig(m=None, engine=engine), np.random.default_rng(0))
     with pytest.raises(CapacityError, match="26-qubit cap"):
-        run_gas(toy_problem(), GasConfig(m=26, seed=0))
+        run_gas(toy_problem(), GasConfig(m=26), np.random.default_rng(0))
 
 
 def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
@@ -316,13 +331,14 @@ def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
         monkeypatch.setattr(module, "fejer_distribution", counted, raising=False)
     q = random_real_qubo(np.random.default_rng(13), 3)
     for m in (3, 12):
-        run_gas(q, GasConfig(m=m, seed=0, engine="analytic"))
+        run_gas(q, GasConfig(m=m, engine="analytic"), np.random.default_rng(0))
     assert calls == []
 
 
 def test_warm_start_length_checked():
     with pytest.raises(ValueError):
-        run_gas(toy_problem(), GasConfig(m=None, seed=0, warm_start=np.array([0, 1])))
+        run_gas(toy_problem(), GasConfig(m=None, warm_start=np.array([0, 1])),
+                np.random.default_rng(0))
 
 
 def test_search_reads_costs_off_its_table(monkeypatch):
@@ -340,8 +356,8 @@ def test_search_reads_costs_off_its_table(monkeypatch):
         for engine in ENGINES:
             for encoding in ENCODINGS:
                 for warm_start in (None, np.array([1, 0, 1])):
-                    run_gas(q, GasConfig(m=m, seed=0, engine=engine, encoding=encoding,
-                                         warm_start=warm_start))
+                    run_gas(q, GasConfig(m=m, engine=engine, encoding=encoding,
+                                         warm_start=warm_start), np.random.default_rng(0))
     assert calls == []
 
 
@@ -358,15 +374,15 @@ def test_one_cost_table_per_search(monkeypatch):
         for engine in ENGINES:
             for encoding in ENCODINGS:
                 calls.clear()
-                run_gas(q, GasConfig(m=m, seed=0, engine=engine, encoding=encoding))
+                run_gas(q, GasConfig(m=m, engine=engine, encoding=encoding), np.random.default_rng(0))
                 assert len(calls) <= 1, (m, engine, encoding)
 
 
-def _outcome(q, cfg):
+def _outcome(q, cfg, seed):
     """A search's trace, picks, query count, best cost, round count and stop
-    reason, or the type of error it raised."""
+    reason on the generator of ``seed``, or the type of error it raised."""
     try:
-        res = run_gas(q, cfg)
+        res = run_gas(q, cfg, np.random.default_rng(seed))
     except ValueError as exc:
         return type(exc)
     return (res.threshold_trace, res.best_bits.tolist(), res.oracle_queries, res.best_cost,
@@ -379,7 +395,7 @@ def _outcome(q, cfg):
 def test_engine_twin_property(n, problem_seed, m, encoding, seed):
     # same seed, same trace, or the same error where integer costs overflow m = 6
     q = random_integer_qubo(np.random.default_rng(problem_seed), n=n)
-    sv, an = (_outcome(q, GasConfig(m=m, seed=seed, encoding=encoding, engine=engine))
+    sv, an = (_outcome(q, GasConfig(m=m, encoding=encoding, engine=engine), seed)
               for engine in ENGINES)
     assert sv == an
 
@@ -390,7 +406,7 @@ def test_engine_twin_property(n, problem_seed, m, encoding, seed):
 def test_engine_twin_property_real(n, problem_seed, m, seed):
     # real-valued costs; up to n = 5 the schedule reaches L >= 2
     q = random_real_qubo(np.random.default_rng(problem_seed), n)
-    sv, an = (_outcome(q, GasConfig(m=m, seed=seed, engine=engine)) for engine in ENGINES)
+    sv, an = (_outcome(q, GasConfig(m=m, engine=engine), seed) for engine in ENGINES)
     assert sv == an
     # the best cost is the table entry of the best bits, and their cost
     _, bits, _, best_cost, *_ = sv
@@ -412,12 +428,12 @@ def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
     q = random_integer_qubo(np.random.default_rng(30 + n), n=n, span=1)
     for seed in range(3):
         warm_start = np.arange(n) % 2 if seed == 2 else None
-        cfg = GasConfig(m=None, seed=seed, encoding=encoding, engine=engine, warm_start=warm_start)
-        memoized = _outcome(q, cfg)
+        cfg = GasConfig(m=None, encoding=encoding, engine=engine, warm_start=warm_start)
+        memoized = _outcome(q, cfg, seed)
         assert isinstance(memoized, tuple)
         with monkeypatch.context() as patch:
             patch.setattr(_Engine, "key_distribution", _evolve_every_round)
-            assert _outcome(q, cfg) == memoized
+            assert _outcome(q, cfg, seed) == memoized
 
 
 @settings(max_examples=20, deadline=None)
@@ -426,11 +442,11 @@ def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
 def test_memo_changes_no_search_property(n, problem_seed, m, engine, seed):
     # the engine-twin draw: real-valued costs, where up to n = 5 L >= 2 is drawn
     q = random_real_qubo(np.random.default_rng(problem_seed), n)
-    cfg = GasConfig(m=m, seed=seed, engine=engine)
-    memoized = _outcome(q, cfg)
+    cfg = GasConfig(m=m, engine=engine)
+    memoized = _outcome(q, cfg, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Engine, "key_distribution", _evolve_every_round)
-        assert _outcome(q, cfg) == memoized
+        assert _outcome(q, cfg, seed) == memoized
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -466,8 +482,8 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
 
     monkeypatch.setattr(_Engine, "key_distribution", checked)
     q = random_real_qubo(np.random.default_rng(40 + n), n)
-    cfg = GasConfig(m=6, seed=3, engine=engine, growth_factor=growth_factor)
-    res = run_gas(q, cfg)
+    cfg = GasConfig(m=6, engine=engine, growth_factor=growth_factor)
+    res = run_gas(q, cfg, np.random.default_rng(3))
     # round r runs at the threshold the trace holds after round r - 1
     pairs = set(zip((y for _, y in res.threshold_trace[:-1]), draws))
     assert len(draws) == res.rounds

@@ -5,7 +5,7 @@ name and reads the rotation count of ``circuits.grover_power`` from its
 third positional argument.  A rename or move that breaks either makes the
 traced benchmark fail with an AttributeError or a wrong count.
 ``perfbench/workloads.py`` reaches the package only through the config text
-it writes and the CLI, so a removed config key or a broken default channel
+it writes and the CLI, so a removed config key or a broken channel draw
 would fail every benchmark run as a config error.
 """
 

@@ -7,6 +7,7 @@ from gasmld import qcore
 from gasmld.qcore import (
     CapacityError,
     HADAMARD,
+    MAX_QUBITS,
     PAULI_Z,
     apply_1q,
     apply_controlled_phase,
@@ -45,9 +46,7 @@ def test_zero_state_capacity():
     with pytest.raises(CapacityError):
         zero_state(0)
     with pytest.raises(CapacityError):
-        zero_state(27)
-    with pytest.raises(CapacityError):
-        zero_state(9, cap=8)
+        zero_state(MAX_QUBITS + 1)  # raises before it allocates
 
 
 def test_hadamard_all_uniform():
