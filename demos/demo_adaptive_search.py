@@ -8,7 +8,7 @@ Run as: python3 demos/demo_adaptive_search.py
 
 import numpy as np
 
-from gasmld.gas import GasConfig, run_gas
+from gasmld.gas import GasConfig, SearchContext, run_gas
 from gasmld.qubo import QuboProblem, evaluate_all_costs
 
 
@@ -25,15 +25,15 @@ def main():
     print("global minimum:", int(costs.min()))
 
     cfg = GasConfig(m=None, encoding="integer", engine="statevector")
-    res = run_gas(q, cfg, np.random.default_rng(9))
+    res = run_gas(SearchContext(q, cfg), cfg, np.random.default_rng(9))
     print("\nstatevector run:")
     for rnd, thr in res.threshold_trace:
         print(f"  round {rnd:2d}: incumbent cost {thr:g}")
     print(f"finished in {res.rounds} rounds, {res.oracle_queries} oracle queries, "
           f"best cost {res.best_cost:g}")
 
-    twin = run_gas(q, GasConfig(m=None, encoding="integer", engine="analytic"),
-                   np.random.default_rng(9))
+    twin_cfg = GasConfig(m=None, encoding="integer", engine="analytic")
+    twin = run_gas(SearchContext(q, twin_cfg), twin_cfg, np.random.default_rng(9))
     same = (twin.threshold_trace == res.threshold_trace
             and np.array_equal(twin.best_bits, res.best_bits)
             and twin.oracle_queries == res.oracle_queries)

@@ -14,7 +14,7 @@ Library layout:
 __version__ = "0.1.0"
 
 from .qubo import MldInstance, QuboProblem, mld_to_qubo  # noqa: E402
-from .gas import GasConfig, GasResult, run_gas  # noqa: E402
+from .gas import GasConfig, GasResult, SearchContext, run_gas  # noqa: E402
 from .detect import DetectionReport, gas_detect, hybrid_detect, mld_detect, mmse_detect  # noqa: E402
 from .bench import BerRecord, SweepConfig, emit_csv, fig_recipe, run_sweep  # noqa: E402
 
@@ -31,6 +31,7 @@ __all__ = [
     "mld_to_qubo",
     "GasConfig",
     "GasResult",
+    "SearchContext",
     "run_gas",
     "DetectionReport",
     "mld_detect",

@@ -5,9 +5,11 @@ is the achieved squared residual of the hard decision.  The exhaustive
 search and the equalizer are written for a stack of instances
 (``mld_decisions``, ``mmse_soft``), which is how a sweep runs them; the
 one-instance detectors are the stack of one.  The exhaustive search is an
-argmin over ``qubo``'s costs, a search's table but for a few ulps.  The hybrid
-keeps the equalizer decision as the search incumbent, so it can match but
-never trail the equalizer on any single instance.
+argmin over ``qubo``'s costs, a search's table but for a few ulps.  The
+searches run on a ``gas.SearchContext`` of the instance's QUBO, which a sweep
+builds once per trial for both; the one-instance detectors build their own.
+The hybrid keeps the equalizer decision as the search incumbent, so it can
+match but never trail the equalizer on any single instance.
 """
 
 import warnings
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import demodulate, modulate
-from .gas import GasConfig, run_gas
+from .gas import GasConfig, SearchContext, run_gas
 from .qubo import MldInstance, bits_of, cost_chunks, mld_to_qubo, qubo_terms
 
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
@@ -104,7 +106,8 @@ def mmse_detect(inst: MldInstance) -> DetectionReport:
 
 def _run_search(inst: MldInstance, cfg: GasConfig, warm_bits, method: str,
                 rng: np.random.Generator) -> DetectionReport:
-    result = run_gas(mld_to_qubo(inst), replace(cfg, warm_start=warm_bits), rng)
+    cfg = replace(cfg, warm_start=warm_bits)
+    result = run_gas(SearchContext(mld_to_qubo(inst), cfg), cfg, rng)
     return _report(inst, result.best_bits, method, result.oracle_queries)
 
 

@@ -26,19 +26,26 @@ survive the marginalisation.  Both engines draw identically from the
 supplied generator (one integer for L, one uniform for the measurement per
 round), which makes their traces directly comparable seed for seed.
 
-A search computes its cost table once and takes the exact cost bounds, the
-automatic value-register size, the real-encoding scale and both engines'
-input from it.  The incumbent is a key index into that table: each round
-compares the measured key's table entry with the threshold, and the bits of
-the best key are decoded once, at return.  Per threshold both engines read
-the same shifted table a_b = scale (E(b) - threshold), checked once against
-the integer encoding, and a one-slot cache holds the latest threshold's
-preparation: the statevector engine's A|0>, the analytic engine's w_good,
-w_bad, p0.  Beside it the cache keeps the key distribution of each rotation
-count already drawn at that threshold, so a search evolves each
-(threshold, L) pair once however many rounds draw it.
+A search runs on a ``SearchContext``, the work of one QUBO built once: its
+cost table, the exact cost bounds, the value-register size, the
+real-encoding scale and the engine, all taken from that table.  Every
+search on the same problem, such as a sweep trial's random-start and
+warm-started search, runs on one context.  The incumbent is a key index
+into the table: each round compares the measured key's table entry with the
+threshold, and the bits of the best key are decoded once, at return.  Per
+threshold both engines read the same shifted table
+a_b = scale (E(b) - threshold), checked once against the integer encoding,
+and the engine's one slot holds the latest threshold's preparation: the
+statevector engine's A|0>, read-only, the analytic engine's w_good, w_bad,
+p0.  Beside it the slot keeps, per rotation count already drawn at that
+threshold, the running sum of the key distribution, which is all a draw
+reads.  So each (threshold, L) pair is evolved once however many rounds
+draw it, and a round is one ``searchsorted``.  The slot outlives a search:
+a search that starts where the previous one on the context stopped reuses
+that threshold's preparation and sums.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,13 +111,12 @@ def sample_rotation_count(k: float, rng: np.random.Generator) -> int:
     """
     if k < 1.0:
         raise ValueError("rotation schedule parameter must be >= 1")
-    high = int(np.floor(k - 1.0))
-    return int(rng.integers(0, high + 1))
+    return int(rng.integers(0, math.floor(k - 1.0) + 1))
 
 
 def grow_k(k: float, growth_factor: float, n: int) -> float:
     """Schedule update after a non-improving round: min(growth*k, sqrt(2^n))."""
-    return min(growth_factor * k, float(np.sqrt(2.0 ** n)))
+    return min(growth_factor * k, math.sqrt(2.0 ** n))
 
 
 def cost_bounds(costs: np.ndarray) -> tuple[float, float]:
@@ -142,38 +148,44 @@ def required_value_qubits(n: int, bounds: tuple[float, float], encoding: str) ->
 
 
 class _Engine:
-    """One search's setup and the threshold cache both engines share: a
-    subclass supplies ``_prepare(shifted)``, run once per threshold on the
-    shifted cost table, and ``_evolve(prepared, L)``, the key distribution
-    after L rotations.
+    """The threshold slot both engines share: a subclass supplies
+    ``_prepare(shifted)``, run once per threshold on the shifted cost table,
+    and ``_evolve(prepared, L)``, the key distribution after L rotations.
 
-    The cache holds one threshold's preparation and, per rotation count L
-    drawn at that threshold, the distribution ``_evolve`` returned, read-only:
-    a later round with the same (threshold, L) reads the same array, so every
-    draw, and hence every trace, is what re-evaluating it would give.  Both
-    are dropped when the threshold falls.  At most stall_rounds rounds run at
-    one threshold and L < k <= sqrt(2^n), so the memo holds at most
-    min(stall_rounds, max_rounds, floor(2^(n/2))) float64 arrays of 2^n
-    entries: two 8-entry arrays at n = 3, and at n = 10 with the default
-    caps fifteen, 120 KiB."""
+    The slot's running sums are read-only: a later round with the same
+    (threshold, L), in this search or in a later one on the context, reads
+    the same array, so every draw, and hence every trace, is what
+    re-evaluating it would give.  L < k <= sqrt(2^n), so the slot holds at
+    most floor(2^(n/2)) arrays of 2^n float64 entries: two of 8 entries at
+    n = 3, and thirty-two, 256 KiB, at n = 10.  With the default growth 8/7
+    the at most stall_rounds = 15 rounds a search runs at one threshold reach
+    only k < 6.5, so six."""
 
     def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
-        self._costs = costs  # the search's cost table, indexed by key
+        self._costs = costs  # the context's cost table, indexed by key
         self._m = m
         self._encoding = encoding
         self._scale = scale
-        # (threshold, prepared, {L: key distribution}): the threshold only ever falls
-        self._cache = None
+        # (threshold, prepared, {L: running sum of the key distribution})
+        self._slot = None
 
-    def key_distribution(self, threshold: float, L: int) -> np.ndarray:
-        if self._cache is None or self._cache[0] != threshold:
-            self._cache = None  # release the old preparation before building the next
-            self._cache = (threshold, self._prepare(self._shifted(threshold)), {})
-        _, prepared, evolved = self._cache
-        if L not in evolved:
-            evolved[L] = self._evolve(prepared, L)
-            evolved[L].flags.writeable = False  # shared by every later round with this L
-        return evolved[L]
+    def prepared(self, threshold: float):
+        """The slot's preparation for ``threshold``, made first if the slot
+        holds another threshold."""
+        if self._slot is None or self._slot[0] != threshold:
+            self._slot = None  # release the old preparation before building the next
+            self._slot = (threshold, self._prepare(self._shifted(threshold)), {})
+        return self._slot[1]
+
+    def cumulative(self, threshold: float, L: int) -> np.ndarray:
+        """The running sum of the key distribution after L rotations at
+        ``threshold``: what ``qcore.sample_index`` draws from."""
+        prepared = self.prepared(threshold)
+        sums = self._slot[2]
+        if L not in sums:
+            sums[L] = np.cumsum(self._evolve(prepared, L))
+            sums[L].flags.writeable = False  # shared by every later round with this L
+        return sums[L]
 
     def _shifted(self, threshold: float) -> np.ndarray:
         """a_b = scale (E(b) - threshold) for every key.  The integer encoding
@@ -197,11 +209,14 @@ class _Engine:
 
 class _StatevectorEngine(_Engine):
     """Runs the search on a statevector; prepares A|0> per threshold from the
-    shifted cost table, and reflects about it in every Grover iteration."""
+    shifted cost table, and reflects about it in every Grover iteration.
+    A|0> is read-only, as every search on the context reads it."""
 
     def _prepare(self, shifted: np.ndarray):
         spec = GasCircuitSpec(shifted.shape[0].bit_length() - 1, self._m, shifted)
-        return spec, apply_state_preparation(zero_state(spec.total_qubits), spec)
+        base = apply_state_preparation(zero_state(spec.total_qubits), spec)
+        base.amps.flags.writeable = False
+        return spec, base
 
     def _evolve(self, prepared, L: int) -> np.ndarray:
         spec, base = prepared
@@ -232,29 +247,46 @@ class _AnalyticEngine(_Engine):
         return np.sin(angle) ** 2 * w_good / p0 + np.cos(angle) ** 2 * w_bad / (1.0 - p0)
 
 
-def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator) -> GasResult:
-    """Algorithm driver, drawing from ``rng`` only; see the module docstring."""
-    n = q.n
-    if n < 1:
-        raise ValueError("need at least one key qubit")
+class SearchContext:
+    """The search work of one QUBO, built once for every search on it: the
+    cost table and the engine with its threshold slot, set up for the ``m``,
+    encoding and engine of ``cfg`` with the value-register size and the
+    real-encoding scale that the table's bounds give."""
+
+    def __init__(self, q: QuboProblem, cfg: GasConfig):
+        n = q.n
+        if n < 1:
+            raise ValueError("need at least one key qubit")
+        # checked before the 2^n table is built; the automatic m takes at least 2 qubits
+        least_m = cfg.m if cfg.m is not None else 2
+        if n + least_m > MAX_QUBITS:
+            raise CapacityError(
+                f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
+        self.n = n
+        self.settings = (cfg.m, cfg.encoding, cfg.engine)
+        self.costs = evaluate_all_costs(q)
+        lo, hi = cost_bounds(self.costs)
+        m = cfg.m if cfg.m is not None else required_value_qubits(n, (lo, hi), cfg.encoding)
+        # integer mode encodes costs verbatim; real mode stretches the worst-case
+        # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
+        scale = 1.0
+        if cfg.encoding == "real_direct" and hi > lo:
+            scale = float(2 ** (m - 2)) / (hi - lo)
+        engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _AnalyticEngine
+        self.engine = engine_cls(self.costs, m, cfg.encoding, scale)
+
+
+def run_gas(ctx: SearchContext, cfg: GasConfig, rng: np.random.Generator) -> GasResult:
+    """Algorithm driver on the context ``ctx``, drawing from ``rng`` only; see
+    the module docstring.  ``cfg`` must ask for the m, encoding and engine
+    the context was built with."""
+    asked = (cfg.m, cfg.encoding, cfg.engine)
+    if asked != ctx.settings:
+        raise ValueError(f"search asks for (m, encoding, engine) = {asked}, "
+                         f"the context was built for {ctx.settings}")
+    n, costs, engine = ctx.n, ctx.costs, ctx.engine
     if cfg.warm_start is not None and cfg.warm_start.shape[0] != n:
         raise ValueError("warm start length does not match problem size")
-    # checked before the 2^n table is built; the automatic m takes at least 2 qubits
-    least_m = cfg.m if cfg.m is not None else 2
-    if n + least_m > MAX_QUBITS:
-        raise CapacityError(f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
-    # the one cost table of this search: bounds, auto m, scale, engine input
-    # and every cost the search compares
-    costs = evaluate_all_costs(q)
-    lo, hi = cost_bounds(costs)
-    m = cfg.m if cfg.m is not None else required_value_qubits(n, (lo, hi), cfg.encoding)
-    # integer mode encodes costs verbatim; real mode stretches the worst-case
-    # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
-    scale = 1.0
-    if cfg.encoding == "real_direct" and hi > lo:
-        scale = float(2 ** (m - 2)) / (hi - lo)
-    engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _AnalyticEngine
-    engine = engine_cls(costs, m, cfg.encoding, scale)
 
     # the incumbent is a key index; a random start is still drawn as n bits,
     # the draw that every seeded sweep's stream goes through
@@ -270,8 +302,7 @@ def run_gas(q: QuboProblem, cfg: GasConfig, rng: np.random.Generator) -> GasResu
     while rounds < cfg.max_rounds and stall < cfg.stall_rounds:
         rounds += 1
         L = sample_rotation_count(k, rng)
-        dist = engine.key_distribution(threshold, L)
-        idx = sample_index(dist, rng)
+        idx = sample_index(engine.cumulative(threshold, L), rng)
         queries += L
         if costs[idx] < threshold:
             threshold = float(costs[idx])

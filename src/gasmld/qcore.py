@@ -191,8 +191,11 @@ def register_distribution(state: Statevector, register) -> np.ndarray:
     return np.ascontiguousarray(marg).reshape(-1)
 
 
-def sample_index(distribution: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index from a probability vector using a single uniform draw."""
-    cdf = np.cumsum(distribution)
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(distribution) - 1))
+def sample_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one index of a distribution from its running sum ``cumulative``
+    (``np.cumsum`` of the probabilities) with a single uniform draw: the
+    first index whose running sum exceeds the draw times the total, clamped
+    to the last index.  The array's own ``searchsorted`` skips the
+    dispatch of ``np.searchsorted``, which took longer than the search."""
+    u = rng.random() * cumulative[-1]
+    return min(int(cumulative.searchsorted(u, side="right")), cumulative.shape[0] - 1)

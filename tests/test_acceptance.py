@@ -29,7 +29,7 @@ from gasmld.detect import (
     mmse_equalize,
     residual_cost,
 )
-from gasmld.gas import GasConfig, cost_bounds, required_value_qubits, run_gas
+from gasmld.gas import GasConfig, SearchContext, cost_bounds, required_value_qubits, run_gas
 from gasmld.qcore import hadamard_all, zero_state
 from gasmld.qubo import (
     MldInstance,
@@ -221,7 +221,7 @@ def test_a05_adaptive_search_convergence():
         q = _random_integer_qubo(rng, 3)
         optimum = float(evaluate_all_costs(q).min())
         cfg = GasConfig(m=None, encoding="integer", engine="statevector")
-        res = run_gas(q, cfg, np.random.default_rng(trial))
+        res = run_gas(SearchContext(q, cfg), cfg, np.random.default_rng(trial))
         hits += res.best_cost <= optimum + 1e-9
     ok = hits >= 99
     _line("A05 adaptive search convergence", "PASS" if ok else "FAIL",

@@ -1,6 +1,7 @@
 """Sweep harness: seeding/pairing, CSV contract, config grammar, CLI."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasmld.bench
+import gasmld.gas
+import gasmld.qubo
 from conftest import child_env
 from gasmld.bench import (
     BLOCK_TRIALS,
@@ -28,8 +31,9 @@ from gasmld.bench import (
     run_sweep,
     trial_instance,
 )
+from gasmld.channel import demodulate
 from gasmld.cli import main
-from gasmld.detect import METHODS, mld_decisions, mld_detect, mmse_detect
+from gasmld.detect import METHODS, mld_decisions, mld_detect, mmse_detect, mmse_equalize
 from gasmld.gas import ENCODINGS, ENGINES, GasConfig
 from gasmld.qcore import MAX_QUBITS
 from gasmld.qubo import BRUTE_FORCE_MAX_N
@@ -138,6 +142,78 @@ def test_block_channels_are_each_trials_own(monkeypatch):
         inst, _ = trial_instance(cfg, 0, 0, trial)
         assert np.array_equal(H[trial], inst.H)
         assert np.array_equal(y[trial], inst.y)
+
+
+def _counted(monkeypatch, module, name, calls):
+    """Patch ``module.name`` with a wrapper that appends to ``calls``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_search_context_per_trial(monkeypatch):
+    # both searches of a trial share one QUBO and one cost table, every
+    # trial's warm start comes from one equalizer pass per block, and a
+    # trial's circulant is built once, for its transmission
+    cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"],
+                       trials_per_point=BLOCK_TRIALS + 3, R_list=[4], master_seed=5)
+    calls = []
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    for module, name in ((gasmld.bench, "mld_to_qubo"), (gasmld.gas, "evaluate_all_costs"),
+                         (gasmld.bench, "mmse_soft"), (gasmld.bench, "circulant_matrix"),
+                         (gasmld.qubo, "circulant_matrix")):
+        _counted(monkeypatch, module, name, calls)
+    run_sweep(cfg)
+    trials, blocks = cfg.trials_per_point, 2
+    assert calls.count("mld_to_qubo") == calls.count("evaluate_all_costs") == trials
+    assert calls.count("mmse_soft") == blocks
+    assert calls.count("circulant_matrix") == trials + blocks  # and one per block for MLD
+
+
+def test_warm_starts_are_each_trials_equalizer_decision(monkeypatch):
+    # GAS_warm starts from the block's batched equalizer decision, which is
+    # each trial's own one-instance decision; GAS_random starts nowhere
+    cfg = small_config(detectors=["GAS_random", "GAS_warm"], snr_db_list=[-5.0, 10.0],
+                       R_list=[0, 4], trials_per_point=25, master_seed=17)
+    streams, starts = [], []
+
+    def recorded_rng(cfg, snr_idx, r_idx, trial, detector):
+        streams.append((snr_idx, r_idx, trial, detector))
+        return real_rng(cfg, snr_idx, r_idx, trial, detector)
+
+    def recorded_search(ctx, gas, rng):
+        starts.append(gas.warm_start)
+        return real_search(ctx, gas, rng)
+
+    real_rng, real_search = gasmld.bench.detector_rng, gasmld.bench.run_gas
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    monkeypatch.setattr(gasmld.bench, "detector_rng", recorded_rng)
+    monkeypatch.setattr(gasmld.bench, "run_gas", recorded_search)
+    run_sweep(cfg)
+    assert len(streams) == len(starts) == 2 * 2 * 2 * cfg.trials_per_point
+    for (snr_idx, r_idx, trial, detector), start in zip(streams, starts):
+        if detector == "GAS_random":
+            assert start is None
+        else:
+            inst, _ = trial_instance(cfg, snr_idx, r_idx, trial)
+            assert np.array_equal(start, demodulate(mmse_equalize(inst)))
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("fig2", "1759feab3cd6a276378fc41af4b9a66ac0d00a95be8e7ef6cd438bdb63aab0de"),
+    ("fig3", "34659bc667f3d5d30dd8055f374f548e2ebe6026d42b696244e933a542cf8bc7"),
+])
+def test_recipe_bytes(monkeypatch, tmp_path, capsys, name, digest):
+    # the recipes' CSV bytes at 200 trials on one worker, as first recorded
+    out = tmp_path / f"{name}.csv"
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    assert main(["sweep", "--recipe", name, "--trials", "200", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_identity_channel_bookkeeping(identity_channel):

@@ -1,5 +1,7 @@
 """Adaptive search driver: schedule, sizing, traces, engine agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gasmld.gas import (
     ENCODINGS,
     ENGINES,
     GasConfig,
+    SearchContext,
     _AnalyticEngine,
     _Engine,
     _StatevectorEngine,
@@ -27,6 +30,16 @@ from gasmld.channel import circulant_matrix
 from gasmld.circuits import fejer_distribution
 
 from oracles import brute_force_min
+
+
+def search(q, cfg, rng):
+    """One search on a fresh context of ``q``."""
+    return run_gas(SearchContext(q, cfg), cfg, rng)
+
+
+def distribution(engine, threshold, L):
+    """The key distribution an engine draws from, read off its running sum."""
+    return np.diff(engine.cumulative(threshold, L), prepend=0.0)
 
 
 def toy_problem():
@@ -106,7 +119,7 @@ def test_toy_trace():
     reached = 0
     for seed in range(5):
         cfg = GasConfig(m=None, warm_start=np.array([0]), max_rounds=30, encoding="integer")
-        res = run_gas(q, cfg, np.random.default_rng(seed))
+        res = search(q, cfg, np.random.default_rng(seed))
         values = [y for _, y in res.threshold_trace]
         assert values[0] == 16.0
         assert all(v in (16.0, 4.0) for v in values)
@@ -123,7 +136,7 @@ def test_warm_start_at_optimum_never_moves():
     q = random_integer_qubo(rng)
     best_bits, best_cost = brute_force_min(q)
     cfg = GasConfig(m=None, warm_start=best_bits, encoding="integer")
-    res = run_gas(q, cfg, np.random.default_rng(11))
+    res = search(q, cfg, np.random.default_rng(11))
     assert res.best_cost == best_cost
     assert np.array_equal(res.best_bits, best_bits)
     assert all(y == best_cost for _, y in res.threshold_trace)
@@ -135,20 +148,20 @@ def test_stop_reason():
     q = random_integer_qubo(rng)
     best_bits, _ = brute_force_min(q)
     for engine in ENGINES:
-        capped = run_gas(q, GasConfig(m=None, max_rounds=1, engine=engine), np.random.default_rng(5))
+        capped = search(q, GasConfig(m=None, max_rounds=1, engine=engine), np.random.default_rng(5))
         assert (capped.rounds, capped.stop_reason) == (1, "max_rounds")
         # nothing beats the warm start, so the search stalls out
         cfg = GasConfig(m=None, warm_start=best_bits, engine=engine)
-        stalled = run_gas(q, cfg, np.random.default_rng(5))
+        stalled = search(q, cfg, np.random.default_rng(5))
         assert (stalled.rounds, stalled.stop_reason) == (cfg.stall_rounds, "stall")
         # when both caps are reached in the same round the stall wins
         cfg.max_rounds = cfg.stall_rounds
-        assert run_gas(q, cfg, np.random.default_rng(5)).stop_reason == "stall"
+        assert search(q, cfg, np.random.default_rng(5)).stop_reason == "stall"
         # an improvement inside the last stall_rounds rounds leaves the cap to stop it
-        improved = [run_gas(toy_problem(), GasConfig(m=None, warm_start=np.array([0]),
-                                                     max_rounds=3, stall_rounds=3,
-                                                     encoding="integer", engine=engine),
-                            np.random.default_rng(seed))
+        improved = [search(toy_problem(), GasConfig(m=None, warm_start=np.array([0]),
+                                                    max_rounds=3, stall_rounds=3,
+                                                    encoding="integer", engine=engine),
+                           np.random.default_rng(seed))
                     for seed in range(8)]
         improved = [res for res in improved if res.best_cost < 16.0]
         assert improved
@@ -159,8 +172,8 @@ def test_determinism():
     rng = np.random.default_rng(4)
     q = random_integer_qubo(rng)
     cfg = GasConfig(m=8, encoding="integer")
-    a = run_gas(q, cfg, np.random.default_rng(42))
-    b = run_gas(q, cfg, np.random.default_rng(42))
+    a = search(q, cfg, np.random.default_rng(42))
+    b = search(q, cfg, np.random.default_rng(42))
     assert a.threshold_trace == b.threshold_trace
     assert np.array_equal(a.best_bits, b.best_bits)
     assert (a.oracle_queries, a.measurements, a.rounds) == (
@@ -177,7 +190,7 @@ def test_engines_agree_integer():
         runs = []
         for engine in ("statevector", "analytic"):
             cfg = GasConfig(m=8, engine=engine, encoding="integer")
-            runs.append(run_gas(q, cfg, np.random.default_rng(seed)))
+            runs.append(search(q, cfg, np.random.default_rng(seed)))
         a, b = runs
         assert a.threshold_trace == b.threshold_trace
         assert np.array_equal(a.best_bits, b.best_bits)
@@ -195,7 +208,7 @@ def test_engines_agree_real_direct():
         runs = []
         for engine in ("statevector", "analytic"):
             cfg = GasConfig(m=8, encoding="real_direct", engine=engine)
-            runs.append(run_gas(q, cfg, np.random.default_rng(seed)))
+            runs.append(search(q, cfg, np.random.default_rng(seed)))
         a, b = runs
         assert a.threshold_trace == b.threshold_trace
         assert np.array_equal(a.best_bits, b.best_bits)
@@ -210,7 +223,7 @@ def test_engine_distributions_match():
     an = _AnalyticEngine(evaluate_all_costs(q), 8, "integer", 1.0)
     for y in costs[1:]:
         for L in (0, 1, 2):
-            assert np.allclose(sv.key_distribution(y, L), an.key_distribution(y, L), atol=1e-9)
+            assert np.allclose(distribution(sv, y, L), distribution(an, y, L), atol=1e-9)
 
 
 def test_correct_marking_probability():
@@ -228,7 +241,7 @@ def test_correct_marking_probability():
         p0 = np.mean(by_index < y)
         predicted_miss = np.cos(3.0 * np.arcsin(np.sqrt(p0))) ** 2
         for engine in engines:
-            dist = engine.key_distribution(float(y), 1)
+            dist = distribution(engine, float(y), 1)
             assert abs(dist[by_index >= y].sum() - predicted_miss) < 1e-6
 
 
@@ -238,7 +251,7 @@ def test_reaches_optimum_small_problems():
     for seed in range(20):
         q = random_integer_qubo(rng)
         _, best = brute_force_min(q)
-        res = run_gas(q, GasConfig(m=None, encoding="integer"), np.random.default_rng(seed))
+        res = search(q, GasConfig(m=None, encoding="integer"), np.random.default_rng(seed))
         hits += res.best_cost == best
         assert all(y2 <= y1 for (_, y1), (_, y2) in zip(res.threshold_trace, res.threshold_trace[1:]))
     assert hits >= 19
@@ -256,15 +269,15 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         GasConfig(warm_start=np.array([0, 2]))
     with pytest.raises(CapacityError):
-        run_gas(toy_problem(), GasConfig(m=26, encoding="integer"), np.random.default_rng(0))
+        search(toy_problem(), GasConfig(m=26, encoding="integer"), np.random.default_rng(0))
     q = QuboProblem(Q=np.array([[0.5]]), c=np.array([0.25]), offset=0.0)
     for engine in ENGINES:
         # non-integer coefficients, and costs spread 12 past the [-4, 4) window of m = 3
         with pytest.raises(ValueError):
-            run_gas(q, GasConfig(m=6, encoding="integer", engine=engine), np.random.default_rng(0))
+            search(q, GasConfig(m=6, encoding="integer", engine=engine), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            run_gas(toy_problem(), GasConfig(m=3, encoding="integer", engine=engine),
-                    np.random.default_rng(0))
+            search(toy_problem(), GasConfig(m=3, encoding="integer", engine=engine),
+                   np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("warm_start", [[0.7, 1.2], [257.0, 1.0], [np.nan, 1.0], [[0, 1]]])
@@ -283,10 +296,10 @@ def test_warm_start_cast_after_check():
 def test_integer_window_edge():
     # m = 3 reads [-4, 4): a shifted cost of -4 is the last one that fits
     for engine_cls in (_StatevectorEngine, _AnalyticEngine):
-        dist = engine_cls(np.array([-4.0, 0.0]), 3, "integer", 1.0).key_distribution(0.0, 0)
+        dist = distribution(engine_cls(np.array([-4.0, 0.0]), 3, "integer", 1.0), 0.0, 0)
         assert np.allclose(dist, [0.5, 0.5], atol=1e-12)
         with pytest.raises(ValueError, match="capacity"):
-            engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0).key_distribution(0.0, 0)
+            engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0).cumulative(0.0, 0)
 
 
 def test_engine_twin_above_n16():
@@ -296,8 +309,8 @@ def test_engine_twin_above_n16():
     costs = evaluate_all_costs(q)
     scale = 2.0 ** (m - 2) / (costs.max() - costs.min())
     threshold = float(np.median(costs))
-    sv = _StatevectorEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
-    an = _AnalyticEngine(costs, m, "real_direct", scale).key_distribution(threshold, 1)
+    sv = distribution(_StatevectorEngine(costs, m, "real_direct", scale), threshold, 1)
+    an = distribution(_AnalyticEngine(costs, m, "real_direct", scale), threshold, 1)
     assert np.max(np.abs(sv - an)) <= 1e-9
     runs = [_outcome(q, GasConfig(m=m, max_rounds=2, engine=engine), 0) for engine in ENGINES]
     assert runs[0] == runs[1]
@@ -313,9 +326,9 @@ def test_capacity_checked_before_cost_table(monkeypatch):
     q = QuboProblem(Q=np.zeros((25, 25)), c=np.zeros(25), offset=0.0)
     for engine in ENGINES:
         with pytest.raises(CapacityError, match="26-qubit cap"):
-            run_gas(q, GasConfig(m=None, engine=engine), np.random.default_rng(0))
+            search(q, GasConfig(m=None, engine=engine), np.random.default_rng(0))
     with pytest.raises(CapacityError, match="26-qubit cap"):
-        run_gas(toy_problem(), GasConfig(m=26), np.random.default_rng(0))
+        search(toy_problem(), GasConfig(m=26), np.random.default_rng(0))
 
 
 def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
@@ -331,14 +344,14 @@ def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
         monkeypatch.setattr(module, "fejer_distribution", counted, raising=False)
     q = random_real_qubo(np.random.default_rng(13), 3)
     for m in (3, 12):
-        run_gas(q, GasConfig(m=m, engine="analytic"), np.random.default_rng(0))
+        search(q, GasConfig(m=m, engine="analytic"), np.random.default_rng(0))
     assert calls == []
 
 
 def test_warm_start_length_checked():
     with pytest.raises(ValueError):
-        run_gas(toy_problem(), GasConfig(m=None, warm_start=np.array([0, 1])),
-                np.random.default_rng(0))
+        search(toy_problem(), GasConfig(m=None, warm_start=np.array([0, 1])),
+               np.random.default_rng(0))
 
 
 def test_search_reads_costs_off_its_table(monkeypatch):
@@ -356,12 +369,13 @@ def test_search_reads_costs_off_its_table(monkeypatch):
         for engine in ENGINES:
             for encoding in ENCODINGS:
                 for warm_start in (None, np.array([1, 0, 1])):
-                    run_gas(q, GasConfig(m=m, engine=engine, encoding=encoding,
-                                         warm_start=warm_start), np.random.default_rng(0))
+                    search(q, GasConfig(m=m, engine=engine, encoding=encoding,
+                                        warm_start=warm_start), np.random.default_rng(0))
     assert calls == []
 
 
 def test_one_cost_table_per_search(monkeypatch):
+    # one table per context, however many searches run on it
     calls = []
 
     def counted(q):
@@ -374,15 +388,47 @@ def test_one_cost_table_per_search(monkeypatch):
         for engine in ENGINES:
             for encoding in ENCODINGS:
                 calls.clear()
-                run_gas(q, GasConfig(m=m, engine=engine, encoding=encoding), np.random.default_rng(0))
-                assert len(calls) <= 1, (m, engine, encoding)
+                cfg = GasConfig(m=m, engine=engine, encoding=encoding)
+                ctx = SearchContext(q, cfg)
+                for warm_start in (None, np.array([1, 0, 1])):
+                    run_gas(ctx, replace(cfg, warm_start=warm_start), np.random.default_rng(0))
+                assert len(calls) == 1, (m, engine, encoding)
 
 
-def _outcome(q, cfg, seed):
+def test_search_settings_match_context():
+    cfg = GasConfig(m=None, encoding="integer")
+    ctx = SearchContext(toy_problem(), cfg)
+    for other in (replace(cfg, m=8), replace(cfg, encoding="real_direct"),
+                  replace(cfg, engine="analytic")):
+        with pytest.raises(ValueError, match="context was built for"):
+            run_gas(ctx, other, np.random.default_rng(0))
+    # the caps, the growth and the warm start are each search's own
+    res = run_gas(ctx, replace(cfg, max_rounds=2, growth_factor=2.0, warm_start=[1]),
+                  np.random.default_rng(0))
+    assert res.rounds == 2 and res.best_cost == 4.0
+
+
+def test_prepared_state_is_read_only():
+    # every search on a context reflects about the slot's A|0>: a stray write raises
+    q = random_real_qubo(np.random.default_rng(15), 3)
+    engine = SearchContext(q, GasConfig(m=6)).engine
+    threshold = float(np.median(engine._costs))
+    _, base = engine.prepared(threshold)
+    before = base.amps.copy()
+    with pytest.raises(ValueError):
+        base.amps[0] = 0.0
+    for L in (0, 2):
+        engine.cumulative(threshold, L)  # L > 0 evolves a copy
+    assert np.array_equal(base.amps, before)
+    assert engine.prepared(threshold)[1] is base
+
+
+def _outcome(q, cfg, seed, ctx=None):
     """A search's trace, picks, query count, best cost, round count and stop
-    reason on the generator of ``seed``, or the type of error it raised."""
+    reason on the generator of ``seed``, or the type of error it raised; on
+    the context ``ctx``, or on a fresh one."""
     try:
-        res = run_gas(q, cfg, np.random.default_rng(seed))
+        res = run_gas(ctx or SearchContext(q, cfg), cfg, np.random.default_rng(seed))
     except ValueError as exc:
         return type(exc)
     return (res.threshold_trace, res.best_bits.tolist(), res.oracle_queries, res.best_cost,
@@ -415,9 +461,9 @@ def test_engine_twin_property_real(n, problem_seed, m, seed):
 
 
 def _evolve_every_round(self, threshold, L):
-    """``key_distribution`` without the threshold cache or the memo: every
-    round prepares and evolves afresh."""
-    return self._evolve(self._prepare(self._shifted(threshold)), L)
+    """``cumulative`` without the threshold slot or the memo: every round
+    prepares and evolves afresh."""
+    return np.cumsum(self._evolve(self._prepare(self._shifted(threshold)), L))
 
 
 @pytest.mark.parametrize("n", [3, 10])
@@ -426,14 +472,38 @@ def _evolve_every_round(self, threshold, L):
 def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
     # span 1 keeps the automatic m, and so the N = 10 statevector, small
     q = random_integer_qubo(np.random.default_rng(30 + n), n=n, span=1)
+    shared = None
     for seed in range(3):
         warm_start = np.arange(n) % 2 if seed == 2 else None
         cfg = GasConfig(m=None, encoding=encoding, engine=engine, warm_start=warm_start)
         memoized = _outcome(q, cfg, seed)
         assert isinstance(memoized, tuple)
+        # nor does the slot the previous seeds' searches left on one context
+        shared = shared or SearchContext(q, cfg)
+        assert _outcome(q, cfg, seed, shared) == memoized
         with monkeypatch.context() as patch:
-            patch.setattr(_Engine, "key_distribution", _evolve_every_round)
+            patch.setattr(_Engine, "cumulative", _evolve_every_round)
             assert _outcome(q, cfg, seed) == memoized
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_shared_context_changes_no_search(n, encoding, engine):
+    # a sweep trial's two searches: the second starts from the first one's
+    # best key, the threshold whose preparation and sums the slot still
+    # holds, or from a random key
+    q = random_integer_qubo(np.random.default_rng(50 + n), n=n, span=1)
+    cfg = GasConfig(m=None, encoding=encoding, engine=engine)
+    reused = 0
+    for seed in range(4):
+        ctx = SearchContext(q, cfg)
+        first = run_gas(ctx, cfg, np.random.default_rng(seed))
+        reused += ctx.engine._slot[0] == first.best_cost
+        for warm_start in (first.best_bits, None):
+            second = replace(cfg, warm_start=warm_start)
+            assert _outcome(q, second, seed + 10, ctx) == _outcome(q, second, seed + 10)
+    assert reused > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -445,7 +515,7 @@ def test_memo_changes_no_search_property(n, problem_seed, m, engine, seed):
     cfg = GasConfig(m=m, engine=engine)
     memoized = _outcome(q, cfg, seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Engine, "key_distribution", _evolve_every_round)
+        patch.setattr(_Engine, "cumulative", _evolve_every_round)
         assert _outcome(q, cfg, seed) == memoized
 
 
@@ -466,30 +536,38 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
 
         monkeypatch.setattr(cls, "_evolve", counted)
 
-    memoized = _Engine.key_distribution
+    memoized = _Engine.cumulative
 
     def checked(self, threshold, L):
-        previous = self._cache
-        dist = memoized(self, threshold, L)
-        cached_threshold, _, by_rotation = self._cache
-        assert cached_threshold == threshold and by_rotation[L] is dist
+        previous = self._slot
+        sums = memoized(self, threshold, L)
+        slot_threshold, _, by_rotation = self._slot
+        assert slot_threshold == threshold and by_rotation[L] is sums
+        # the memo keeps one float64 running sum per L and nothing beside it
+        assert all(type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (1 << n,)
+                   for a in by_rotation.values())
         with pytest.raises(ValueError):
-            dist[0] = 0.0  # no caller can corrupt the memo
+            sums[0] = 0.0  # no caller can corrupt the memo
         if previous is not None and previous[0] != threshold:
             assert list(by_rotation) == [L]  # a new threshold starts an empty memo
         memo_sizes.append(len(by_rotation))
-        return dist
+        return sums
 
-    monkeypatch.setattr(_Engine, "key_distribution", checked)
+    monkeypatch.setattr(_Engine, "cumulative", checked)
     q = random_real_qubo(np.random.default_rng(40 + n), n)
     cfg = GasConfig(m=6, engine=engine, growth_factor=growth_factor)
-    res = run_gas(q, cfg, np.random.default_rng(3))
+    # a trial's two searches on one context, the second from the first one's best key
+    ctx = SearchContext(q, cfg)
+    first = run_gas(ctx, cfg, np.random.default_rng(3))
+    second = run_gas(ctx, replace(cfg, warm_start=first.best_bits), np.random.default_rng(4))
     # round r runs at the threshold the trace holds after round r - 1
-    pairs = set(zip((y for _, y in res.threshold_trace[:-1]), draws))
-    assert len(draws) == res.rounds
+    levels = [y for res in (first, second) for _, y in res.threshold_trace[:-1]]
+    pairs = set(zip(levels, draws))
+    rounds = first.rounds + second.rounds
+    assert len(draws) == rounds
     assert len(evolutions) == len(pairs)
-    assert max(memo_sizes) <= min(cfg.stall_rounds, int(np.floor(2 ** (n / 2))))
+    assert max(memo_sizes) <= int(np.floor(2 ** (n / 2)))
     if n == 3:
-        assert len(evolutions) < res.rounds
+        assert len(evolutions) < rounds
     else:
         assert max(memo_sizes) > 7  # past the L <= 6 that growth 8/7 reaches in 15 rounds

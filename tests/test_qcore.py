@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasmld import qcore
 from gasmld.qcore import (
@@ -242,7 +244,7 @@ def test_measure_register_deterministic_and_noncollapsing():
     rng = np.random.default_rng(0)
     before = s.amps.copy()
     for _ in range(10):
-        assert sample_index(register_distribution(s, [0, 1]), rng) == 2
+        assert sample_index(np.cumsum(register_distribution(s, [0, 1])), rng) == 2
     assert np.array_equal(s.amps, before)
 
 
@@ -251,9 +253,51 @@ def test_measure_register_frequencies():
     rng = np.random.default_rng(42)
     counts = np.zeros(4)
     trials = 100_000
+    cumulative = np.cumsum(register_distribution(s, [0, 1]))
     for _ in range(trials):
-        counts[sample_index(register_distribution(s, [0, 1]), rng)] += 1
+        counts[sample_index(cumulative, rng)] += 1
     assert np.all(np.abs(counts / trials - 0.25) < 0.01)
+
+
+def _draw_from_distribution(distribution, rng):
+    """The draw rule as it read a distribution: its running sum built on
+    every call, then the same uniform, search and clamp."""
+    cdf = np.cumsum(distribution)
+    u = rng.random() * cdf[-1]
+    return int(min(np.searchsorted(cdf, u, side="right"), len(distribution) - 1))
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.1, 0.25, 1.0 / 3.0, 0.5, 2.0]),
+                min_size=1, max_size=16).filter(any),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 1.0]), min_size=1, max_size=4))
+def test_sample_index_reads_the_running_sum(distribution, seed, edges):
+    # from equal generator states, the running sum draws what the distribution
+    # did, zero-mass entries included; a uniform of 1.0, which a real
+    # generator never returns, lands past the last sum and is clamped
+    d = np.array(distribution)
+    cumulative = np.cumsum(d)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(8):
+        index = sample_index(cumulative, rng_a)
+        assert index == _draw_from_distribution(d, rng_b)
+        assert d[index] > 0.0
+    assert rng_a.random() == rng_b.random()
+    picks = [sample_index(cumulative, _Uniforms([u])) for u in edges]
+    assert picks == [_draw_from_distribution(d, _Uniforms([u])) for u in edges]
+    if 1.0 in edges:
+        assert picks[edges.index(1.0)] == d.shape[0] - 1
 
 
 def test_norm_preserved_after_gates():
