@@ -7,7 +7,7 @@ Library layout:
 - ``qubo``     detection cost -> QUBO, exhaustive costs, bit codec
 - ``gas``      the adaptive threshold search driver
 - ``channel``  RIS cascade channel model and circulant link algebra
-- ``detect``   MLD / MMSE / hybrid detectors
+- ``detect``   ``decide``: MLD, MMSE and the searches over a block; blocks of one
 - ``bench``    Monte-Carlo BER sweeps, CSV emission, CLI backing
 """
 

@@ -15,18 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (
-    block_from_bits,
-    circulant_matrix,
-    demodulate,
-    generate_channel,
-    snr_db_to_sigma2,
-    transmit,
-)
-from .detect import METHODS, mld_decisions, mmse_soft
-from .gas import GasConfig, SearchContext, run_gas
+from .channel import block_from_bits, circulant_matrix, generate_channel, snr_db_to_sigma2, transmit
+from .detect import METHODS, decide
+from .gas import GasConfig
 from .qcore import MAX_QUBITS
-from .qubo import BRUTE_FORCE_MAX_N, MldInstance, mld_to_qubo
+from .qubo import BRUTE_FORCE_MAX_N, MldInstance
 
 CSV_HEADER = "snr_db,detector,R,trials,bit_errors,ber,mean_queries,ci95"
 # Trials per job: enough to batch MLD and MMSE well, few enough that a pool
@@ -109,18 +102,15 @@ class BerRecord:
 def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int):
     """The (instance, true bits) pair a given trial presents to every detector:
     from the trial's stream, the channel's effective response, then the
-    payload bits, then the noise.  The instance keeps the circulant H that
-    the transmission used, so no detector builds it again."""
+    payload bits, then the noise."""
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
     )
     h = generate_channel(R=cfg.R_list[r_idx], L_bi=cfg.L_bi, L_iu=cfg.L_iu, rng=rng).h_eff
     bits = rng.integers(0, 2, size=cfg.N)
     sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])
-    H = circulant_matrix(h, cfg.N)
-    inst = MldInstance(h=h, y=transmit(block_from_bits(bits), H, sigma2, rng), sigma2=sigma2)
-    inst.H = H  # what inst.H would build from the zero-padded h
-    return inst, bits
+    y = transmit(block_from_bits(bits), circulant_matrix(h, cfg.N), sigma2, rng)
+    return MldInstance(h=h, y=y, sigma2=sigma2), bits
 
 
 def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detector: str):
@@ -132,39 +122,17 @@ def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detecto
 
 
 def _run_block(job) -> list[tuple[int, int]]:
-    """One job: trials [start, stop) of one (snr, R) point.
-
-    Each trial's instance is built once and shown to every detector.  MMSE
-    runs once over the whole block, and its decisions are the warm starts of
-    GAS_warm.  The searches run trial by trial on their own streams,
-    GAS_random and then GAS_warm on one ``SearchContext`` of the trial's
-    QUBO; MLD then runs once over the block.  Returns (bit errors, oracle
-    queries) per detector, in ``cfg.detectors`` order.
-    """
+    """One job: trials [start, stop) of one (snr, R) point, each trial's
+    instance built once and shown to every detector (``detect.decide``), each
+    search on its own stream.  Returns (bit errors, oracle queries) per
+    detector, in ``cfg.detectors`` order."""
     cfg, snr_idx, r_idx, start, stop = job
-    tallies = {det: [0, 0] for det in cfg.detectors}
-    searches = [det for det in ("GAS_random", "GAS_warm") if det in tallies]
     pairs = [trial_instance(cfg, snr_idx, r_idx, trial) for trial in range(start, stop)]
     truth = np.array([bits for _, bits in pairs])
-    y = np.array([inst.y for inst, _ in pairs])
-    h = np.array([inst.h for inst, _ in pairs])
-    if "MMSE" in tallies or "GAS_warm" in tallies:
-        mmse = demodulate(mmse_soft(h, y, snr_db_to_sigma2(cfg.snr_db_list[snr_idx])))
-        if "MMSE" in tallies:
-            tallies["MMSE"][0] = int(np.sum(mmse != truth))
-    if searches:
-        for row, (inst, bits) in enumerate(pairs):
-            ctx = SearchContext(mld_to_qubo(inst), cfg.gas)
-            for det in searches:
-                gas = replace(cfg.gas, warm_start=mmse[row] if det == "GAS_warm" else None)
-                result = run_gas(ctx, gas, detector_rng(cfg, snr_idx, r_idx, start + row, det))
-                tallies[det][0] += int(np.sum(result.best_bits != bits))
-                tallies[det][1] += result.oracle_queries
-    # MLD last: run before the searches, its block-sized temporaries raised
-    # block10_serial's peak RSS by 0.06-0.08 MiB
-    if "MLD" in tallies:  # N <= 24
-        tallies["MLD"][0] = int(np.sum(mld_decisions(circulant_matrix(h, cfg.N), y) != truth))
-    return [tuple(tallies[det]) for det in cfg.detectors]
+    decided = decide([inst for inst, _ in pairs], cfg.detectors, cfg.gas,
+                     lambda det, row: detector_rng(cfg, snr_idx, r_idx, start + row, det))
+    return [(int(np.sum(decided[det][0] != truth)), int(decided[det][1].sum()))
+            for det in cfg.detectors]
 
 
 def _record(cfg: SweepConfig, snr_idx: int, r_idx: int, detector: str,

@@ -1,14 +1,13 @@
 """Block detectors: exhaustive search, frequency-domain equalizer, hybrid.
 
-All detectors consume an MldInstance and emit a DetectionReport whose cost
-is the achieved squared residual of the hard decision.  The exhaustive
-search and the equalizer are written for a stack of instances
-(``mld_decisions``, ``mmse_soft``), which is how a sweep runs them; the
-one-instance detectors are the stack of one.  The exhaustive search is an
-argmin over ``qubo``'s costs, a search's table but for a few ulps.  The
-searches run on a ``gas.SearchContext`` of the instance's QUBO, which a sweep
-builds once per trial for both; the one-instance detectors build their own.
-The hybrid keeps the equalizer decision as the search incumbent, so it can
+One path decides: ``decide`` runs a block of instances through the listed
+detectors, as a sweep does, and the one-instance detectors are a block of
+one that adds the symbols and residual cost of the decision
+(``DetectionReport``).  The exhaustive search and the equalizer run on the
+stacked block (``mld_decisions``, ``mmse_soft``); the exhaustive search is an
+argmin over ``qubo``'s costs, a search's table but for a few ulps.  Both
+searches of an instance run on one ``gas.SearchContext`` of its QUBO.  The
+hybrid keeps the equalizer decision as the search incumbent, so it can
 match but never trail the equalizer on any single instance.
 """
 
@@ -17,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import demodulate, modulate
+from .channel import circulant_matrix, demodulate, modulate
 from .gas import GasConfig, SearchContext, run_gas
 from .qubo import MldInstance, bits_of, cost_chunks, mld_to_qubo, qubo_terms
 
@@ -35,18 +34,6 @@ class DetectionReport:
 
 def residual_cost(inst: MldInstance, x: np.ndarray) -> float:
     return float(np.sum(np.abs(inst.y - inst.H @ x) ** 2))
-
-
-def _report(inst: MldInstance, bits: np.ndarray, method: str, queries: int) -> DetectionReport:
-    """The report of decided ``bits``: their symbols and residual cost."""
-    x = modulate(bits)
-    return DetectionReport(
-        x_hat=x,
-        bits_hat=bits,
-        method=method,
-        oracle_queries=queries,
-        cost=residual_cost(inst, x),
-    )
 
 
 def mld_decisions(H: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -67,11 +54,6 @@ def mld_decisions(H: np.ndarray, y: np.ndarray) -> np.ndarray:
         best_cost[rows] = np.where(better, cost, best_cost[rows])
         best_index[rows] = np.where(better, start + local, best_index[rows])
     return bits_of(best_index, y.shape[-1])
-
-
-def mld_detect(inst: MldInstance) -> DetectionReport:
-    """Exhaustive search on one instance: ``mld_decisions`` of a stack of one."""
-    return _report(inst, mld_decisions(inst.H[None], inst.y[None])[0], "MLD", 0)
 
 
 def mmse_taps(h: np.ndarray, sigma2) -> np.ndarray:
@@ -100,22 +82,69 @@ def mmse_equalize(inst: MldInstance) -> np.ndarray:
     return mmse_soft(inst.h, inst.y, inst.sigma2)
 
 
+def decide(insts, detectors, cfg: GasConfig | None, rng_for) -> dict:
+    """Each of ``detectors``' decisions on the block ``insts``, instances of
+    one length N: ``{detector: (bits, queries)}``, int8 bits (T, N) and
+    oracle queries (T,).
+
+    The searches read ``cfg`` and the generators ``rng_for(detector, row)``.
+    The equalizer runs once over the block and gives GAS_warm its warm
+    starts; the searches run row by row, both on one ``SearchContext``; MLD
+    runs last, over the block.  The circulants are stacked once, only for
+    MLD or a search, and each instance's ``H`` becomes its row of them.
+    """
+    T, N = len(insts), insts[0].N
+    h = np.array([inst.h for inst in insts])
+    y = np.array([inst.y for inst in insts])
+    out = {det: (np.zeros((T, N), dtype=np.int8), np.zeros(T, dtype=np.int64))
+           for det in detectors}
+    searches = [det for det in ("GAS_random", "GAS_warm") if det in out]
+    if "MMSE" in out or "GAS_warm" in out:
+        mmse = demodulate(mmse_soft(h, y, np.array([[inst.sigma2] for inst in insts])))
+        if "MMSE" in out:
+            out["MMSE"][0][:] = mmse
+    if searches or "MLD" in out:
+        H = circulant_matrix(h, N)
+        for inst, H_t in zip(insts, H):
+            inst.H = H_t  # what its cached H would build
+    for row, inst in enumerate(insts if searches else ()):
+        ctx = SearchContext(mld_to_qubo(inst), cfg)
+        for det in searches:
+            gas = replace(cfg, warm_start=mmse[row] if det == "GAS_warm" else None)
+            result = run_gas(ctx, gas, rng_for(det, row))
+            out[det][0][row] = result.best_bits
+            out[det][1][row] = result.oracle_queries
+    # MLD last: run before the searches, its block-sized temporaries raised
+    # block10_serial's peak RSS by 0.06-0.08 MiB
+    if "MLD" in out:  # N <= 24
+        out["MLD"][0][:] = mld_decisions(H, y)
+    return out
+
+
+def _report(inst: MldInstance, method: str, cfg: GasConfig | None = None,
+            rng: np.random.Generator | None = None) -> DetectionReport:
+    """``method`` on ``inst`` as a block of one: its decision, that
+    decision's symbols and their residual cost."""
+    (bits,), (queries,) = decide([inst], [method], cfg, lambda det, row: rng)[method]
+    x = modulate(bits)
+    return DetectionReport(x_hat=x, bits_hat=bits, method=method,
+                           oracle_queries=int(queries), cost=residual_cost(inst, x))
+
+
+def mld_detect(inst: MldInstance) -> DetectionReport:
+    """Exhaustive search on one instance."""
+    return _report(inst, "MLD")
+
+
 def mmse_detect(inst: MldInstance) -> DetectionReport:
-    return _report(inst, demodulate(mmse_equalize(inst)), "MMSE", 0)
-
-
-def _run_search(inst: MldInstance, cfg: GasConfig, warm_bits, method: str,
-                rng: np.random.Generator) -> DetectionReport:
-    cfg = replace(cfg, warm_start=warm_bits)
-    result = run_gas(SearchContext(mld_to_qubo(inst), cfg), cfg, rng)
-    return _report(inst, result.best_bits, method, result.oracle_queries)
+    return _report(inst, "MMSE")
 
 
 def gas_detect(inst: MldInstance, cfg: GasConfig, rng: np.random.Generator) -> DetectionReport:
     """Plain adaptive search from a uniformly sampled starting point."""
-    return _run_search(inst, cfg, None, "GAS_random", rng)
+    return _report(inst, "GAS_random", cfg, rng)
 
 
 def hybrid_detect(inst: MldInstance, cfg: GasConfig, rng: np.random.Generator) -> DetectionReport:
     """Equalize, hard-decide, then search with that decision as incumbent."""
-    return _run_search(inst, cfg, demodulate(mmse_equalize(inst)), "GAS_warm", rng)
+    return _report(inst, "GAS_warm", cfg, rng)

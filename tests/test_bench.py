@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasmld.bench
+import gasmld.detect
 import gasmld.gas
 import gasmld.qubo
 from conftest import child_env
@@ -24,6 +26,7 @@ from gasmld.bench import (
     BerRecord,
     ConfigError,
     SweepConfig,
+    detector_rng,
     emit_csv,
     fig_recipe,
     format_config,
@@ -31,9 +34,15 @@ from gasmld.bench import (
     run_sweep,
     trial_instance,
 )
-from gasmld.channel import demodulate
 from gasmld.cli import main
-from gasmld.detect import METHODS, mld_decisions, mld_detect, mmse_detect, mmse_equalize
+from gasmld.detect import (
+    METHODS,
+    gas_detect,
+    hybrid_detect,
+    mld_decisions,
+    mld_detect,
+    mmse_detect,
+)
 from gasmld.gas import ENCODINGS, ENGINES, GasConfig
 from gasmld.qcore import MAX_QUBITS
 from gasmld.qubo import BRUTE_FORCE_MAX_N
@@ -98,7 +107,7 @@ def test_sweep_records_and_query_accounting():
 def test_block_boundaries_keep_each_column(monkeypatch):
     # three blocks per point, the last one partial: every trial's instance is
     # built once, and each detector's row is the row it gets when swept alone
-    cfg = small_config(detectors=["MLD", "MMSE", "GAS_warm"], trials_per_point=2 * BLOCK_TRIALS + 7,
+    cfg = small_config(detectors=list(METHODS), trials_per_point=2 * BLOCK_TRIALS + 7,
                        R_list=[4], master_seed=21)
     built = []
 
@@ -114,13 +123,21 @@ def test_block_boundaries_keep_each_column(monkeypatch):
         (alone,) = run_sweep(small_config(detectors=[det], trials_per_point=cfg.trials_per_point,
                                           R_list=[4], master_seed=21))
         assert together[det] == alone
-    # and the batched columns count every trial once, as the one-instance detectors do
-    for det, detect in (("MLD", mld_detect), ("MMSE", mmse_detect)):
-        errors = 0
+    # and the block's columns count every trial once, as the one-instance
+    # detectors do on the trial's own stream
+    one = {"MLD": lambda inst, rng: mld_detect(inst),
+           "MMSE": lambda inst, rng: mmse_detect(inst),
+           "GAS_random": lambda inst, rng: gas_detect(inst, cfg.gas, rng),
+           "GAS_warm": lambda inst, rng: hybrid_detect(inst, cfg.gas, rng)}
+    for det, detect in one.items():
+        errors = queries = 0
         for trial in range(cfg.trials_per_point):
             inst, bits = trial_instance(cfg, 0, 0, trial)
-            errors += int(np.sum(detect(inst).bits_hat != bits))
-        assert together[det].bit_errors == errors
+            rep = detect(inst, detector_rng(cfg, 0, 0, trial, det))
+            errors += int(np.sum(rep.bits_hat != bits))
+            queries += rep.oracle_queries
+        assert (together[det].bit_errors, together[det].mean_queries) == \
+            (errors, queries / cfg.trials_per_point)
 
 
 def test_block_channels_are_each_trials_own(monkeypatch):
@@ -134,7 +151,7 @@ def test_block_channels_are_each_trials_own(monkeypatch):
         return mld_decisions(H, y)
 
     monkeypatch.setenv("GASMLD_THREADS", "1")
-    monkeypatch.setattr(gasmld.bench, "mld_decisions", capture)
+    monkeypatch.setattr(gasmld.detect, "mld_decisions", capture)
     run_sweep(cfg)
     ((H, y),) = seen
     assert H.shape == (9, 5, 5)
@@ -158,49 +175,57 @@ def _counted(monkeypatch, module, name, calls):
 def test_one_search_context_per_trial(monkeypatch):
     # both searches of a trial share one QUBO and one cost table, every
     # trial's warm start comes from one equalizer pass per block, and a
-    # trial's circulant is built once, for its transmission
+    # trial's circulant is built once for its transmission and once in its
+    # block's stack, which MLD and the searches read
     cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"],
                        trials_per_point=BLOCK_TRIALS + 3, R_list=[4], master_seed=5)
     calls = []
     monkeypatch.setenv("GASMLD_THREADS", "1")
-    for module, name in ((gasmld.bench, "mld_to_qubo"), (gasmld.gas, "evaluate_all_costs"),
-                         (gasmld.bench, "mmse_soft"), (gasmld.bench, "circulant_matrix"),
-                         (gasmld.qubo, "circulant_matrix")):
+    for module, name in ((gasmld.detect, "mld_to_qubo"), (gasmld.gas, "evaluate_all_costs"),
+                         (gasmld.detect, "mmse_soft"), (gasmld.bench, "circulant_matrix"),
+                         (gasmld.detect, "circulant_matrix"), (gasmld.qubo, "circulant_matrix")):
         _counted(monkeypatch, module, name, calls)
     run_sweep(cfg)
     trials, blocks = cfg.trials_per_point, 2
     assert calls.count("mld_to_qubo") == calls.count("evaluate_all_costs") == trials
     assert calls.count("mmse_soft") == blocks
-    assert calls.count("circulant_matrix") == trials + blocks  # and one per block for MLD
+    assert calls.count("circulant_matrix") == trials + blocks  # none lazily in qubo
 
 
 def test_warm_starts_are_each_trials_equalizer_decision(monkeypatch):
-    # GAS_warm starts from the block's batched equalizer decision, which is
-    # each trial's own one-instance decision; GAS_random starts nowhere
+    # at every point, each search column is the one-instance search on each
+    # trial's own stream: GAS_warm from the trial's equalizer decision, which
+    # test_detect checks row by row, and GAS_random from none
     cfg = small_config(detectors=["GAS_random", "GAS_warm"], snr_db_list=[-5.0, 10.0],
                        R_list=[0, 4], trials_per_point=25, master_seed=17)
-    streams, starts = [], []
-
-    def recorded_rng(cfg, snr_idx, r_idx, trial, detector):
-        streams.append((snr_idx, r_idx, trial, detector))
-        return real_rng(cfg, snr_idx, r_idx, trial, detector)
-
-    def recorded_search(ctx, gas, rng):
-        starts.append(gas.warm_start)
-        return real_search(ctx, gas, rng)
-
-    real_rng, real_search = gasmld.bench.detector_rng, gasmld.bench.run_gas
     monkeypatch.setenv("GASMLD_THREADS", "1")
-    monkeypatch.setattr(gasmld.bench, "detector_rng", recorded_rng)
-    monkeypatch.setattr(gasmld.bench, "run_gas", recorded_search)
-    run_sweep(cfg)
-    assert len(streams) == len(starts) == 2 * 2 * 2 * cfg.trials_per_point
-    for (snr_idx, r_idx, trial, detector), start in zip(streams, starts):
-        if detector == "GAS_random":
-            assert start is None
-        else:
-            inst, _ = trial_instance(cfg, snr_idx, r_idx, trial)
-            assert np.array_equal(start, demodulate(mmse_equalize(inst)))
+    records = {(r.snr_db, r.R, r.detector): r for r in run_sweep(cfg)}
+    for snr_idx, snr in enumerate(cfg.snr_db_list):
+        for r_idx, R in enumerate(cfg.R_list):
+            for det, detect in (("GAS_random", gas_detect), ("GAS_warm", hybrid_detect)):
+                errors = queries = 0
+                for trial in range(cfg.trials_per_point):
+                    inst, bits = trial_instance(cfg, snr_idx, r_idx, trial)
+                    rep = detect(inst, cfg.gas, detector_rng(cfg, snr_idx, r_idx, trial, det))
+                    errors += int(np.sum(rep.bits_hat != bits))
+                    queries += rep.oracle_queries
+                rec = records[snr, R, det]
+                assert (rec.bit_errors, rec.mean_queries) == (errors, queries / cfg.trials_per_point)
+
+
+def test_equalizer_only_block_holds_no_dense_channel():
+    # an MMSE-only block reads each trial's response, never a held N x N
+    # circulant: its heap peak stays within a few dense channels, where one
+    # pinned per trial would take a hundred
+    cfg = small_config(detectors=["MMSE"], N=256, trials_per_point=100, R_list=[4])
+    dense = cfg.N * cfg.N * 16
+    tracemalloc.start()
+    try:
+        gasmld.bench._run_block((cfg.validate(), 0, 0, 0, cfg.trials_per_point))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dense
 
 
 @pytest.mark.parametrize("name, digest", [

@@ -2,9 +2,12 @@
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gasmld.qubo
 from gasmld.channel import (
@@ -17,7 +20,9 @@ from gasmld.channel import (
     transmit,
 )
 from gasmld.detect import (
+    METHODS,
     DetectionReport,
+    decide,
     gas_detect,
     hybrid_detect,
     mld_decisions,
@@ -28,7 +33,7 @@ from gasmld.detect import (
     mmse_taps,
     residual_cost,
 )
-from gasmld.gas import GasConfig
+from gasmld.gas import ENGINES, GasConfig, SearchContext, run_gas
 from gasmld.qcore import CapacityError
 from gasmld.qubo import MldInstance, bits_of, evaluate_all_costs, mld_to_qubo, qubo_terms
 
@@ -297,3 +302,33 @@ def test_gas_random_runs_and_reports_queries():
     assert rep.method == "GAS_random"
     assert rep.oracle_queries >= 0
     assert set(rep.bits_hat.tolist()) <= {0, 1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 1 << 32), N=st.sampled_from([3, 5]), engine=st.sampled_from(ENGINES),
+       T=st.integers(1, 3))
+def test_block_equals_its_blocks_of_one(seed, N, engine, T):
+    # each row of a block is the one-instance detector's decision on that
+    # instance from the same generator, and a search's row is the search of
+    # the instance's own QUBO, warm from its own equalizer decision or not
+    rng = np.random.default_rng(seed)
+    insts = [random_instance(rng, N=N, snr_db=rng.uniform(-5.0, 10.0))[0] for _ in range(T)]
+    cfg = GasConfig(m=8, engine=engine)
+
+    def stream(det, row):
+        return np.random.default_rng((seed, row, METHODS.index(det)))
+
+    block = decide(insts, METHODS, cfg, stream)
+    for row, inst in enumerate(insts):
+        alone = {"MLD": mld_detect(inst), "MMSE": mmse_detect(inst),
+                 "GAS_random": gas_detect(inst, cfg, stream("GAS_random", row)),
+                 "GAS_warm": hybrid_detect(inst, cfg, stream("GAS_warm", row))}
+        for det, rep in alone.items():
+            assert np.array_equal(block[det][0][row], rep.bits_hat)
+            assert block[det][1][row] == rep.oracle_queries
+        own = MldInstance(h=inst.h, y=inst.y, sigma2=inst.sigma2)
+        for det, warm in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
+            search = replace(cfg, warm_start=warm)
+            result = run_gas(SearchContext(mld_to_qubo(own), search), search, stream(det, row))
+            assert np.array_equal(block[det][0][row], result.best_bits)
+            assert block[det][1][row] == result.oracle_queries
