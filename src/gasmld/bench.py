@@ -2,7 +2,11 @@
 
 Seeding contract: the channel, payload bits, and noise of a trial are drawn
 from a stream keyed by (master_seed, snr index, R index, trial, 0), which
-does not mention the detector.  Every detector therefore faces the exact
+does not mention the detector.  The stream is read in that order: one
+``standard_normal`` call for every channel tap (``channel.channel_normals``),
+``integers(0, 2, N)`` for the bits, then, when sigma2 > 0, one
+``standard_normal(2N)`` for the noise; a block of trials reads each stream
+so (``trial_block``).  Every detector therefore faces the exact
 same instance sequence and comparisons are paired.  Randomized detectors
 get their own stream keyed by the same tuple with the detector's global
 index in METHODS appended, so adding or reordering detectors in a config
@@ -15,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import block_from_bits, circulant_matrix, generate_channel, snr_db_to_sigma2, transmit
+from .channel import (add_noise, bit_vector, channel_normals, channel_stack, circulant_matrix,
+                      modulate, noise_normals, snr_db_to_sigma2)
 from .detect import METHODS, decide
 from .gas import GasConfig
 from .qcore import MAX_QUBITS
@@ -99,18 +104,39 @@ class BerRecord:
     ci95: float
 
 
-def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int):
-    """The (instance, true bits) pair a given trial presents to every detector:
-    from the trial's stream, the channel's effective response, then the
-    payload bits, then the noise."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
-    )
-    h = generate_channel(R=cfg.R_list[r_idx], L_bi=cfg.L_bi, L_iu=cfg.L_iu, rng=rng).h_eff
-    bits = rng.integers(0, 2, size=cfg.N)
+def trial_block(cfg: SweepConfig, snr_idx: int, r_idx: int, start: int, stop: int):
+    """The instances that trials [start, stop) of one point present to every
+    detector, and their true bits, (T, N).
+
+    Each trial draws from its own stream, in the contract's order; the
+    arithmetic then runs once on the block's stacked draws, but each trial's
+    y = H x takes its own freshly built circulant: a product on a view of a
+    stack can round one ulp apart, as its memory alignment picks the
+    kernel's path."""
+    R, N, T = cfg.R_list[r_idx], cfg.N, stop - start
     sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])
-    y = transmit(block_from_bits(bits), circulant_matrix(h, cfg.N), sigma2, rng)
-    return MldInstance(h=h, y=y, sigma2=sigma2), bits
+    taps = np.empty((T, channel_normals(R, cfg.L_bi, cfg.L_iu)))
+    bits = np.empty((T, N), dtype=np.int64)
+    noise = np.empty((T, noise_normals(N, sigma2)))
+    for row, trial in enumerate(range(start, stop)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
+        )
+        rng.standard_normal(out=taps[row])
+        bits[row] = rng.integers(0, 2, size=N)
+        rng.standard_normal(out=noise[row])
+    h = channel_stack(taps, R, cfg.L_bi, cfg.L_iu).h_eff
+    x = modulate(bit_vector(bits.ravel(), "bits must be 0/1")).reshape(T, N)
+    y = add_noise(np.array([circulant_matrix(h_t, N) @ x_t for h_t, x_t in zip(h, x)]),
+                  noise, sigma2)
+    return [MldInstance(h=h_t, y=y_t, sigma2=sigma2) for h_t, y_t in zip(h, y)], bits
+
+
+def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int):
+    """The (instance, true bits) pair a given trial presents to every
+    detector: ``trial_block``'s block of one."""
+    (inst,), (bits,) = trial_block(cfg, snr_idx, r_idx, trial, trial + 1)
+    return inst, bits
 
 
 def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detector: str):
@@ -127,9 +153,8 @@ def _run_block(job) -> list[tuple[int, int]]:
     search on its own stream.  Returns (bit errors, oracle queries) per
     detector, in ``cfg.detectors`` order."""
     cfg, snr_idx, r_idx, start, stop = job
-    pairs = [trial_instance(cfg, snr_idx, r_idx, trial) for trial in range(start, stop)]
-    truth = np.array([bits for _, bits in pairs])
-    decided = decide([inst for inst, _ in pairs], cfg.detectors, cfg.gas,
+    insts, truth = trial_block(cfg, snr_idx, r_idx, start, stop)
+    decided = decide(insts, cfg.detectors, cfg.gas,
                      lambda det, row: detector_rng(cfg, snr_idx, r_idx, start + row, det))
     return [(int(np.sum(decided[det][0] != truth)), int(decided[det][1].sum()))
             for det in cfg.detectors]

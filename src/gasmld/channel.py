@@ -10,6 +10,7 @@ single Rayleigh direct link with the same total delay spread.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,10 +20,11 @@ import numpy as np
 
 @dataclass(eq=False)
 class RisChannel:
-    """Static channel snapshot for one transmission block.
+    """Static channel snapshot for one transmission block, or a stack of them.
 
     h_bi, h_iu hold per-element tap vectors (R rows); phases are the unit
-    reflection coefficients; h_eff is the aligned effective response.
+    reflection coefficients; h_eff is the aligned effective response.  A
+    stack (``channel_stack``) puts a trial axis before each array's own.
     """
 
     R: int
@@ -60,18 +62,21 @@ def block_from_bits(bits) -> np.ndarray:
     return modulate(bit_vector(bits, "bits must be 0/1"))
 
 
-def _cn_taps(shape, tap_variance: float, rng: np.random.Generator) -> np.ndarray:
-    scale = np.sqrt(tap_variance / 2.0)
-    return rng.normal(scale=scale, size=shape) + 1j * rng.normal(scale=scale, size=shape)
+def _cn(z: np.ndarray, variance: float) -> np.ndarray:
+    """CN(0, variance) values from the standard normals ``z``: the first half
+    of the last axis gives their real parts, the second half their imaginary
+    parts."""
+    scale = np.sqrt(variance / 2.0)
+    half = z.shape[-1] // 2
+    return scale * z[..., :half] + 1j * (scale * z[..., half:])
 
 
 def _cascade(h_bi: np.ndarray, h_iu: np.ndarray) -> np.ndarray:
-    """Row-wise linear convolution, exact (no FFT rounding)."""
-    R, L_bi = h_bi.shape
-    L_iu = h_iu.shape[1]
-    out = np.zeros((R, L_bi + L_iu - 1), dtype=complex)
+    """Linear convolution along the last axis, exact (no FFT rounding)."""
+    L_bi, L_iu = h_bi.shape[-1], h_iu.shape[-1]
+    out = np.zeros(h_bi.shape[:-1] + (L_bi + L_iu - 1,), dtype=complex)
     for k in range(L_bi):
-        out[:, k : k + L_iu] += h_bi[:, k : k + 1] * h_iu
+        out[..., k : k + L_iu] += h_bi[..., k : k + 1] * h_iu
     return out
 
 
@@ -82,7 +87,7 @@ def ris_align(cascades: np.ndarray) -> np.ndarray:
     fading) gets phase 1 and a warning, rather than an undefined angle.
     """
     cascades = np.atleast_2d(np.asarray(cascades, dtype=complex))
-    first = cascades[:, 0]
+    first = cascades[..., 0]
     dead = np.abs(first) == 0.0
     if np.any(dead):
         warnings.warn("cascade with zero first tap; using phase 0 for it")
@@ -90,32 +95,49 @@ def ris_align(cascades: np.ndarray) -> np.ndarray:
     return np.exp(-1j * angles)
 
 
-def generate_channel(R: int, L_bi: int, L_iu: int, rng: np.random.Generator) -> RisChannel:
-    """Draw one channel realisation.
+def channel_normals(R: int, L_bi: int, L_iu: int) -> int:
+    """Standard normals one channel draw reads: the real and then the
+    imaginary parts of the R x L_bi taps, then those of the R x L_iu taps;
+    at R = 0, those of the L_bi + L_iu - 1 direct taps."""
+    if R < 0 or L_bi < 1 or L_iu < 1:
+        raise ValueError("need R >= 0 and at least one tap per link")
+    return 2 * (R * (L_bi + L_iu) if R else L_bi + L_iu - 1)
+
+
+def channel_stack(z: np.ndarray, R: int, L_bi: int, L_iu: int) -> RisChannel:
+    """The T channels drawn as the (T, ``channel_normals``) standard normals
+    ``z``, stacked: every array field gains a leading trial axis.
 
     Taps are i.i.d. circularly-symmetric complex Gaussian with a uniform power
     profile normalised to unit link energy (variance 1/L per tap).  R >= 1
     gives the aligned RIS cascade sum; R = 0 gives a direct Rayleigh link
     spanning the same L_bi + L_iu - 1 taps.
     """
-    if R < 0 or L_bi < 1 or L_iu < 1:
-        raise ValueError("need R >= 0 and at least one tap per link")
-    L = L_bi + L_iu - 1
+    T, L = z.shape[0], L_bi + L_iu - 1
+    if z.shape[1:] != (channel_normals(R, L_bi, L_iu),):
+        raise ValueError("z must hold one row of channel_normals(R, L_bi, L_iu) per channel")
     if R == 0:
-        h_eff = _cn_taps(L, 1.0 / L, rng)
         return RisChannel(
             R=0,
-            h_bi=np.zeros((0, L_bi), dtype=complex),
-            h_iu=np.zeros((0, L_iu), dtype=complex),
-            phases=np.zeros(0, dtype=complex),
-            h_eff=h_eff,
+            h_bi=np.zeros((T, 0, L_bi), dtype=complex),
+            h_iu=np.zeros((T, 0, L_iu), dtype=complex),
+            phases=np.zeros((T, 0), dtype=complex),
+            h_eff=_cn(z, 1.0 / L),
         )
-    h_bi = _cn_taps((R, L_bi), 1.0 / L_bi, rng)
-    h_iu = _cn_taps((R, L_iu), 1.0 / L_iu, rng)
+    cut = 2 * R * L_bi
+    h_bi = _cn(z[:, :cut], 1.0 / L_bi).reshape(T, R, L_bi)
+    h_iu = _cn(z[:, cut:], 1.0 / L_iu).reshape(T, R, L_iu)
     cascades = _cascade(h_bi, h_iu)
     phases = ris_align(cascades)
-    h_eff = (cascades * phases[:, None]).sum(axis=0)
+    h_eff = (cascades * phases[..., None]).sum(axis=-2)
     return RisChannel(R=R, h_bi=h_bi, h_iu=h_iu, phases=phases, h_eff=h_eff)
+
+
+def generate_channel(R: int, L_bi: int, L_iu: int, rng: np.random.Generator) -> RisChannel:
+    """Draw one channel realisation: the stack of one of ``channel_stack``."""
+    ch = channel_stack(rng.standard_normal((1, channel_normals(R, L_bi, L_iu))), R, L_bi, L_iu)
+    return RisChannel(R=R, h_bi=ch.h_bi[0], h_iu=ch.h_iu[0], phases=ch.phases[0],
+                      h_eff=ch.h_eff[0])
 
 
 def first_column(h, N: int) -> np.ndarray:
@@ -145,14 +167,26 @@ def circulant_matrix(h, N: int) -> np.ndarray:
     return first_column(h, N)[..., _lag(N)]
 
 
+def noise_normals(N: int, sigma2: float) -> int:
+    """Standard normals the CN(0, sigma2) noise on an N-symbol block reads:
+    2N, the real and then the imaginary parts, or none at sigma2 = 0.
+    ValueError unless sigma2 is finite and non-negative; NaN, which fails
+    every comparison, would otherwise pass as noiseless."""
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError("sigma2 must be finite and non-negative")
+    return 2 * N if sigma2 > 0 else 0
+
+
+def add_noise(y: np.ndarray, z: np.ndarray, sigma2: float) -> np.ndarray:
+    """Blocks ``y`` plus CN(0, sigma2) noise from the ``noise_normals``
+    standard normals ``z`` of each, on the last axis."""
+    return y + _cn(z, sigma2) if z.shape[-1] else y
+
+
 def transmit(x: np.ndarray, H: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """y = H x + w with w ~ CN(0, sigma2 I): variance sigma2/2 per quadrature."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
-    y = H @ x
-    if sigma2 > 0:
-        y = y + _cn_taps(x.shape[0], sigma2, rng)
-    return y
+    z = rng.standard_normal(noise_normals(x.shape[0], sigma2))
+    return add_noise(H @ x, z, sigma2)
 
 
 def snr_db_to_sigma2(snr_db: float) -> float:

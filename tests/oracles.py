@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from gasmld import qcore
+from gasmld.channel import circulant_matrix, modulate, snr_db_to_sigma2
 from gasmld.circuits import GasCircuitSpec
-from gasmld.qubo import QuboProblem, bits_of, evaluate_all_costs
+from gasmld.qubo import MldInstance, QuboProblem, bits_of, evaluate_all_costs
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -226,3 +227,40 @@ def qfunc(x: float) -> float:
     from math import erfc, sqrt
 
     return 0.5 * erfc(x / sqrt(2.0))
+
+
+def _cn_taps(shape, tap_variance: float, rng: np.random.Generator) -> np.ndarray:
+    scale = np.sqrt(tap_variance / 2.0)
+    return rng.normal(scale=scale, size=shape) + 1j * rng.normal(scale=scale, size=shape)
+
+
+def reference_channel(R: int, L_bi: int, L_iu: int, rng: np.random.Generator) -> np.ndarray:
+    """One effective response, drawn one tap array at a time: each link's
+    real and then imaginary parts, the cascades by row-wise convolution, the
+    first taps aligned and the elements summed."""
+    L = L_bi + L_iu - 1
+    if R == 0:
+        return _cn_taps(L, 1.0 / L, rng)
+    h_bi = _cn_taps((R, L_bi), 1.0 / L_bi, rng)
+    h_iu = _cn_taps((R, L_iu), 1.0 / L_iu, rng)
+    cascades = np.zeros((R, L), dtype=complex)
+    for k in range(L_bi):
+        cascades[:, k : k + L_iu] += h_bi[:, k : k + 1] * h_iu
+    first = cascades[:, 0]
+    phases = np.exp(-1j * np.where(np.abs(first) == 0.0, 0.0, np.angle(first)))
+    return (cascades * phases[:, None]).sum(axis=0)
+
+
+def reference_trial_instance(cfg, snr_idx: int, r_idx: int, trial: int):
+    """A sweep trial's (instance, true bits), built alone from the trial's
+    stream: the channel's response, then the payload bits, then the noise."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
+    )
+    h = reference_channel(cfg.R_list[r_idx], cfg.L_bi, cfg.L_iu, rng)
+    bits = rng.integers(0, 2, size=cfg.N)
+    sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])
+    y = circulant_matrix(h, cfg.N) @ modulate(bits)
+    if sigma2 > 0:
+        y = y + _cn_taps(cfg.N, sigma2, rng)
+    return MldInstance(h=h, y=y, sigma2=sigma2), bits

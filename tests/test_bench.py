@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gasmld.bench
@@ -21,6 +21,7 @@ import gasmld.detect
 import gasmld.gas
 import gasmld.qubo
 from conftest import child_env
+from oracles import reference_trial_instance
 from gasmld.bench import (
     BLOCK_TRIALS,
     BerRecord,
@@ -32,6 +33,7 @@ from gasmld.bench import (
     format_config,
     parse_config,
     run_sweep,
+    trial_block,
     trial_instance,
 )
 from gasmld.cli import main
@@ -50,12 +52,13 @@ from gasmld.qubo import BRUTE_FORCE_MAX_N
 
 @pytest.fixture
 def identity_channel(monkeypatch):
-    """Every trial's channel is H = I: ``generate_channel`` is patched where
+    """Every trial's channel is H = I: ``channel_stack`` is patched where
     the sweep looks it up, on one worker so no other process imports it
-    afresh.  It draws nothing, so the bits and noise keep their streams."""
+    afresh.  The taps are still drawn, so the bits and noise keep their
+    places in each stream."""
     monkeypatch.setenv("GASMLD_THREADS", "1")
-    monkeypatch.setattr(gasmld.bench, "generate_channel",
-                        lambda R, L_bi, L_iu, rng: SimpleNamespace(h_eff=np.array([1.0 + 0j])))
+    monkeypatch.setattr(gasmld.bench, "channel_stack",
+                        lambda z, R, L_bi, L_iu: SimpleNamespace(h_eff=np.ones((len(z), 1), complex)))
 
 
 def small_config(**kw):
@@ -81,6 +84,41 @@ def test_trial_instances_are_detector_independent():
     assert np.array_equal(bits_a, bits_b)
     c, _ = trial_instance(cfg, 0, 0, 6)
     assert not np.array_equal(a.y, c.y)
+
+
+@pytest.mark.parametrize("N", [3, 5, 10, 16])
+@pytest.mark.parametrize("R", [0, 1, 4])
+@pytest.mark.parametrize("snr_db", [0.0, math.inf])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 1 << 32), start=st.integers(1, 5000),
+       links=st.sampled_from([(2, 2), (1, 1), (1, 3), (3, 2)]))
+def test_trial_block_matches_the_one_trial_reference(N, R, snr_db, seed, start, links):
+    # every row of a block, and a trial's block of one, is bit for bit what
+    # the one-trial reference builds from the trial's stream: h, y and bits;
+    # noiseless at N = 5 is where a product over stacked circulants rounds
+    # an ulp apart
+    assume(N >= links[0] + links[1] - 1)
+    cfg = small_config(snr_db_list=[snr_db], R_list=[R], N=N, L_bi=links[0], L_iu=links[1],
+                       master_seed=seed)
+    for first, size in ((start, 1), (0, 9), (start, 9)):
+        insts, bits = trial_block(cfg, 0, 0, first, first + size)
+        assert len(insts) == size and bits.shape == (size, N)
+        for row, trial in enumerate(range(first, first + size)):
+            ref, ref_bits = reference_trial_instance(cfg, 0, 0, trial)
+            for inst, got in ((insts[row], bits[row]), trial_instance(cfg, 0, 0, trial)):
+                assert inst.h.tobytes() == ref.h.tobytes()
+                assert inst.y.tobytes() == ref.y.tobytes()
+                assert got.tobytes() == ref_bits.tobytes()
+                assert inst.sigma2 == ref.sigma2
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_trial_block_rejects_a_bad_noise_power(snr_db):
+    # NaN and -inf dB give sigma2 = NaN and inf; the block's noise check is
+    # transmit's own
+    cfg = small_config(snr_db_list=[snr_db])
+    with pytest.raises(ValueError, match="sigma2 must be finite and non-negative"):
+        trial_block(cfg, 0, 0, 0, 3)
 
 
 def test_sweep_noiseless_mld_perfect():
@@ -111,12 +149,12 @@ def test_block_boundaries_keep_each_column(monkeypatch):
                        R_list=[4], master_seed=21)
     built = []
 
-    def counted(cfg, snr_idx, r_idx, trial):
-        built.append(trial)
-        return trial_instance(cfg, snr_idx, r_idx, trial)
+    def counted(cfg, snr_idx, r_idx, start, stop):
+        built.extend(range(start, stop))
+        return trial_block(cfg, snr_idx, r_idx, start, stop)
 
     monkeypatch.setenv("GASMLD_THREADS", "1")
-    monkeypatch.setattr(gasmld.bench, "trial_instance", counted)
+    monkeypatch.setattr(gasmld.bench, "trial_block", counted)
     together = {r.detector: r for r in run_sweep(cfg)}
     assert built == list(range(cfg.trials_per_point))
     for det in cfg.detectors:
@@ -175,8 +213,8 @@ def _counted(monkeypatch, module, name, calls):
 def test_one_search_context_per_trial(monkeypatch):
     # both searches of a trial share one QUBO and one cost table, every
     # trial's warm start comes from one equalizer pass per block, and a
-    # trial's circulant is built once for its transmission and once in its
-    # block's stack, which MLD and the searches read
+    # trial's circulant is built once for its transmission (``trial_block``)
+    # and once in its block's stack, which MLD and the searches read
     cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"],
                        trials_per_point=BLOCK_TRIALS + 3, R_list=[4], master_seed=5)
     calls = []

@@ -179,6 +179,15 @@ def test_transmit_noiseless_and_noise_stats():
     assert np.abs(noise.mean()) < 0.02
 
 
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+def test_transmit_rejects_a_bad_noise_power(sigma2):
+    # NaN fails both sigma2 < 0 and sigma2 > 0, so it passed as noiseless;
+    # inf gave NaN symbols
+    x = block_from_bits([1, 0])
+    with pytest.raises(ValueError, match="sigma2 must be finite and non-negative"):
+        transmit(x, np.eye(2, dtype=complex), sigma2, np.random.default_rng(0))
+
+
 def test_identity_channel_roundtrip():
     rng = np.random.default_rng(8)
     H = np.eye(3, dtype=complex)
