@@ -32,7 +32,7 @@ def main():
     dist = register_distribution(state, [0, 1, 2])
     print("\nuniform over 8 outcomes:", np.round(dist, 4))
     rng = np.random.default_rng(7)
-    print("five samples:", [sample_index(np.cumsum(dist), rng) for _ in range(5)])
+    print("five samples:", sample_index(np.tile(np.cumsum(dist), (5, 1)), rng.random(5)).tolist())
 
     # QFT then inverse QFT is the identity
     rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ Library layout:
 - ``qcore``    dense statevector engine (gates, QFT/IQFT, sampling)
 - ``circuits`` cost-threshold search operators on top of qcore
 - ``qubo``     detection cost -> QUBO, exhaustive costs, bit codec
-- ``gas``      the adaptive threshold search driver
+- ``gas``      the adaptive threshold search: one driver, a group of searches at once
 - ``channel``  RIS cascade channel model and circulant link algebra
 - ``detect``   ``decide``: MLD, MMSE and the searches over a block; blocks of one
 - ``bench``    Monte-Carlo BER sweeps, CSV emission, CLI backing

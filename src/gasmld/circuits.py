@@ -192,9 +192,9 @@ def _band_window(m: int):
     """
     M = 1 << m
     lo, hi = min(_WINDOW, M // 2), min(_WINDOW, M // 2 - 1)
-    j = np.arange(-lo, hi + 1)[:, None]
+    offsets = np.arange(-lo, hi + 1)
     h = np.pi / M
-    sin_j, cos_j = np.sin(h * j), np.cos(h * j)
+    j, sin_j, cos_j = offsets[:, None], np.sin(h * offsets), np.cos(h * offsets)
     for table in (j, sin_j, cos_j):
         table.flags.writeable = False
     poly = (527 * h**5 / 60480 - 7 * h**3 / 360 + h / 12 - 1 / h,
@@ -249,8 +249,10 @@ def _block_mass(key: np.ndarray, m: int) -> np.ndarray:
     pre = np.sin(np.pi * delta) / M
     # window bin j lies in the band iff (j - s) mod M < M/2, a clear bit m - 1
     inside = ((j - s) & (M // 2)) == 0
-    sines = sin_j * cos_d  # sin(pi (j - delta) / M) at [j, key]
-    ratio = cos_j * sin_d
+    # the (window, keys) outer products by einsum: a broadcast ufunc
+    # product, even into an ``out`` array, takes two 64 KiB iterator buffers
+    sines = np.einsum("j,k->jk", sin_j, cos_d)  # sin(pi (j - delta) / M) at [j, key]
+    ratio = np.einsum("j,k->jk", cos_j, sin_d)
     sines -= ratio
     # bin n itself at delta = 0 is 0/0, with limit 1
     np.copyto(ratio, inside)

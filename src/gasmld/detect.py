@@ -6,7 +6,8 @@ one that adds the symbols and residual cost of the decision
 (``DetectionReport``).  The exhaustive search and the equalizer run on the
 stacked block (``mld_decisions``, ``mmse_soft``); the exhaustive search is an
 argmin over ``qubo``'s costs, a search's table but for a few ulps.  Both
-searches of an instance run on one ``gas.SearchContext`` of its QUBO.  The
+searches of an instance run on one ``gas.SearchContext`` of its QUBO, and
+the block's analytic searches run in groups on ``gas.run_searches``.  The
 hybrid keeps the equalizer decision as the search incumbent, so it can
 match but never trail the equalizer on any single instance.
 """
@@ -17,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import circulant_matrix, demodulate, modulate
-from .gas import GasConfig, SearchContext, run_gas
-from .qubo import MldInstance, bits_of, cost_chunks, mld_to_qubo, qubo_terms
+from .gas import GasConfig, SearchContext, run_gas, run_searches
+from .qubo import _CHUNK, MldInstance, bits_of, cost_chunks, mld_to_qubo, qubo_terms
 
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
 
@@ -87,11 +88,17 @@ def decide(insts, detectors, cfg: GasConfig | None, rng_for) -> dict:
     one length N: ``{detector: (bits, queries)}``, int8 bits (T, N) and
     oracle queries (T,).
 
-    The searches read ``cfg`` and the generators ``rng_for(detector, row)``.
-    The equalizer runs once over the block and gives GAS_warm its warm
-    starts; the searches run row by row, both on one ``SearchContext``; MLD
-    runs last, over the block.  The circulants are stacked once, only for
-    MLD or a search, and each instance's ``H`` becomes its row of them.
+    The searches read ``cfg`` and the generators ``rng_for(detector, row)``,
+    one per search.  The equalizer runs once over the block and gives
+    GAS_warm its warm starts.  A trial's searches share one
+    ``SearchContext``, and the driver runs them in groups, in trial order:
+    on the analytic engine a group holds at most ``qubo._CHUNK`` = 2^16 key
+    entries, 2^N per search, so from N = 16 a search runs alone; on the
+    statevector engine every search runs alone, GAS_random before GAS_warm,
+    so one A|0> is alive and the second search can reuse the first one's
+    slot.  MLD runs last, over the block.  The circulants are stacked once,
+    only for MLD or a search, and each instance's ``H`` becomes its row of
+    them.
     """
     T, N = len(insts), insts[0].N
     h = np.array([inst.h for inst in insts])
@@ -107,13 +114,24 @@ def decide(insts, detectors, cfg: GasConfig | None, rng_for) -> dict:
         H = circulant_matrix(h, N)
         for inst, H_t in zip(insts, H):
             inst.H = H_t  # what its cached H would build
-    for row, inst in enumerate(insts if searches else ()):
-        ctx = SearchContext(mld_to_qubo(inst), cfg)
-        for det in searches:
-            gas = replace(cfg, warm_start=mmse[row] if det == "GAS_warm" else None)
-            result = run_gas(ctx, gas, rng_for(det, row))
-            out[det][0][row] = result.best_bits
-            out[det][1][row] = result.oracle_queries
+    # searches per driver call, and the trials whose contexts are built together
+    size = 1 if searches and cfg.engine == "statevector" else max(1, _CHUNK >> N)
+    per = -(-size // max(1, len(searches)))
+    for start in range(0, T if searches else 0, per):
+        keys, group = [], []
+        for row in range(start, min(start + per, T)):
+            ctx = SearchContext(mld_to_qubo(insts[row]), cfg)
+            for det in searches:
+                keys.append((det, row))
+                group.append((ctx, replace(cfg, warm_start=mmse[row] if det == "GAS_warm" else None),
+                              rng_for(det, row)))
+        for first in range(0, len(group), size):
+            part = group[first:first + size]
+            # a group of one goes through run_gas, the call the benchmark's tracer observes
+            results = run_searches(part) if len(part) > 1 else [run_gas(*part[0])]
+            for (det, row), result in zip(keys[first:first + size], results):
+                out[det][0][row] = result.best_bits
+                out[det][1][row] = result.oracle_queries
     # MLD last: run before the searches, its block-sized temporaries raised
     # block10_serial's peak RSS by 0.06-0.08 MiB
     if "MLD" in out:  # N <= 24

@@ -23,8 +23,9 @@ readout, which ``circuits.fejer_upper_mass`` gives for all keys at once, for
 both encodings: on an integer's exact bin it reads 1 below zero, else 0.
 Marked and unmarked components occupy disjoint value bins, so no cross terms
 survive the marginalisation.  Both engines draw identically from the
-supplied generator (one integer for L, one uniform for the measurement per
-round), which makes their traces directly comparable seed for seed.
+supplied generator (one integer for L, which reads nothing while k < 2,
+and one uniform for the measurement per round), which makes their traces
+directly comparable seed for seed.
 
 A search runs on a ``SearchContext``, the work of one QUBO built once: its
 cost table, the exact cost bounds, the value-register size, the
@@ -34,15 +35,21 @@ warm-started search, runs on one context.  The incumbent is a key index
 into the table: each round compares the measured key's table entry with the
 threshold, and the bits of the best key are decoded once, at return.  Per
 threshold both engines read the same shifted table
-a_b = scale (E(b) - threshold), checked once against the integer encoding,
-and the engine's one slot holds the latest threshold's preparation: the
-statevector engine's A|0>, read-only, the analytic engine's w_good, w_bad,
-p0.  Beside it the slot keeps, per rotation count already drawn at that
-threshold, the running sum of the key distribution, which is all a draw
-reads.  So each (threshold, L) pair is evolved once however many rounds
-draw it, and a round is one ``searchsorted``.  The slot outlives a search:
-a search that starts where the previous one on the context stopped reuses
-that threshold's preparation and sums.
+a_b = scale (E(b) - threshold), checked once against the integer encoding.
+
+One driver, ``run_searches``, runs a group of searches round by round
+together, and ``run_gas`` is its group of one.  A round walks the running
+searches in group order, and each makes its own two draws from its own
+generator; the group's running sums of the key distributions are then
+drawn from in one ``qcore.sample_index`` call, one row per search.  So a
+search's draws, and its result, are what it would reach alone.  The
+analytic engine evolves the group's rows as one stack (``_Lockstep``), and
+the rows whose threshold moved are prepared in one good-mass call.  The
+statevector engine runs a group of one: its context's one slot holds the
+latest threshold's A|0>, read-only, and the running sums already drawn
+there, per rotation count, so each (threshold, L) pair is evolved once
+however many rounds draw it, and a search that starts where the previous
+one on the context stopped reuses them (``_StatevectorEngine``).
 """
 
 import math
@@ -111,12 +118,16 @@ def sample_rotation_count(k: float, rng: np.random.Generator) -> int:
     """
     if k < 1.0:
         raise ValueError("rotation schedule parameter must be >= 1")
-    return int(rng.integers(0, math.floor(k - 1.0) + 1))
+    top = math.floor(k - 1.0)
+    # numpy returns the bound of a one-value range without reading the
+    # generator, so k < 2 takes no draw
+    return int(rng.integers(0, top + 1)) if top else 0
 
 
-def grow_k(k: float, growth_factor: float, n: int) -> float:
-    """Schedule update after a non-improving round: min(growth*k, sqrt(2^n))."""
-    return min(growth_factor * k, math.sqrt(2.0 ** n))
+def grow_k(k: float, growth_factor: float, cap: float) -> float:
+    """Schedule update after a non-improving round: min(growth * k, cap),
+    with the cap sqrt(2^n) of an n-bit search."""
+    return min(growth_factor * k, cap)
 
 
 def cost_bounds(costs: np.ndarray) -> tuple[float, float]:
@@ -148,44 +159,16 @@ def required_value_qubits(n: int, bounds: tuple[float, float], encoding: str) ->
 
 
 class _Engine:
-    """The threshold slot both engines share: a subclass supplies
-    ``_prepare(shifted)``, run once per threshold on the shifted cost table,
-    and ``_evolve(prepared, L)``, the key distribution after L rotations.
-
-    The slot's running sums are read-only: a later round with the same
-    (threshold, L), in this search or in a later one on the context, reads
-    the same array, so every draw, and hence every trace, is what
-    re-evaluating it would give.  L < k <= sqrt(2^n), so the slot holds at
-    most floor(2^(n/2)) arrays of 2^n float64 entries: two of 8 entries at
-    n = 3, and thirty-two, 256 KiB, at n = 10.  With the default growth 8/7
-    the at most stall_rounds = 15 rounds a search runs at one threshold reach
-    only k < 6.5, so six."""
+    """One context's cost table read at a threshold: the shifted table
+    a_b = scale (E(b) - threshold) that both engines prepare from.  This is
+    all the analytic engine keeps per context; its searches run in
+    lockstep on ``_Lockstep``'s stacked weights."""
 
     def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
         self._costs = costs  # the context's cost table, indexed by key
         self._m = m
         self._encoding = encoding
         self._scale = scale
-        # (threshold, prepared, {L: running sum of the key distribution})
-        self._slot = None
-
-    def prepared(self, threshold: float):
-        """The slot's preparation for ``threshold``, made first if the slot
-        holds another threshold."""
-        if self._slot is None or self._slot[0] != threshold:
-            self._slot = None  # release the old preparation before building the next
-            self._slot = (threshold, self._prepare(self._shifted(threshold)), {})
-        return self._slot[1]
-
-    def cumulative(self, threshold: float, L: int) -> np.ndarray:
-        """The running sum of the key distribution after L rotations at
-        ``threshold``: what ``qcore.sample_index`` draws from."""
-        prepared = self.prepared(threshold)
-        sums = self._slot[2]
-        if L not in sums:
-            sums[L] = np.cumsum(self._evolve(prepared, L))
-            sums[L].flags.writeable = False  # shared by every later round with this L
-        return sums[L]
 
     def _shifted(self, threshold: float) -> np.ndarray:
         """a_b = scale (E(b) - threshold) for every key.  The integer encoding
@@ -210,7 +193,40 @@ class _Engine:
 class _StatevectorEngine(_Engine):
     """Runs the search on a statevector; prepares A|0> per threshold from the
     shifted cost table, and reflects about it in every Grover iteration.
-    A|0> is read-only, as every search on the context reads it."""
+
+    The context's one threshold slot holds the latest threshold's A|0>,
+    read-only, as every search on the context reads it, and beside it, per
+    rotation count already drawn at that threshold, the read-only running
+    sum of the key distribution, which is all a draw reads.  So a later
+    round with the same (threshold, L), in this search or in a later one on
+    the context, reads the same array, and every trace is what
+    re-evaluating it would give.  L < k <= sqrt(2^n), so the slot holds at
+    most floor(2^(n/2)) sums of 2^n float64 entries; with the default growth
+    8/7 the at most stall_rounds = 15 rounds a search runs at one threshold
+    reach only k < 6.5, so six."""
+
+    def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
+        super().__init__(costs, m, encoding, scale)
+        # (threshold, prepared, {L: running sum of the key distribution})
+        self._slot = None
+
+    def prepared(self, threshold: float):
+        """The slot's preparation for ``threshold``, made first if the slot
+        holds another threshold."""
+        if self._slot is None or self._slot[0] != threshold:
+            self._slot = None  # release the old preparation before building the next
+            self._slot = (threshold, self._prepare(self._shifted(threshold)), {})
+        return self._slot[1]
+
+    def cumulative(self, threshold: float, L: int) -> np.ndarray:
+        """The running sum of the key distribution after L rotations at
+        ``threshold``: what ``qcore.sample_index`` draws from."""
+        prepared = self.prepared(threshold)
+        sums = self._slot[2]
+        if L not in sums:
+            sums[L] = np.cumsum(self._evolve(prepared, L))
+            sums[L].flags.writeable = False  # shared by every later round with this L
+        return sums[L]
 
     def _prepare(self, shifted: np.ndarray):
         spec = GasCircuitSpec(shifted.shape[0].bit_length() - 1, self._m, shifted)
@@ -225,26 +241,76 @@ class _StatevectorEngine(_Engine):
         return register_distribution(state, spec.key_register)
 
 
-class _AnalyticEngine(_Engine):
-    """Closed-form twin of the statevector engine (see module docstring);
-    prepares the w_good/w_bad/p0 weights per threshold from the shifted table."""
+class _Slots:
+    """The running sums of a group on the statevector engine: each row reads
+    its own context's threshold slot, so a group holds one search."""
 
-    def _prepare(self, shifted: np.ndarray):
-        n_keys = shifted.shape[0]
-        w_good = fejer_upper_mass(shifted, self._m)
+    def __init__(self, engines):
+        self._engines = engines
+        self._at = [None] * len(engines)  # each row's threshold
+
+    def move(self, rows: list, thresholds: list) -> None:
+        for r, t in zip(rows, thresholds):
+            self._at[r] = t
+
+    def sums(self, rows: list, L: list) -> np.ndarray:
+        return np.array([self._engines[r].cumulative(self._at[r], l) for r, l in zip(rows, L)])
+
+
+class _Lockstep:
+    """The running sums of a group on the analytic engine, every row at once.
+
+    Each row keeps its threshold's weights w_good and w_bad (see the module
+    docstring) in one (2, S, 2^n) stack, with p0 and 1 - p0 beside them.
+    The rows whose threshold moves are prepared together, one
+    ``fejer_upper_mass`` call per value-register size, and a round evolves
+    the rows it draws for as one stack, one row-wise ``cumsum``.  Every
+    row's arithmetic is the one-search closed form's, operation for
+    operation: the squares of sin and cos go through ``np.float_power``,
+    which rounds as the scalar ``**`` does, where the array ``**`` (x * x)
+    differs in about 0.1% of angles."""
+
+    def __init__(self, engines):
+        self._engines = engines
+        S = len(engines)
+        self._weights = np.empty((2, S, engines[0]._costs.shape[0]))  # w_good, w_bad
+        self._split = np.empty((2, S))  # p0 and 1 - p0, the divisors of w_good and w_bad
+        self._alpha = np.empty(S)  # arcsin(sqrt(p0))
+        self._at = np.full(S, np.nan)  # each row's threshold
+
+    def move(self, rows: list, thresholds: list) -> None:
+        engines = [self._engines[r] for r in rows]
+        shifted = [e._shifted(t) for e, t in zip(engines, thresholds)]
+        n_keys = self._weights.shape[2]
+        w_good = np.empty((len(rows), n_keys))
+        for m in {e._m for e in engines}:  # a sweep's contexts share one m
+            pick = [i for i, e in enumerate(engines) if e._m == m]
+            w_good[pick] = fejer_upper_mass(np.concatenate([shifted[i] for i in pick]),
+                                            m).reshape(len(pick), n_keys)
         w_good /= n_keys
-        w_bad = 1.0 / n_keys - w_good
-        p0 = float(np.clip(w_good.sum(), 0.0, 1.0))
-        return w_good, np.maximum(w_bad, 0.0), p0
+        self._weights[0, rows] = w_good
+        self._weights[1, rows] = np.maximum(1.0 / n_keys - w_good, 0.0)
+        p0 = np.clip(w_good.sum(axis=1), 0.0, 1.0)
+        # p0 = 0 only where every w_good is 0, and there alpha = 0: over a
+        # divisor of 1 the row reads w_bad, the one-search form's
+        # w_good + w_bad.  p0 stays below 1, as the incumbent's own key,
+        # shifted to 0, reads no mass.
+        self._split[0, rows] = np.where(p0 > 0.0, p0, 1.0)
+        self._split[1, rows] = 1.0 - p0
+        self._alpha[rows] = np.arcsin(np.sqrt(p0))
+        self._at[rows] = thresholds
 
-    def _evolve(self, prepared, L: int) -> np.ndarray:
-        w_good, w_bad, p0 = prepared
-        if p0 <= 0.0:
-            return w_good + w_bad
-        if p0 >= 1.0:
-            return w_good.copy()
-        angle = (2 * L + 1) * np.arcsin(np.sqrt(p0))
-        return np.sin(angle) ** 2 * w_good / p0 + np.cos(angle) ** 2 * w_bad / (1.0 - p0)
+    def sums(self, rows: list, L: list) -> np.ndarray:
+        at = np.array(rows)
+        angle = np.array([2 * l + 1 for l in L]) * self._alpha[at]
+        scale = np.empty((2, at.size, 1))
+        np.sin(angle, out=scale[0, :, 0])
+        np.cos(angle, out=scale[1, :, 0])
+        np.float_power(scale, 2, out=scale)
+        dist = self._weights[:, at]
+        dist *= scale
+        dist /= self._split[:, at, None]
+        return np.add(dist[0], dist[1], out=dist[0]).cumsum(axis=1)
 
 
 class SearchContext:
@@ -272,54 +338,89 @@ class SearchContext:
         scale = 1.0
         if cfg.encoding == "real_direct" and hi > lo:
             scale = float(2 ** (m - 2)) / (hi - lo)
-        engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _AnalyticEngine
+        engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _Engine
         self.engine = engine_cls(self.costs, m, cfg.encoding, scale)
 
 
 def run_gas(ctx: SearchContext, cfg: GasConfig, rng: np.random.Generator) -> GasResult:
-    """Algorithm driver on the context ``ctx``, drawing from ``rng`` only; see
-    the module docstring.  ``cfg`` must ask for the m, encoding and engine
-    the context was built with."""
-    asked = (cfg.m, cfg.encoding, cfg.engine)
-    if asked != ctx.settings:
-        raise ValueError(f"search asks for (m, encoding, engine) = {asked}, "
-                         f"the context was built for {ctx.settings}")
-    n, costs, engine = ctx.n, ctx.costs, ctx.engine
-    if cfg.warm_start is not None and cfg.warm_start.shape[0] != n:
-        raise ValueError("warm start length does not match problem size")
+    """One search on the context ``ctx``, drawing from ``rng`` only: the
+    group of one of ``run_searches``."""
+    return run_searches([(ctx, cfg, rng)])[0]
+
+
+def run_searches(searches) -> list[GasResult]:
+    """Run a group of searches, ``(ctx, cfg, rng)`` each, round by round
+    together; see the module docstring.  The contexts share n and the
+    engine, each ``cfg`` must ask for the m, encoding and engine its context
+    was built with, and each search draws from its own generator only, so
+    its result is the one it would reach alone."""
+    ctxs, cfgs, rngs = zip(*searches)
+    n = ctxs[0].n
+    for ctx, cfg in zip(ctxs, cfgs):
+        asked = (cfg.m, cfg.encoding, cfg.engine)
+        if asked != ctx.settings:
+            raise ValueError(f"search asks for (m, encoding, engine) = {asked}, "
+                             f"the context was built for {ctx.settings}")
+        if cfg.warm_start is not None and cfg.warm_start.shape[0] != n:
+            raise ValueError("warm start length does not match problem size")
+        if ctx.n != n or cfg.engine != cfgs[0].engine:
+            raise ValueError("a group's searches share the key count and the engine")
+    if len({id(rng) for rng in rngs}) < len(rngs):
+        raise ValueError("each search of a group needs its own generator")
 
     # the incumbent is a key index; a random start is still drawn as n bits,
     # the draw that every seeded sweep's stream goes through
-    bits = cfg.warm_start if cfg.warm_start is not None else rng.integers(0, 2, size=n)
-    best = int(bits @ (1 << np.arange(n)))
-    threshold = float(costs[best])  # always the cost of best
-    trace = [(0, threshold)]
+    starts = [cfg.warm_start if cfg.warm_start is not None else rng.integers(0, 2, size=n)
+              for cfg, rng in zip(cfgs, rngs)]
+    every = range(len(ctxs))
+    # a search alone reads its table in place, at any n; a group's are stacked
+    costs = ctxs[0].costs[None] if len(ctxs) == 1 else np.array([ctx.costs for ctx in ctxs])
+    best = (np.array(starts) @ (1 << np.arange(n))).tolist()
+    threshold = costs[every, best].tolist()  # always the cost of best
+    traces = [[(0, t)] for t in threshold]
+    group = (_Slots if cfgs[0].engine == "statevector" else _Lockstep)([ctx.engine for ctx in ctxs])
+    group.move(list(every), threshold)
+    k = [1.0] * len(ctxs)
+    queries = [0] * len(ctxs)
+    stall = [0] * len(ctxs)
+    rounds = [0] * len(ctxs)
+    cap = math.sqrt(2.0 ** n)
+    rows, r = list(every), 0  # the searches still running, and the round they run
+    while rows:
+        r += 1
+        L, u = [], []
+        for i in rows:
+            L.append(sample_rotation_count(k[i], rngs[i]))
+            u.append(rngs[i].random())
+        idx = sample_index(group.sums(rows, L), np.array(u))
+        running, moved = [], []
+        for i, L_i, key in zip(rows, L, idx.tolist()):
+            cost = costs.item(i, key)
+            queries[i] += L_i
+            better = cost < threshold[i]
+            if better:
+                threshold[i], best[i], k[i], stall[i] = cost, key, 1.0, 0
+            else:
+                k[i] = grow_k(k[i], cfgs[i].growth_factor, cap)
+                stall[i] += 1
+            traces[i].append((r, threshold[i]))
+            if r < cfgs[i].max_rounds and stall[i] < cfgs[i].stall_rounds:
+                running.append(i)
+                if better:
+                    moved.append(i)
+            else:
+                rounds[i] = r
+        if moved:  # prepared for the next round, which all of them run
+            group.move(moved, [threshold[i] for i in moved])
+        rows = running
 
-    k = 1.0
-    queries = 0
-    stall = 0
-    rounds = 0
-    while rounds < cfg.max_rounds and stall < cfg.stall_rounds:
-        rounds += 1
-        L = sample_rotation_count(k, rng)
-        idx = sample_index(engine.cumulative(threshold, L), rng)
-        queries += L
-        if costs[idx] < threshold:
-            threshold = float(costs[idx])
-            best = idx
-            k = 1.0
-            stall = 0
-        else:
-            k = grow_k(k, cfg.growth_factor, n)
-            stall += 1
-        trace.append((rounds, threshold))
-
-    return GasResult(
-        best_bits=bits_of(best, n),
-        best_cost=threshold,
-        rounds=rounds,
-        oracle_queries=queries,
-        measurements=rounds,  # one key-register measurement per round
-        stop_reason="stall" if stall >= cfg.stall_rounds else "max_rounds",
-        threshold_trace=trace,
-    )
+    bits = bits_of(np.array(best), n)
+    return [GasResult(
+        best_bits=bits[i],
+        best_cost=threshold[i],
+        rounds=rounds[i],
+        oracle_queries=queries[i],
+        measurements=rounds[i],  # one key-register measurement per round
+        stop_reason="stall" if stall[i] >= cfgs[i].stall_rounds else "max_rounds",
+        threshold_trace=traces[i],
+    ) for i in every]

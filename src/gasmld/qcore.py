@@ -191,11 +191,13 @@ def register_distribution(state: Statevector, register) -> np.ndarray:
     return np.ascontiguousarray(marg).reshape(-1)
 
 
-def sample_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index of a distribution from its running sum ``cumulative``
-    (``np.cumsum`` of the probabilities) with a single uniform draw: the
-    first index whose running sum exceeds the draw times the total, clamped
-    to the last index.  The array's own ``searchsorted`` skips the
-    dispatch of ``np.searchsorted``, which took longer than the search."""
-    u = rng.random() * cumulative[-1]
-    return min(int(cumulative.searchsorted(u, side="right")), cumulative.shape[0] - 1)
+def sample_index(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw one index per row of the stacked running sums ``cumulative``
+    ((S, K), each row ``np.cumsum`` of one distribution) with the row's
+    uniform in ``u`` (S,): the first index whose running sum exceeds the
+    uniform times the row's total, clamped to the last index.  On a
+    non-decreasing row, the count of sums at or below that mark is
+    ``searchsorted(side="right")``."""
+    marks = u * cumulative[:, -1]
+    drawn = np.add.reduce(cumulative <= marks[:, None], axis=1)
+    return np.minimum(drawn, cumulative.shape[1] - 1)

@@ -7,13 +7,15 @@ which is the point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from gasmld import qcore
 from gasmld.channel import circulant_matrix, modulate, snr_db_to_sigma2
-from gasmld.circuits import GasCircuitSpec
+from gasmld.circuits import GasCircuitSpec, fejer_upper_mass
+from gasmld.gas import GasResult, _StatevectorEngine
 from gasmld.qubo import MldInstance, QuboProblem, bits_of, evaluate_all_costs
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -220,6 +222,58 @@ def brute_force_min(q: QuboProblem) -> tuple[np.ndarray, float]:
     v = int(np.argmin(costs))  # argmin returns the first, i.e. smallest, index
     bits = np.array([(v >> i) & 1 for i in range(q.n)], dtype=np.int8)
     return bits, float(costs[v])
+
+
+def reference_running_sum(engine, threshold: float, L: int) -> np.ndarray:
+    """The running sum of a context's key distribution after L rotations at
+    ``threshold``, prepared and evolved afresh: on the statevector engine by
+    its Grover iterations, on the analytic engine by the closed form of the
+    ``gas`` docstring, one search's scalars at a time."""
+    shifted = engine._shifted(threshold)
+    if isinstance(engine, _StatevectorEngine):
+        return np.cumsum(engine._evolve(engine._prepare(shifted), L))
+    n_keys = shifted.shape[0]
+    w_good = fejer_upper_mass(shifted, engine._m)
+    w_good /= n_keys
+    w_bad = np.maximum(1.0 / n_keys - w_good, 0.0)
+    p0 = float(np.clip(w_good.sum(), 0.0, 1.0))
+    if p0 <= 0.0:
+        return np.cumsum(w_good + w_bad)
+    if p0 >= 1.0:
+        return np.cumsum(w_good)
+    angle = (2 * L + 1) * np.arcsin(np.sqrt(p0))
+    return np.cumsum(np.sin(angle) ** 2 * w_good / p0 + np.cos(angle) ** 2 * w_bad / (1.0 - p0))
+
+
+def reference_run_gas(ctx, cfg, rng: np.random.Generator) -> GasResult:
+    """One search on ``ctx``, alone, round by round: the random start's n
+    bits, then per round one ``integers`` draw of L uniform on [0, k - 1]
+    and one ``random`` draw of the key, searched on the running sum of
+    ``reference_running_sum``.  An improvement takes the key's cost as the
+    threshold and resets k to 1, else k grows to min(lambda k, sqrt(2^n))."""
+    n, costs = ctx.n, ctx.costs
+    bits = cfg.warm_start if cfg.warm_start is not None else rng.integers(0, 2, size=n)
+    best = int(bits @ (1 << np.arange(n)))
+    threshold = float(costs[best])
+    trace = [(0, threshold)]
+    k, queries, stall, rounds = 1.0, 0, 0, 0
+    while rounds < cfg.max_rounds and stall < cfg.stall_rounds:
+        rounds += 1
+        L = int(rng.integers(0, math.floor(k - 1.0) + 1))
+        cumulative = reference_running_sum(ctx.engine, threshold, L)
+        u = rng.random() * cumulative[-1]
+        idx = min(int(np.searchsorted(cumulative, u, side="right")), cumulative.shape[0] - 1)
+        queries += L
+        if costs[idx] < threshold:
+            threshold, best, k, stall = float(costs[idx]), idx, 1.0, 0
+        else:
+            k = min(cfg.growth_factor * k, math.sqrt(2.0 ** n))
+            stall += 1
+        trace.append((rounds, threshold))
+    return GasResult(best_bits=bits_of(best, n), best_cost=threshold, rounds=rounds,
+                     oracle_queries=queries, measurements=rounds,
+                     stop_reason="stall" if stall >= cfg.stall_rounds else "max_rounds",
+                     threshold_trace=trace)
 
 
 def qfunc(x: float) -> float:

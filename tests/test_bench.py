@@ -279,6 +279,21 @@ def test_recipe_bytes(monkeypatch, tmp_path, capsys, name, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_n10_search_bytes(monkeypatch, tmp_path):
+    # an analytic sweep over 1,024-key tables, as first recorded: a stacked
+    # row sum or running sum that rounded apart from one search's would
+    # move a search's picks and so these bytes
+    out = tmp_path / "n10.csv"
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    cfg = SweepConfig(snr_db_list=[0.0], detectors=["MLD", "GAS_random", "GAS_warm"],
+                      R_list=[4], N=10, trials_per_point=10, master_seed=1234,
+                      gas=GasConfig(m=12, max_rounds=50, stall_rounds=15, engine="analytic"),
+                      output_path=str(out))
+    emit_csv(run_sweep(cfg.validate()), cfg.output_path)
+    digest = "50ee5d53d0faa1d2719bffdfec688a0314c5edaff384ba641946cba61e8c222d"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_identity_channel_bookkeeping(identity_channel):
     # on H = I every detector decides by the sign of Re(y), so a shared
     # instance gives every column the same errors, summed over two blocks

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasmld.detect
+import gasmld.gas
 import gasmld.qubo
 from gasmld.channel import (
     block_from_bits,
@@ -37,7 +39,7 @@ from gasmld.gas import ENGINES, GasConfig, SearchContext, run_gas
 from gasmld.qcore import CapacityError
 from gasmld.qubo import MldInstance, bits_of, evaluate_all_costs, mld_to_qubo, qubo_terms
 
-from oracles import brute_force_min
+from oracles import brute_force_min, reference_run_gas
 
 
 def random_instance(rng, N=3, R=2, L_bi=2, L_iu=2, snr_db=4.0):
@@ -330,5 +332,38 @@ def test_block_equals_its_blocks_of_one(seed, N, engine, T):
         for det, warm in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
             search = replace(cfg, warm_start=warm)
             result = run_gas(SearchContext(mld_to_qubo(own), search), search, stream(det, row))
+            assert np.array_equal(block[det][0][row], result.best_bits)
+            assert block[det][1][row] == result.oracle_queries
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("cap", [8, 24, 40, 1 << 16])
+def test_search_groups_split_at_the_key_bound(monkeypatch, engine, cap):
+    # an analytic group holds at most cap key entries, 2^N per search: at
+    # N = 3 one search, three, five or a whole block of them; statevector
+    # searches run one at a time, in trial order.  Every row is the
+    # one-search reference on that row's own context and stream.
+    rng = np.random.default_rng(cap)
+    insts = [random_instance(rng, N=3, snr_db=rng.uniform(-5.0, 10.0))[0] for _ in range(7)]
+    cfg = GasConfig(m=8, engine=engine)
+    groups = []
+    monkeypatch.setattr(gasmld.detect, "_CHUNK", cap)
+    for module in (gasmld.detect, gasmld.gas):
+        monkeypatch.setattr(module, "run_searches",
+                            lambda searches, run=gasmld.gas.run_searches:
+                            groups.append(len(searches)) or run(searches))
+
+    def stream(det, row):
+        return np.random.default_rng((cap, row, METHODS.index(det)))
+
+    block = decide(insts, ["GAS_random", "GAS_warm"], cfg, stream)
+    size = 1 if engine == "statevector" else min(cap >> 3, 14)
+    assert max(groups) == size and sum(groups) == 14
+    for row, inst in enumerate(insts):
+        own = MldInstance(h=inst.h, y=inst.y, sigma2=inst.sigma2)
+        for det, warm in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
+            search = replace(cfg, warm_start=warm)
+            result = reference_run_gas(SearchContext(mld_to_qubo(own), search), search,
+                                       stream(det, row))
             assert np.array_equal(block[det][0][row], result.best_bits)
             assert block[det][1][row] == result.oracle_queries

@@ -15,13 +15,15 @@ from gasmld.gas import (
     ENGINES,
     GasConfig,
     SearchContext,
-    _AnalyticEngine,
     _Engine,
+    _Lockstep,
+    _Slots,
     _StatevectorEngine,
     cost_bounds,
     grow_k,
     required_value_qubits,
     run_gas,
+    run_searches,
     sample_rotation_count,
 )
 from gasmld.qcore import CapacityError
@@ -29,7 +31,7 @@ from gasmld.qubo import QuboProblem, evaluate_all_costs, evaluate_cost, mld_to_q
 from gasmld.channel import circulant_matrix
 from gasmld.circuits import fejer_distribution
 
-from oracles import brute_force_min
+from oracles import brute_force_min, reference_run_gas, reference_running_sum
 
 
 def search(q, cfg, rng):
@@ -37,9 +39,22 @@ def search(q, cfg, rng):
     return run_gas(SearchContext(q, cfg), cfg, rng)
 
 
+def reader(engine):
+    """The key distribution that a search on ``engine`` draws from at
+    (threshold, L), read off the running sums of one group of one search,
+    which keeps whatever it holds from one threshold to the next."""
+    group = (_Slots if isinstance(engine, _StatevectorEngine) else _Lockstep)([engine])
+
+    def distribution(threshold, L):
+        group.move([0], [float(threshold)])
+        return np.diff(group.sums([0], [L])[0], prepend=0.0)
+
+    return distribution
+
+
 def distribution(engine, threshold, L):
-    """The key distribution an engine draws from, read off its running sum."""
-    return np.diff(engine.cumulative(threshold, L), prepend=0.0)
+    """The key distribution an engine draws from at (threshold, L)."""
+    return reader(engine)(threshold, L)
 
 
 def toy_problem():
@@ -81,11 +96,11 @@ def test_rotation_count_support():
 
 
 def test_growth_schedule():
-    lam = 8.0 / 7.0
-    k = grow_k(1.0, lam, 3)
+    lam, cap = 8.0 / 7.0, np.sqrt(8.0)
+    k = grow_k(1.0, lam, cap)
     assert k == pytest.approx(lam)
     for _ in range(100):
-        k = grow_k(k, lam, 3)
+        k = grow_k(k, lam, cap)
     assert k == pytest.approx(np.sqrt(8.0))
 
 
@@ -219,11 +234,11 @@ def test_engine_distributions_match():
     rng = np.random.default_rng(7)
     q = random_integer_qubo(rng)
     costs = sorted({evaluate_cost(q, b) for b in np.ndindex(2, 2, 2)})
-    sv = _StatevectorEngine(evaluate_all_costs(q), 8, "integer", 1.0)
-    an = _AnalyticEngine(evaluate_all_costs(q), 8, "integer", 1.0)
+    sv = reader(_StatevectorEngine(evaluate_all_costs(q), 8, "integer", 1.0))
+    an = reader(_Engine(evaluate_all_costs(q), 8, "integer", 1.0))
     for y in costs[1:]:
         for L in (0, 1, 2):
-            assert np.allclose(distribution(sv, y, L), distribution(an, y, L), atol=1e-9)
+            assert np.allclose(sv(y, L), an(y, L), atol=1e-9)
 
 
 def test_correct_marking_probability():
@@ -235,13 +250,13 @@ def test_correct_marking_probability():
     )
     # one engine of each kind, threshold after threshold, so a cache entry
     # kept past its threshold shows
-    engines = (_StatevectorEngine(evaluate_all_costs(q), 10, "integer", 1.0),
-               _AnalyticEngine(evaluate_all_costs(q), 10, "integer", 1.0))
+    engines = (reader(_StatevectorEngine(evaluate_all_costs(q), 10, "integer", 1.0)),
+               reader(_Engine(evaluate_all_costs(q), 10, "integer", 1.0)))
     for y in np.unique(by_index)[1:]:
         p0 = np.mean(by_index < y)
         predicted_miss = np.cos(3.0 * np.arcsin(np.sqrt(p0))) ** 2
         for engine in engines:
-            dist = distribution(engine, float(y), 1)
+            dist = engine(float(y), 1)
             assert abs(dist[by_index >= y].sum() - predicted_miss) < 1e-6
 
 
@@ -295,11 +310,11 @@ def test_warm_start_cast_after_check():
 
 def test_integer_window_edge():
     # m = 3 reads [-4, 4): a shifted cost of -4 is the last one that fits
-    for engine_cls in (_StatevectorEngine, _AnalyticEngine):
+    for engine_cls in (_StatevectorEngine, _Engine):
         dist = distribution(engine_cls(np.array([-4.0, 0.0]), 3, "integer", 1.0), 0.0, 0)
         assert np.allclose(dist, [0.5, 0.5], atol=1e-12)
         with pytest.raises(ValueError, match="capacity"):
-            engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0).cumulative(0.0, 0)
+            distribution(engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0), 0.0, 0)
 
 
 def test_engine_twin_above_n16():
@@ -310,7 +325,7 @@ def test_engine_twin_above_n16():
     scale = 2.0 ** (m - 2) / (costs.max() - costs.min())
     threshold = float(np.median(costs))
     sv = distribution(_StatevectorEngine(costs, m, "real_direct", scale), threshold, 1)
-    an = distribution(_AnalyticEngine(costs, m, "real_direct", scale), threshold, 1)
+    an = distribution(_Engine(costs, m, "real_direct", scale), threshold, 1)
     assert np.max(np.abs(sv - an)) <= 1e-9
     runs = [_outcome(q, GasConfig(m=m, max_rounds=2, engine=engine), 0) for engine in ENGINES]
     assert runs[0] == runs[1]
@@ -424,15 +439,14 @@ def test_prepared_state_is_read_only():
 
 
 def _outcome(q, cfg, seed, ctx=None):
-    """A search's trace, picks, query count, best cost, round count and stop
-    reason on the generator of ``seed``, or the type of error it raised; on
-    the context ``ctx``, or on a fresh one."""
+    """A search's result as ``_result`` gives it, on the generator of
+    ``seed``, or the type of error it raised; on the context ``ctx``, or on
+    a fresh one."""
     try:
         res = run_gas(ctx or SearchContext(q, cfg), cfg, np.random.default_rng(seed))
     except ValueError as exc:
         return type(exc)
-    return (res.threshold_trace, res.best_bits.tolist(), res.oracle_queries, res.best_cost,
-            res.rounds, res.stop_reason)
+    return _result(res)
 
 
 @settings(max_examples=50, deadline=None)
@@ -461,9 +475,23 @@ def test_engine_twin_property_real(n, problem_seed, m, seed):
 
 
 def _evolve_every_round(self, threshold, L):
-    """``cumulative`` without the threshold slot or the memo: every round
-    prepares and evolves afresh."""
+    """The statevector engine's ``cumulative`` without the threshold slot or
+    the memo: every round prepares and evolves afresh."""
     return np.cumsum(self._evolve(self._prepare(self._shifted(threshold)), L))
+
+
+def _prepare_every_round(self, rows, L, sums=_Lockstep.sums):
+    """``_Lockstep.sums`` that prepares its rows afresh first, in place of
+    the weights they kept since their threshold last moved."""
+    self._weights[:] = np.nan
+    self.move(rows, self._at[rows].tolist())
+    return sums(self, rows, L)
+
+
+def _without_memo(patch):
+    """Switch off what both engines keep between rounds."""
+    patch.setattr(_StatevectorEngine, "cumulative", _evolve_every_round)
+    patch.setattr(_Lockstep, "sums", _prepare_every_round)
 
 
 @pytest.mark.parametrize("n", [3, 10])
@@ -482,7 +510,7 @@ def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
         shared = shared or SearchContext(q, cfg)
         assert _outcome(q, cfg, seed, shared) == memoized
         with monkeypatch.context() as patch:
-            patch.setattr(_Engine, "cumulative", _evolve_every_round)
+            _without_memo(patch)
             assert _outcome(q, cfg, seed) == memoized
 
 
@@ -491,18 +519,28 @@ def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_shared_context_changes_no_search(n, encoding, engine):
     # a sweep trial's two searches: the second starts from the first one's
-    # best key, the threshold whose preparation and sums the slot still
-    # holds, or from a random key
+    # best key, the threshold whose preparation and sums the statevector
+    # slot still holds, or from a random key; on the analytic engine the
+    # two also run as one group on the context
     q = random_integer_qubo(np.random.default_rng(50 + n), n=n, span=1)
     cfg = GasConfig(m=None, encoding=encoding, engine=engine)
     reused = 0
     for seed in range(4):
         ctx = SearchContext(q, cfg)
         first = run_gas(ctx, cfg, np.random.default_rng(seed))
-        reused += ctx.engine._slot[0] == first.best_cost
+        if engine == "statevector":
+            reused += ctx.engine._slot[0] == first.best_cost
         for warm_start in (first.best_bits, None):
             second = replace(cfg, warm_start=warm_start)
             assert _outcome(q, second, seed + 10, ctx) == _outcome(q, second, seed + 10)
+        if engine == "analytic":
+            pair = run_searches([(ctx, cfg, np.random.default_rng(seed)),
+                                 (ctx, replace(cfg, warm_start=first.best_bits),
+                                  np.random.default_rng(seed + 10))])
+            assert _result(pair[0]) == _outcome(q, cfg, seed)
+            assert _result(pair[1]) == _outcome(q, replace(cfg, warm_start=first.best_bits),
+                                                seed + 10)
+            reused += 1
     assert reused > 0
 
 
@@ -515,28 +553,31 @@ def test_memo_changes_no_search_property(n, problem_seed, m, engine, seed):
     cfg = GasConfig(m=m, engine=engine)
     memoized = _outcome(q, cfg, seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Engine, "cumulative", _evolve_every_round)
+        _without_memo(patch)
         assert _outcome(q, cfg, seed) == memoized
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("n, growth_factor", [(3, 8.0 / 7.0), (10, 4.0)])
 def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, growth_factor):
-    draws, evolutions, memo_sizes = [], [], []
+    # the statevector engine evolves each (threshold, L) of a context once;
+    # the analytic engine prepares each threshold of a search once and
+    # evolves each of its rounds once
+    draws, evolutions, memo_sizes, prepared = [], [], [], []
 
     def recorded_draw(k, rng):
         draws.append(sample_rotation_count(k, rng))
         return draws[-1]
 
     monkeypatch.setattr(gasmld.gas, "sample_rotation_count", recorded_draw)
-    for cls in (_StatevectorEngine, _AnalyticEngine):
-        def counted(self, prepared, L, evolve=cls._evolve):
-            evolutions.append(L)
-            return evolve(self, prepared, L)
 
-        monkeypatch.setattr(cls, "_evolve", counted)
+    def counted(self, prepared, L, evolve=_StatevectorEngine._evolve):
+        evolutions.append(L)
+        return evolve(self, prepared, L)
 
-    memoized = _Engine.cumulative
+    monkeypatch.setattr(_StatevectorEngine, "_evolve", counted)
+
+    memoized = _StatevectorEngine.cumulative
 
     def checked(self, threshold, L):
         previous = self._slot
@@ -553,7 +594,20 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
         memo_sizes.append(len(by_rotation))
         return sums
 
-    monkeypatch.setattr(_Engine, "cumulative", checked)
+    monkeypatch.setattr(_StatevectorEngine, "cumulative", checked)
+
+    def lockstep_move(self, rows, thresholds, move=_Lockstep.move):
+        prepared.extend(zip(rows, thresholds))
+        return move(self, rows, thresholds)
+
+    def lockstep_sums(self, rows, L, sums=_Lockstep.sums):
+        evolutions.extend(L)
+        out = sums(self, rows, L)
+        assert out.shape == (len(rows), 1 << n) and out.dtype == np.float64
+        return out
+
+    monkeypatch.setattr(_Lockstep, "move", lockstep_move)
+    monkeypatch.setattr(_Lockstep, "sums", lockstep_sums)
     q = random_real_qubo(np.random.default_rng(40 + n), n)
     cfg = GasConfig(m=6, engine=engine, growth_factor=growth_factor)
     # a trial's two searches on one context, the second from the first one's best key
@@ -565,9 +619,122 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
     pairs = set(zip(levels, draws))
     rounds = first.rounds + second.rounds
     assert len(draws) == rounds
+    if engine == "analytic":
+        # each search is a group of one, row 0, and prepares each level it runs at once
+        assert len(prepared) == sum(len({y for _, y in res.threshold_trace[:-1]})
+                                    for res in (first, second))
+        assert len(evolutions) == rounds
+        return
     assert len(evolutions) == len(pairs)
     assert max(memo_sizes) <= int(np.floor(2 ** (n / 2)))
     if n == 3:
         assert len(evolutions) < rounds
     else:
         assert max(memo_sizes) > 7  # past the L <= 6 that growth 8/7 reaches in 15 rounds
+
+
+def _result(res):
+    """Every field of a search's result, as a comparable tuple."""
+    return (res.threshold_trace, res.best_bits.tolist(), res.oracle_queries, res.best_cost,
+            res.rounds, res.stop_reason, res.measurements)
+
+
+@st.composite
+def search_groups(draw):
+    """A group of searches on one to three contexts of one n and engine,
+    one or two searches on each: a random start, a warm start of random
+    bits or one at the table's argmin, each with its own caps and seed."""
+    engine = draw(st.sampled_from(ENGINES))
+    # the reference prepares every round afresh: keep its statevectors small
+    n = draw(st.sampled_from([1, 3, 5] if engine == "statevector" else [1, 3, 5, 10]))
+    encoding = draw(st.sampled_from(ENCODINGS))
+    m = draw(st.sampled_from([None, 6, 8]))
+    problems, searches = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q = random_integer_qubo(rng, n=n, span=1) if encoding == "integer" else random_real_qubo(rng, n)
+        problems.append(q)
+        for _ in range(draw(st.integers(1, 2))):
+            start = draw(st.sampled_from(["random", "warm", "argmin"]))
+            warm_start = {"random": None, "warm": rng.integers(0, 2, size=n),
+                          "argmin": brute_force_min(q)[0]}[start]
+            cfg = GasConfig(m=m, encoding=encoding, engine=engine, warm_start=warm_start,
+                            max_rounds=draw(st.sampled_from([1, 2, 3, 50])),
+                            stall_rounds=draw(st.sampled_from([3, 15])),
+                            growth_factor=draw(st.sampled_from([8.0 / 7.0, 2.0])))
+            searches.append((len(problems) - 1, cfg, draw(st.integers(0, 2**32 - 1))))
+    return problems, searches
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_groups())
+def test_group_driver_matches_the_one_search_reference(group):
+    # every search of a group reaches the result that the one-search driver
+    # gives it alone, on a fresh context, from the same seed: each search
+    # keeps its own draws, whatever the others in its group do
+    problems, searches = group
+    ctxs = [SearchContext(q, searches[0][1]) for q in problems]
+    alone = []
+    for index, cfg, seed in searches:
+        try:
+            alone.append(_result(reference_run_gas(SearchContext(problems[index], cfg), cfg,
+                                                   np.random.default_rng(seed))))
+        except ValueError:  # integer costs past the window of m
+            with pytest.raises(ValueError):
+                run_searches([(ctxs[i], cfg, np.random.default_rng(seed))
+                              for i, cfg, seed in searches])
+            return
+    together = run_searches([(ctxs[index], cfg, np.random.default_rng(seed))
+                             for index, cfg, seed in searches])
+    assert [_result(res) for res in together] == alone
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_group_driver_matches_the_reference_at_n10(engine):
+    # 1,024 keys per row, where a stacked row sum or running sum that
+    # rounded apart from a single row's would show
+    problems = [random_real_qubo(np.random.default_rng(60 + i), 10) for i in range(2)]
+    cfg = GasConfig(m=6, engine=engine, max_rounds=30)
+    ctxs = [SearchContext(q, cfg) for q in problems]
+    searches = [(0, cfg, 1), (0, replace(cfg, warm_start=np.arange(10) % 2), 2), (1, cfg, 3)]
+    if engine == "statevector":
+        searches = searches[:1]
+    together = run_searches([(ctxs[i], c, np.random.default_rng(seed)) for i, c, seed in searches])
+    for res, (i, c, seed) in zip(together, searches):
+        alone = reference_run_gas(SearchContext(problems[i], c), c, np.random.default_rng(seed))
+        assert _result(res) == _result(alone)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 10])
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_lockstep_sums_are_the_one_search_sums(n, encoding):
+    # bit for bit: every row of a stacked round is the running sum that the
+    # one-search closed form gives its threshold and L, rows of different
+    # contexts, thresholds and rotation counts side by side, the argmin's
+    # p0 = 0 among them
+    rng = np.random.default_rng(70 + n)
+    problems = ([random_integer_qubo(rng, n=n, span=1) for _ in range(6)] if encoding == "integer"
+                else [random_real_qubo(rng, n) for _ in range(6)])
+    engines = [SearchContext(q, GasConfig(m=None, encoding=encoding, engine="analytic")).engine
+               for q in problems]
+    group = _Lockstep(engines)
+    for _ in range(150):
+        rows = sorted(rng.choice(6, size=rng.integers(1, 7), replace=False).tolist())
+        thresholds = [float(rng.choice(engines[r]._costs)) for r in rows]
+        L = rng.integers(0, 1 + int(2 ** (n / 2)), size=len(rows)).tolist()
+        group.move(rows, thresholds)
+        sums = group.sums(rows, L)
+        for row, r, t, l in zip(sums, rows, thresholds, L):
+            assert np.array_equal(row, reference_running_sum(engines[r], t, l))
+
+
+def test_group_checks_its_searches():
+    cfg = GasConfig(m=None, engine="analytic")
+    ctx = SearchContext(toy_problem(), cfg)
+    rng = np.random.default_rng(0)
+    # a shared generator would interleave two searches' draws
+    with pytest.raises(ValueError, match="own generator"):
+        run_searches([(ctx, cfg, rng), (ctx, cfg, rng)])
+    other = SearchContext(random_integer_qubo(np.random.default_rng(1)), cfg)
+    with pytest.raises(ValueError, match="share the key count"):
+        run_searches([(ctx, cfg, rng), (other, cfg, np.random.default_rng(1))])

@@ -243,19 +243,18 @@ def test_measure_register_deterministic_and_noncollapsing():
     s = apply_1q(zero_state(2), PAULI_X, 1)
     rng = np.random.default_rng(0)
     before = s.amps.copy()
-    for _ in range(10):
-        assert sample_index(np.cumsum(register_distribution(s, [0, 1])), rng) == 2
+    cumulative = np.cumsum(register_distribution(s, [0, 1]))
+    assert sample_index(np.tile(cumulative, (10, 1)), rng.random(10)).tolist() == [2] * 10
     assert np.array_equal(s.amps, before)
 
 
 def test_measure_register_frequencies():
     s = hadamard_all(zero_state(2))
     rng = np.random.default_rng(42)
-    counts = np.zeros(4)
     trials = 100_000
     cumulative = np.cumsum(register_distribution(s, [0, 1]))
-    for _ in range(trials):
-        counts[sample_index(cumulative, rng)] += 1
+    picks = sample_index(np.broadcast_to(cumulative, (trials, 4)), rng.random(trials))
+    counts = np.bincount(picks, minlength=4)
     assert np.all(np.abs(counts / trials - 0.25) < 0.01)
 
 
@@ -283,19 +282,20 @@ class _Uniforms:
        st.integers(0, 2**32 - 1),
        st.lists(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 1.0]), min_size=1, max_size=4))
 def test_sample_index_reads_the_running_sum(distribution, seed, edges):
-    # from equal generator states, the running sum draws what the distribution
-    # did, zero-mass entries included; a uniform of 1.0, which a real
-    # generator never returns, lands past the last sum and is clamped
+    # from equal generator states, the stacked running sums draw what the
+    # distribution did one draw at a time, zero-mass entries included, each
+    # row with its own uniform and its own total; a uniform of 1.0, which a
+    # real generator never returns, lands past the last sum and is clamped
     d = np.array(distribution)
-    cumulative = np.cumsum(d)
+    rows = np.array([d, 3.0 * d, d[::-1]])
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(8):
-        index = sample_index(cumulative, rng_a)
-        assert index == _draw_from_distribution(d, rng_b)
-        assert d[index] > 0.0
+        picks = sample_index(np.cumsum(rows, axis=1), rng_a.random(3))
+        assert picks.tolist() == [_draw_from_distribution(row, rng_b) for row in rows]
+        assert np.all(rows[np.arange(3), picks] > 0.0)
     assert rng_a.random() == rng_b.random()
-    picks = [sample_index(cumulative, _Uniforms([u])) for u in edges]
-    assert picks == [_draw_from_distribution(d, _Uniforms([u])) for u in edges]
+    picks = sample_index(np.tile(np.cumsum(d), (len(edges), 1)), np.array(edges))
+    assert picks.tolist() == [_draw_from_distribution(d, _Uniforms([u])) for u in edges]
     if 1.0 in edges:
         assert picks[edges.index(1.0)] == d.shape[0] - 1
 
