@@ -35,21 +35,36 @@ warm-started search, runs on one context.  The incumbent is a key index
 into the table: each round compares the measured key's table entry with the
 threshold, and the bits of the best key are decoded once, at return.  Per
 threshold both engines read the same shifted table
-a_b = scale (E(b) - threshold), checked once against the integer encoding.
+a_b = scale (E(b) - threshold), checked against the integer encoding when
+a search sets the threshold.
 
 One driver, ``run_searches``, runs a group of searches round by round
 together, and ``run_gas`` is its group of one.  A round walks the running
 searches in group order, and each makes its own two draws from its own
-generator; the group's running sums of the key distributions are then
-drawn from in one ``qcore.sample_index`` call, one row per search.  So a
-search's draws, and its result, are what it would reach alone.  The
-analytic engine evolves the group's rows as one stack (``_Lockstep``), and
-the rows whose threshold moved are prepared in one good-mass call.  The
-statevector engine runs a group of one: its context's one slot holds the
-latest threshold's A|0>, read-only, and the running sums already drawn
-there, per rotation count, so each (threshold, L) pair is evolved once
-however many rounds draw it, and a search that starts where the previous
-one on the context stopped reuses them (``_StatevectorEngine``).
+generator.  A search that drew L = 0 measures A|0> itself, whose key
+register is uniform, P_0(b) = 2^-n (in the closed form
+sin^2(alpha) / p0 = cos^2(alpha) / (1 - p0) = 1): its key is
+int(u 2^n), the count of (b + 1) / 2^n at or below u, and it reads no
+engine.  The running sums of the searches that rotate are drawn from in
+one ``qcore.sample_index`` call, one row per search.  So a search's draws,
+and its result, are what it would reach alone.  An L = 0 key agrees with
+the draw from the running sum of A|0>'s key marginal, which is uniform
+only up to a few ulps, in practice, not by construction: the two could
+differ only where u 2^n falls within a few ulps of an integer, and none
+of the 636,764 L = 0 draws of the fig2 recipe at 2,000 trials does.
+
+A threshold is prepared only when a round first rotates at it: a search
+whose threshold moves is marked stale, and the stale searches that a
+round rotates are prepared together, so a threshold that only L = 0 rounds
+visit costs no preparation.  The integer encoding's errors are raised
+where a search sets the threshold, before any round runs at it.  The
+analytic engine evolves the group's rotating rows as one stack
+(``_Lockstep``), prepared in one good-mass call.  The statevector engine
+runs a group of one: its context's one slot holds the latest rotated-at
+threshold's A|0>, read-only, and the running sums already drawn there, per
+rotation count L >= 1, so each (threshold, L) pair is evolved once however
+many rounds draw it, and a search that starts where the previous one on
+the context stopped reuses them (``_StatevectorEngine``).
 """
 
 import math
@@ -170,6 +185,12 @@ class _Engine:
         self._encoding = encoding
         self._scale = scale
 
+    def check(self, threshold: float) -> None:
+        """Raise now the errors that preparing ``threshold`` would raise,
+        without preparing it: only the integer encoding has any."""
+        if self._encoding == "integer":
+            self._shifted(threshold)
+
     def _shifted(self, threshold: float) -> np.ndarray:
         """a_b = scale (E(b) - threshold) for every key.  The integer encoding
         writes each a_b as an exact bin, so there it must be an integer inside
@@ -200,10 +221,11 @@ class _StatevectorEngine(_Engine):
     sum of the key distribution, which is all a draw reads.  So a later
     round with the same (threshold, L), in this search or in a later one on
     the context, reads the same array, and every trace is what
-    re-evaluating it would give.  L < k <= sqrt(2^n), so the slot holds at
-    most floor(2^(n/2)) sums of 2^n float64 entries; with the default growth
-    8/7 the at most stall_rounds = 15 rounds a search runs at one threshold
-    reach only k < 6.5, so six."""
+    re-evaluating it would give.  A round asks only for L >= 1 (an L = 0
+    round draws its key without a state), and 1 <= L < k <= sqrt(2^n), so
+    the slot holds at most floor(2^(n/2)) - 1 sums of 2^n float64 entries;
+    with the default growth 8/7 the at most stall_rounds = 15 rounds a
+    search runs at one threshold reach only k < 6.5, so five."""
 
     def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
         super().__init__(costs, m, encoding, scale)
@@ -243,7 +265,9 @@ class _StatevectorEngine(_Engine):
 
 class _Slots:
     """The running sums of a group on the statevector engine: each row reads
-    its own context's threshold slot, so a group holds one search."""
+    its own context's threshold slot, so a group holds one search.  A row
+    moves to its threshold in the first round that rotates there, and its
+    slot prepares A|0> on the first ``cumulative`` call."""
 
     def __init__(self, engines):
         self._engines = engines
@@ -262,13 +286,14 @@ class _Lockstep:
 
     Each row keeps its threshold's weights w_good and w_bad (see the module
     docstring) in one (2, S, 2^n) stack, with p0 and 1 - p0 beside them.
-    The rows whose threshold moves are prepared together, one
-    ``fejer_upper_mass`` call per value-register size, and a round evolves
-    the rows it draws for as one stack, one row-wise ``cumsum``.  Every
-    row's arithmetic is the one-search closed form's, operation for
-    operation: the squares of sin and cos go through ``np.float_power``,
-    which rounds as the scalar ``**`` does, where the array ``**`` (x * x)
-    differs in about 0.1% of angles."""
+    The driver moves a stale row, one whose threshold no preparation has
+    read, in the first round that rotates it; the rows moved in one round
+    are prepared together, one ``fejer_upper_mass`` call per value-register
+    size, and a round evolves the rows it rotates as one stack, one
+    row-wise ``cumsum``.  Every row's arithmetic is the one-search closed
+    form's, operation for operation: the squares of sin and cos go through
+    ``np.float_power``, which rounds as the scalar ``**`` does, where the
+    array ``**`` (x * x) differs in about 0.1% of angles."""
 
     def __init__(self, engines):
         self._engines = engines
@@ -377,14 +402,18 @@ def run_searches(searches) -> list[GasResult]:
     costs = ctxs[0].costs[None] if len(ctxs) == 1 else np.array([ctx.costs for ctx in ctxs])
     best = (np.array(starts) @ (1 << np.arange(n))).tolist()
     threshold = costs[every, best].tolist()  # always the cost of best
+    engines = [ctx.engine for ctx in ctxs]
+    for engine, t in zip(engines, threshold):
+        engine.check(t)
     traces = [[(0, t)] for t in threshold]
-    group = (_Slots if cfgs[0].engine == "statevector" else _Lockstep)([ctx.engine for ctx in ctxs])
-    group.move(list(every), threshold)
+    group = (_Slots if cfgs[0].engine == "statevector" else _Lockstep)(engines)
+    stale = set(every)  # the searches whose threshold the group has not prepared
     k = [1.0] * len(ctxs)
     queries = [0] * len(ctxs)
     stall = [0] * len(ctxs)
     rounds = [0] * len(ctxs)
     cap = math.sqrt(2.0 ** n)
+    n_keys = 1 << n
     rows, r = list(every), 0  # the searches still running, and the round they run
     while rows:
         r += 1
@@ -392,9 +421,20 @@ def run_searches(searches) -> list[GasResult]:
         for i in rows:
             L.append(sample_rotation_count(k[i], rngs[i]))
             u.append(rngs[i].random())
-        idx = sample_index(group.sums(rows, L), np.array(u))
-        running, moved = [], []
-        for i, L_i, key in zip(rows, L, idx.tolist()):
+        keys = [int(x * n_keys) for x in u]  # L = 0: the uniform key of A|0>
+        turn = [j for j, l in enumerate(L) if l]
+        if turn:
+            rotating = [rows[j] for j in turn]
+            fresh = [i for i in rotating if i in stale]
+            if fresh:
+                group.move(fresh, [threshold[i] for i in fresh])
+                stale.difference_update(fresh)
+            drawn = sample_index(group.sums(rotating, [L[j] for j in turn]),
+                                 np.array([u[j] for j in turn]))
+            for j, key in zip(turn, drawn.tolist()):
+                keys[j] = key
+        running = []
+        for i, L_i, key in zip(rows, L, keys):
             cost = costs.item(i, key)
             queries[i] += L_i
             better = cost < threshold[i]
@@ -406,12 +446,11 @@ def run_searches(searches) -> list[GasResult]:
             traces[i].append((r, threshold[i]))
             if r < cfgs[i].max_rounds and stall[i] < cfgs[i].stall_rounds:
                 running.append(i)
-                if better:
-                    moved.append(i)
+                if better:  # the next round runs at the new threshold
+                    engines[i].check(cost)
+                    stale.add(i)
             else:
                 rounds[i] = r
-        if moved:  # prepared for the next round, which all of them run
-            group.move(moved, [threshold[i] for i in moved])
         rows = running
 
     bits = bits_of(np.array(best), n)

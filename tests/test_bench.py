@@ -294,6 +294,22 @@ def test_n10_search_bytes(monkeypatch, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_statevector_search_bytes(monkeypatch, tmp_path):
+    # a statevector sweep, as first recorded: its searches run one at a
+    # time on the context's threshold slot, and their L = 0 rounds draw
+    # without a state, so a slot or a zero-rotation key that moved a pick
+    # would move these bytes
+    out = tmp_path / "statevector.csv"
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    cfg = SweepConfig(snr_db_list=[0.0], detectors=["GAS_random", "GAS_warm"], R_list=[4], N=3,
+                      trials_per_point=6, master_seed=1234,
+                      gas=GasConfig(m=12, max_rounds=50, stall_rounds=15, engine="statevector"),
+                      output_path=str(out))
+    emit_csv(run_sweep(cfg.validate()), cfg.output_path)
+    digest = "db2a183ed893764af4ca56dbde04dcb7efb8b65c1d521e422c93e37b498aa045"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_identity_channel_bookkeeping(identity_channel):
     # on H = I every detector decides by the sign of Re(y), so a shared
     # instance gives every column the same errors, summed over two blocks

@@ -26,7 +26,7 @@ from gasmld.gas import (
     run_searches,
     sample_rotation_count,
 )
-from gasmld.qcore import CapacityError
+from gasmld.qcore import CapacityError, register_distribution
 from gasmld.qubo import QuboProblem, evaluate_all_costs, evaluate_cost, mld_to_qubo, MldInstance
 from gasmld.channel import circulant_matrix
 from gasmld.circuits import fejer_distribution
@@ -317,6 +317,27 @@ def test_integer_window_edge():
             distribution(engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0), 0.0, 0)
 
 
+def test_integer_window_checked_where_the_threshold_moves():
+    # costs [3, 0, 5, 2]: the start 3 fits the window [-4, 4) of m = 3, the
+    # threshold 0 does not (5 - 0 >= 4); six rounds with k < 2 never rotate,
+    # so only the check where a search sets its threshold can raise, at the
+    # round where the one-search reference raises
+    q = QuboProblem(Q=np.zeros((2, 2)), c=np.array([-3.0, 2.0]), offset=3.0)
+    raised = 0
+    for engine in ENGINES:
+        cfg = GasConfig(m=3, encoding="integer", engine=engine, max_rounds=6, warm_start=[0, 0])
+        for seed in range(20):
+            try:
+                alone = reference_run_gas(SearchContext(q, cfg), cfg, np.random.default_rng(seed))
+            except ValueError:
+                raised += 1
+                with pytest.raises(ValueError, match="capacity"):
+                    search(q, cfg, np.random.default_rng(seed))
+                continue
+            assert _result(search(q, cfg, np.random.default_rng(seed))) == _result(alone)
+    assert 0 < raised < 40
+
+
 def test_engine_twin_above_n16():
     n, m = 17, 3
     rng = np.random.default_rng(12)
@@ -557,12 +578,23 @@ def test_memo_changes_no_search_property(n, problem_seed, m, engine, seed):
         assert _outcome(q, cfg, seed) == memoized
 
 
+def _rotated(results, draws):
+    """The (threshold, L) of every round of ``results``, searches run one
+    after another, that rotates: round r runs at the threshold its trace
+    holds after round r - 1 and draws the r-th of its search's ``draws``."""
+    levels = [y for res in results for _, y in res.threshold_trace[:-1]]
+    assert len(levels) == len(draws)
+    return [(y, L) for y, L in zip(levels, draws) if L]
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("n, growth_factor", [(3, 8.0 / 7.0), (10, 4.0)])
 def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, growth_factor):
-    # the statevector engine evolves each (threshold, L) of a context once;
-    # the analytic engine prepares each threshold of a search once and
-    # evolves each of its rounds once
+    # every threshold that a round rotates at is prepared once (on the
+    # statevector engine once per context, on the analytic engine once per
+    # search), and no other threshold is; the statevector engine evolves
+    # each (threshold, L >= 1) pair of a context once, and the analytic
+    # engine each rotating round once
     draws, evolutions, memo_sizes, prepared = [], [], [], []
 
     def recorded_draw(k, rng):
@@ -577,6 +609,15 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
 
     monkeypatch.setattr(_StatevectorEngine, "_evolve", counted)
 
+    def slot_prepared(self, threshold, prepare=_StatevectorEngine.prepared):
+        before = self._slot
+        out = prepare(self, threshold)
+        if self._slot is not before:
+            prepared.append(threshold)
+        return out
+
+    monkeypatch.setattr(_StatevectorEngine, "prepared", slot_prepared)
+
     memoized = _StatevectorEngine.cumulative
 
     def checked(self, threshold, L):
@@ -584,7 +625,8 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
         sums = memoized(self, threshold, L)
         slot_threshold, _, by_rotation = self._slot
         assert slot_threshold == threshold and by_rotation[L] is sums
-        # the memo keeps one float64 running sum per L and nothing beside it
+        # the memo keeps one float64 running sum per L >= 1 and nothing beside it
+        assert L >= 1
         assert all(type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (1 << n,)
                    for a in by_rotation.values())
         with pytest.raises(ValueError):
@@ -597,7 +639,7 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
     monkeypatch.setattr(_StatevectorEngine, "cumulative", checked)
 
     def lockstep_move(self, rows, thresholds, move=_Lockstep.move):
-        prepared.extend(zip(rows, thresholds))
+        prepared.extend(thresholds)
         return move(self, rows, thresholds)
 
     def lockstep_sums(self, rows, L, sums=_Lockstep.sums):
@@ -613,24 +655,116 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
     # a trial's two searches on one context, the second from the first one's best key
     ctx = SearchContext(q, cfg)
     first = run_gas(ctx, cfg, np.random.default_rng(3))
+    split = len(draws)
     second = run_gas(ctx, replace(cfg, warm_start=first.best_bits), np.random.default_rng(4))
-    # round r runs at the threshold the trace holds after round r - 1
-    levels = [y for res in (first, second) for _, y in res.threshold_trace[:-1]]
-    pairs = set(zip(levels, draws))
-    rounds = first.rounds + second.rounds
-    assert len(draws) == rounds
+    rotated = _rotated([first, second], draws)
+    assert len(draws) == first.rounds + second.rounds
+    assert 0 < len(rotated) < len(draws)
     if engine == "analytic":
-        # each search is a group of one, row 0, and prepares each level it runs at once
-        assert len(prepared) == sum(len({y for _, y in res.threshold_trace[:-1]})
-                                    for res in (first, second))
-        assert len(evolutions) == rounds
+        # each search is a group of one and prepares the levels it rotates at
+        per_search = [{y for y, _ in _rotated([res], part)}
+                      for res, part in ((first, draws[:split]), (second, draws[split:]))]
+        assert sorted(prepared) == sorted(y for levels in per_search for y in levels)
+        assert evolutions == [L for _, L in rotated]
         return
-    assert len(evolutions) == len(pairs)
-    assert max(memo_sizes) <= int(np.floor(2 ** (n / 2)))
+    # the two searches' thresholds never rise, so the slot never returns to one
+    assert sorted(prepared) == sorted({y for y, _ in rotated})
+    assert sorted(evolutions) == sorted(L for _, L in set(rotated))
+    assert max(memo_sizes) <= int(np.floor(2 ** (n / 2))) - 1
     if n == 3:
-        assert len(evolutions) < rounds
+        assert len(evolutions) < len(rotated)
+        # some thresholds only L = 0 rounds visit, and none of them is prepared
+        assert {y for res in (first, second) for _, y in res.threshold_trace[:-1]} > set(prepared)
     else:
-        assert max(memo_sizes) > 7  # past the L <= 6 that growth 8/7 reaches in 15 rounds
+        assert max(memo_sizes) > 6  # past the L <= 6 that growth 8/7 reaches in 15 rounds
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 5, 10]), st.sampled_from(ENCODINGS), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=3))
+def test_zero_rotations_leave_the_key_register_uniform(n, encoding, problem_seed, picks):
+    # A|0> holds the key register in uniform superposition, at any
+    # threshold, the argmin's p0 = 0 among them: its key marginal is 2^-n
+    # up to the rounding of the 2^m value bins summed into it, and the
+    # running sum that an L = 0 draw would read is (b + 1) / 2^n within an
+    # ulp or two, so int(u 2^n) is that draw but within ulps of an integer
+    rng = np.random.default_rng(problem_seed)
+    if encoding == "integer":
+        q, m = random_integer_qubo(rng, n=n, span=1), None
+    else:
+        q, m = random_real_qubo(rng, n), 8 if n < 10 else 6
+    statevector, analytic = (SearchContext(q, GasConfig(m=m, encoding=encoding, engine=engine)).engine
+                             for engine in ENGINES)
+    costs = statevector._costs
+    thresholds = [float(costs.min())] + [float(costs[p % costs.shape[0]]) for p in picks]
+    uniform = 2.0 ** -n
+    for t in thresholds:
+        spec, base = statevector._prepare(statevector._shifted(t))
+        marginal = register_distribution(base, spec.key_register)
+        assert np.all(np.abs(marginal - uniform) <= 4 * spec.m * np.spacing(uniform))
+    group = _Lockstep([analytic] * len(thresholds))
+    rows = list(range(len(thresholds)))
+    group.move(rows, thresholds)
+    steps = np.arange(1, (1 << n) + 1) * uniform
+    assert np.all(np.abs(group.sums(rows, [0] * len(rows)) - steps) <= 2 * np.spacing(1.0))
+
+
+def test_zero_rotation_rounds_read_no_state(monkeypatch):
+    # a round whose running searches all draw L = 0 calls no engine: every
+    # key comes from its uniform, and only the rounds where some search
+    # rotates prepare or evolve anything, only at the thresholds they rotate at
+    draws, calls, prepared = [], [], []
+
+    def recorded_draw(k, rng):
+        draws.append(sample_rotation_count(k, rng))
+        return draws[-1]
+
+    def spy(name, function):
+        def called(*args):
+            calls.append((len(draws), name))
+            return function(*args)
+        return called
+
+    def lockstep_move(self, rows, thresholds, move=_Lockstep.move):
+        prepared.extend(zip(rows, thresholds))
+        return move(self, rows, thresholds)
+
+    monkeypatch.setattr(gasmld.gas, "sample_rotation_count", recorded_draw)
+    monkeypatch.setattr(_Lockstep, "move", spy("move", lockstep_move))
+    monkeypatch.setattr(_Lockstep, "sums", spy("sums", _Lockstep.sums))
+    monkeypatch.setattr(_StatevectorEngine, "cumulative",
+                        spy("cumulative", _StatevectorEngine.cumulative))
+    monkeypatch.setattr(gasmld.gas, "fejer_upper_mass",
+                        spy("kernel", gasmld.circuits.fejer_upper_mass))
+    problems = [random_real_qubo(np.random.default_rng(80 + i), 3) for i in range(3)]
+    cfg = GasConfig(m=6, engine="analytic")
+    ctxs = [SearchContext(q, cfg) for q in problems]
+    searches = [(0, cfg, 1), (0, replace(cfg, warm_start=brute_force_min(problems[0])[0]), 2),
+                (1, cfg, 3), (2, replace(cfg, max_rounds=6), 4)]
+    results = run_searches([(ctxs[i], c, np.random.default_rng(seed)) for i, c, seed in searches])
+    assert results[3].rounds == 6 and results[3].oracle_queries == 0  # k < 2 for six rounds
+    # round r draws once for each search that runs r rounds or more, in group order
+    running = [[i for i, res in enumerate(results) if res.rounds >= r]
+               for r in range(1, max(res.rounds for res in results) + 1)]
+    ends = np.cumsum([len(rows) for rows in running])
+    per_round = np.split(np.array(draws), ends[:-1])
+    rotating = {int(end) for end, L in zip(ends, per_round) if L.any()}
+    assert {at for at, _ in calls} == rotating
+    assert 0 < len(rotating) < len(ends)
+    assert {name for _, name in calls} == {"move", "sums", "kernel"}
+    # each search prepares exactly the thresholds it rotates at, each once
+    own = [[] for _ in results]
+    for rows, L in zip(running, per_round):
+        for i, l in zip(rows, L.tolist()):
+            own[i].append(l)
+    for row, res in enumerate(results):
+        assert sorted(t for i, t in prepared if i == row) == sorted(
+            {y for y, _ in _rotated([res], own[row])})
+    # a search that only draws L = 0 reads no engine, on either engine
+    statevector = GasConfig(m=6, max_rounds=6)
+    calls.clear()
+    res = run_gas(SearchContext(problems[2], statevector), statevector, np.random.default_rng(4))
+    assert _result(res) == _result(results[3]) and calls == []
 
 
 def _result(res):
