@@ -27,16 +27,16 @@ supplied generator (one integer for L, which reads nothing while k < 2,
 and one uniform for the measurement per round), which makes their traces
 directly comparable seed for seed.
 
-A search runs on a ``SearchContext``, the work of one QUBO built once: its
-cost table, the exact cost bounds, the value-register size, the
-real-encoding scale and the engine, all taken from that table.  Every
-search on the same problem, such as a sweep trial's random-start and
-warm-started search, runs on one context.  The incumbent is a key index
-into the table: each round compares the measured key's table entry with the
-threshold, and the bits of the best key are decoded once, at return.  Per
-threshold both engines read the same shifted table
-a_b = scale (E(b) - threshold), checked against the integer encoding when
-a search sets the threshold.
+A search runs on a ``SearchContext``, the one object per QUBO that every
+search on it and both engines read: its read-only cost table, the exact cost
+bounds, the value-register size, the real-encoding scale and the encoding,
+all fixed when the context is built.  Every search on the same problem, such
+as a sweep trial's random-start and warm-started search, runs on one
+context.  The incumbent is a key index into the table: each round compares
+the measured key's table entry with the threshold, and the bits of the best
+key are decoded once, at return.  Per threshold both engines read the
+context's shifted table a_b = scale (E(b) - threshold), which the integer
+encoding checks against its window when a search sets the threshold.
 
 One driver, ``run_searches``, runs a group of searches round by round
 together, and ``run_gas`` is its group of one.  A round walks the running
@@ -50,21 +50,21 @@ one ``qcore.sample_index`` call, one row per search.  So a search's draws,
 and its result, are what it would reach alone.  An L = 0 key agrees with
 the draw from the running sum of A|0>'s key marginal, which is uniform
 only up to a few ulps, in practice, not by construction: the two could
-differ only where u 2^n falls within a few ulps of an integer, and none
-of the 636,764 L = 0 draws of the fig2 recipe at 2,000 trials does.
+differ only where u 2^n falls within a few ulps of an integer.
 
 A threshold is prepared only when a round first rotates at it: a search
 whose threshold moves is marked stale, and the stale searches that a
 round rotates are prepared together, so a threshold that only L = 0 rounds
 visit costs no preparation.  The integer encoding's errors are raised
-where a search sets the threshold, before any round runs at it.  The
-analytic engine evolves the group's rotating rows as one stack
-(``_Lockstep``), prepared in one good-mass call.  The statevector engine
-runs a group of one: its context's one slot holds the latest rotated-at
-threshold's A|0>, read-only, and the running sums already drawn there, per
-rotation count L >= 1, so each (threshold, L) pair is evolved once however
-many rounds draw it, and a search that starts where the previous one on
-the context stopped reuses them (``_StatevectorEngine``).
+where a search sets the threshold, before any round runs at it.  Each
+engine's group is built from the searches' contexts and reads only what
+they hold.  The analytic engine evolves the group's rotating rows as one
+stack (``_Lockstep``), prepared in one good-mass call.  The statevector
+engine runs a group of one (``_Slots``): its context's ``slot`` holds the
+latest rotated-at threshold's A|0>, read-only, and the running sums already
+drawn there, per rotation count L >= 1, so each (threshold, L) pair is
+evolved once however many rounds draw it, and a search that starts where
+the previous one on the context stopped reuses them.
 """
 
 import math
@@ -173,119 +173,141 @@ def required_value_qubits(n: int, bounds: tuple[float, float], encoding: str) ->
     raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - n} value qubits")
 
 
-class _Engine:
-    """One context's cost table read at a threshold: the shifted table
-    a_b = scale (E(b) - threshold) that both engines prepare from.  This is
-    all the analytic engine keeps per context; its searches run in
-    lockstep on ``_Lockstep``'s stacked weights."""
+class SearchContext:
+    """The search work of one QUBO, built once for the ``m``, encoding and
+    engine of ``cfg`` and read by every search on it and by both engines'
+    groups: the read-only cost table ``costs``, indexed by key, its exact
+    ``bounds``, the value-register size ``m`` and the real-encoding
+    ``scale`` that the bounds give, and the ``encoding``.  ``slot`` is the
+    statevector engine's one threshold slot (see ``_Slots``), None until a
+    round rotates."""
 
-    def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
-        self._costs = costs  # the context's cost table, indexed by key
-        self._m = m
-        self._encoding = encoding
-        self._scale = scale
+    def __init__(self, q: QuboProblem, cfg: GasConfig):
+        n = q.n
+        if n < 1:
+            raise ValueError("need at least one key qubit")
+        # checked before the 2^n table is built; the automatic m takes at least 2 qubits
+        least_m = cfg.m if cfg.m is not None else 2
+        if n + least_m > MAX_QUBITS:
+            raise CapacityError(
+                f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
+        self.n = n
+        self.settings = (cfg.m, cfg.encoding, cfg.engine)
+        self.encoding = cfg.encoding
+        self.costs = evaluate_all_costs(q)
+        self.costs.flags.writeable = False  # shared by every search and group row on the context
+        self.bounds = cost_bounds(self.costs)
+        lo, hi = self.bounds
+        self.m = cfg.m if cfg.m is not None else required_value_qubits(n, self.bounds, cfg.encoding)
+        # integer mode encodes costs verbatim; real mode stretches the worst-case
+        # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
+        self.scale = 1.0
+        if cfg.encoding == "real_direct" and hi > lo:
+            self.scale = float(2 ** (self.m - 2)) / (hi - lo)
+        if cfg.encoding == "integer":
+            # every threshold is an attained cost, so the shifted costs are
+            # integers at every threshold exactly when they are at lo
+            offsets = self.costs - lo
+            if np.any(np.abs(offsets - np.round(offsets)) > 1e-9):
+                raise ValueError("integer encoding requires integer costs")
+        self.slot = None
 
     def check(self, threshold: float) -> None:
         """Raise now the errors that preparing ``threshold`` would raise,
-        without preparing it: only the integer encoding has any."""
-        if self._encoding == "integer":
-            self._shifted(threshold)
+        without reading the table: only the integer encoding has any.  The
+        shifted table and its rounding are monotone in the cost, so the
+        window's ends are the rounded shifts of the bounds."""
+        if self.encoding != "integer":
+            return
+        least, most = np.round(np.subtract(self.bounds, threshold))
+        half = 1 << (self.m - 1)
+        if least < -half or most >= half:
+            raise ValueError(
+                f"shifted cost range [{least:g}, {most:g}] exceeds the signed "
+                f"capacity [-{half}, {half}) of {self.m} value qubits"
+            )
 
-    def _shifted(self, threshold: float) -> np.ndarray:
+    def shifted(self, threshold: float) -> np.ndarray:
         """a_b = scale (E(b) - threshold) for every key.  The integer encoding
         writes each a_b as an exact bin, so there it must be an integer inside
         the signed window [-2^{m-1}, 2^{m-1}), or it would alias onto the
         wrong sign; it is returned rounded."""
-        shifted = self._scale * (self._costs - threshold)
-        if self._encoding != "integer":
+        shifted = self.scale * (self.costs - threshold)
+        if self.encoding != "integer":
             return shifted
-        bins = np.round(shifted)
-        if np.any(np.abs(shifted - bins) > 1e-9):
-            raise ValueError("integer encoding requires integer costs")
-        half = 1 << (self._m - 1)
-        if bins.min() < -half or bins.max() >= half:
-            raise ValueError(
-                f"shifted cost range [{bins.min():g}, {bins.max():g}] exceeds the signed "
-                f"capacity [-{half}, {half}) of {self._m} value qubits"
-            )
-        return bins
+        self.check(threshold)
+        return np.round(shifted)
 
 
-class _StatevectorEngine(_Engine):
-    """Runs the search on a statevector; prepares A|0> per threshold from the
-    shifted cost table, and reflects about it in every Grover iteration.
+def _prepare(shifted: np.ndarray, m: int):
+    """A|0> for the shifted cost table on m value qubits, read-only, with
+    its circuit spec."""
+    spec = GasCircuitSpec(shifted.shape[0].bit_length() - 1, m, shifted)
+    base = apply_state_preparation(zero_state(spec.total_qubits), spec)
+    base.amps.flags.writeable = False
+    return spec, base
 
-    The context's one threshold slot holds the latest threshold's A|0>,
-    read-only, as every search on the context reads it, and beside it, per
-    rotation count already drawn at that threshold, the read-only running
-    sum of the key distribution, which is all a draw reads.  So a later
-    round with the same (threshold, L), in this search or in a later one on
-    the context, reads the same array, and every trace is what
-    re-evaluating it would give.  A round asks only for L >= 1 (an L = 0
-    round draws its key without a state), and 1 <= L < k <= sqrt(2^n), so
-    the slot holds at most floor(2^(n/2)) - 1 sums of 2^n float64 entries;
-    with the default growth 8/7 the at most stall_rounds = 15 rounds a
-    search runs at one threshold reach only k < 6.5, so five."""
 
-    def __init__(self, costs: np.ndarray, m: int, encoding: str, scale: float):
-        super().__init__(costs, m, encoding, scale)
-        # (threshold, prepared, {L: running sum of the key distribution})
-        self._slot = None
-
-    def prepared(self, threshold: float):
-        """The slot's preparation for ``threshold``, made first if the slot
-        holds another threshold."""
-        if self._slot is None or self._slot[0] != threshold:
-            self._slot = None  # release the old preparation before building the next
-            self._slot = (threshold, self._prepare(self._shifted(threshold)), {})
-        return self._slot[1]
-
-    def cumulative(self, threshold: float, L: int) -> np.ndarray:
-        """The running sum of the key distribution after L rotations at
-        ``threshold``: what ``qcore.sample_index`` draws from."""
-        prepared = self.prepared(threshold)
-        sums = self._slot[2]
-        if L not in sums:
-            sums[L] = np.cumsum(self._evolve(prepared, L))
-            sums[L].flags.writeable = False  # shared by every later round with this L
-        return sums[L]
-
-    def _prepare(self, shifted: np.ndarray):
-        spec = GasCircuitSpec(shifted.shape[0].bit_length() - 1, self._m, shifted)
-        base = apply_state_preparation(zero_state(spec.total_qubits), spec)
-        base.amps.flags.writeable = False
-        return spec, base
-
-    def _evolve(self, prepared, L: int) -> np.ndarray:
-        spec, base = prepared
-        # the cached A|0> is the reflection axis; only L > 0 needs a working copy
-        state = grover_power(base.copy() if L else base, spec, L, axis=base.amps)
-        return register_distribution(state, spec.key_register)
+def _evolve(prepared, L: int) -> np.ndarray:
+    """The key distribution after L Grover iterations on ``_prepare``'s A|0>."""
+    spec, base = prepared
+    # the cached A|0> is the reflection axis; only L > 0 needs a working copy
+    state = grover_power(base.copy() if L else base, spec, L, axis=base.amps)
+    return register_distribution(state, spec.key_register)
 
 
 class _Slots:
     """The running sums of a group on the statevector engine: each row reads
     its own context's threshold slot, so a group holds one search.  A row
-    moves to its threshold in the first round that rotates there, and its
-    slot prepares A|0> on the first ``cumulative`` call."""
+    moves to its threshold in the first round that rotates there, and
+    ``cumulative`` prepares the slot's A|0> on its first call there.
 
-    def __init__(self, engines):
-        self._engines = engines
-        self._at = [None] * len(engines)  # each row's threshold
+    A context's ``slot`` is (threshold, (spec, A|0>), {L: running sum}): the
+    latest rotated-at threshold's A|0>, read-only, as every search on the
+    context reads it, and beside it, per rotation count already drawn at
+    that threshold, the read-only running sum of the key distribution, which
+    is all a draw reads.  So a later round with the same (threshold, L), in
+    this search or in a later one on the context, reads the same array, and
+    every trace is what re-evaluating it would give.  A round asks only for
+    L >= 1 (an L = 0 round draws its key without a state), and
+    1 <= L < k <= sqrt(2^n), so the slot holds at most floor(2^(n/2)) - 1
+    sums of 2^n float64 entries; with the default growth 8/7 the at most
+    stall_rounds = 15 rounds a search runs at one threshold reach only
+    k < 6.5, so five."""
+
+    def __init__(self, ctxs):
+        self._ctxs = ctxs
+        self._at = [None] * len(ctxs)  # each row's threshold
 
     def move(self, rows: list, thresholds: list) -> None:
         for r, t in zip(rows, thresholds):
             self._at[r] = t
 
     def sums(self, rows: list, L: list) -> np.ndarray:
-        return np.array([self._engines[r].cumulative(self._at[r], l) for r, l in zip(rows, L)])
+        return np.array([self.cumulative(self._ctxs[r], self._at[r], l) for r, l in zip(rows, L)])
+
+    @staticmethod
+    def cumulative(ctx: SearchContext, threshold: float, L: int) -> np.ndarray:
+        """The running sum of the key distribution after L rotations at
+        ``threshold``, what ``qcore.sample_index`` draws from, off the
+        context's slot, which first prepares ``threshold`` if it holds
+        another."""
+        if ctx.slot is None or ctx.slot[0] != threshold:
+            ctx.slot = None  # release the old preparation before building the next
+            ctx.slot = (threshold, _prepare(ctx.shifted(threshold), ctx.m), {})
+        _, prepared, sums = ctx.slot
+        if L not in sums:
+            sums[L] = np.cumsum(_evolve(prepared, L))
+            sums[L].flags.writeable = False  # shared by every later round with this L
+        return sums[L]
 
 
 class _Lockstep:
     """The running sums of a group on the analytic engine, every row at once.
 
     Each row keeps its threshold's weights w_good and w_bad (see the module
-    docstring) in one (2, S, 2^n) stack, with p0 and 1 - p0 beside them.
+    docstring), read off its context's shifted table, in one (2, S, 2^n)
+    stack, with p0 and 1 - p0 beside them.
     The driver moves a stale row, one whose threshold no preparation has
     read, in the first round that rotates it; the rows moved in one round
     are prepared together, one ``fejer_upper_mass`` call per value-register
@@ -295,21 +317,21 @@ class _Lockstep:
     ``np.float_power``, which rounds as the scalar ``**`` does, where the
     array ``**`` (x * x) differs in about 0.1% of angles."""
 
-    def __init__(self, engines):
-        self._engines = engines
-        S = len(engines)
-        self._weights = np.empty((2, S, engines[0]._costs.shape[0]))  # w_good, w_bad
+    def __init__(self, ctxs):
+        self._ctxs = ctxs
+        S = len(ctxs)
+        self._weights = np.empty((2, S, ctxs[0].costs.shape[0]))  # w_good, w_bad
         self._split = np.empty((2, S))  # p0 and 1 - p0, the divisors of w_good and w_bad
         self._alpha = np.empty(S)  # arcsin(sqrt(p0))
         self._at = np.full(S, np.nan)  # each row's threshold
 
     def move(self, rows: list, thresholds: list) -> None:
-        engines = [self._engines[r] for r in rows]
-        shifted = [e._shifted(t) for e, t in zip(engines, thresholds)]
+        ctxs = [self._ctxs[r] for r in rows]
+        shifted = [ctx.shifted(t) for ctx, t in zip(ctxs, thresholds)]
         n_keys = self._weights.shape[2]
         w_good = np.empty((len(rows), n_keys))
-        for m in {e._m for e in engines}:  # a sweep's contexts share one m
-            pick = [i for i, e in enumerate(engines) if e._m == m]
+        for m in {ctx.m for ctx in ctxs}:  # a sweep's contexts share one m
+            pick = [i for i, ctx in enumerate(ctxs) if ctx.m == m]
             w_good[pick] = fejer_upper_mass(np.concatenate([shifted[i] for i in pick]),
                                             m).reshape(len(pick), n_keys)
         w_good /= n_keys
@@ -336,35 +358,6 @@ class _Lockstep:
         dist *= scale
         dist /= self._split[:, at, None]
         return np.add(dist[0], dist[1], out=dist[0]).cumsum(axis=1)
-
-
-class SearchContext:
-    """The search work of one QUBO, built once for every search on it: the
-    cost table and the engine with its threshold slot, set up for the ``m``,
-    encoding and engine of ``cfg`` with the value-register size and the
-    real-encoding scale that the table's bounds give."""
-
-    def __init__(self, q: QuboProblem, cfg: GasConfig):
-        n = q.n
-        if n < 1:
-            raise ValueError("need at least one key qubit")
-        # checked before the 2^n table is built; the automatic m takes at least 2 qubits
-        least_m = cfg.m if cfg.m is not None else 2
-        if n + least_m > MAX_QUBITS:
-            raise CapacityError(
-                f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
-        self.n = n
-        self.settings = (cfg.m, cfg.encoding, cfg.engine)
-        self.costs = evaluate_all_costs(q)
-        lo, hi = cost_bounds(self.costs)
-        m = cfg.m if cfg.m is not None else required_value_qubits(n, (lo, hi), cfg.encoding)
-        # integer mode encodes costs verbatim; real mode stretches the worst-case
-        # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
-        scale = 1.0
-        if cfg.encoding == "real_direct" and hi > lo:
-            scale = float(2 ** (m - 2)) / (hi - lo)
-        engine_cls = _StatevectorEngine if cfg.engine == "statevector" else _Engine
-        self.engine = engine_cls(self.costs, m, cfg.encoding, scale)
 
 
 def run_gas(ctx: SearchContext, cfg: GasConfig, rng: np.random.Generator) -> GasResult:
@@ -398,15 +391,12 @@ def run_searches(searches) -> list[GasResult]:
     starts = [cfg.warm_start if cfg.warm_start is not None else rng.integers(0, 2, size=n)
               for cfg, rng in zip(cfgs, rngs)]
     every = range(len(ctxs))
-    # a search alone reads its table in place, at any n; a group's are stacked
-    costs = ctxs[0].costs[None] if len(ctxs) == 1 else np.array([ctx.costs for ctx in ctxs])
     best = (np.array(starts) @ (1 << np.arange(n))).tolist()
-    threshold = costs[every, best].tolist()  # always the cost of best
-    engines = [ctx.engine for ctx in ctxs]
-    for engine, t in zip(engines, threshold):
-        engine.check(t)
+    threshold = [ctx.costs.item(b) for ctx, b in zip(ctxs, best)]  # always the cost of best
+    for ctx, t in zip(ctxs, threshold):
+        ctx.check(t)
     traces = [[(0, t)] for t in threshold]
-    group = (_Slots if cfgs[0].engine == "statevector" else _Lockstep)(engines)
+    group = (_Slots if cfgs[0].engine == "statevector" else _Lockstep)(ctxs)
     stale = set(every)  # the searches whose threshold the group has not prepared
     k = [1.0] * len(ctxs)
     queries = [0] * len(ctxs)
@@ -435,7 +425,7 @@ def run_searches(searches) -> list[GasResult]:
                 keys[j] = key
         running = []
         for i, L_i, key in zip(rows, L, keys):
-            cost = costs.item(i, key)
+            cost = ctxs[i].costs.item(key)
             queries[i] += L_i
             better = cost < threshold[i]
             if better:
@@ -447,7 +437,7 @@ def run_searches(searches) -> list[GasResult]:
             if r < cfgs[i].max_rounds and stall[i] < cfgs[i].stall_rounds:
                 running.append(i)
                 if better:  # the next round runs at the new threshold
-                    engines[i].check(cost)
+                    ctxs[i].check(cost)
                     stale.add(i)
             else:
                 rounds[i] = r

@@ -15,7 +15,7 @@ import numpy as np
 from gasmld import qcore
 from gasmld.channel import circulant_matrix, modulate, snr_db_to_sigma2
 from gasmld.circuits import GasCircuitSpec, fejer_upper_mass
-from gasmld.gas import GasResult, _StatevectorEngine
+from gasmld.gas import GasResult, _evolve, _prepare
 from gasmld.qubo import MldInstance, QuboProblem, bits_of, evaluate_all_costs
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -224,16 +224,16 @@ def brute_force_min(q: QuboProblem) -> tuple[np.ndarray, float]:
     return bits, float(costs[v])
 
 
-def reference_running_sum(engine, threshold: float, L: int) -> np.ndarray:
-    """The running sum of a context's key distribution after L rotations at
-    ``threshold``, prepared and evolved afresh: on the statevector engine by
-    its Grover iterations, on the analytic engine by the closed form of the
-    ``gas`` docstring, one search's scalars at a time."""
-    shifted = engine._shifted(threshold)
-    if isinstance(engine, _StatevectorEngine):
-        return np.cumsum(engine._evolve(engine._prepare(shifted), L))
+def reference_running_sum(ctx, threshold: float, L: int) -> np.ndarray:
+    """The running sum of the context ``ctx``'s key distribution after L
+    rotations at ``threshold``, prepared and evolved afresh: on the
+    statevector engine by its Grover iterations, on the analytic engine by
+    the closed form of the ``gas`` docstring, one search's scalars at a time."""
+    shifted = ctx.shifted(threshold)
+    if ctx.settings[2] == "statevector":
+        return np.cumsum(_evolve(_prepare(shifted, ctx.m), L))
     n_keys = shifted.shape[0]
-    w_good = fejer_upper_mass(shifted, engine._m)
+    w_good = fejer_upper_mass(shifted, ctx.m)
     w_good /= n_keys
     w_bad = np.maximum(1.0 / n_keys - w_good, 0.0)
     p0 = float(np.clip(w_good.sum(), 0.0, 1.0))
@@ -260,7 +260,7 @@ def reference_run_gas(ctx, cfg, rng: np.random.Generator) -> GasResult:
     while rounds < cfg.max_rounds and stall < cfg.stall_rounds:
         rounds += 1
         L = int(rng.integers(0, math.floor(k - 1.0) + 1))
-        cumulative = reference_running_sum(ctx.engine, threshold, L)
+        cumulative = reference_running_sum(ctx, threshold, L)
         u = rng.random() * cumulative[-1]
         idx = min(int(np.searchsorted(cumulative, u, side="right")), cumulative.shape[0] - 1)
         queries += L

@@ -15,10 +15,10 @@ from gasmld.gas import (
     ENGINES,
     GasConfig,
     SearchContext,
-    _Engine,
     _Lockstep,
     _Slots,
-    _StatevectorEngine,
+    _evolve,
+    _prepare,
     cost_bounds,
     grow_k,
     required_value_qubits,
@@ -39,11 +39,11 @@ def search(q, cfg, rng):
     return run_gas(SearchContext(q, cfg), cfg, rng)
 
 
-def reader(engine):
-    """The key distribution that a search on ``engine`` draws from at
-    (threshold, L), read off the running sums of one group of one search,
-    which keeps whatever it holds from one threshold to the next."""
-    group = (_Slots if isinstance(engine, _StatevectorEngine) else _Lockstep)([engine])
+def reader(ctx):
+    """The key distribution that a search on the context ``ctx`` draws from
+    at (threshold, L), read off the running sums of one group of one
+    search, which keeps whatever it holds from one threshold to the next."""
+    group = (_Slots if ctx.settings[2] == "statevector" else _Lockstep)([ctx])
 
     def distribution(threshold, L):
         group.move([0], [float(threshold)])
@@ -52,9 +52,14 @@ def reader(engine):
     return distribution
 
 
-def distribution(engine, threshold, L):
-    """The key distribution an engine draws from at (threshold, L)."""
-    return reader(engine)(threshold, L)
+def distribution(ctx, threshold, L):
+    """The key distribution a search on ``ctx`` draws from at (threshold, L)."""
+    return reader(ctx)(threshold, L)
+
+
+def contexts(q, **settings):
+    """One context of ``q`` per engine, statevector first."""
+    return [SearchContext(q, GasConfig(engine=engine, **settings)) for engine in ENGINES]
 
 
 def toy_problem():
@@ -234,8 +239,7 @@ def test_engine_distributions_match():
     rng = np.random.default_rng(7)
     q = random_integer_qubo(rng)
     costs = sorted({evaluate_cost(q, b) for b in np.ndindex(2, 2, 2)})
-    sv = reader(_StatevectorEngine(evaluate_all_costs(q), 8, "integer", 1.0))
-    an = reader(_Engine(evaluate_all_costs(q), 8, "integer", 1.0))
+    sv, an = (reader(ctx) for ctx in contexts(q, m=8, encoding="integer"))
     for y in costs[1:]:
         for L in (0, 1, 2):
             assert np.allclose(sv(y, L), an(y, L), atol=1e-9)
@@ -250,8 +254,7 @@ def test_correct_marking_probability():
     )
     # one engine of each kind, threshold after threshold, so a cache entry
     # kept past its threshold shows
-    engines = (reader(_StatevectorEngine(evaluate_all_costs(q), 10, "integer", 1.0)),
-               reader(_Engine(evaluate_all_costs(q), 10, "integer", 1.0)))
+    engines = [reader(ctx) for ctx in contexts(q, m=10, encoding="integer")]
     for y in np.unique(by_index)[1:]:
         p0 = np.mean(by_index < y)
         predicted_miss = np.cos(3.0 * np.arcsin(np.sqrt(p0))) ** 2
@@ -309,12 +312,15 @@ def test_warm_start_cast_after_check():
 
 
 def test_integer_window_edge():
-    # m = 3 reads [-4, 4): a shifted cost of -4 is the last one that fits
-    for engine_cls in (_StatevectorEngine, _Engine):
-        dist = distribution(engine_cls(np.array([-4.0, 0.0]), 3, "integer", 1.0), 0.0, 0)
-        assert np.allclose(dist, [0.5, 0.5], atol=1e-12)
+    # m = 3 reads [-4, 4): a shifted cost of -4 is the last one that fits;
+    # one-bit QUBOs with costs [-4, 0] and [0, 4]
+    fits, spills = (QuboProblem(Q=np.zeros((1, 1)), c=np.array([4.0]), offset=offset)
+                    for offset in (-4.0, 0.0))
+    for fit, spill in zip(contexts(fits, m=3, encoding="integer"),
+                          contexts(spills, m=3, encoding="integer")):
+        assert np.allclose(distribution(fit, 0.0, 0), [0.5, 0.5], atol=1e-12)
         with pytest.raises(ValueError, match="capacity"):
-            distribution(engine_cls(np.array([0.0, 4.0]), 3, "integer", 1.0), 0.0, 0)
+            distribution(spill, 0.0, 0)
 
 
 def test_integer_window_checked_where_the_threshold_moves():
@@ -338,15 +344,38 @@ def test_integer_window_checked_where_the_threshold_moves():
     assert 0 < raised < 40
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(3, 6), st.integers(1, 6),
+       st.sampled_from([0.0, 0.5]))
+def test_integer_window_check_reads_the_bounds(n, problem_seed, m, span, shift):
+    # at every threshold, check raises exactly where rounding the whole
+    # shifted table would, with its message, and shifted is that rounding;
+    # a half-integer offset keeps every shifted cost an integer
+    q = random_integer_qubo(np.random.default_rng(problem_seed), n=n, span=span)
+    ctx = SearchContext(replace(q, offset=q.offset + shift), GasConfig(m=m, encoding="integer"))
+    half = 1 << (m - 1)
+    for t in np.unique(ctx.costs).tolist():
+        bins = np.round(ctx.costs - t)
+        if bins.min() >= -half and bins.max() < half:
+            ctx.check(t)
+            assert np.array_equal(ctx.shifted(t), bins)
+            continue
+        message = (f"shifted cost range [{bins.min():g}, {bins.max():g}] exceeds the signed "
+                   f"capacity [-{half}, {half}) of {m} value qubits")
+        for read in (ctx.check, ctx.shifted):
+            with pytest.raises(ValueError) as raised:
+                read(t)
+            assert str(raised.value) == message
+
+
 def test_engine_twin_above_n16():
     n, m = 17, 3
     rng = np.random.default_rng(12)
     q = random_real_qubo(rng, n)
-    costs = evaluate_all_costs(q)
-    scale = 2.0 ** (m - 2) / (costs.max() - costs.min())
-    threshold = float(np.median(costs))
-    sv = distribution(_StatevectorEngine(costs, m, "real_direct", scale), threshold, 1)
-    an = distribution(_Engine(costs, m, "real_direct", scale), threshold, 1)
+    statevector, analytic = contexts(q, m=m)
+    threshold = float(np.median(statevector.costs))
+    sv = distribution(statevector, threshold, 1)
+    an = distribution(analytic, threshold, 1)
     assert np.max(np.abs(sv - an)) <= 1e-9
     runs = [_outcome(q, GasConfig(m=m, max_rounds=2, engine=engine), 0) for engine in ENGINES]
     assert runs[0] == runs[1]
@@ -447,16 +476,31 @@ def test_search_settings_match_context():
 def test_prepared_state_is_read_only():
     # every search on a context reflects about the slot's A|0>: a stray write raises
     q = random_real_qubo(np.random.default_rng(15), 3)
-    engine = SearchContext(q, GasConfig(m=6)).engine
-    threshold = float(np.median(engine._costs))
-    _, base = engine.prepared(threshold)
+    ctx = SearchContext(q, GasConfig(m=6))
+    threshold = float(np.median(ctx.costs))
+    _Slots.cumulative(ctx, threshold, 1)
+    _, (_, base), _ = ctx.slot
     before = base.amps.copy()
     with pytest.raises(ValueError):
         base.amps[0] = 0.0
     for L in (0, 2):
-        engine.cumulative(threshold, L)  # L > 0 evolves a copy
+        _Slots.cumulative(ctx, threshold, L)  # L > 0 evolves a copy
     assert np.array_equal(base.amps, before)
-    assert engine.prepared(threshold)[1] is base
+    assert ctx.slot[1][1] is base
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_cost_table_is_read_only(engine):
+    # both searches of a trial and every row of a group read the context's
+    # table in place: a stray write raises
+    q = random_integer_qubo(np.random.default_rng(16))
+    cfg = GasConfig(m=None, engine=engine)
+    ctx = SearchContext(q, cfg)
+    for seed in range(2):
+        run_gas(ctx, cfg, np.random.default_rng(seed))
+    with pytest.raises(ValueError):
+        ctx.costs[0] = 0.0
+    assert np.array_equal(ctx.costs, evaluate_all_costs(q))
 
 
 def _outcome(q, cfg, seed, ctx=None):
@@ -495,10 +539,10 @@ def test_engine_twin_property_real(n, problem_seed, m, seed):
     assert abs(best_cost - evaluate_cost(q, bits)) <= 1e-9
 
 
-def _evolve_every_round(self, threshold, L):
-    """The statevector engine's ``cumulative`` without the threshold slot or
-    the memo: every round prepares and evolves afresh."""
-    return np.cumsum(self._evolve(self._prepare(self._shifted(threshold)), L))
+def _evolve_every_round(ctx, threshold, L):
+    """``_Slots.cumulative`` without the context's threshold slot or the
+    memo: every round prepares and evolves afresh."""
+    return np.cumsum(_evolve(_prepare(ctx.shifted(threshold), ctx.m), L))
 
 
 def _prepare_every_round(self, rows, L, sums=_Lockstep.sums):
@@ -511,7 +555,7 @@ def _prepare_every_round(self, rows, L, sums=_Lockstep.sums):
 
 def _without_memo(patch):
     """Switch off what both engines keep between rounds."""
-    patch.setattr(_StatevectorEngine, "cumulative", _evolve_every_round)
+    patch.setattr(_Slots, "cumulative", staticmethod(_evolve_every_round))
     patch.setattr(_Lockstep, "sums", _prepare_every_round)
 
 
@@ -550,7 +594,7 @@ def test_shared_context_changes_no_search(n, encoding, engine):
         ctx = SearchContext(q, cfg)
         first = run_gas(ctx, cfg, np.random.default_rng(seed))
         if engine == "statevector":
-            reused += ctx.engine._slot[0] == first.best_cost
+            reused += ctx.slot[0] == first.best_cost
         for warm_start in (first.best_bits, None):
             second = replace(cfg, warm_start=warm_start)
             assert _outcome(q, second, seed + 10, ctx) == _outcome(q, second, seed + 10)
@@ -603,27 +647,20 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
 
     monkeypatch.setattr(gasmld.gas, "sample_rotation_count", recorded_draw)
 
-    def counted(self, prepared, L, evolve=_StatevectorEngine._evolve):
+    def counted(prepared, L, evolve=_evolve):
         evolutions.append(L)
-        return evolve(self, prepared, L)
+        return evolve(prepared, L)
 
-    monkeypatch.setattr(_StatevectorEngine, "_evolve", counted)
+    monkeypatch.setattr(gasmld.gas, "_evolve", counted)
 
-    def slot_prepared(self, threshold, prepare=_StatevectorEngine.prepared):
-        before = self._slot
-        out = prepare(self, threshold)
-        if self._slot is not before:
+    memoized = _Slots.cumulative
+
+    def checked(ctx, threshold, L):
+        previous = ctx.slot
+        sums = memoized(ctx, threshold, L)
+        if ctx.slot is not previous:  # the slot prepared this threshold
             prepared.append(threshold)
-        return out
-
-    monkeypatch.setattr(_StatevectorEngine, "prepared", slot_prepared)
-
-    memoized = _StatevectorEngine.cumulative
-
-    def checked(self, threshold, L):
-        previous = self._slot
-        sums = memoized(self, threshold, L)
-        slot_threshold, _, by_rotation = self._slot
+        slot_threshold, _, by_rotation = ctx.slot
         assert slot_threshold == threshold and by_rotation[L] is sums
         # the memo keeps one float64 running sum per L >= 1 and nothing beside it
         assert L >= 1
@@ -636,7 +673,7 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
         memo_sizes.append(len(by_rotation))
         return sums
 
-    monkeypatch.setattr(_StatevectorEngine, "cumulative", checked)
+    monkeypatch.setattr(_Slots, "cumulative", staticmethod(checked))
 
     def lockstep_move(self, rows, thresholds, move=_Lockstep.move):
         prepared.extend(thresholds)
@@ -693,13 +730,12 @@ def test_zero_rotations_leave_the_key_register_uniform(n, encoding, problem_seed
         q, m = random_integer_qubo(rng, n=n, span=1), None
     else:
         q, m = random_real_qubo(rng, n), 8 if n < 10 else 6
-    statevector, analytic = (SearchContext(q, GasConfig(m=m, encoding=encoding, engine=engine)).engine
-                             for engine in ENGINES)
-    costs = statevector._costs
+    statevector, analytic = contexts(q, m=m, encoding=encoding)
+    costs = statevector.costs
     thresholds = [float(costs.min())] + [float(costs[p % costs.shape[0]]) for p in picks]
     uniform = 2.0 ** -n
     for t in thresholds:
-        spec, base = statevector._prepare(statevector._shifted(t))
+        spec, base = _prepare(statevector.shifted(t), statevector.m)
         marginal = register_distribution(base, spec.key_register)
         assert np.all(np.abs(marginal - uniform) <= 4 * spec.m * np.spacing(uniform))
     group = _Lockstep([analytic] * len(thresholds))
@@ -732,8 +768,7 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
     monkeypatch.setattr(gasmld.gas, "sample_rotation_count", recorded_draw)
     monkeypatch.setattr(_Lockstep, "move", spy("move", lockstep_move))
     monkeypatch.setattr(_Lockstep, "sums", spy("sums", _Lockstep.sums))
-    monkeypatch.setattr(_StatevectorEngine, "cumulative",
-                        spy("cumulative", _StatevectorEngine.cumulative))
+    monkeypatch.setattr(_Slots, "cumulative", staticmethod(spy("cumulative", _Slots.cumulative)))
     monkeypatch.setattr(gasmld.gas, "fejer_upper_mass",
                         spy("kernel", gasmld.circuits.fejer_upper_mass))
     problems = [random_real_qubo(np.random.default_rng(80 + i), 3) for i in range(3)]
@@ -849,17 +884,17 @@ def test_lockstep_sums_are_the_one_search_sums(n, encoding):
     rng = np.random.default_rng(70 + n)
     problems = ([random_integer_qubo(rng, n=n, span=1) for _ in range(6)] if encoding == "integer"
                 else [random_real_qubo(rng, n) for _ in range(6)])
-    engines = [SearchContext(q, GasConfig(m=None, encoding=encoding, engine="analytic")).engine
-               for q in problems]
-    group = _Lockstep(engines)
+    ctxs = [SearchContext(q, GasConfig(m=None, encoding=encoding, engine="analytic"))
+            for q in problems]
+    group = _Lockstep(ctxs)
     for _ in range(150):
         rows = sorted(rng.choice(6, size=rng.integers(1, 7), replace=False).tolist())
-        thresholds = [float(rng.choice(engines[r]._costs)) for r in rows]
+        thresholds = [float(rng.choice(ctxs[r].costs)) for r in rows]
         L = rng.integers(0, 1 + int(2 ** (n / 2)), size=len(rows)).tolist()
         group.move(rows, thresholds)
         sums = group.sums(rows, L)
         for row, r, t, l in zip(sums, rows, thresholds, L):
-            assert np.array_equal(row, reference_running_sum(engines[r], t, l))
+            assert np.array_equal(row, reference_running_sum(ctxs[r], t, l))
 
 
 def test_group_checks_its_searches():
