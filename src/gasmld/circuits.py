@@ -11,10 +11,13 @@ preparation (Hadamards, controlled phases, inverse QFT) as the reference.
 
 The readout of one key is a Fejer kernel (``fejer_distribution``), and the
 analytic engine needs only its mass on the negative half, the chance that
-the key is marked.  ``fejer_upper_mass`` evaluates that for every key at once
-in O(W) work per key, W = 16, whatever m, with no per-bin row: it sums the
-kernel's csc^2 form over the 2W + 1 bins nearest the key's pole one by one,
-and the two smooth tails of the half-band by the Euler-Maclaurin formula.
+the key is marked.  ``fejer_upper_mass`` evaluates that for every key at once,
+whatever m, with no per-bin row: it sums the two smooth tails of the
+half-band by the Euler-Maclaurin formula, O(1) per key, and the kernel's
+csc^2 form over the 2W + 1 bins nearest the key's pole one by one, W = 16,
+only for the keys near the sign boundary, whose window meets the half-band.
+Most keys of a search's table are far from it, and their window sum is
+exactly zero.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .qcore import Statevector
 
 _EXP_SPLIT = 64  # width of the smaller table in _phase_ramp
 _WINDOW = 16  # W: bins summed term by term on each side of a key's pole in fejer_upper_mass
-_WINDOW_KEYS = 256  # keys per block in fejer_upper_mass: bounds its (keys, 2W + 1) temporaries
+_TAIL_KEYS = 1024  # keys per block in fejer_upper_mass: bounds its (4, keys) tail temporaries
+_WINDOW_KEYS = 128  # near keys per window chunk in fejer_upper_mass: bounds its (2W + 1, keys) temporaries
 
 
 @dataclass(eq=False)
@@ -211,27 +215,37 @@ def fejer_upper_mass(a: np.ndarray, m: int) -> np.ndarray:
     Bin l of the readout is sin^2(pi a) / (M sin(pi (l - a) / M))^2 with
     M = 2^m, so the mass is
 
-        f(a) = sin^2(pi a) / M^2 * sum_{l = M/2}^{M-1} csc^2(pi (l - a) / M),
+        f(a) = sin^2(pi a) / M^2 * sum_{l = M/2}^{M-1} csc^2(pi (l - a) / M).
 
-    summed here in O(W) per key with W = 16, whatever m.  The key is reduced
-    exactly: with n = rint(a) and delta = a - n, bin l contributes
-    csc^2(pi (j - delta) / M) for the integer j = l - n, whose pole is
-    j = 0 (mod M), and sin^2(pi a) = sin^2(pi delta).  The band bins with
-    j in [-W, W] are summed term by term, their sines built by angle addition
-    from cached sin and cos of pi j / M.  The rest of the band is at most two
-    runs of bins, each at least W from every pole; a run p..q sums by the
-    midpoint Euler-Maclaurin formula to Q(q + 1/2) - Q(p - 1/2), with Q the
-    odd polynomial in cot of ``_band_window``.  Its truncation error stays
-    below 1e-13 for every m; an empty run reads Q twice at one point, away
-    from every pole, and cancels exactly.  When M < 2W + 2 the window holds
-    every bin and both runs are empty.  Keys go in blocks of
-    ``_WINDOW_KEYS`` to bound the temporaries, and the result is clipped to
-    [0, 1], which rounding leaves by about 1e-16 at a bin.
+    The key is reduced exactly: with n = rint(a) and delta = a - n, bin l
+    contributes csc^2(pi (j - delta) / M) for the integer j = l - n, whose
+    pole is j = 0 (mod M), and sin^2(pi a) = sin^2(pi delta).  The band bins
+    with j in [-W, W], W = 16, are summed term by term, their sines built by
+    angle addition from cached sin and cos of pi j / M.  The rest of the band
+    is at most two runs of bins, each at least W from every pole; a run p..q
+    sums by the midpoint Euler-Maclaurin formula to Q(q + 1/2) - Q(p - 1/2),
+    with Q the odd polynomial in cot of ``_band_window``.  Its truncation
+    error stays below 1e-13 for every m; an empty run reads Q twice at one
+    point, away from every pole, and cancels exactly.  When M < 2W + 2 the
+    window holds every bin and both runs are empty.
+
+    A key is far from the sign boundary when no window bin lies in the band,
+    n mod M in [W, M/2 - W - 1]: its window sum is exactly 0.0, so it takes
+    the tails alone, O(1); most keys of a search's table are far.  Keys go
+    in blocks of ``_TAIL_KEYS``, and a block's near keys, gathered, run the
+    window in chunks of at most ``_WINDOW_KEYS``, which bounds the
+    temporaries.  A key's mass does not depend on the other keys of its
+    call, as long as numpy's element-wise sin and cos give an element the
+    same result wherever it sits in an array: only the window's sum over
+    its rows is not element-wise, and ``einsum`` takes it in row order for
+    every chunk of two or more keys but not for a lone one, which therefore
+    runs as a chunk of two.  The result is clipped to [0, 1], which
+    rounding leaves by about 1e-16 at a bin.
     """
     a = np.asarray(a, dtype=float)
     mass = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], _WINDOW_KEYS):
-        mass[start:start + _WINDOW_KEYS] = _block_mass(a[start:start + _WINDOW_KEYS], m)
+    for start in range(0, a.shape[0], _TAIL_KEYS):
+        mass[start:start + _TAIL_KEYS] = _block_mass(a[start:start + _TAIL_KEYS], m)
     return np.clip(mass, 0.0, 1.0, out=mass)
 
 
@@ -239,16 +253,59 @@ def _block_mass(key: np.ndarray, m: int) -> np.ndarray:
     """``fejer_upper_mass`` of one block of keys, unclipped; its temporaries
     are freed on return."""
     M = 1 << m
-    j, sin_j, cos_j, (q1, q3, q5, q7), lo, hi = _band_window(m)
+    _, _, _, (q1, q3, q5, q7), lo, hi = _band_window(m)
     n = np.rint(key)
     delta = key - n
     # the band's first bin, counted from bin n: it runs to s + M/2 - 1
     s = (M // 2 - n.astype(np.int64)) & (M - 1)
+    pre = np.sin(np.pi * delta) / M
+    # a key is far, no window bin j in [-lo, hi] in the band, iff s in [hi + 1, M/2 - lo];
+    # its window terms are all 0.0, and so is their sum
+    window = np.zeros(key.shape[0])
+    near = ((s <= hi) | (s > M // 2 - lo)).nonzero()[0]
+    for start in range(0, near.shape[0], _WINDOW_KEYS):
+        chunk = near[start:start + _WINDOW_KEYS]
+        if chunk.shape[0] == 1:
+            chunk = np.repeat(chunk, 2)
+        window[chunk] = _window_sum(s[chunk], delta[chunk], pre[chunk], m)
+    # the runs [max(s, hi + 1), min(e, M - lo - 1)] and [M + hi + 1, e]
+    # with e = s + M/2 - 1, by their half-integer ends
+    ends = np.empty((4, key.shape[0]))
+    last = s + (M / 2 - 0.5)
+    np.maximum(s - 0.5, hi + 0.5, out=ends[0])
+    np.minimum(last, M - lo - 0.5, out=ends[1])
+    np.maximum(ends[1], ends[0], out=ends[1])
+    ends[2] = M + hi + 0.5
+    np.maximum(last, M + hi + 0.5, out=ends[3])
+    ends -= delta
+    ends *= np.pi / M
+    # cos / sin, not 1 / tan: np.tan's code pages added 0.15 MiB to a fig2 sweep's peak RSS
+    cot = np.cos(ends)
+    cot /= np.sin(ends, out=ends)
+    # ((q7 c^2 + q5) c^2 + q3) c^2 + q1, times c, one operation at a time in place
+    sq = np.multiply(cot, cot, out=ends)
+    poly = q7 * sq
+    for q in (q5, q3):
+        poly += q
+        poly *= sq
+    poly += q1
+    poly *= cot
+    tails = (poly[1] - poly[0]) + (poly[3] - poly[2])
+    return window + pre * pre * tails
+
+
+def _window_sum(s: np.ndarray, delta: np.ndarray, pre: np.ndarray, m: int) -> np.ndarray:
+    """The window's term-by-term sum for two or more near keys: the csc^2
+    terms, times pre^2, of the 2W + 1 bins nearest each key's pole that
+    lie in the band."""
+    M = 1 << m
+    j, sin_j, cos_j, _, _, _ = _band_window(m)
     step = delta * (np.pi / M)
     sin_d, cos_d = np.sin(step), np.cos(step)
-    pre = np.sin(np.pi * delta) / M
     # window bin j lies in the band iff (j - s) mod M < M/2, a clear bit m - 1
-    inside = ((j - s) & (M // 2)) == 0
+    inside = j - s
+    inside &= M // 2
+    inside = inside == 0
     # the (window, keys) outer products by einsum: a broadcast ufunc
     # product, even into an ``out`` array, takes two 64 KiB iterator buffers
     sines = np.einsum("j,k->jk", sin_j, cos_d)  # sin(pi (j - delta) / M) at [j, key]
@@ -256,23 +313,6 @@ def _block_mass(key: np.ndarray, m: int) -> np.ndarray:
     sines -= ratio
     # bin n itself at delta = 0 is 0/0, with limit 1
     np.copyto(ratio, inside)
-    np.divide(pre, sines, out=ratio, where=inside & (sines != 0.0))
-    window = np.einsum("jk,jk->k", ratio, ratio)
-    # the runs [max(s, hi + 1), min(e, M - lo - 1)] and [M + hi + 1, e]
-    # with e = s + M/2 - 1, by their half-integer ends
-    ends = np.empty((4, key.shape[0]))
-    np.maximum(s - 0.5, hi + 0.5, out=ends[0])
-    np.minimum(s + (M / 2 - 0.5), M - lo - 0.5, out=ends[1])
-    np.maximum(ends[1], ends[0], out=ends[1])
-    ends[2] = M + hi + 0.5
-    np.maximum(s + (M / 2 - 0.5), M + hi + 0.5, out=ends[3])
-    ends -= delta
-    ends *= np.pi / M
-    # cos / sin, not 1 / tan: np.tan's code pages added 0.15 MiB to a fig2 sweep's peak RSS
-    cot = np.cos(ends)
-    cot /= np.sin(ends)
-    sq = cot * cot
-    poly = ((q7 * sq + q5) * sq + q3) * sq + q1
-    poly *= cot
-    tails = (poly[1] - poly[0]) + (poly[3] - poly[2])
-    return window + pre * pre * tails
+    inside &= sines != 0.0
+    np.divide(pre, sines, out=ratio, where=inside)
+    return np.einsum("jk,jk->k", ratio, ratio)

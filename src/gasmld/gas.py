@@ -52,10 +52,11 @@ the draw from the running sum of A|0>'s key marginal, which is uniform
 only up to a few ulps, in practice, not by construction: the two could
 differ only where u 2^n falls within a few ulps of an integer.
 
-A threshold is prepared only when a round first rotates at it: a search
-whose threshold moves is marked stale, and the stale searches that a
-round rotates are prepared together, so a threshold that only L = 0 rounds
-visit costs no preparation.  The integer encoding's errors are raised
+A threshold is prepared only when a round rotates a search whose
+threshold moved: a search whose threshold moves is marked stale, and a
+round that rotates a stale search prepares every stale search of the group
+that still runs, in one good-mass call, so a group whose rounds all draw
+L = 0 costs no preparation.  The integer encoding's errors are raised
 where a search sets the threshold, before any round runs at it.  Each
 engine's group is built from the searches' contexts and reads only what
 they hold.  The analytic engine evolves the group's rotating rows as one
@@ -259,7 +260,7 @@ def _evolve(prepared, L: int) -> np.ndarray:
 class _Slots:
     """The running sums of a group on the statevector engine: each row reads
     its own context's threshold slot, so a group holds one search.  A row
-    moves to its threshold in the first round that rotates there, and
+    moves to its threshold by the first round that rotates there, and
     ``cumulative`` prepares the slot's A|0> on its first call there.
 
     A context's ``slot`` is (threshold, (spec, A|0>), {L: running sum}): the
@@ -308,14 +309,16 @@ class _Lockstep:
     Each row keeps its threshold's weights w_good and w_bad (see the module
     docstring), read off its context's shifted table, in one (2, S, 2^n)
     stack, with p0 and 1 - p0 beside them.
-    The driver moves a stale row, one whose threshold no preparation has
-    read, in the first round that rotates it; the rows moved in one round
-    are prepared together, one ``fejer_upper_mass`` call per value-register
-    size, and a round evolves the rows it rotates as one stack, one
-    row-wise ``cumsum``.  Every row's arithmetic is the one-search closed
-    form's, operation for operation: the squares of sin and cos go through
-    ``np.float_power``, which rounds as the scalar ``**`` does, where the
-    array ``**`` (x * x) differs in about 0.1% of angles."""
+    The driver moves the stale rows, those whose threshold no preparation
+    has read, in a round that rotates one of them: every stale row that
+    still runs moves, and they are prepared together, one
+    ``fejer_upper_mass`` call per value-register size, since a key's mass
+    does not depend on the other keys of the call.  A round evolves the
+    rows it rotates as one stack, one row-wise ``cumsum``.  Every row's
+    arithmetic is the one-search closed form's, operation for operation:
+    the squares of sin and cos go through ``np.float_power``, which rounds
+    as the scalar ``**`` does, where the array ``**`` (x * x) differs in
+    about 0.1% of angles."""
 
     def __init__(self, ctxs):
         self._ctxs = ctxs
@@ -326,18 +329,25 @@ class _Lockstep:
         self._at = np.full(S, np.nan)  # each row's threshold
 
     def move(self, rows: list, thresholds: list) -> None:
+        # each m's rows side by side, so that the kernel reads them as one
+        # view and its output is the only other (rows, 2^n) array
+        moved = sorted(zip(rows, thresholds), key=lambda pair: self._ctxs[pair[0]].m)
+        rows, thresholds = [r for r, _ in moved], [t for _, t in moved]
         ctxs = [self._ctxs[r] for r in rows]
-        shifted = [ctx.shifted(t) for ctx, t in zip(ctxs, thresholds)]
-        n_keys = self._weights.shape[2]
-        w_good = np.empty((len(rows), n_keys))
-        for m in {ctx.m for ctx in ctxs}:  # a sweep's contexts share one m
-            pick = [i for i, ctx in enumerate(ctxs) if ctx.m == m]
-            w_good[pick] = fejer_upper_mass(np.concatenate([shifted[i] for i in pick]),
-                                            m).reshape(len(pick), n_keys)
+        w_good = np.empty((len(rows), self._weights.shape[2]))  # each shifted table, then its good mass
+        for row, (ctx, t) in enumerate(zip(ctxs, thresholds)):
+            w_good[row] = ctx.shifted(t)
+        start = 0
+        for m in sorted({ctx.m for ctx in ctxs}):  # a sweep's contexts share one m
+            part = w_good[start:start + sum(ctx.m == m for ctx in ctxs)]
+            part[:] = fejer_upper_mass(part.ravel(), m).reshape(part.shape)
+            start += part.shape[0]
+        n_keys = w_good.shape[1]
         w_good /= n_keys
         self._weights[0, rows] = w_good
-        self._weights[1, rows] = np.maximum(1.0 / n_keys - w_good, 0.0)
         p0 = np.clip(w_good.sum(axis=1), 0.0, 1.0)
+        np.subtract(1.0 / n_keys, w_good, out=w_good)  # now w_bad
+        self._weights[1, rows] = np.maximum(w_good, 0.0, out=w_good)
         # p0 = 0 only where every w_good is 0, and there alpha = 0: over a
         # divisor of 1 the row reads w_bad, the one-search form's
         # w_good + w_bad.  p0 stays below 1, as the incumbent's own key,
@@ -415,8 +425,8 @@ def run_searches(searches) -> list[GasResult]:
         turn = [j for j, l in enumerate(L) if l]
         if turn:
             rotating = [rows[j] for j in turn]
-            fresh = [i for i in rotating if i in stale]
-            if fresh:
+            if not stale.isdisjoint(rotating):  # then every stale row moves, in one call
+                fresh = [i for i in rows if i in stale]
                 group.move(fresh, [threshold[i] for i in fresh])
                 stale.difference_update(fresh)
             drawn = sample_index(group.sums(rotating, [L[j] for j in turn]),

@@ -14,7 +14,7 @@ import numpy as np
 
 from gasmld import qcore
 from gasmld.channel import circulant_matrix, modulate, snr_db_to_sigma2
-from gasmld.circuits import GasCircuitSpec, fejer_upper_mass
+from gasmld.circuits import GasCircuitSpec, _band_window, fejer_upper_mass
 from gasmld.gas import GasResult, _evolve, _prepare
 from gasmld.qubo import MldInstance, QuboProblem, bits_of, evaluate_all_costs
 
@@ -200,6 +200,54 @@ def value_distribution_reference(theta: float, m: int) -> np.ndarray:
         g_l = basis_phase_vector(2.0 * np.pi * l / M, m)
         out[l] = abs(np.vdot(g_l, g_t)) ** 2
     return out
+
+
+def reference_upper_mass(a: np.ndarray, m: int) -> np.ndarray:
+    """``circuits.fejer_upper_mass`` as it was before far keys skipped the
+    window: every key, in blocks of 256, runs the 2W + 1 window bins and
+    the two Euler-Maclaurin tails, with the same operations in the same
+    order as the kernel.  A call of 256 q + 1 keys runs its last key as a
+    block of one, whose window ``einsum`` sums in another order, where the
+    kernel runs a lone near key as a chunk of two; so compare calls of other
+    sizes (a sweep's calls hold S 2^n keys, an even count)."""
+    a = np.asarray(a, dtype=float)
+    mass = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], 256):
+        mass[start:start + 256] = _reference_block_mass(a[start:start + 256], m)
+    return np.clip(mass, 0.0, 1.0, out=mass)
+
+
+def _reference_block_mass(key: np.ndarray, m: int) -> np.ndarray:
+    M = 1 << m
+    j, sin_j, cos_j, (q1, q3, q5, q7), lo, hi = _band_window(m)
+    n = np.rint(key)
+    delta = key - n
+    s = (M // 2 - n.astype(np.int64)) & (M - 1)
+    step = delta * (np.pi / M)
+    sin_d, cos_d = np.sin(step), np.cos(step)
+    pre = np.sin(np.pi * delta) / M
+    inside = ((j - s) & (M // 2)) == 0
+    sines = np.einsum("j,k->jk", sin_j, cos_d)
+    ratio = np.einsum("j,k->jk", cos_j, sin_d)
+    sines -= ratio
+    np.copyto(ratio, inside)
+    np.divide(pre, sines, out=ratio, where=inside & (sines != 0.0))
+    window = np.einsum("jk,jk->k", ratio, ratio)
+    ends = np.empty((4, key.shape[0]))
+    np.maximum(s - 0.5, hi + 0.5, out=ends[0])
+    np.minimum(s + (M / 2 - 0.5), M - lo - 0.5, out=ends[1])
+    np.maximum(ends[1], ends[0], out=ends[1])
+    ends[2] = M + hi + 0.5
+    np.maximum(s + (M / 2 - 0.5), M + hi + 0.5, out=ends[3])
+    ends -= delta
+    ends *= np.pi / M
+    cot = np.cos(ends)
+    cot /= np.sin(ends)
+    sq = cot * cot
+    poly = ((q7 * sq + q5) * sq + q3) * sq + q1
+    poly *= cot
+    tails = (poly[1] - poly[0]) + (poly[3] - poly[2])
+    return window + pre * pre * tails
 
 
 def conditional_value_distributions(state, spec: GasCircuitSpec) -> np.ndarray:

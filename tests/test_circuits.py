@@ -31,6 +31,7 @@ from oracles import (
     dense_qft,
     embed_on_register,
     grover_power_gates,
+    reference_upper_mass,
     spec_of,
     state_preparation_gates,
     state_preparation_inverse_gates,
@@ -194,11 +195,84 @@ def test_fejer_upper_mass_on_hard_keys(case):
     assert np.all((mass >= 0.0) & (mass <= 1.0))
 
 
-@pytest.mark.parametrize("m", [12, 14])
-def test_fejer_upper_mass_heap_does_not_grow_with_m(m):
-    # one call on 4,096 keys stays within 300 KiB of traced heap at any m:
-    # 261 KiB, with no iterator buffers for its outer products
-    a = np.random.default_rng(m).uniform(-(1 << (m - 2)), 1 << (m - 2), 4096)
+def _classed_keys(m: int, W: int):
+    """Strategies for keys at m: far keys, whose pole n = rint(a) mod M lies
+    in [W, M/2 - W - 1], near keys (around a pole at 0 or M/2, and every
+    negative key of [-M/2, 0)), the class edges n = W - 1, W, M/2 - W - 1
+    and M/2 - W, each on a bin, a half-integer or a fraction off it and
+    shifted by a multiple of M, and uniform keys in [-4M, 4M]."""
+    M = 1 << m
+    shift = st.integers(-3, 3).map(lambda t: float(t * M))
+    offset = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 0.4999, -0.4999]), st.floats(-0.5, 0.5))
+    edge = st.tuples(st.sampled_from([W - 1, W, M // 2 - W - 1, M // 2 - W]), offset, shift).map(sum)
+    near = st.tuples(st.one_of(st.integers(-M // 2, W), st.integers(M // 2 - W - 1, M // 2 + W)),
+                     offset, shift).map(sum)
+    classes = [edge, near, st.floats(-4.0 * M, 4.0 * M)]
+    if M // 2 - W - 1 >= W:
+        classes.append(st.tuples(st.integers(W, M // 2 - W - 1), offset, shift).map(sum))
+    return st.one_of(classes)
+
+
+@st.composite
+def classed_calls(draw):
+    """m in 2..14 and a call of 2..64 classed keys (see ``_classed_keys``)."""
+    m = draw(st.integers(2, 14))
+    keys = draw(st.lists(_classed_keys(m, circuits._WINDOW), min_size=2, max_size=64))
+    return m, np.array(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classed_calls())
+def test_fejer_upper_mass_matches_the_reference_kernel(case):
+    # bit for bit against the kernel that ran every key through the window;
+    # this assumes that numpy's element-wise sin and cos give an element the
+    # same result wherever it sits in an array, and checks that where it runs
+    m, a = case
+    assert np.array_equal(fejer_upper_mass(a, m), reference_upper_mass(a, m))
+
+
+@pytest.mark.parametrize("m", [7, 12, 14])
+@pytest.mark.parametrize("near_per_block", [1, 2, circuits._WINDOW_KEYS + 1])
+def test_fejer_upper_mass_matches_the_reference_on_wide_calls(m, near_per_block):
+    # calls of three key blocks, each of far keys but for 1, 2 or
+    # _WINDOW_KEYS + 1 near ones, so that a window chunk holds exactly one
+    # near key or two; the last block is short
+    M, W, B = 1 << m, circuits._WINDOW, circuits._TAIL_KEYS
+    rng = np.random.default_rng(near_per_block + m)
+    a = rng.integers(W, M // 2 - W, 3 * B - 6) + rng.uniform(-0.5, 0.5, 3 * B - 6)
+    for start in range(0, a.shape[0], B):
+        spots = start + rng.choice(min(B, a.shape[0] - start), near_per_block, replace=False)
+        a[spots] = rng.uniform(-M / 2, W - 0.5, near_per_block)
+    assert np.array_equal(fejer_upper_mass(a, m), reference_upper_mass(a, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(classed_calls(), st.data())
+def test_fejer_upper_mass_of_a_key_ignores_its_neighbours(case, data):
+    # a key's mass is the same in any call that holds it, so a lockstep
+    # group may prepare any set of rows in one call: permuted, any subset,
+    # and rows tiled past a key block
+    m, a = case
+    mass = fejer_upper_mass(a, m)
+    order = np.array(data.draw(st.permutations(range(a.shape[0]))))
+    assert np.array_equal(fejer_upper_mass(a[order], m), mass[order])
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, a.shape[0] - 1), min_size=1))))
+    assert np.array_equal(fejer_upper_mass(a[subset], m), mass[subset])
+    rows = -(-(circuits._TAIL_KEYS + 1) // a.shape[0])
+    assert np.array_equal(fejer_upper_mass(np.tile(a, rows), m), np.tile(mass, rows))
+
+
+@pytest.mark.parametrize("m, far", [(2, False), (6, False), (12, False), (14, False), (12, True), (14, True)],
+                         ids=["2", "6", "12", "14", "12-far", "14-far"])
+def test_fejer_upper_mass_heap_does_not_grow_with_m(m, far):
+    # one call on 4,096 keys stays within 300 KiB of traced heap at any m,
+    # with no iterator buffers for its outer products: all near at m = 2
+    # and 6, mostly far at m = 12 and 14, and all far
+    rng = np.random.default_rng(m)
+    if far:
+        a = rng.integers(circuits._WINDOW, (1 << (m - 1)) - circuits._WINDOW, 4096) + rng.uniform(-0.5, 0.5, 4096)
+    else:
+        a = rng.uniform(-(1 << (m - 2)), 1 << (m - 2), 4096)
     tracemalloc.start()
     try:
         fejer_upper_mass(a, m)

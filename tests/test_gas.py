@@ -787,14 +787,23 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
     assert {at for at, _ in calls} == rotating
     assert 0 < len(rotating) < len(ends)
     assert {name for _, name in calls} == {"move", "sums", "kernel"}
-    # each search prepares exactly the thresholds it rotates at, each once
+    # a round that rotates a stale search, one whose threshold was not
+    # prepared, prepares every stale running search at its threshold, each
+    # threshold of a search once; so a search is prepared at every threshold
+    # it rotates at, and the group makes one call per such round
     own = [[] for _ in results]
-    for rows, L in zip(running, per_round):
+    expected, stale = [], set(range(len(results)))
+    for r, (rows, L) in enumerate(zip(running, per_round), 1):
+        level = {i: results[i].threshold_trace[r - 1][1] for i in rows}
+        if any(l and i in stale for i, l in zip(rows, L.tolist())):
+            expected.extend((i, level[i]) for i in rows if i in stale)
+            stale.difference_update(rows)
+        stale.update(i for i in rows if results[i].threshold_trace[r][1] < level[i])
         for i, l in zip(rows, L.tolist()):
             own[i].append(l)
+    assert prepared == expected
     for row, res in enumerate(results):
-        assert sorted(t for i, t in prepared if i == row) == sorted(
-            {y for y, _ in _rotated([res], own[row])})
+        assert {y for y, _ in _rotated([res], own[row])} <= {t for i, t in prepared if i == row}
     # a search that only draws L = 0 reads no engine, on either engine
     statevector = GasConfig(m=6, max_rounds=6)
     calls.clear()
