@@ -25,7 +25,7 @@ def main():
     print("global minimum:", int(costs.min()))
 
     cfg = GasConfig(m=None, encoding="integer", engine="statevector")
-    res = run_gas(SearchContext(q, cfg), cfg, np.random.default_rng(9))
+    res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, np.random.default_rng(9))
     print("\nstatevector run:")
     for rnd, thr in res.threshold_trace:
         print(f"  round {rnd:2d}: incumbent cost {thr:g}")
@@ -33,7 +33,7 @@ def main():
           f"best cost {res.best_cost:g}")
 
     twin_cfg = GasConfig(m=None, encoding="integer", engine="analytic")
-    twin = run_gas(SearchContext(q, twin_cfg), twin_cfg, np.random.default_rng(9))
+    twin = run_gas(SearchContext(evaluate_all_costs(q), twin_cfg), twin_cfg, np.random.default_rng(9))
     same = (twin.threshold_trace == res.threshold_trace
             and np.array_equal(twin.best_bits, res.best_bits)
             and twin.oracle_queries == res.oracle_queries)

@@ -3,13 +3,14 @@
 One path decides: ``decide`` runs a block of instances through the listed
 detectors, as a sweep does, and the one-instance detectors are a block of
 one that adds the symbols and residual cost of the decision
-(``DetectionReport``).  The exhaustive search and the equalizer run on the
-stacked block (``mld_decisions``, ``mmse_soft``); the exhaustive search is an
-argmin over ``qubo``'s costs, a search's table but for a few ulps.  Both
-searches of an instance run on one ``gas.SearchContext`` of its QUBO, and
-the block's analytic searches run in groups on ``gas.run_searches``.  The
-hybrid keeps the equalizer decision as the search incumbent, so it can
-match but never trail the equalizer on any single instance.
+(``DetectionReport``).  The equalizer runs on the stacked block
+(``mmse_soft``).  The block's costs come from one ``qubo`` pass over its
+stacked QUBOs: the exhaustive search is a row-wise argmin over them, and
+both searches of an instance run on one ``gas.SearchContext`` of its row,
+so the two read one table.  The block's analytic searches run in groups on
+``gas.run_searches``.  The hybrid keeps the equalizer decision as the
+search incumbent, so it can match but never trail the equalizer on any
+single instance.
 """
 
 import warnings
@@ -18,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import circulant_matrix, demodulate, modulate
-from .gas import GasConfig, SearchContext, run_gas, run_searches
-from .qubo import _CHUNK, MldInstance, bits_of, cost_chunks, mld_to_qubo, qubo_terms
+from .gas import GasConfig, SearchContext, check_registers, run_gas, run_searches
+from .qubo import _CHUNK, MldInstance, bits_of, cost_chunks, qubo_terms
 
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
 
@@ -37,24 +38,19 @@ def residual_cost(inst: MldInstance, x: np.ndarray) -> float:
     return float(np.sum(np.abs(inst.y - inst.H @ x) ** 2))
 
 
-def mld_decisions(H: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exhaustive minimum-distance bits for a stack of instances.
-
-    ``H`` is (T, N, N) and ``y`` is (T, N); row t of the (T, N) result holds
-    the bits of the pattern whose QUBO cost, ||y_t - H_t x||^2, is least.
-    Ties break toward the lowest bit-pattern integer: a row-wise argmin over
-    ``qubo.cost_chunks``, whose patterns ascend, kept only on a strict
-    improvement.
-    """
-    best_cost = np.full(y.shape[0], np.inf)
-    best_index = np.zeros(y.shape[0], dtype=np.int64)
-    for rows, start, costs in cost_chunks(*qubo_terms(H, y)):
-        local = np.argmin(costs, axis=1)
-        cost = costs[np.arange(local.size), local]
-        better = cost < best_cost[rows]
-        best_cost[rows] = np.where(better, cost, best_cost[rows])
-        best_index[rows] = np.where(better, start + local, best_index[rows])
-    return bits_of(best_index, y.shape[-1])
+def _whole_rows(chunks, N: int):
+    """``qubo.cost_chunks``' arrays as whole tables of 2^N costs: a table
+    that fits in one array is that array, and a larger one is joined from
+    its runs of patterns."""
+    for rows, start, costs in chunks:
+        if costs.shape[1] == 1 << N:
+            yield rows, start, costs
+            continue
+        if start == 0:
+            table = np.empty((costs.shape[0], 1 << N))
+        table[:, start:start + costs.shape[1]] = costs
+        if start + costs.shape[1] == 1 << N:
+            yield rows, 0, table
 
 
 def mmse_taps(h: np.ndarray, sigma2) -> np.ndarray:
@@ -89,16 +85,19 @@ def decide(insts, detectors, cfg: GasConfig | None, rng_for) -> dict:
     oracle queries (T,).
 
     The searches read ``cfg`` and the generators ``rng_for(detector, row)``,
-    one per search.  The equalizer runs once over the block and gives
-    GAS_warm its warm starts.  A trial's searches share one
-    ``SearchContext``, and the driver runs them in groups, in trial order:
-    on the analytic engine a group holds at most ``qubo._CHUNK`` = 2^16 key
-    entries, 2^N per search, so from N = 16 a search runs alone; on the
-    statevector engine every search runs alone, GAS_random before GAS_warm,
-    so one A|0> is alive and the second search can reuse the first one's
-    slot.  MLD runs last, over the block.  The circulants are stacked once,
-    only for MLD or a search, and each instance's ``H`` becomes its row of
-    them.
+    one per search; their register errors are raised before any cost is
+    evaluated.  The equalizer runs once over the block and gives GAS_warm
+    its warm starts.  When MLD or a search is listed, the circulants are
+    stacked once, each instance's ``H`` becomes its row of them, and one
+    ``qubo_terms`` call and one ``cost_chunks`` pass give every trial's
+    costs.  MLD is a row-wise argmin over them, ties to the lowest pattern
+    as the patterns ascend, kept only on a strict improvement.  A trial's
+    searches share one ``SearchContext`` of its row, and the driver runs
+    them in groups, in trial order: on the analytic engine a group holds at
+    most ``qubo._CHUNK`` = 2^16 key entries, 2^N per search, so from N = 16
+    a search runs alone; on the statevector engine every search runs alone,
+    GAS_random before GAS_warm, so one A|0> is alive and the second search
+    can reuse the first one's slot.
     """
     T, N = len(insts), insts[0].N
     h = np.array([inst.h for inst in insts])
@@ -106,36 +105,50 @@ def decide(insts, detectors, cfg: GasConfig | None, rng_for) -> dict:
     out = {det: (np.zeros((T, N), dtype=np.int8), np.zeros(T, dtype=np.int64))
            for det in detectors}
     searches = [det for det in ("GAS_random", "GAS_warm") if det in out]
+    if searches:
+        check_registers(N, cfg)
     if "MMSE" in out or "GAS_warm" in out:
         mmse = demodulate(mmse_soft(h, y, np.array([[inst.sigma2] for inst in insts])))
         if "MMSE" in out:
             out["MMSE"][0][:] = mmse
-    if searches or "MLD" in out:
-        H = circulant_matrix(h, N)
-        for inst, H_t in zip(insts, H):
-            inst.H = H_t  # what its cached H would build
+    if not (searches or "MLD" in out):
+        return out
+    H = circulant_matrix(h, N)
+    for inst, H_t in zip(insts, H):
+        inst.H = H_t  # what its cached H would build
     # searches per driver call, and the trials whose contexts are built together
     size = 1 if searches and cfg.engine == "statevector" else max(1, _CHUNK >> N)
     per = -(-size // max(1, len(searches)))
-    for start in range(0, T if searches else 0, per):
-        keys, group = [], []
-        for row in range(start, min(start + per, T)):
-            ctx = SearchContext(mld_to_qubo(insts[row]), cfg)
-            for det in searches:
-                keys.append((det, row))
-                group.append((ctx, replace(cfg, warm_start=mmse[row] if det == "GAS_warm" else None),
-                              rng_for(det, row)))
-        for first in range(0, len(group), size):
-            part = group[first:first + size]
-            # a group of one goes through run_gas, the call the benchmark's tracer observes
-            results = run_searches(part) if len(part) > 1 else [run_gas(*part[0])]
-            for (det, row), result in zip(keys[first:first + size], results):
-                out[det][0][row] = result.best_bits
-                out[det][1][row] = result.oracle_queries
-    # MLD last: run before the searches, its block-sized temporaries raised
-    # block10_serial's peak RSS by 0.06-0.08 MiB
-    if "MLD" in out:  # N <= 24
-        out["MLD"][0][:] = mld_decisions(H, y)
+    least = np.full(T, np.inf)
+    best = np.zeros(T, dtype=np.int64)
+    chunks = cost_chunks(*qubo_terms(H, y))  # N <= 24
+    for rows, start, costs in _whole_rows(chunks, N) if searches else chunks:
+        if "MLD" in out:
+            local = np.argmin(costs, axis=1)
+            cost = costs[np.arange(local.size), local]
+            better = cost < least[rows]
+            least[rows] = np.where(better, cost, least[rows])
+            best[rows] = np.where(better, start + local, best[rows])
+        if not searches:
+            continue
+        stop = min(rows.stop, T)
+        for first in range(rows.start, stop, per):
+            keys, group = [], []
+            for row in range(first, min(first + per, stop)):
+                ctx = SearchContext(costs[row - rows.start], cfg)
+                for det in searches:
+                    keys.append((det, row))
+                    group.append((ctx, replace(cfg, warm_start=mmse[row] if det == "GAS_warm" else None),
+                                  rng_for(det, row)))
+            for at in range(0, len(group), size):
+                part = group[at:at + size]
+                # a group of one goes through run_gas, the call the benchmark's tracer observes
+                results = run_searches(part) if len(part) > 1 else [run_gas(*part[0])]
+                for (det, row), result in zip(keys[at:at + size], results):
+                    out[det][0][row] = result.best_bits
+                    out[det][1][row] = result.oracle_queries
+    if "MLD" in out:
+        out["MLD"][0][:] = bits_of(best, N)
     return out
 
 

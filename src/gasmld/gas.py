@@ -30,9 +30,10 @@ directly comparable seed for seed.
 A search runs on a ``SearchContext``, the one object per QUBO that every
 search on it and both engines read: its read-only cost table, the exact cost
 bounds, the value-register size, the real-encoding scale and the encoding,
-all fixed when the context is built.  Every search on the same problem, such
-as a sweep trial's random-start and warm-started search, runs on one
-context.  The incumbent is a key index into the table: each round compares
+all fixed when the context is built from the table.  Every search on the
+same problem, such as a sweep trial's random-start and warm-started search,
+runs on one context, and a sweep builds it on its trial's row of the
+block's one exhaustive pass, the row its exhaustive search reads.  The incumbent is a key index into the table: each round compares
 the measured key's table entry with the threshold, and the bits of the best
 key are decoded once, at return.  Per threshold both engines read the
 context's shifted table a_b = scale (E(b) - threshold), which the integer
@@ -76,7 +77,7 @@ import numpy as np
 from .channel import bit_vector
 from .circuits import GasCircuitSpec, apply_state_preparation, fejer_upper_mass, grover_power
 from .qcore import CapacityError, MAX_QUBITS, register_distribution, sample_index, zero_state
-from .qubo import QuboProblem, bits_of, evaluate_all_costs
+from .qubo import bits_of
 
 ENCODINGS = ("integer", "real_direct")
 ENGINES = ("statevector", "analytic")
@@ -174,28 +175,38 @@ def required_value_qubits(n: int, bounds: tuple[float, float], encoding: str) ->
     raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - n} value qubits")
 
 
-class SearchContext:
-    """The search work of one QUBO, built once for the ``m``, encoding and
-    engine of ``cfg`` and read by every search on it and by both engines'
-    groups: the read-only cost table ``costs``, indexed by key, its exact
-    ``bounds``, the value-register size ``m`` and the real-encoding
-    ``scale`` that the bounds give, and the ``encoding``.  ``slot`` is the
-    statevector engine's one threshold slot (see ``_Slots``), None until a
-    round rotates."""
+def check_registers(n: int, cfg: GasConfig) -> None:
+    """Raise the errors of a search on n key bits under ``cfg`` that need
+    no cost table, so a caller can raise them before it builds one: no key
+    qubit, or n key and the least value qubits (``cfg.m``, or 2 for the
+    automatic m) over the qubit cap."""
+    if n < 1:
+        raise ValueError("need at least one key qubit")
+    least_m = cfg.m if cfg.m is not None else 2
+    if n + least_m > MAX_QUBITS:
+        raise CapacityError(f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
 
-    def __init__(self, q: QuboProblem, cfg: GasConfig):
-        n = q.n
-        if n < 1:
-            raise ValueError("need at least one key qubit")
-        # checked before the 2^n table is built; the automatic m takes at least 2 qubits
-        least_m = cfg.m if cfg.m is not None else 2
-        if n + least_m > MAX_QUBITS:
-            raise CapacityError(
-                f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
+
+class SearchContext:
+    """The search work of one QUBO, built once from its cost table
+    ``costs`` (the cost of every key, 2^n entries, as ``qubo.cost_chunks``
+    gives a row) for the ``m``, encoding and engine of ``cfg``, and read by
+    every search on it and by both engines' groups: a read-only view of the
+    table, ``costs``, its exact ``bounds``, the value-register size ``m``
+    and the real-encoding ``scale`` that the bounds give, and the
+    ``encoding``.  ``slot`` is the statevector engine's one threshold slot
+    (see ``_Slots``), None until a round rotates."""
+
+    def __init__(self, costs: np.ndarray, cfg: GasConfig):
+        costs = np.asarray(costs, dtype=float)
+        n = costs.size.bit_length() - 1
+        if costs.ndim != 1 or costs.size < 1 or costs.size != 1 << n:
+            raise ValueError("a cost table holds one cost per key, 2^n entries")
+        check_registers(n, cfg)
         self.n = n
         self.settings = (cfg.m, cfg.encoding, cfg.engine)
         self.encoding = cfg.encoding
-        self.costs = evaluate_all_costs(q)
+        self.costs = costs.view()
         self.costs.flags.writeable = False  # shared by every search and group row on the context
         self.bounds = cost_bounds(self.costs)
         lo, hi = self.bounds

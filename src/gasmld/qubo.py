@@ -7,7 +7,10 @@ which the tests lean on.
 
 The search's cost table and exhaustive detection share one expansion
 (``qubo_terms``), one evaluator (``cost_chunks``) and one index codec
-(``bits_of``); a stack's offset alone may round a few ulps off one instance's.
+(``bits_of``).  A block takes its costs from one pass of the two over its
+stacked instances, and its exhaustive search and every search read the same
+rows: a stack's Q, c and offset may each round a few ulps off the
+one-instance expansion's, and so may its costs.
 """
 
 from __future__ import annotations
@@ -119,21 +122,46 @@ def cost_chunks(Q: np.ndarray, c: np.ndarray, offset: np.ndarray):
     """Every pattern's cost under the T stacked QUBOs (T, n, n), (T, n), (T,).
 
     Yields ``(rows, start, costs)``: ``costs[r, k]`` is the cost of pattern
-    start + k under QUBO ``rows.start + r``.  Patterns run in ascending
-    order, and no cost array holds more than ``_CHUNK`` entries; where a
-    whole table fits, one array takes as many QUBOs as fit beside it.
+    start + k under QUBO ``rows.start + r``.  The QUBOs come in order and
+    each one's patterns in ascending order, and no cost array holds more
+    than ``_CHUNK`` entries: where a whole table fits, one array takes as
+    many QUBOs as fit beside it, and beyond that an array is a run of one
+    QUBO's patterns.
+
+    A pattern splits into its l = n // 2 low and n - l high bits, key
+    lo + 2^l hi.  As b_i^2 = b_i the linear terms join the diagonal,
+    M = Q + diag(c), and the cost is
+
+        E = A[lo] + B[hi] + x_hi^T (2 M_hl) x_lo,
+
+    A and B the low and high halves' own 2^l- and 2^(n-l)-entry tables (B
+    with the offset), so a table costs O(2^n n) rather than O(2^n n^2).
+    Every product is a two-operand ``einsum`` with the QUBO axis last, the
+    one long axis of a small table's stack, and none is a BLAS call.
     """
     T, n = c.shape
     if n > BRUTE_FORCE_MAX_N:
         raise CapacityError(f"exhaustive evaluation capped at n = {BRUTE_FORCE_MAX_N}")
+    low = min(n // 2, _CHUNK.bit_length() - 1)
+    X_lo = bits_of(np.arange(1 << low), low).astype(float)
     width = min(1 << n, _CHUNK)
     per = _CHUNK // width  # QUBOs per cost array
-    for start in range(0, 1 << n, width):
-        B = bits_of(np.arange(start, start + width), n).astype(float)
-        for lo in range(0, T, per):
-            rows = slice(lo, lo + per)
-            yield rows, start, (np.einsum("ki,tij,kj->tk", B, Q[rows], B)
-                                + (B @ c[rows, :, None])[..., 0] + offset[rows, None])
+    span = width >> low  # high halves per cost array
+    M = Q.copy()
+    M[:, range(n), range(n)] += c
+    M = M.transpose(1, 2, 0)  # (n, n, T)
+    for first in range(0, T, per):
+        rows = slice(first, first + per)
+        M_rows = np.ascontiguousarray(M[..., rows])
+        A = np.einsum("kjt,kj->kt", np.einsum("ki,ijt->kjt", X_lo, M_rows[:low, :low]), X_lo)
+        for hi in range(0, 1 << (n - low), span):
+            X_hi = bits_of(np.arange(hi, hi + span), n - low).astype(float)
+            R = np.einsum("ki,ijt->kjt", X_hi, M_rows[low:])  # x_hi^T M_h., (span, n, T')
+            B = np.einsum("kjt,kj->kt", R[:, low:], X_hi) + offset[rows]
+            costs = np.einsum("kjt,lj->klt", R[:, :low], 2.0 * X_lo)
+            costs += B[:, None]
+            costs += A
+            yield rows, hi << low, np.ascontiguousarray(costs.reshape(-1, costs.shape[2]).T)
 
 
 def evaluate_all_costs(q: QuboProblem) -> np.ndarray:

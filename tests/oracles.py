@@ -16,7 +16,7 @@ from gasmld import qcore
 from gasmld.channel import circulant_matrix, modulate, snr_db_to_sigma2
 from gasmld.circuits import GasCircuitSpec, _band_window, fejer_upper_mass
 from gasmld.gas import GasResult, _evolve, _prepare
-from gasmld.qubo import MldInstance, QuboProblem, bits_of, evaluate_all_costs
+from gasmld.qubo import MldInstance, QuboProblem, bits_of
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -263,10 +263,19 @@ def conditional_value_distributions(state, spec: GasCircuitSpec) -> np.ndarray:
     return np.where(totals > 0.0, table / safe, 0.0)
 
 
+def reference_cost_table(Q: np.ndarray, c: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The (T, 2^n) costs b^T Q b + c^T b + offset of every pattern under
+    the T stacked QUBOs (T, n, n), (T, n), (T,), the quadratic form as one
+    three-operand einsum over all patterns at once: O(2^n n^2) per QUBO."""
+    n = c.shape[-1]
+    B = bits_of(np.arange(1 << n), n).astype(float)
+    return np.einsum("ki,tij,kj->tk", B, Q, B) + np.einsum("ki,ti->tk", B, c) + offset[:, None]
+
+
 def brute_force_min(q: QuboProblem) -> tuple[np.ndarray, float]:
     """Exhaustive minimum over the QUBO cost table; ties resolve to the
     smallest bit-pattern integer."""
-    costs = evaluate_all_costs(q)
+    costs = reference_cost_table(q.Q[None], q.c[None], np.array([q.offset]))[0]
     v = int(np.argmin(costs))  # argmin returns the first, i.e. smallest, index
     bits = np.array([(v >> i) & 1 for i in range(q.n)], dtype=np.int8)
     return bits, float(costs[v])

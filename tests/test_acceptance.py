@@ -221,7 +221,7 @@ def test_a05_adaptive_search_convergence():
         q = _random_integer_qubo(rng, 3)
         optimum = float(evaluate_all_costs(q).min())
         cfg = GasConfig(m=None, encoding="integer", engine="statevector")
-        res = run_gas(SearchContext(q, cfg), cfg, np.random.default_rng(trial))
+        res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, np.random.default_rng(trial))
         hits += res.best_cost <= optimum + 1e-9
     ok = hits >= 99
     _line("A05 adaptive search convergence", "PASS" if ok else "FAIL",

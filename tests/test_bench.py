@@ -41,13 +41,12 @@ from gasmld.detect import (
     METHODS,
     gas_detect,
     hybrid_detect,
-    mld_decisions,
     mld_detect,
     mmse_detect,
 )
 from gasmld.gas import ENCODINGS, ENGINES, GasConfig
 from gasmld.qcore import MAX_QUBITS
-from gasmld.qubo import BRUTE_FORCE_MAX_N
+from gasmld.qubo import BRUTE_FORCE_MAX_N, bits_of
 
 
 @pytest.fixture
@@ -179,17 +178,17 @@ def test_block_boundaries_keep_each_column(monkeypatch):
 
 
 def test_block_channels_are_each_trials_own(monkeypatch):
-    # the block's MLD pass sees each trial's own circulant H, built from the
-    # stacked responses in one call
+    # the block's one cost pass sees each trial's own circulant H, built
+    # from the stacked responses in one call
     cfg = small_config(detectors=["MLD", "MMSE"], R_list=[4], N=5, trials_per_point=9)
     seen = []
 
     def capture(H, y):
         seen.append((H.copy(), y.copy()))
-        return mld_decisions(H, y)
+        return gasmld.qubo.qubo_terms(H, y)
 
     monkeypatch.setenv("GASMLD_THREADS", "1")
-    monkeypatch.setattr(gasmld.detect, "mld_decisions", capture)
+    monkeypatch.setattr(gasmld.detect, "qubo_terms", capture)
     run_sweep(cfg)
     ((H, y),) = seen
     assert H.shape == (9, 5, 5)
@@ -211,23 +210,57 @@ def _counted(monkeypatch, module, name, calls):
 
 
 def test_one_search_context_per_trial(monkeypatch):
-    # both searches of a trial share one QUBO and one cost table, every
+    # a block's costs come from one expansion and one exhaustive pass, which
+    # MLD and both searches of a trial read through one context; every
     # trial's warm start comes from one equalizer pass per block, and a
     # trial's circulant is built once for its transmission (``trial_block``)
-    # and once in its block's stack, which MLD and the searches read
+    # and once in its block's stack
     cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"],
                        trials_per_point=BLOCK_TRIALS + 3, R_list=[4], master_seed=5)
     calls = []
     monkeypatch.setenv("GASMLD_THREADS", "1")
-    for module, name in ((gasmld.detect, "mld_to_qubo"), (gasmld.gas, "evaluate_all_costs"),
+    for module, name in ((gasmld.detect, "qubo_terms"), (gasmld.detect, "cost_chunks"),
+                         (gasmld.detect, "SearchContext"), (gasmld.qubo, "mld_to_qubo"),
+                         (gasmld.qubo, "evaluate_all_costs"),
                          (gasmld.detect, "mmse_soft"), (gasmld.bench, "circulant_matrix"),
                          (gasmld.detect, "circulant_matrix"), (gasmld.qubo, "circulant_matrix")):
         _counted(monkeypatch, module, name, calls)
     run_sweep(cfg)
     trials, blocks = cfg.trials_per_point, 2
-    assert calls.count("mld_to_qubo") == calls.count("evaluate_all_costs") == trials
+    assert calls.count("qubo_terms") == calls.count("cost_chunks") == blocks
+    assert calls.count("SearchContext") == trials
+    assert calls.count("mld_to_qubo") == calls.count("evaluate_all_costs") == 0
     assert calls.count("mmse_soft") == blocks
     assert calls.count("circulant_matrix") == trials + blocks  # none lazily in qubo
+
+
+def test_contexts_read_the_rows_mld_reads(monkeypatch):
+    # every search context's table is a view of the row of the cost array
+    # that MLD took its argmin from, so the two read one table by construction
+    cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"], N=4,
+                       trials_per_point=11, R_list=[4], master_seed=6).validate()
+    arrays, contexts = [], []
+
+    def chunks(*terms):
+        for rows, start, costs in gasmld.qubo.cost_chunks(*terms):
+            arrays.append((rows, start, costs))
+            yield rows, start, costs
+
+    def context(costs, search):
+        contexts.append(gasmld.gas.SearchContext(costs, search))
+        return contexts[-1]
+
+    monkeypatch.setattr(gasmld.detect, "cost_chunks", chunks)
+    monkeypatch.setattr(gasmld.detect, "SearchContext", context)
+    insts, _ = trial_block(cfg, 0, 0, 0, cfg.trials_per_point)
+    out = gasmld.detect.decide(insts, cfg.detectors, cfg.gas,
+                               lambda det, row: detector_rng(cfg, 0, 0, row, det))
+    ((rows, start, costs),) = arrays
+    assert (rows.start, start, costs.shape) == (0, 0, (11, 16))
+    assert len(contexts) == 11
+    for row, ctx in enumerate(contexts):
+        assert np.shares_memory(ctx.costs, costs[row]) and np.array_equal(ctx.costs, costs[row])
+        assert np.array_equal(out["MLD"][0][row], bits_of(np.argmin(costs[row]), cfg.N))
 
 
 def test_warm_starts_are_each_trials_equalizer_decision(monkeypatch):
@@ -291,6 +324,19 @@ def test_n10_search_bytes(monkeypatch, tmp_path):
                       output_path=str(out))
     emit_csv(run_sweep(cfg.validate()), cfg.output_path)
     digest = "50ee5d53d0faa1d2719bffdfec688a0314c5edaff384ba641946cba61e8c222d"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_n18_mld_bytes(monkeypatch, tmp_path):
+    # an exhaustive-only sweep over 2^18-key tables, as first recorded: each
+    # trial's costs come as runs of its patterns, 2^16 at a time, so an
+    # argmin that moved across the runs would move these bytes
+    out = tmp_path / "n18.csv"
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    cfg = SweepConfig(snr_db_list=[0.0, 10.0], detectors=["MLD"], R_list=[4], N=18,
+                      trials_per_point=3, master_seed=1234, output_path=str(out))
+    emit_csv(run_sweep(cfg.validate()), cfg.output_path)
+    digest = "541b1b9e85745080364ffe8c83bec730212e9711537062c5b1bdd54ebb84e496"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

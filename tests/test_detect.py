@@ -27,7 +27,6 @@ from gasmld.detect import (
     decide,
     gas_detect,
     hybrid_detect,
-    mld_decisions,
     mld_detect,
     mmse_detect,
     mmse_equalize,
@@ -39,7 +38,7 @@ from gasmld.gas import ENGINES, GasConfig, SearchContext, run_gas
 from gasmld.qcore import CapacityError
 from gasmld.qubo import MldInstance, bits_of, evaluate_all_costs, mld_to_qubo, qubo_terms
 
-from oracles import brute_force_min, reference_run_gas
+from oracles import brute_force_min, reference_cost_table, reference_run_gas
 
 
 def random_instance(rng, N=3, R=2, L_bi=2, L_iu=2, snr_db=4.0):
@@ -84,10 +83,56 @@ def test_mld_capacity():
         mld_detect(inst)
 
 
+def test_searches_read_whole_tables_beyond_one_array(monkeypatch):
+    # at N = 17 a trial's costs come in runs of its patterns: its searches'
+    # context reads them joined into one table, whose argmin is MLD's, and
+    # MLD listed alone, streaming over the runs, decides the same
+    rng = np.random.default_rng(17)
+    insts = [random_instance(rng, N=17, R=4, snr_db=5.0)[0] for _ in range(2)]
+    contexts = []
+
+    def context(costs, search):
+        contexts.append(SearchContext(costs, search))
+        return contexts[-1]
+
+    monkeypatch.setattr(gasmld.detect, "SearchContext", context)
+    cfg = GasConfig(m=3, max_rounds=2, engine="analytic")
+    block = decide(insts, ["MLD", "GAS_random"], cfg,
+                   lambda det, row: np.random.default_rng(row))
+    assert [ctx.costs.shape for ctx in contexts] == [(1 << 17,)] * 2
+    H, y = _stack(insts)
+    ref = reference_cost_table(*qubo_terms(H, y))
+    for row, ctx in enumerate(contexts):
+        scale = np.abs(ref[row]).max()
+        assert np.all(np.abs(ctx.costs - ref[row]) <= 16 * np.finfo(float).eps * scale)
+        assert np.array_equal(block["MLD"][0][row], bits_of(np.argmin(ctx.costs), 17))
+    assert np.array_equal(mld_block(insts), block["MLD"][0])
+
+
+def test_search_capacity_raised_before_any_cost_pass(monkeypatch):
+    # 15 key + 12 value qubits, or 25 key and the automatic m's least 2,
+    # exceed the cap: both searches raise before the block's costs exist,
+    # which at N = 24 would be 128 MiB a trial
+    passes = []
+    for name in ("qubo_terms", "cost_chunks"):
+        monkeypatch.setattr(gasmld.detect, name, lambda *args, name=name: passes.append(name))
+    for N, m in ((15, 12), (25, None)):
+        inst = MldInstance(h=[1.0, 0.5], y=np.ones(N, dtype=complex), sigma2=1.0)
+        for detect in (gas_detect, hybrid_detect):
+            with pytest.raises(CapacityError, match="26-qubit cap"):
+                detect(inst, GasConfig(m=m, engine="analytic"), np.random.default_rng(0))
+    assert passes == []
+
+
 def _stack(instances):
     H = np.array([inst.H for inst in instances])
     y = np.array([inst.y for inst in instances])
     return H, y
+
+
+def mld_block(instances):
+    """MLD's decisions on a block of instances, (T, N) bits."""
+    return decide(instances, ["MLD"], None, None)["MLD"][0]
 
 
 def test_batched_decisions_match_single_instance():
@@ -100,7 +145,7 @@ def test_batched_decisions_match_single_instance():
     for block in (1, 7, 200):
         for lo in range(0, len(instances), block):
             t = slice(lo, lo + block)
-            assert np.array_equal(mld_decisions(H[t], y[t]), mld[t])
+            assert np.array_equal(mld_block(instances[t]), mld[t])
             assert np.array_equal(demodulate(mmse_soft(H[t, :, 0], y[t], sigma2[t])), mmse[t])
 
 
@@ -108,11 +153,11 @@ def test_batched_mld_chunking(monkeypatch):
     # cost arrays capped at 2 or 4 entries split both the patterns and the
     # trials; the decisions must not move
     rng = np.random.default_rng(12)
-    H, y = _stack([random_instance(rng, N=3)[0] for _ in range(30)])
-    ref = mld_decisions(H, y)
+    instances = [random_instance(rng, N=3)[0] for _ in range(30)]
+    ref = mld_block(instances)
     for cap in (2, 4):
         monkeypatch.setattr(gasmld.qubo, "_CHUNK", cap)
-        assert np.array_equal(mld_decisions(H, y), ref)
+        assert np.array_equal(mld_block(instances), ref)
 
 
 def test_batched_mld_tie_goes_to_lowest_index(monkeypatch):
@@ -122,10 +167,9 @@ def test_batched_mld_tie_goes_to_lowest_index(monkeypatch):
     tie = MldInstance(h=[1.0 + 0j, -1.0],
                       y=np.zeros(2, dtype=complex), sigma2=0.1)
     other = random_instance(rng, N=2, R=1, L_bi=1, L_iu=1)[0]
-    H, y = _stack([other, tie, tie])
     for cap in (gasmld.qubo._CHUNK, 2):
         monkeypatch.setattr(gasmld.qubo, "_CHUNK", cap)
-        bits = mld_decisions(H, y)
+        bits = mld_block([other, tie, tie])
         assert np.array_equal(bits[1:], [[0, 0], [0, 0]])
         assert np.array_equal(bits[0], mld_detect(other).bits_hat)
     assert np.array_equal(mld_detect(tie).bits_hat, [0, 0])
@@ -144,13 +188,12 @@ def test_mld_decisions_minimise_direct_residual(monkeypatch):
         instances = [random_instance(rng, N=N, snr_db=rng.uniform(-5, 10))[0] for _ in range(200)]
         least = [min(residual(inst, b) for b in itertools.product((0, 1), repeat=N))
                  for inst in instances]
-        H, y = _stack(instances)
         for cap in (gasmld.qubo._CHUNK, 2, 4):
             monkeypatch.setattr(gasmld.qubo, "_CHUNK", cap)
             for block in (1, 7, 200):
                 for lo in range(0, len(instances), block):
                     t = slice(lo, lo + block)
-                    for inst, bits, best in zip(instances[t], mld_decisions(H[t], y[t]), least[t]):
+                    for inst, bits, best in zip(instances[t], mld_block(instances[t]), least[t]):
                         assert residual(inst, bits) <= best + 1e-9 * max(1.0, best)
     # the index codec: bits_of(v, n) is the n-bit expansion of v, LSB first
     for n in range(1, 25):
@@ -161,16 +204,17 @@ def test_mld_decisions_minimise_direct_residual(monkeypatch):
 
 
 def test_stacked_terms_agree_with_each_instance():
-    # a stack's Q and c are each instance's own, bit for bit; its offset may
-    # round differently (matmul sums in another order), by a few ulps; and
-    # the stacked decisions are the argmins of each instance's own table
+    # on these blocks a stack's Q and c are each instance's own, bit for
+    # bit, and its offset rounds within a few ulps of the instance's
+    # (matmul sums in another order; on other blocks Q and c can too); the
+    # stacked decisions are the argmins of each instance's own table
     for N, seed in ((3, 31), (4, 32), (10, 33)):
         rng = np.random.default_rng(seed)
         instances = [random_instance(rng, N=N, R=4, snr_db=rng.uniform(-5, 10))[0]
                      for _ in range(100)]
         H, y = _stack(instances)
         Q, c, offset = qubo_terms(H, y)
-        decisions = mld_decisions(H, y)
+        decisions = mld_block(instances)
         for t, inst in enumerate(instances):
             q = mld_to_qubo(inst)
             assert np.array_equal(Q[t], q.Q) and np.array_equal(c[t], q.c)
@@ -331,7 +375,7 @@ def test_block_equals_its_blocks_of_one(seed, N, engine, T):
         own = MldInstance(h=inst.h, y=inst.y, sigma2=inst.sigma2)
         for det, warm in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
             search = replace(cfg, warm_start=warm)
-            result = run_gas(SearchContext(mld_to_qubo(own), search), search, stream(det, row))
+            result = run_gas(SearchContext(evaluate_all_costs(mld_to_qubo(own)), search), search, stream(det, row))
             assert np.array_equal(block[det][0][row], result.best_bits)
             assert block[det][1][row] == result.oracle_queries
 
@@ -363,7 +407,7 @@ def test_search_groups_split_at_the_key_bound(monkeypatch, engine, cap):
         own = MldInstance(h=inst.h, y=inst.y, sigma2=inst.sigma2)
         for det, warm in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
             search = replace(cfg, warm_start=warm)
-            result = reference_run_gas(SearchContext(mld_to_qubo(own), search), search,
+            result = reference_run_gas(SearchContext(evaluate_all_costs(mld_to_qubo(own)), search), search,
                                        stream(det, row))
             assert np.array_equal(block[det][0][row], result.best_bits)
             assert block[det][1][row] == result.oracle_queries

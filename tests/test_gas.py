@@ -19,6 +19,7 @@ from gasmld.gas import (
     _Slots,
     _evolve,
     _prepare,
+    check_registers,
     cost_bounds,
     grow_k,
     required_value_qubits,
@@ -36,7 +37,7 @@ from oracles import brute_force_min, reference_run_gas, reference_running_sum
 
 def search(q, cfg, rng):
     """One search on a fresh context of ``q``."""
-    return run_gas(SearchContext(q, cfg), cfg, rng)
+    return run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, rng)
 
 
 def reader(ctx):
@@ -59,7 +60,8 @@ def distribution(ctx, threshold, L):
 
 def contexts(q, **settings):
     """One context of ``q`` per engine, statevector first."""
-    return [SearchContext(q, GasConfig(engine=engine, **settings)) for engine in ENGINES]
+    return [SearchContext(evaluate_all_costs(q), GasConfig(engine=engine, **settings))
+            for engine in ENGINES]
 
 
 def toy_problem():
@@ -334,7 +336,8 @@ def test_integer_window_checked_where_the_threshold_moves():
         cfg = GasConfig(m=3, encoding="integer", engine=engine, max_rounds=6, warm_start=[0, 0])
         for seed in range(20):
             try:
-                alone = reference_run_gas(SearchContext(q, cfg), cfg, np.random.default_rng(seed))
+                alone = reference_run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg,
+                                          np.random.default_rng(seed))
             except ValueError:
                 raised += 1
                 with pytest.raises(ValueError, match="capacity"):
@@ -352,7 +355,8 @@ def test_integer_window_check_reads_the_bounds(n, problem_seed, m, span, shift):
     # shifted table would, with its message, and shifted is that rounding;
     # a half-integer offset keeps every shifted cost an integer
     q = random_integer_qubo(np.random.default_rng(problem_seed), n=n, span=span)
-    ctx = SearchContext(replace(q, offset=q.offset + shift), GasConfig(m=m, encoding="integer"))
+    ctx = SearchContext(evaluate_all_costs(replace(q, offset=q.offset + shift)),
+                        GasConfig(m=m, encoding="integer"))
     half = 1 << (m - 1)
     for t in np.unique(ctx.costs).tolist():
         bins = np.round(ctx.costs - t)
@@ -382,18 +386,21 @@ def test_engine_twin_above_n16():
     assert len(runs[0][0]) == 3  # the start and two rounds
 
 
-def test_capacity_checked_before_cost_table(monkeypatch):
-    def refuse(q):
-        raise AssertionError("cost table built past the qubit cap")
-
-    monkeypatch.setattr(gasmld.gas, "evaluate_all_costs", refuse)
-    # 25 key qubits leave fewer than the 2 value qubits the automatic m needs
-    q = QuboProblem(Q=np.zeros((25, 25)), c=np.zeros(25), offset=0.0)
+def test_capacity_checked_before_cost_table():
+    # the register errors need no table, so a caller raises them before it
+    # builds one (``detect.decide`` does, see test_detect); a context built
+    # on a table checks them again
+    for n, m in ((25, None), (1, 26)):
+        with pytest.raises(CapacityError, match="26-qubit cap"):
+            check_registers(n, GasConfig(m=m))
+    with pytest.raises(ValueError, match="at least one key qubit"):
+        check_registers(0, GasConfig())
     for engine in ENGINES:
         with pytest.raises(CapacityError, match="26-qubit cap"):
-            search(q, GasConfig(m=None, engine=engine), np.random.default_rng(0))
-    with pytest.raises(CapacityError, match="26-qubit cap"):
-        search(toy_problem(), GasConfig(m=26), np.random.default_rng(0))
+            search(toy_problem(), GasConfig(m=26, engine=engine), np.random.default_rng(0))
+    for table in (np.zeros(1), np.zeros(3), np.zeros((2, 2)), np.zeros(0)):
+        with pytest.raises(ValueError):
+            SearchContext(table, GasConfig())
 
 
 def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
@@ -440,29 +447,26 @@ def test_search_reads_costs_off_its_table(monkeypatch):
 
 
 def test_one_cost_table_per_search(monkeypatch):
-    # one table per context, however many searches run on it
+    # a context reads the table it is built on in place and evaluates no
+    # cost, however many searches run on it
+    table = evaluate_all_costs(random_integer_qubo(np.random.default_rng(10)))
     calls = []
-
-    def counted(q):
-        calls.append(q)
-        return evaluate_all_costs(q)
-
-    monkeypatch.setattr(gasmld.gas, "evaluate_all_costs", counted)
-    q = random_integer_qubo(np.random.default_rng(10))
+    for name in ("cost_chunks", "evaluate_all_costs", "evaluate_cost"):
+        monkeypatch.setattr(gasmld.qubo, name, lambda *args, name=name: calls.append(name))
     for m in (None, 8):
         for engine in ENGINES:
             for encoding in ENCODINGS:
-                calls.clear()
                 cfg = GasConfig(m=m, engine=engine, encoding=encoding)
-                ctx = SearchContext(q, cfg)
+                ctx = SearchContext(table, cfg)
                 for warm_start in (None, np.array([1, 0, 1])):
                     run_gas(ctx, replace(cfg, warm_start=warm_start), np.random.default_rng(0))
-                assert len(calls) == 1, (m, engine, encoding)
+                assert np.shares_memory(ctx.costs, table), (m, engine, encoding)
+    assert calls == [] and table.flags.writeable
 
 
 def test_search_settings_match_context():
     cfg = GasConfig(m=None, encoding="integer")
-    ctx = SearchContext(toy_problem(), cfg)
+    ctx = SearchContext(evaluate_all_costs(toy_problem()), cfg)
     for other in (replace(cfg, m=8), replace(cfg, encoding="real_direct"),
                   replace(cfg, engine="analytic")):
         with pytest.raises(ValueError, match="context was built for"):
@@ -476,7 +480,7 @@ def test_search_settings_match_context():
 def test_prepared_state_is_read_only():
     # every search on a context reflects about the slot's A|0>: a stray write raises
     q = random_real_qubo(np.random.default_rng(15), 3)
-    ctx = SearchContext(q, GasConfig(m=6))
+    ctx = SearchContext(evaluate_all_costs(q), GasConfig(m=6))
     threshold = float(np.median(ctx.costs))
     _Slots.cumulative(ctx, threshold, 1)
     _, (_, base), _ = ctx.slot
@@ -495,7 +499,7 @@ def test_cost_table_is_read_only(engine):
     # table in place: a stray write raises
     q = random_integer_qubo(np.random.default_rng(16))
     cfg = GasConfig(m=None, engine=engine)
-    ctx = SearchContext(q, cfg)
+    ctx = SearchContext(evaluate_all_costs(q), cfg)
     for seed in range(2):
         run_gas(ctx, cfg, np.random.default_rng(seed))
     with pytest.raises(ValueError):
@@ -508,7 +512,8 @@ def _outcome(q, cfg, seed, ctx=None):
     ``seed``, or the type of error it raised; on the context ``ctx``, or on
     a fresh one."""
     try:
-        res = run_gas(ctx or SearchContext(q, cfg), cfg, np.random.default_rng(seed))
+        res = run_gas(ctx or SearchContext(evaluate_all_costs(q), cfg), cfg,
+                      np.random.default_rng(seed))
     except ValueError as exc:
         return type(exc)
     return _result(res)
@@ -572,7 +577,7 @@ def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
         memoized = _outcome(q, cfg, seed)
         assert isinstance(memoized, tuple)
         # nor does the slot the previous seeds' searches left on one context
-        shared = shared or SearchContext(q, cfg)
+        shared = shared or SearchContext(evaluate_all_costs(q), cfg)
         assert _outcome(q, cfg, seed, shared) == memoized
         with monkeypatch.context() as patch:
             _without_memo(patch)
@@ -591,7 +596,7 @@ def test_shared_context_changes_no_search(n, encoding, engine):
     cfg = GasConfig(m=None, encoding=encoding, engine=engine)
     reused = 0
     for seed in range(4):
-        ctx = SearchContext(q, cfg)
+        ctx = SearchContext(evaluate_all_costs(q), cfg)
         first = run_gas(ctx, cfg, np.random.default_rng(seed))
         if engine == "statevector":
             reused += ctx.slot[0] == first.best_cost
@@ -690,7 +695,7 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
     q = random_real_qubo(np.random.default_rng(40 + n), n)
     cfg = GasConfig(m=6, engine=engine, growth_factor=growth_factor)
     # a trial's two searches on one context, the second from the first one's best key
-    ctx = SearchContext(q, cfg)
+    ctx = SearchContext(evaluate_all_costs(q), cfg)
     first = run_gas(ctx, cfg, np.random.default_rng(3))
     split = len(draws)
     second = run_gas(ctx, replace(cfg, warm_start=first.best_bits), np.random.default_rng(4))
@@ -773,7 +778,7 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
                         spy("kernel", gasmld.circuits.fejer_upper_mass))
     problems = [random_real_qubo(np.random.default_rng(80 + i), 3) for i in range(3)]
     cfg = GasConfig(m=6, engine="analytic")
-    ctxs = [SearchContext(q, cfg) for q in problems]
+    ctxs = [SearchContext(evaluate_all_costs(q), cfg) for q in problems]
     searches = [(0, cfg, 1), (0, replace(cfg, warm_start=brute_force_min(problems[0])[0]), 2),
                 (1, cfg, 3), (2, replace(cfg, max_rounds=6), 4)]
     results = run_searches([(ctxs[i], c, np.random.default_rng(seed)) for i, c, seed in searches])
@@ -807,7 +812,8 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
     # a search that only draws L = 0 reads no engine, on either engine
     statevector = GasConfig(m=6, max_rounds=6)
     calls.clear()
-    res = run_gas(SearchContext(problems[2], statevector), statevector, np.random.default_rng(4))
+    res = run_gas(SearchContext(evaluate_all_costs(problems[2]), statevector), statevector,
+                  np.random.default_rng(4))
     assert _result(res) == _result(results[3]) and calls == []
 
 
@@ -851,11 +857,11 @@ def test_group_driver_matches_the_one_search_reference(group):
     # gives it alone, on a fresh context, from the same seed: each search
     # keeps its own draws, whatever the others in its group do
     problems, searches = group
-    ctxs = [SearchContext(q, searches[0][1]) for q in problems]
+    ctxs = [SearchContext(evaluate_all_costs(q), searches[0][1]) for q in problems]
     alone = []
     for index, cfg, seed in searches:
         try:
-            alone.append(_result(reference_run_gas(SearchContext(problems[index], cfg), cfg,
+            alone.append(_result(reference_run_gas(SearchContext(evaluate_all_costs(problems[index]), cfg), cfg,
                                                    np.random.default_rng(seed))))
         except ValueError:  # integer costs past the window of m
             with pytest.raises(ValueError):
@@ -873,13 +879,14 @@ def test_group_driver_matches_the_reference_at_n10(engine):
     # rounded apart from a single row's would show
     problems = [random_real_qubo(np.random.default_rng(60 + i), 10) for i in range(2)]
     cfg = GasConfig(m=6, engine=engine, max_rounds=30)
-    ctxs = [SearchContext(q, cfg) for q in problems]
+    ctxs = [SearchContext(evaluate_all_costs(q), cfg) for q in problems]
     searches = [(0, cfg, 1), (0, replace(cfg, warm_start=np.arange(10) % 2), 2), (1, cfg, 3)]
     if engine == "statevector":
         searches = searches[:1]
     together = run_searches([(ctxs[i], c, np.random.default_rng(seed)) for i, c, seed in searches])
     for res, (i, c, seed) in zip(together, searches):
-        alone = reference_run_gas(SearchContext(problems[i], c), c, np.random.default_rng(seed))
+        alone = reference_run_gas(SearchContext(evaluate_all_costs(problems[i]), c), c,
+                                  np.random.default_rng(seed))
         assert _result(res) == _result(alone)
 
 
@@ -893,7 +900,7 @@ def test_lockstep_sums_are_the_one_search_sums(n, encoding):
     rng = np.random.default_rng(70 + n)
     problems = ([random_integer_qubo(rng, n=n, span=1) for _ in range(6)] if encoding == "integer"
                 else [random_real_qubo(rng, n) for _ in range(6)])
-    ctxs = [SearchContext(q, GasConfig(m=None, encoding=encoding, engine="analytic"))
+    ctxs = [SearchContext(evaluate_all_costs(q), GasConfig(m=None, encoding=encoding, engine="analytic"))
             for q in problems]
     group = _Lockstep(ctxs)
     for _ in range(150):
@@ -908,11 +915,11 @@ def test_lockstep_sums_are_the_one_search_sums(n, encoding):
 
 def test_group_checks_its_searches():
     cfg = GasConfig(m=None, engine="analytic")
-    ctx = SearchContext(toy_problem(), cfg)
+    ctx = SearchContext(evaluate_all_costs(toy_problem()), cfg)
     rng = np.random.default_rng(0)
     # a shared generator would interleave two searches' draws
     with pytest.raises(ValueError, match="own generator"):
         run_searches([(ctx, cfg, rng), (ctx, cfg, rng)])
-    other = SearchContext(random_integer_qubo(np.random.default_rng(1)), cfg)
+    other = SearchContext(evaluate_all_costs(random_integer_qubo(np.random.default_rng(1))), cfg)
     with pytest.raises(ValueError, match="share the key count"):
         run_searches([(ctx, cfg, rng), (other, cfg, np.random.default_rng(1))])

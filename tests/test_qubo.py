@@ -13,12 +13,13 @@ from gasmld.qubo import (
     MldInstance,
     QuboProblem,
     bits_of,
+    cost_chunks,
     evaluate_all_costs,
     evaluate_cost,
     mld_to_qubo,
 )
 
-from oracles import brute_force_min
+from oracles import brute_force_min, reference_cost_table
 
 
 def random_instance(N, rng, taps=None):
@@ -79,6 +80,55 @@ def test_chain_consistency_exhaustive(N, taps, magnitude, seed):
     for v, bits in enumerate(bits_of(np.arange(1 << N), N)):
         residual = float(np.linalg.norm(inst.y - inst.H @ modulate(bits)) ** 2)
         assert abs(costs[v] - residual) <= 1e-9 * max(1.0, residual)
+
+
+def _stacked_qubos(rng, T, n, magnitude=1.0):
+    """T random continuous QUBOs on n bits: Q (T, n, n) symmetric, c, offset."""
+    Q = magnitude * rng.normal(size=(T, n, n))
+    return ((Q + np.swapaxes(Q, 1, 2)) / 2, magnitude * rng.normal(size=(T, n)),
+            magnitude * rng.normal(size=T))
+
+
+def _close_to_reference(got, ref):
+    """Every entry within 16 ulps of its row's largest |E|, and each row's
+    argmin the reference's."""
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
+    assert np.array_equal(np.argmin(got, axis=1), np.argmin(ref, axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 5), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_cost_chunks_match_reference(n, T, magnitude, seed):
+    # the split-half evaluator against the three-operand einsum on stacked
+    # continuous QUBOs; n = 1 has an empty low half, and at n = 14 five
+    # tables take two arrays
+    Q, c, offset = _stacked_qubos(np.random.default_rng(seed), T, n, magnitude)
+    chunks = list(cost_chunks(Q, c, offset))
+    assert all(start == 0 and costs.shape[1] == 1 << n and costs.size <= 1 << 16
+               for _, start, costs in chunks)
+    assert [rows.start for rows, _, _ in chunks] == list(range(0, T, (1 << 16) >> n))
+    _close_to_reference(np.concatenate([costs for _, _, costs in chunks]),
+                        reference_cost_table(Q, c, offset))
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_cost_chunks_beyond_one_array(n):
+    # past 2^16 patterns an array is a run of one QUBO's patterns: QUBO by
+    # QUBO, patterns ascending without a gap, no array over 2^16 entries,
+    # and the joined rows are the reference's
+    T = 2
+    Q, c, offset = _stacked_qubos(np.random.default_rng(n), T, n)
+    runs = []  # per QUBO, the patterns given so far
+    for rows, start, costs in cost_chunks(Q, c, offset):
+        assert costs.size <= 1 << 16 and costs.shape[0] == 1
+        if not runs or runs[-1][0] != rows.start:
+            runs.append((rows.start, []))
+        assert start == sum(part.size for part in runs[-1][1])
+        runs[-1][1].append(costs[0])
+    assert [t for t, _ in runs] == list(range(T))
+    _close_to_reference(np.array([np.concatenate(parts) for _, parts in runs]),
+                        reference_cost_table(Q, c, offset))
 
 
 def test_brute_force_min_matches_direct_search():
