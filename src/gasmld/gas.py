@@ -33,9 +33,10 @@ bounds, the value-register size, the real-encoding scale and the encoding,
 all fixed when the context is built from the table.  Every search on the
 same problem, such as a sweep trial's random-start and warm-started search,
 runs on one context, and a sweep builds it on its trial's row of the
-block's one exhaustive pass, the row its exhaustive search reads.  The incumbent is a key index into the table: each round compares
-the measured key's table entry with the threshold, and the bits of the best
-key are decoded once, at return.  Per threshold both engines read the
+block's one exhaustive pass, the row its exhaustive search reads.  The
+incumbent is a key index into the table: each round compares the measured
+key's table entry with the threshold, and the bits of the best key are
+decoded once, at return.  Per threshold both engines read the
 context's shifted table a_b = scale (E(b) - threshold), which the integer
 encoding checks against its window when a search sets the threshold.
 

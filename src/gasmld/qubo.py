@@ -161,7 +161,9 @@ def cost_chunks(Q: np.ndarray, c: np.ndarray, offset: np.ndarray):
             costs = np.einsum("kjt,lj->klt", R[:, :low], 2.0 * X_lo)
             costs += B[:, None]
             costs += A
-            yield rows, hi << low, np.ascontiguousarray(costs.reshape(-1, costs.shape[2]).T)
+            del R, B  # only the yielded array stays alive while the caller reads it
+            costs = np.ascontiguousarray(costs.reshape(-1, costs.shape[2]).T)
+            yield rows, hi << low, costs
 
 
 def evaluate_all_costs(q: QuboProblem) -> np.ndarray:
