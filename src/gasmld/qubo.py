@@ -147,12 +147,11 @@ def cost_chunks(Q: np.ndarray, c: np.ndarray, offset: np.ndarray):
     width = min(1 << n, _CHUNK)
     per = _CHUNK // width  # QUBOs per cost array
     span = width >> low  # high halves per cost array
-    M = Q.copy()
-    M[:, range(n), range(n)] += c
-    M = M.transpose(1, 2, 0)  # (n, n, T)
+    M = np.transpose(Q, (1, 2, 0)).copy()  # (n, n, T), C order
+    M[range(n), range(n)] += c.T
     for first in range(0, T, per):
         rows = slice(first, first + per)
-        M_rows = np.ascontiguousarray(M[..., rows])
+        M_rows = M[..., rows]
         A = np.einsum("kjt,kj->kt", np.einsum("ki,ijt->kjt", X_lo, M_rows[:low, :low]), X_lo)
         for hi in range(0, 1 << (n - low), span):
             X_hi = bits_of(np.arange(hi, hi + span), n - low).astype(float)

@@ -102,9 +102,11 @@ def _close_to_reference(got, ref):
 def test_cost_chunks_match_reference(n, T, magnitude, seed):
     # the split-half evaluator against the three-operand einsum on stacked
     # continuous QUBOs; n = 1 has an empty low half, and at n = 14 five
-    # tables take two arrays
+    # tables take two arrays.  The pass leaves its inputs as they were.
     Q, c, offset = _stacked_qubos(np.random.default_rng(seed), T, n, magnitude)
+    before = Q.copy(), c.copy(), offset.copy()
     chunks = list(cost_chunks(Q, c, offset))
+    assert all(np.array_equal(x, y) for x, y in zip((Q, c, offset), before))
     assert all(start == 0 and costs.shape[1] == 1 << n and costs.size <= 1 << 16
                for _, start, costs in chunks)
     assert [rows.start for rows, _, _ in chunks] == list(range(0, T, (1 << 16) >> n))
