@@ -142,7 +142,7 @@ def cost_chunks(Q: np.ndarray, c: np.ndarray, offset: np.ndarray):
     T, n = c.shape
     if n > BRUTE_FORCE_MAX_N:
         raise CapacityError(f"exhaustive evaluation capped at n = {BRUTE_FORCE_MAX_N}")
-    low = min(n // 2, _CHUNK.bit_length() - 1)
+    low = min(n // 2, _CHUNK.bit_length() - 1)  # a high half's row fits in one array
     X_lo = bits_of(np.arange(1 << low), low).astype(float)
     width = min(1 << n, _CHUNK)
     per = _CHUNK // width  # QUBOs per cost array
@@ -155,7 +155,7 @@ def cost_chunks(Q: np.ndarray, c: np.ndarray, offset: np.ndarray):
         A = np.einsum("kjt,kj->kt", np.einsum("ki,ijt->kjt", X_lo, M_rows[:low, :low]), X_lo)
         for hi in range(0, 1 << (n - low), span):
             X_hi = bits_of(np.arange(hi, hi + span), n - low).astype(float)
-            R = np.einsum("ki,ijt->kjt", X_hi, M_rows[low:])  # x_hi^T M_h., (span, n, T')
+            R = np.einsum("ki,ijt->kjt", X_hi, M_rows[low:])  # x_hi^T M[high bits], (span, n, T')
             B = np.einsum("kjt,kj->kt", R[:, low:], X_hi) + offset[rows]
             costs = np.einsum("kjt,lj->klt", R[:, :low], 2.0 * X_lo)
             costs += B[:, None]
