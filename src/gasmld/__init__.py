@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 from .qubo import MldInstance, QuboProblem, mld_to_qubo  # noqa: E402
 from .gas import GasConfig, GasResult, SearchContext, run_gas  # noqa: E402
 from .detect import DetectionReport, gas_detect, hybrid_detect, mld_detect, mmse_detect  # noqa: E402
-from .bench import BerRecord, SweepConfig, emit_csv, fig_recipe, run_sweep  # noqa: E402
+from .bench import (BerRecord, SweepConfig, emit_csv, fig_recipe, parse_config,  # noqa: E402
+                    run_sweep)
 
 __all__ = [
     "qcore",
@@ -43,4 +44,5 @@ __all__ = [
     "run_sweep",
     "emit_csv",
     "fig_recipe",
+    "parse_config",
 ]

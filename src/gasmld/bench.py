@@ -6,8 +6,9 @@ does not mention the detector.  The stream is read in that order: one
 ``standard_normal`` call for every channel tap (``channel.channel_normals``),
 ``integers(0, 2, N)`` for the bits, then, when sigma2 > 0, one
 ``standard_normal(2N)`` for the noise; a block of trials reads each stream
-so (``trial_block``).  Every detector therefore faces the exact
-same instance sequence and comparisons are paired.  Randomized detectors
+so (``trial_block``) and stays stacked arrays, never per-trial instances,
+until ``detect.decide`` has decided it.  Every detector therefore faces the
+exact same instance sequence and comparisons are paired.  Randomized detectors
 get their own stream keyed by the same tuple with the detector's global
 index in METHODS appended, so adding or reordering detectors in a config
 never perturbs any other column.
@@ -19,11 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (add_noise, bit_vector, channel_normals, channel_stack, circulant_matrix,
-                      modulate, noise_normals, snr_db_to_sigma2)
+from .channel import (_lag, add_noise, channel_normals, channel_stack, first_column, modulate,
+                      noise_normals, snr_db_to_sigma2)
 from .detect import METHODS, decide
-from .gas import GasConfig
-from .qcore import MAX_QUBITS
+from .gas import GasConfig, check_registers
+from .qcore import CapacityError
 from .qubo import BRUTE_FORCE_MAX_N, MldInstance
 
 CSV_HEADER = "snr_db,detector,R,trials,bit_errors,ber,mean_queries,ci95"
@@ -84,9 +85,11 @@ class SweepConfig:
         if (searches or "MLD" in self.detectors) and self.N > BRUTE_FORCE_MAX_N:
             raise ConfigError(f"n = {self.N} exceeds the exhaustive cap of {BRUTE_FORCE_MAX_N} "
                               "bits that MLD and GAS detectors need")
-        if searches and self.gas.m is not None and self.N + self.gas.m > MAX_QUBITS:
-            raise ConfigError(f"{self.N} key + {self.gas.m} value qubits exceed the "
-                              f"{MAX_QUBITS}-qubit cap")
+        if searches:
+            try:
+                check_registers(self.N, self.gas)
+            except CapacityError as exc:
+                raise ConfigError(str(exc)) from exc
         if not self.output_path:
             raise ConfigError("output path must be nonempty")
         return self
@@ -105,14 +108,15 @@ class BerRecord:
 
 
 def trial_block(cfg: SweepConfig, snr_idx: int, r_idx: int, start: int, stop: int):
-    """The instances that trials [start, stop) of one point present to every
-    detector, and their true bits, (T, N).
+    """Trials [start, stop) of one point as ``detect.decide`` reads them:
+    ``(h, y, sigma2, bits)``, the padded responses, the received blocks and
+    the true bits, each (T, N), and the point's noise power.
 
     Each trial draws from its own stream, in the contract's order; the
     arithmetic then runs once on the block's stacked draws, but each trial's
-    y = H x takes its own freshly built circulant: a product on a view of a
-    stack can round one ulp apart, as its memory alignment picks the
-    kernel's path."""
+    y = H x takes its own freshly gathered circulant: a product on a view of
+    a stack can round one ulp apart, as its memory alignment picks the
+    kernel's path, and no (T, N, N) stack is held."""
     R, N, T = cfg.R_list[r_idx], cfg.N, stop - start
     sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])
     taps = np.empty((T, channel_normals(R, cfg.L_bi, cfg.L_iu)))
@@ -125,18 +129,18 @@ def trial_block(cfg: SweepConfig, snr_idx: int, r_idx: int, start: int, stop: in
         rng.standard_normal(out=taps[row])
         bits[row] = rng.integers(0, 2, size=N)
         rng.standard_normal(out=noise[row])
-    h = channel_stack(taps, R, cfg.L_bi, cfg.L_iu).h_eff
-    x = modulate(bit_vector(bits.ravel(), "bits must be 0/1")).reshape(T, N)
-    y = add_noise(np.array([circulant_matrix(h_t, N) @ x_t for h_t, x_t in zip(h, x)]),
-                  noise, sigma2)
-    return [MldInstance(h=h_t, y=y_t, sigma2=sigma2) for h_t, y_t in zip(h, y)], bits
+    h = first_column(channel_stack(taps, R, cfg.L_bi, cfg.L_iu).h_eff, N)
+    x = modulate(bits)
+    lag = _lag(N)  # h_t[lag] is circulant_matrix(h_t, N), without its padding copy
+    y = add_noise(np.array([h_t[lag] @ x_t for h_t, x_t in zip(h, x)]), noise, sigma2)
+    return h, y, sigma2, bits
 
 
 def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int):
     """The (instance, true bits) pair a given trial presents to every
     detector: ``trial_block``'s block of one."""
-    (inst,), (bits,) = trial_block(cfg, snr_idx, r_idx, trial, trial + 1)
-    return inst, bits
+    h, y, sigma2, bits = trial_block(cfg, snr_idx, r_idx, trial, trial + 1)
+    return MldInstance(h=h[0], y=y[0], sigma2=sigma2), bits[0]
 
 
 def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detector: str):
@@ -148,13 +152,13 @@ def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detecto
 
 
 def _run_block(job) -> list[tuple[int, int]]:
-    """One job: trials [start, stop) of one (snr, R) point, each trial's
-    instance built once and shown to every detector (``detect.decide``), each
-    search on its own stream.  Returns (bit errors, oracle queries) per
+    """One job: trials [start, stop) of one (snr, R) point, the block built
+    once as stacked arrays and shown to every detector (``detect.decide``),
+    each search on its own stream.  Returns (bit errors, oracle queries) per
     detector, in ``cfg.detectors`` order."""
     cfg, snr_idx, r_idx, start, stop = job
-    insts, truth = trial_block(cfg, snr_idx, r_idx, start, stop)
-    decided = decide(insts, cfg.detectors, cfg.gas,
+    h, y, sigma2, truth = trial_block(cfg, snr_idx, r_idx, start, stop)
+    decided = decide(h, y, sigma2, cfg.detectors, cfg.gas,
                      lambda det, row: detector_rng(cfg, snr_idx, r_idx, start + row, det))
     return [(int(np.sum(decided[det][0] != truth)), int(decided[det][1].sum()))
             for det in cfg.detectors]
@@ -321,8 +325,8 @@ def apply_settings(base: SweepConfig, settings) -> SweepConfig:
     return cfg.validate()
 
 
-def parse_config(text: str, base: SweepConfig | None = None) -> SweepConfig:
-    """Flat `key = value` lines; '#' starts a comment; later keys win."""
+def config_settings(text: str) -> list:
+    """``(where, key, value)`` of each flat `key = value` line; '#' starts a comment."""
     settings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -332,7 +336,12 @@ def parse_config(text: str, base: SweepConfig | None = None) -> SweepConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         settings.append((f"line {lineno}", key, value))
-    return apply_settings(base if base is not None else SweepConfig(), settings)
+    return settings
+
+
+def parse_config(text: str) -> SweepConfig:
+    """``config_settings(text)`` on the defaults, validated; later keys win."""
+    return apply_settings(SweepConfig(), config_settings(text))
 
 
 def format_config(cfg: SweepConfig) -> str:

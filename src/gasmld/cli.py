@@ -11,10 +11,10 @@ from .bench import (
     ConfigError,
     SweepConfig,
     apply_settings,
+    config_settings,
     emit_csv,
     fig_recipe,
     format_config,
-    parse_config,
     run_sweep,
 )
 
@@ -50,17 +50,17 @@ _FLAG_KEYS = {"snr": "snr_db", "detector": "detectors", "ris": "ris",
 
 
 def _cmd_sweep(args) -> int:
-    cfg = fig_recipe(args.recipe) if args.recipe else SweepConfig()
+    settings = []
     if args.config:
         try:
             with open(args.config) as fh:
-                text = fh.read()
+                settings = config_settings(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        cfg = parse_config(text, base=cfg)
-    flags = [(f"--{flag}", key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items()
-             if getattr(args, flag) is not None]
-    cfg = apply_settings(cfg, flags)
+    # the file's lines, then the flags, validated once: flags override the file
+    settings += [(f"--{flag}", key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items()
+                 if getattr(args, flag) is not None]
+    cfg = apply_settings(fig_recipe(args.recipe) if args.recipe else SweepConfig(), settings)
     records = run_sweep(cfg)
     emit_csv(records, cfg.output_path)
     print(f"wrote {cfg.output_path} ({len(records)} records)")

@@ -1,8 +1,9 @@
 """Block detectors: exhaustive search, frequency-domain equalizer, hybrid.
 
-One path decides: ``decide`` runs a block of instances through the listed
-detectors, as a sweep does, and the one-instance detectors are a block of
-one that adds the symbols and residual cost of the decision
+One path decides: ``decide`` runs a block of instances, given as stacked
+arrays of responses and received blocks, through the listed detectors, as a
+sweep does, and the one-instance detectors pass an ``MldInstance`` as a
+block of one and add the symbols and residual cost of the decision
 (``DetectionReport``).  The equalizer runs on the stacked block
 (``mmse_soft``).  The block's costs come from one ``qubo`` pass over its
 stacked QUBOs: the exhaustive search is a row-wise argmin over them, and
@@ -20,7 +21,7 @@ import numpy as np
 
 from .channel import circulant_matrix, demodulate, modulate
 from .gas import GasConfig, SearchContext, check_registers, run_gas, run_searches
-from .qubo import _CHUNK, MldInstance, bits_of, cost_chunks, qubo_terms
+from .qubo import _CHUNK, MldInstance, bits_of, check_finite, cost_chunks, qubo_terms
 
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
 
@@ -79,43 +80,44 @@ def mmse_equalize(inst: MldInstance) -> np.ndarray:
     return mmse_soft(inst.h, inst.y, inst.sigma2)
 
 
-def decide(insts, detectors, cfg: GasConfig | None, rng_for) -> dict:
-    """Each of ``detectors``' decisions on the block ``insts``, instances of
-    one length N: ``{detector: (bits, queries)}``, int8 bits (T, N) and
-    oracle queries (T,).
+def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
+    """Each of ``detectors``' decisions on a block of T instances of one
+    length N, as arrays: responses ``h`` padded to N taps and blocks ``y``,
+    both (T, N), and noise power ``sigma2``, a scalar or (T,), all checked
+    once by ``MldInstance``'s rules.  Returns ``{detector: (bits, queries)}``,
+    int8 bits (T, N) and oracle queries (T,).
 
     The searches read ``cfg`` and the generators ``rng_for(detector, row)``,
     one per search; their register errors are raised before any cost is
     evaluated.  The equalizer runs once over the block and gives GAS_warm
-    its warm starts.  When MLD or a search is listed, the circulants are
-    stacked once, each instance's ``H`` becomes its row of them, and one
-    ``qubo_terms`` call and one ``cost_chunks`` pass give every trial's
-    costs.  MLD is a row-wise argmin over them, ties to the lowest pattern
-    as the patterns ascend, kept only on a strict improvement.  A trial's
-    searches share one ``SearchContext`` of its row, and the driver runs
-    them in groups, in trial order: on the analytic engine a group holds at
-    most ``qubo._CHUNK`` = 2^16 key entries, 2^N per search, so from N = 16
-    a search runs alone; on the statevector engine every search runs alone,
-    GAS_random before GAS_warm, so one A|0> is alive and the second search
-    can reuse the first one's slot.
+    its warm starts.  When MLD or a search is listed, one
+    ``circulant_matrix`` call, one ``qubo_terms`` call and one
+    ``cost_chunks`` pass give every trial's costs.  MLD is a row-wise argmin
+    over them, ties to the lowest pattern as the patterns ascend, kept only
+    on a strict improvement.  A trial's searches share one ``SearchContext``
+    of its row, and the driver runs them in groups, in trial order: on the
+    analytic engine a group holds at most ``qubo._CHUNK`` = 2^16 key
+    entries, 2^N per search, so from N = 16 a search runs alone; on the
+    statevector engine every search runs alone, GAS_random before GAS_warm,
+    so one A|0> is alive and the second search can reuse the first one's
+    slot.
     """
-    T, N = len(insts), insts[0].N
-    h = np.array([inst.h for inst in insts])
-    y = np.array([inst.y for inst in insts])
+    if np.ndim(h) != 2 or np.shape(y) != np.shape(h) or np.shape(sigma2) not in ((), (len(h),)):
+        raise ValueError("h and y must be (T, N) stacks of one shape, and sigma2 a scalar or (T,)")
+    check_finite(h, y, sigma2)
+    T, N = np.shape(h)
     out = {det: (np.zeros((T, N), dtype=np.int8), np.zeros(T, dtype=np.int64))
            for det in detectors}
     searches = [det for det in ("GAS_random", "GAS_warm") if det in out]
     if searches:
         check_registers(N, cfg)
     if "MMSE" in out or "GAS_warm" in out:
-        mmse = demodulate(mmse_soft(h, y, np.array([[inst.sigma2] for inst in insts])))
+        mmse = demodulate(mmse_soft(h, y, np.reshape(sigma2, (-1, 1))))
         if "MMSE" in out:
             out["MMSE"][0][:] = mmse
     if not (searches or "MLD" in out):
         return out
     H = circulant_matrix(h, N)
-    for inst, H_t in zip(insts, H):
-        inst.H = H_t  # what its cached H would build
     # searches per driver call, and the trials whose contexts are built together
     size = 1 if searches and cfg.engine == "statevector" else max(1, _CHUNK >> N)
     per = -(-size // max(1, len(searches)))
@@ -156,7 +158,8 @@ def _report(inst: MldInstance, method: str, cfg: GasConfig | None = None,
             rng: np.random.Generator | None = None) -> DetectionReport:
     """``method`` on ``inst`` as a block of one: its decision, that
     decision's symbols and their residual cost."""
-    (bits,), (queries,) = decide([inst], [method], cfg, lambda det, row: rng)[method]
+    (bits,), (queries,) = decide(inst.h[None], inst.y[None], inst.sigma2, [method], cfg,
+                                 lambda det, row: rng)[method]
     x = modulate(bits)
     return DetectionReport(x_hat=x, bits_hat=bits, method=method,
                            oracle_queries=int(queries), cost=residual_cost(inst, x))

@@ -28,6 +28,15 @@ BRUTE_FORCE_MAX_N = 24
 _CHUNK = 1 << 16  # entries per cost array: bounds every exhaustive pass
 
 
+def check_finite(h, y, sigma2) -> None:
+    """An instance's rules, also checked once on a stack: finite ``h`` and ``y``,
+    and a finite, non-negative ``sigma2`` (a scalar, or one per row)."""
+    if not (np.isfinite(h).all() and np.isfinite(y).all() and np.isfinite(sigma2).all()):
+        raise ValueError("h, y and sigma2 must be finite")
+    if np.min(sigma2) < 0:
+        raise ValueError("sigma2 must be non-negative")
+
+
 @dataclass(eq=False)
 class MldInstance:
     """One detection problem: response h (stored zero-padded to N = len(y)),
@@ -42,11 +51,7 @@ class MldInstance:
         if self.y.ndim != 1 or np.ndim(self.h) != 1:
             raise ValueError("h and y must be vectors")
         self.h = first_column(self.h, self.y.shape[0])
-        finite = np.isfinite(np.concatenate((self.h, self.y))).all()
-        if not (finite and math.isfinite(self.sigma2)):
-            raise ValueError("h, y and sigma2 must be finite")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+        check_finite(self.h, self.y, self.sigma2)
 
     @cached_property
     def H(self) -> np.ndarray:  # built on first use

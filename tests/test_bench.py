@@ -44,8 +44,8 @@ from gasmld.detect import (
     mld_detect,
     mmse_detect,
 )
-from gasmld.gas import ENCODINGS, ENGINES, GasConfig
-from gasmld.qcore import MAX_QUBITS
+from gasmld.gas import ENCODINGS, ENGINES, GasConfig, check_registers
+from gasmld.qcore import MAX_QUBITS, CapacityError
 from gasmld.qubo import BRUTE_FORCE_MAX_N, bits_of
 
 
@@ -92,23 +92,25 @@ def test_trial_instances_are_detector_independent():
 @given(seed=st.integers(0, 1 << 32), start=st.integers(1, 5000),
        links=st.sampled_from([(2, 2), (1, 1), (1, 3), (3, 2)]))
 def test_trial_block_matches_the_one_trial_reference(N, R, snr_db, seed, start, links):
-    # every row of a block, and a trial's block of one, is bit for bit what
-    # the one-trial reference builds from the trial's stream: h, y and bits;
-    # noiseless at N = 5 is where a product over stacked circulants rounds
-    # an ulp apart
+    # every row of a block's stacked arrays, and a trial's instance (the
+    # block of one), is bit for bit what the one-trial reference builds from
+    # the trial's stream: padded h, y and bits; noiseless at N = 5 is where
+    # a product over stacked circulants rounds an ulp apart
     assume(N >= links[0] + links[1] - 1)
     cfg = small_config(snr_db_list=[snr_db], R_list=[R], N=N, L_bi=links[0], L_iu=links[1],
                        master_seed=seed)
-    for first, size in ((start, 1), (0, 9), (start, 9)):
-        insts, bits = trial_block(cfg, 0, 0, first, first + size)
-        assert len(insts) == size and bits.shape == (size, N)
+    for first, size in ((start, 1), (0, 9), (start, 9), (start, 40)):
+        h, y, sigma2, bits = trial_block(cfg, 0, 0, first, first + size)
+        assert h.shape == y.shape == bits.shape == (size, N)
         for row, trial in enumerate(range(first, first + size)):
             ref, ref_bits = reference_trial_instance(cfg, 0, 0, trial)
-            for inst, got in ((insts[row], bits[row]), trial_instance(cfg, 0, 0, trial)):
-                assert inst.h.tobytes() == ref.h.tobytes()
-                assert inst.y.tobytes() == ref.y.tobytes()
-                assert got.tobytes() == ref_bits.tobytes()
-                assert inst.sigma2 == ref.sigma2
+            inst, inst_bits = trial_instance(cfg, 0, 0, trial)
+            for got_h, got_y, got_bits in ((h[row], y[row], bits[row]),
+                                           (inst.h, inst.y, inst_bits)):
+                assert got_h.tobytes() == ref.h.tobytes()
+                assert got_y.tobytes() == ref.y.tobytes()
+                assert got_bits.tobytes() == ref_bits.tobytes()
+            assert sigma2 == inst.sigma2 == ref.sigma2
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
@@ -213,8 +215,8 @@ def test_one_search_context_per_trial(monkeypatch):
     # a block's costs come from one expansion and one exhaustive pass, which
     # MLD and both searches of a trial read through one context; every
     # trial's warm start comes from one equalizer pass per block, and a
-    # trial's circulant is built once for its transmission (``trial_block``)
-    # and once in its block's stack
+    # block's circulants are built in one call (each trial's transmission
+    # gathers its own, ``trial_block``)
     cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"],
                        trials_per_point=BLOCK_TRIALS + 3, R_list=[4], master_seed=5)
     calls = []
@@ -222,8 +224,8 @@ def test_one_search_context_per_trial(monkeypatch):
     for module, name in ((gasmld.detect, "qubo_terms"), (gasmld.detect, "cost_chunks"),
                          (gasmld.detect, "SearchContext"), (gasmld.qubo, "mld_to_qubo"),
                          (gasmld.qubo, "evaluate_all_costs"),
-                         (gasmld.detect, "mmse_soft"), (gasmld.bench, "circulant_matrix"),
-                         (gasmld.detect, "circulant_matrix"), (gasmld.qubo, "circulant_matrix")):
+                         (gasmld.detect, "mmse_soft"), (gasmld.detect, "circulant_matrix"),
+                         (gasmld.qubo, "circulant_matrix")):
         _counted(monkeypatch, module, name, calls)
     run_sweep(cfg)
     trials, blocks = cfg.trials_per_point, 2
@@ -231,7 +233,22 @@ def test_one_search_context_per_trial(monkeypatch):
     assert calls.count("SearchContext") == trials
     assert calls.count("mld_to_qubo") == calls.count("evaluate_all_costs") == 0
     assert calls.count("mmse_soft") == blocks
-    assert calls.count("circulant_matrix") == trials + blocks  # none lazily in qubo
+    assert calls.count("circulant_matrix") == blocks  # none lazily in qubo
+
+
+@pytest.mark.parametrize("detectors", [["MMSE"], list(METHODS)])
+def test_sweep_builds_no_instance(monkeypatch, detectors):
+    # a block stays stacked arrays from ``trial_block`` to ``decide``: no
+    # trial becomes an ``MldInstance`` on the sweep path
+    built = []
+    post_init = gasmld.qubo.MldInstance.__post_init__
+    monkeypatch.setattr(gasmld.qubo.MldInstance, "__post_init__",
+                        lambda inst: built.append(inst) or post_init(inst))
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    run_sweep(small_config(detectors=detectors, R_list=[0, 4]))
+    assert built == []
+    trial_instance(small_config(), 0, 0, 0)  # the spy sees the block of one
+    assert len(built) == 1
 
 
 def test_contexts_read_the_rows_mld_reads(monkeypatch):
@@ -252,8 +269,8 @@ def test_contexts_read_the_rows_mld_reads(monkeypatch):
 
     monkeypatch.setattr(gasmld.detect, "cost_chunks", chunks)
     monkeypatch.setattr(gasmld.detect, "SearchContext", context)
-    insts, _ = trial_block(cfg, 0, 0, 0, cfg.trials_per_point)
-    out = gasmld.detect.decide(insts, cfg.detectors, cfg.gas,
+    h, y, sigma2, _ = trial_block(cfg, 0, 0, 0, cfg.trials_per_point)
+    out = gasmld.detect.decide(h, y, sigma2, cfg.detectors, cfg.gas,
                                lambda det, row: detector_rng(cfg, 0, 0, row, det))
     ((rows, start, costs),) = arrays
     assert (rows.start, start, costs.shape) == (0, 0, (11, 16))
@@ -590,6 +607,44 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text().count("\n") == 2  # header + one record
+
+
+def test_cli_flags_override_the_file_before_validation(tmp_path, capsys):
+    # the file's lines and the flags are applied together and validated
+    # once: n = 40 is past MLD's exhaustive cap, but the flags list only
+    # MMSE, so the sweep runs and writes what one file with both would
+    base = "n = 40\nsnr_db = 0\nris = 0,4\ntrials = 6\nseed = 3\n"
+    (tmp_path / "file.cfg").write_text(base)
+    (tmp_path / "one.cfg").write_text(base + f"detectors = MMSE\nout = {tmp_path / 'one.csv'}\n")
+    assert main(["sweep", "--config", str(tmp_path / "one.cfg")]) == 0
+    assert main(["sweep", "--config", str(tmp_path / "file.cfg"), "--detector", "MMSE",
+                 "--out", str(tmp_path / "flags.csv")]) == 0
+    assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    # so does a recipe under a file: fig2 lists MLD, the flag drops it
+    assert main(["sweep", "--recipe", "fig2", "--config", str(tmp_path / "file.cfg"),
+                 "--detector", "MMSE", "--out", str(tmp_path / "recipe.csv")]) == 0
+    capsys.readouterr()
+    # a file valid alone that a flag makes invalid still fails, as before
+    (tmp_path / "valid.cfg").write_text(base + "detectors = MMSE\n")
+    assert main(["sweep", "--config", str(tmp_path / "valid.cfg"), "--detector", "MLD,MMSE",
+                 "--out", str(tmp_path / "never.csv")]) == 1
+    assert capsys.readouterr().err == (f"config error: n = 40 exceeds the exhaustive cap of "
+                                       f"{BRUTE_FORCE_MAX_N} bits that MLD and GAS detectors need\n")
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_qubit_cap_has_one_message(tmp_path, capsys):
+    # validate, the CLI and the search's own register check give one message
+    with pytest.raises(CapacityError) as search:
+        check_registers(15, GasConfig(m=12))
+    with pytest.raises(ConfigError) as config:
+        small_config(detectors=["GAS_warm"], N=15, gas=GasConfig(m=12)).validate()
+    (tmp_path / "cap.cfg").write_text("n = 15\ngas.m = 12\ndetectors = GAS_warm\n")
+    assert main(["sweep", "--config", str(tmp_path / "cap.cfg"), "--trials", "1",
+                 "--out", str(tmp_path / "never.csv")]) == 1
+    assert str(search.value) == str(config.value) == \
+        "15 key + 12 value qubits exceed the 26-qubit cap"
+    assert capsys.readouterr().err == f"config error: {search.value}\n"
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):

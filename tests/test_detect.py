@@ -83,6 +83,32 @@ def test_mld_capacity():
         mld_detect(inst)
 
 
+def test_decide_checks_the_stack_by_the_instance_rules():
+    # a block is checked once, before any detector runs, and a bad row
+    # fails with the message its own instance gives: a non-finite response
+    # or block, a non-finite or negative noise power
+    rng = np.random.default_rng(16)
+    h, y, sigma2 = stacked([random_instance(rng)[0] for _ in range(3)])
+
+    def spoiled(array, row, value):
+        array = array.copy()
+        array[(row,) + (0,) * (array.ndim - 1)] = value
+        return array
+
+    for args in ((spoiled(h, 1, np.nan), y, sigma2), (h, spoiled(y, 2, np.inf), sigma2),
+                 (h, y, spoiled(sigma2, 0, -0.5)), (h, y, spoiled(sigma2, 2, np.nan)),
+                 (h, y, -1.0), (h, y, np.inf)):
+        with pytest.raises(ValueError) as stack:
+            decide(*args, ["MLD", "MMSE"], None, None)
+        with pytest.raises(ValueError) as one:
+            for t, s2 in enumerate(np.broadcast_to(args[2], 3)):
+                MldInstance(h=args[0][t], y=args[1][t], sigma2=float(s2))
+        assert str(stack.value) == str(one.value)
+    for args in ((h[:, :2], y, sigma2), (h, y, sigma2[:2]), (h[0], y[0], sigma2[0])):
+        with pytest.raises(ValueError, match=r"h and y must be \(T, N\) stacks of one shape"):
+            decide(*args, ["MMSE"], None, None)
+
+
 def test_searches_read_whole_tables_beyond_one_array(monkeypatch):
     # at N = 17 a trial's costs come in runs of its patterns: its searches'
     # context reads them joined into one table, whose argmin is MLD's, and
@@ -97,7 +123,7 @@ def test_searches_read_whole_tables_beyond_one_array(monkeypatch):
 
     monkeypatch.setattr(gasmld.detect, "SearchContext", context)
     cfg = GasConfig(m=3, max_rounds=2, engine="analytic")
-    block = decide(insts, ["MLD", "GAS_random"], cfg,
+    block = decide(*stacked(insts), ["MLD", "GAS_random"], cfg,
                    lambda det, row: np.random.default_rng(row))
     assert [ctx.costs.shape for ctx in contexts] == [(1 << 17,)] * 2
     H, y = _stack(insts)
@@ -130,9 +156,16 @@ def _stack(instances):
     return H, y
 
 
+def stacked(instances):
+    """A list of instances as the arrays ``decide`` reads: responses,
+    blocks and noise powers, one row each."""
+    return (np.array([inst.h for inst in instances]), np.array([inst.y for inst in instances]),
+            np.array([inst.sigma2 for inst in instances]))
+
+
 def mld_block(instances):
     """MLD's decisions on a block of instances, (T, N) bits."""
-    return decide(instances, ["MLD"], None, None)["MLD"][0]
+    return decide(*stacked(instances), ["MLD"], None, None)["MLD"][0]
 
 
 def test_batched_decisions_match_single_instance():
@@ -364,7 +397,7 @@ def test_block_equals_its_blocks_of_one(seed, N, engine, T):
     def stream(det, row):
         return np.random.default_rng((seed, row, METHODS.index(det)))
 
-    block = decide(insts, METHODS, cfg, stream)
+    block = decide(*stacked(insts), METHODS, cfg, stream)
     for row, inst in enumerate(insts):
         alone = {"MLD": mld_detect(inst), "MMSE": mmse_detect(inst),
                  "GAS_random": gas_detect(inst, cfg, stream("GAS_random", row)),
@@ -400,7 +433,7 @@ def test_search_groups_split_at_the_key_bound(monkeypatch, engine, cap):
     def stream(det, row):
         return np.random.default_rng((cap, row, METHODS.index(det)))
 
-    block = decide(insts, ["GAS_random", "GAS_warm"], cfg, stream)
+    block = decide(*stacked(insts), ["GAS_random", "GAS_warm"], cfg, stream)
     size = 1 if engine == "statevector" else min(cap >> 3, 14)
     assert max(groups) == size and sum(groups) == 14
     for row, inst in enumerate(insts):
