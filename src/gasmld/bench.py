@@ -12,6 +12,11 @@ exact same instance sequence and comparisons are paired.  Randomized detectors
 get their own stream keyed by the same tuple with the detector's global
 index in METHODS appended, so adding or reordering detectors in a config
 never perturbs any other column.
+
+A sweep's job is a run of consecutive trials in (point, trial) order that
+may cross from one (snr, R) point into the next: it stacks each point's
+block, with each row's noise power, and decides the rows at once, and a
+row's place in its job changes none of its streams.
 """
 
 import os
@@ -28,8 +33,8 @@ from .qcore import CapacityError
 from .qubo import BRUTE_FORCE_MAX_N, MldInstance
 
 CSV_HEADER = "snr_db,detector,R,trials,bit_errors,ber,mean_queries,ci95"
-# Trials per job: enough to batch MLD and MMSE well, few enough that a pool
-# stays busy on a short sweep and a job's arrays stay small at 1e5 trials.
+# Most trials per job: enough to batch MLD and MMSE well, few enough that a
+# pool stays busy on a short sweep and a job's arrays stay small at 1e5 trials.
 BLOCK_TRIALS = 500
 
 
@@ -151,17 +156,26 @@ def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detecto
     )
 
 
-def _run_block(job) -> list[tuple[int, int]]:
-    """One job: trials [start, stop) of one (snr, R) point, the block built
-    once as stacked arrays and shown to every detector (``detect.decide``),
-    each search on its own stream.  Returns (bit errors, oracle queries) per
-    detector, in ``cfg.detectors`` order."""
-    cfg, snr_idx, r_idx, start, stop = job
-    h, y, sigma2, truth = trial_block(cfg, snr_idx, r_idx, start, stop)
+def _run_block(job) -> np.ndarray:
+    """One job: rows [start, stop) of the sweep's trials in (point, trial)
+    order, which may cross from one (snr, R) point into the next.  Each
+    point's slice is built by ``trial_block``, and the slices, stacked with
+    each row's noise power, are shown once to every detector
+    (``detect.decide``), each search on its row's own stream.  Returns the
+    (detectors, 2, T) bit errors and oracle queries of each row."""
+    cfg, start, stop = job
+    n = cfg.trials_per_point
+    # (snr_idx, r_idx, first trial, stop trial) of each point the rows cross
+    slices = [(*divmod(point, len(cfg.R_list)), max(start - point * n, 0), min(stop - point * n, n))
+              for point in range(start // n, -(-stop // n))]
+    blocks = [trial_block(cfg, *piece) for piece in slices]
+    h, y, truth = (np.concatenate([block[k] for block in blocks]) for k in (0, 1, 3))
+    sigma2 = np.repeat([block[2] for block in blocks], [len(block[0]) for block in blocks])
+    where = [(s, r, trial) for s, r, a, b in slices for trial in range(a, b)]
     decided = decide(h, y, sigma2, cfg.detectors, cfg.gas,
-                     lambda det, row: detector_rng(cfg, snr_idx, r_idx, start + row, det))
-    return [(int(np.sum(decided[det][0] != truth)), int(decided[det][1].sum()))
-            for det in cfg.detectors]
+                     lambda det, row: detector_rng(cfg, *where[row], det))
+    return np.array([(np.sum(decided[det][0] != truth, axis=1), decided[det][1])
+                     for det in cfg.detectors])
 
 
 def _record(cfg: SweepConfig, snr_idx: int, r_idx: int, detector: str,
@@ -181,7 +195,7 @@ def _record(cfg: SweepConfig, snr_idx: int, r_idx: int, detector: str,
     )
 
 
-def _worker_count(jobs: int) -> int:
+def _worker_cap() -> int:
     env = os.environ.get("GASMLD_THREADS", "").strip()
     try:
         cap = int(env) if env else (os.cpu_count() or 1)
@@ -189,34 +203,35 @@ def _worker_count(jobs: int) -> int:
         cap = 0
     if cap < 1:
         raise ConfigError(f"GASMLD_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(cap, jobs))
+    return cap
 
 
 def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
+    """Every (snr, detector, R) record of the sweep.  Its trials run in
+    (point, trial) order as jobs of consecutive rows that may cross points:
+    k = cap * ceil(total / (cap * BLOCK_TRIALS)) jobs of ceil(total / k)
+    rows, the last one shorter, for a worker cap ``cap``, so a job holds at
+    most ``BLOCK_TRIALS`` rows, a pool's workers get equally many jobs, and
+    a serial sweep of small points makes one block, whose searches share
+    lockstep groups across the points.  Each point's errors and queries are
+    summed from the jobs' per-row tallies."""
     cfg.validate()
-    points = [(snr_idx, r_idx) for snr_idx in range(len(cfg.snr_db_list))
-              for r_idx in range(len(cfg.R_list))]
-    jobs = [
-        (cfg, snr_idx, r_idx, start, min(start + BLOCK_TRIALS, cfg.trials_per_point))
-        for snr_idx, r_idx in points
-        for start in range(0, cfg.trials_per_point, BLOCK_TRIALS)
-    ]
-    workers = _worker_count(len(jobs))
+    n = cfg.trials_per_point
+    total = len(cfg.snr_db_list) * len(cfg.R_list) * n
+    cap = _worker_cap()
+    size = -(-total // (cap * -(-total // (cap * BLOCK_TRIALS))))
+    jobs = [(cfg, start, min(start + size, total)) for start in range(0, total, size)]
+    workers = min(cap, len(jobs))
     if workers == 1:
         results = [_run_block(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, jobs))
-    totals = {point: [[0, 0] for _ in cfg.detectors] for point in points}
-    for (_, snr_idx, r_idx, *_), tallies in zip(jobs, results):
-        for acc, (errors, queries) in zip(totals[snr_idx, r_idx], tallies):
-            acc[0] += errors
-            acc[1] += queries
-    records = [
-        _record(cfg, snr_idx, r_idx, det, errors, queries)
-        for (snr_idx, r_idx), accs in totals.items()
-        for det, (errors, queries) in zip(cfg.detectors, accs)
-    ]
+    # (detector, errors and queries, point): the sums of the jobs' rows
+    sums = np.concatenate(results, axis=2).reshape(len(cfg.detectors), 2, -1, n).sum(axis=3)
+    records = [_record(cfg, *divmod(point, len(cfg.R_list)), det, int(errors), int(queries))
+               for det, tallies in zip(cfg.detectors, sums)
+               for point, (errors, queries) in enumerate(tallies.T)]
     records.sort(key=lambda r: (r.snr_db, r.detector, r.R))
     return records
 

@@ -53,9 +53,9 @@ def _cmd_sweep(args) -> int:
     settings = []
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 settings = config_settings(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     # the file's lines, then the flags, validated once: flags override the file
     settings += [(f"--{flag}", key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items()

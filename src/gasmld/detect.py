@@ -111,6 +111,7 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
     searches = [det for det in ("GAS_random", "GAS_warm") if det in out]
     if searches:
         check_registers(N, cfg)
+        cold = cfg if cfg.warm_start is None else replace(cfg, warm_start=None)
     if "MMSE" in out or "GAS_warm" in out:
         mmse = demodulate(mmse_soft(h, y, np.reshape(sigma2, (-1, 1))))
         if "MMSE" in out:
@@ -140,7 +141,7 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
                 ctx = SearchContext(costs[row - rows.start], cfg)
                 for det in searches:
                     keys.append((det, row))
-                    group.append((ctx, replace(cfg, warm_start=mmse[row] if det == "GAS_warm" else None),
+                    group.append((ctx, replace(cfg, warm_start=mmse[row]) if det == "GAS_warm" else cold,
                                   rng_for(det, row)))
             for at in range(0, len(group), size):
                 part = group[at:at + size]

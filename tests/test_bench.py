@@ -309,11 +309,92 @@ def test_equalizer_only_block_holds_no_dense_channel():
     dense = cfg.N * cfg.N * 16
     tracemalloc.start()
     try:
-        gasmld.bench._run_block((cfg.validate(), 0, 0, 0, cfg.trials_per_point))
+        gasmld.bench._run_block((cfg.validate(), 0, cfg.trials_per_point))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * dense
+
+
+def _spied_blocks(monkeypatch):
+    """Patch ``trial_block`` and ``decide`` where the sweep looks them up;
+    returns the slices built, ``(snr_idx, r_idx, start, stop)``, and the
+    row count of each ``decide`` call."""
+    built, decided = [], []
+
+    def block(cfg, snr_idx, r_idx, start, stop):
+        built.append((snr_idx, r_idx, start, stop))
+        return trial_block(cfg, snr_idx, r_idx, start, stop)
+
+    def decide(h, *args):
+        decided.append(len(h))
+        return gasmld.detect.decide(h, *args)
+
+    monkeypatch.setattr(gasmld.bench, "trial_block", block)
+    monkeypatch.setattr(gasmld.bench, "decide", decide)
+    return built, decided
+
+
+def test_a_serial_sweep_of_small_points_is_one_block(monkeypatch):
+    # 12 points of 16 trials make one job: each point's slice built once,
+    # in (point, trial) order, and one ``decide`` call on all 192 rows
+    cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"],
+                       snr_db_list=[-5.0, 0.0, 5.0, 10.0], R_list=[0, 4, 8], trials_per_point=16)
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    built, decided = _spied_blocks(monkeypatch)
+    run_sweep(cfg)
+    assert decided == [192]
+    assert built == [(s, r, 0, 16) for s in range(4) for r in range(3)]
+
+
+def test_jobs_cross_point_edges(monkeypatch):
+    # 3 points of 300 trials make two jobs of 450 rows: the first ends
+    # inside the second point, whose rest opens the next job
+    cfg = small_config(detectors=["MLD", "MMSE"], R_list=[0, 4, 8], trials_per_point=300)
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    built, decided = _spied_blocks(monkeypatch)
+    records = run_sweep(cfg)
+    assert decided == [450, 450]
+    assert built == [(0, 0, 0, 300), (0, 1, 0, 150), (0, 1, 150, 300), (0, 2, 0, 300)]
+    # and the records are those of jobs cut at every point's edge, or at
+    # every seventh row
+    for size in (300, 7):
+        monkeypatch.setattr(gasmld.bench, "BLOCK_TRIALS", size)
+        assert run_sweep(cfg) == records
+
+
+@pytest.mark.parametrize("threads, trials, jobs", [
+    ("2", 300, [450] * 8),  # 3,600 rows: 4 jobs a worker, none over BLOCK_TRIALS
+    ("2", 200, [400] * 6),
+    ("3", 1, [4] * 3),
+    ("4", 20, [60] * 4),
+    ("16", 1, [1] * 12),  # fewer rows than workers: a job each
+])
+def test_pooled_jobs_are_equal_and_whole_per_worker(monkeypatch, threads, trials, jobs):
+    # the jobs a pool is handed, on the 12 points of the fig2 grid
+    cfg = small_config(snr_db_list=[-5.0, 0.0, 5.0, 10.0], R_list=[0, 4, 8],
+                       trials_per_point=trials)
+    seen = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, todo):
+            todo = list(todo)
+            seen.append((self.workers, [stop - start for _, start, stop in todo]))
+            return map(fn, todo)
+
+    monkeypatch.setenv("GASMLD_THREADS", threads)
+    monkeypatch.setattr(gasmld.bench, "ProcessPoolExecutor", Pool)
+    run_sweep(cfg)
+    assert seen == [(min(int(threads), len(jobs)), jobs)]
 
 
 @pytest.mark.parametrize("name, digest", [
@@ -408,7 +489,8 @@ def small_sweeps(draw):
         snr_db_list=draw(st.lists(st.sampled_from([-5.0, 0.0, 5.0]), min_size=1, max_size=2,
                                   unique=True)),
         detectors=detectors,
-        # two points at least, so that two workers both get a job
+        # two points at least, so that two workers both get a job, which
+        # may straddle the two
         R_list=draw(st.lists(st.sampled_from([0, 4, 8]), min_size=2, max_size=2, unique=True)),
         N=draw(st.integers(3, 4)),
         # only the classical detectors are cheap enough to cross a block edge
@@ -428,6 +510,24 @@ def test_csv_independent_of_worker_count(tmp_path_factory, cfg):
             emit_csv(run_sweep(cfg), str(path))
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("N, engine, trials", [(10, "analytic", 30), (3, "statevector", 5)])
+def test_csv_independent_of_worker_count_across_points(tmp_path, N, engine, trials):
+    # three points of a search sweep, cut into jobs that straddle points:
+    # one job on one worker (at N = 10 split into lockstep groups of 64
+    # searches, 32 trials, across point edges), jobs of half or a quarter of
+    # the rows on two or four
+    cfg = small_config(detectors=["MLD", "GAS_random", "GAS_warm"], snr_db_list=[-5.0, 0.0, 5.0],
+                       R_list=[4], N=N, trials_per_point=trials, master_seed=77,
+                       gas=GasConfig(m=12, max_rounds=50, stall_rounds=15, engine=engine))
+    blobs = []
+    for threads in ("1", "2", "4"):
+        path = tmp_path / f"{threads}.csv"
+        with worker_cap(threads):
+            emit_csv(run_sweep(cfg), str(path))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_awgn_ber_matches_closed_form(identity_channel):
@@ -648,6 +748,10 @@ def test_qubit_cap_has_one_message(tmp_path, capsys):
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+    binary = tmp_path / "binary.cfg"  # not UTF-8 text: a config error, not a runtime one
+    binary.write_bytes(b"\xd0\xcf\x11\xe0")
+    assert main(["sweep", "--config", str(binary)]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read config file: ")
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["sweep", "--detector", "bogus", "--trials", "1"]) == 1
     assert main(["bogus-command"]) == 1

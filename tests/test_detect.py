@@ -34,7 +34,7 @@ from gasmld.detect import (
     mmse_taps,
     residual_cost,
 )
-from gasmld.gas import ENGINES, GasConfig, SearchContext, run_gas
+from gasmld.gas import ENGINES, GasConfig, SearchContext, run_gas, run_searches
 from gasmld.qcore import CapacityError
 from gasmld.qubo import MldInstance, bits_of, evaluate_all_costs, mld_to_qubo, qubo_terms
 
@@ -411,6 +411,26 @@ def test_block_equals_its_blocks_of_one(seed, N, engine, T):
             result = run_gas(SearchContext(evaluate_all_costs(mld_to_qubo(own)), search), search, stream(det, row))
             assert np.array_equal(block[det][0][row], result.best_bits)
             assert block[det][1][row] == result.oracle_queries
+
+
+@pytest.mark.parametrize("warm", [None, [1, 0, 1]])
+def test_random_starts_share_one_config(monkeypatch, warm):
+    # every random-start search of a call reads one config with no warm
+    # start: ``cfg`` itself, or one cleared copy when it carries one; each
+    # GAS_warm search has its own, holding its row's equalizer decision
+    rng = np.random.default_rng(5)
+    insts = [random_instance(rng)[0] for _ in range(4)]
+    cfg = GasConfig(m=8, engine="analytic", warm_start=warm)
+    seen = []
+    monkeypatch.setattr(gasmld.detect, "run_searches",
+                        lambda searches: seen.extend(searches) or run_searches(searches))
+    decide(*stacked(insts), ["GAS_random", "GAS_warm"], cfg,
+           lambda det, row: np.random.default_rng((row, METHODS.index(det))))
+    cold, hot = seen[0::2], seen[1::2]
+    assert len({id(search[1]) for search in cold}) == 1
+    assert (cold[0][1] is cfg) == (warm is None) and cold[0][1].warm_start is None
+    assert len({id(search[1]) for search in hot}) == len(insts)
+    assert all(search[1].warm_start is not None for search in hot)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
