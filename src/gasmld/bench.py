@@ -13,17 +13,28 @@ get their own stream keyed by the same tuple with the detector's global
 index in METHODS appended, so adding or reordering detectors in a config
 never perturbs any other column.
 
+Each stream is numpy's ``default_rng(SeedSequence(key))``, a PCG64 stream,
+bit for bit; the sweep only hashes its keys a job at a time
+(``stream_words``): numpy's ``SeedSequence`` hash runs once on all of a
+block's keys, and each stream's PCG64 seeds itself from its key's words
+(``seeded_stream``).  The bytes so rest on numpy keeping that hash and
+PCG64's seeding fixed, as every seeded numpy stream does, and the tests
+compare the streams with numpy's own, so a change there fails loudly.
+
 A sweep's job is a run of consecutive trials in (point, trial) order that
 may cross from one (snr, R) point into the next: it stacks each point's
 block, with each row's noise power, and decides the rows at once, and a
 row's place in its job changes none of its streams.
 """
 
+import functools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channel import (_lag, add_noise, channel_normals, channel_stack, first_column, modulate,
                       noise_normals, snr_db_to_sigma2)
@@ -112,6 +123,130 @@ class BerRecord:
     ci95: float
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# 32-bit lanes, hashed with two constant sequences, A into the pool and B out
+# of it, each word x_{k+1} = x_k * mult mod 2^32, whatever the data
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
+    words = [first]
+    for _ in range(count):
+        words.append(words[-1] * mult & _MASK32)
+    return np.array(words, dtype=np.uint32)
+
+
+_STATE_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)[:, None]
+
+
+@functools.lru_cache
+def _pool_steps(words: int) -> list:
+    """Sequence A's pairs (x_k, x_{k+1}), as (4, 1) columns, of each hash
+    of the pool's lanes for an entropy of ``words`` words: filling it; then
+    for each source lane in turn, hashing it into the other three (the
+    source's own pair is not used); then mixing in each word past the
+    fourth."""
+    a = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * max(words, 4))
+    ks = [[0, 1, 2, 3]]
+    ks += [[4 + 3 * src + dst - (dst > src) for dst in range(4)] for src in range(4)]
+    ks += [[4 * word + lane for lane in range(4)] for word in range(4, words)]
+    return [(a[k][:, None], a[k + 1][:, None]) for k in np.array(ks)]
+
+
+def _hashmix(value, x: np.ndarray, x_next: np.ndarray) -> np.ndarray:
+    value = (value ^ x) * x_next
+    return value ^ (value >> 16)
+
+
+def _mix(x, y) -> np.ndarray:
+    mixed = x * _MIX_L - y * _MIX_R
+    return mixed ^ (mixed >> 16)
+
+
+def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
+    """(T, 4) uint64 ``SeedSequence.generate_state(4, np.uint64)`` of the T
+    keys whose 32-bit entropy words are the columns of ``entropy``, (W, T)
+    uint32: the pool's 4 lanes are one (4, T) array, and the 8 state words
+    one (8, T) array."""
+    W, T = entropy.shape
+    fill, *cross = _pool_steps(W)
+    pool = np.zeros((4, T), dtype=np.uint32)
+    pool[:min(W, 4)] = entropy[:4]
+    pool = _hashmix(pool, *fill)
+    for src, step in enumerate(cross[:4]):
+        mixed = _mix(pool, _hashmix(pool[src], *step))
+        mixed[src] = pool[src]
+        pool = mixed
+    for word, step in zip(entropy[4:], cross[4:]):
+        pool = _mix(pool, _hashmix(word, *step))
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_B[:8], _STATE_B[1:])
+    # as numpy does: the words read little-endian, pairs as native uint64
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _int_words(n: int) -> list:
+    """numpy's 32-bit words of a non-negative int, least significant first."""
+    if n < 0:
+        raise ValueError(f"stream key entries must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def stream_words(*key) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)``, PCG64's seed words,
+    for T keys at once, as a (T, 4) uint64 array.  Each entry of ``key`` is
+    a non-negative int every key shares or a (T,) array of ints in
+    [0, 2^63), one per key.  As in numpy, an entry of 2^32 or more takes
+    more words; keys of one layout are hashed together."""
+    arrays = [np.asarray(entry) for entry in key if np.ndim(entry)]
+    if any(entry.dtype.kind not in "iu" for entry in arrays):
+        raise ValueError("stream key entries must be non-negative ints")
+    T = len(arrays[0]) if arrays else 1
+    per_key = np.array(arrays, dtype=np.int64).reshape(len(arrays), T)
+    if per_key.size and per_key.min() < 0:
+        raise ValueError("stream key entries must be non-negative ints below 2^63")
+    low, high = per_key & _MASK32, per_key >> 32
+    layout = (1 << np.arange(len(arrays))) @ (high != 0)  # bit j: array entry j takes 2 words
+    words = np.empty((T, 4), dtype=np.uint64)
+    # np.bincount, not np.unique: unique's first call imports numpy.ma, about
+    # 8 ms and 1.5 MiB, more than a sweep of a few trials spends on its streams
+    for group in np.flatnonzero(np.bincount(layout)):
+        keys = layout == group
+        lines, j = [], 0
+        for entry in key:
+            if np.ndim(entry):
+                lines += [low[j, keys]] + [high[j, keys]] * int(group >> j & 1)
+                j += 1
+            else:
+                lines += _int_words(operator.index(entry))
+        entropy = np.empty((len(lines), np.count_nonzero(keys)), dtype=np.uint32)
+        for row, line in enumerate(lines):
+            entropy[row] = line
+        words[keys] = _pcg64_words(entropy)
+    return words
+
+
+class _Seeded(ISeedSequence):
+    """A seed sequence whose PCG64 seed words are already hashed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("PCG64 no longer seeds from generate_state(4, np.uint64)")
+        return self.words
+
+
+def seeded_stream(words: np.ndarray) -> np.random.Generator:
+    """The PCG64 stream of one row of ``stream_words``: bit for bit
+    ``np.random.default_rng(np.random.SeedSequence(key))``."""
+    return np.random.Generator(np.random.PCG64(_Seeded(words)))
+
+
 def trial_block(cfg: SweepConfig, snr_idx: int, r_idx: int, start: int, stop: int):
     """Trials [start, stop) of one point as ``detect.decide`` reads them:
     ``(h, y, sigma2, bits)``, the padded responses, the received blocks and
@@ -127,10 +262,9 @@ def trial_block(cfg: SweepConfig, snr_idx: int, r_idx: int, start: int, stop: in
     taps = np.empty((T, channel_normals(R, cfg.L_bi, cfg.L_iu)))
     bits = np.empty((T, N), dtype=np.int64)
     noise = np.empty((T, noise_normals(N, sigma2)))
-    for row, trial in enumerate(range(start, stop)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
-        )
+    for row, words in enumerate(stream_words(cfg.master_seed, snr_idx, r_idx,
+                                             np.arange(start, stop), 0)):
+        rng = seeded_stream(words)
         rng.standard_normal(out=taps[row])
         bits[row] = rng.integers(0, 2, size=N)
         rng.standard_normal(out=noise[row])
@@ -149,11 +283,9 @@ def trial_instance(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int):
 
 
 def detector_rng(cfg: SweepConfig, snr_idx: int, r_idx: int, trial: int, detector: str):
-    return np.random.default_rng(
-        np.random.SeedSequence(
-            (cfg.master_seed, snr_idx, r_idx, trial, 1 + METHODS.index(detector))
-        )
-    )
+    """A trial's stream for a randomized detector: the sweep's key of one."""
+    (words,) = stream_words(cfg.master_seed, snr_idx, r_idx, trial, 1 + METHODS.index(detector))
+    return seeded_stream(words)
 
 
 def _run_block(job) -> np.ndarray:
@@ -161,7 +293,9 @@ def _run_block(job) -> np.ndarray:
     order, which may cross from one (snr, R) point into the next.  Each
     point's slice is built by ``trial_block``, and the slices, stacked with
     each row's noise power, are shown once to every detector
-    (``detect.decide``), each search on its row's own stream.  Returns the
+    (``detect.decide``), each search on its row's own stream: the job's
+    search keys are hashed in one ``stream_words`` pass, and each stream is
+    built from its words when its search starts.  Returns the
     (detectors, 2, T) bit errors and oracle queries of each row."""
     cfg, start, stop = job
     n = cfg.trials_per_point
@@ -169,11 +303,20 @@ def _run_block(job) -> np.ndarray:
     slices = [(*divmod(point, len(cfg.R_list)), max(start - point * n, 0), min(stop - point * n, n))
               for point in range(start // n, -(-stop // n))]
     blocks = [trial_block(cfg, *piece) for piece in slices]
-    h, y, truth = (np.concatenate([block[k] for block in blocks]) for k in (0, 1, 3))
-    sigma2 = np.repeat([block[2] for block in blocks], [len(block[0]) for block in blocks])
-    where = [(s, r, trial) for s, r, a, b in slices for trial in range(a, b)]
+    if len(blocks) == 1:
+        ((h, y, sigma2, truth),) = blocks
+    else:
+        h, y, truth = (np.concatenate([block[k] for block in blocks]) for k in (0, 1, 3))
+        sigma2 = np.repeat([block[2] for block in blocks], [len(block[0]) for block in blocks])
+    # every search's key of every row, (seed, snr_idx, r_idx, trial, tag)
+    searches = [det for det in cfg.detectors if det in ("GAS_random", "GAS_warm")]
+    point, trial = np.divmod(np.tile(np.arange(start, stop), len(searches)), n)
+    tags = np.repeat(np.array([1 + METHODS.index(det) for det in searches], dtype=np.int64),
+                     stop - start)
+    words = stream_words(cfg.master_seed, *np.divmod(point, len(cfg.R_list)), trial, tags)
+    words = words.reshape(len(searches), stop - start, 4)
     decided = decide(h, y, sigma2, cfg.detectors, cfg.gas,
-                     lambda det, row: detector_rng(cfg, *where[row], det))
+                     lambda det, row: seeded_stream(words[searches.index(det), row]))
     return np.array([(np.sum(decided[det][0] != truth, axis=1), decided[det][1])
                      for det in cfg.detectors])
 

@@ -15,6 +15,7 @@ import numpy as np
 from gasmld import qcore
 from gasmld.channel import circulant_matrix, modulate, snr_db_to_sigma2
 from gasmld.circuits import GasCircuitSpec, _band_window, fejer_upper_mass
+from gasmld.detect import METHODS
 from gasmld.gas import GasResult, _evolve, _prepare
 from gasmld.qubo import MldInstance, QuboProblem, bits_of
 
@@ -362,12 +363,22 @@ def reference_channel(R: int, L_bi: int, L_iu: int, rng: np.random.Generator) ->
     return (cascades * phases[:, None]).sum(axis=0)
 
 
+def reference_stream(key) -> np.random.Generator:
+    """The seeding contract's stream of ``key``, from numpy's own per-key
+    ``SeedSequence``."""
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def reference_detector_rng(cfg, snr_idx: int, r_idx: int, trial: int, detector: str):
+    """A sweep trial's stream for a randomized detector, keyed by the
+    detector's index in ``METHODS`` after the trial stream's tag 0."""
+    return reference_stream((cfg.master_seed, snr_idx, r_idx, trial, 1 + METHODS.index(detector)))
+
+
 def reference_trial_instance(cfg, snr_idx: int, r_idx: int, trial: int):
     """A sweep trial's (instance, true bits), built alone from the trial's
     stream: the channel's response, then the payload bits, then the noise."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence((cfg.master_seed, snr_idx, r_idx, trial, 0))
-    )
+    rng = reference_stream((cfg.master_seed, snr_idx, r_idx, trial, 0))
     h = reference_channel(cfg.R_list[r_idx], cfg.L_bi, cfg.L_iu, rng)
     bits = rng.integers(0, 2, size=cfg.N)
     sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])

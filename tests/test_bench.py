@@ -21,7 +21,7 @@ import gasmld.detect
 import gasmld.gas
 import gasmld.qubo
 from conftest import child_env
-from oracles import reference_trial_instance
+from oracles import reference_detector_rng, reference_stream, reference_trial_instance
 from gasmld.bench import (
     BLOCK_TRIALS,
     BerRecord,
@@ -33,6 +33,8 @@ from gasmld.bench import (
     format_config,
     parse_config,
     run_sweep,
+    seeded_stream,
+    stream_words,
     trial_block,
     trial_instance,
 )
@@ -122,6 +124,77 @@ def test_trial_block_rejects_a_bad_noise_power(snr_db):
         trial_block(cfg, 0, 0, 0, 3)
 
 
+def _assert_numpys_stream(rng, key):
+    # the same PCG64 state and increment, and the same first draws of each
+    # kind the sweep reads, as numpy's own stream of the key
+    ref = reference_stream(key)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.standard_normal() == ref.standard_normal()
+    assert np.array_equal(rng.integers(0, 2, 7), ref.integers(0, 2, 7))
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 32) - 1, 1 << 32, (1 << 64) + 3])
+def test_streams_hashed_together_are_numpys(seed):
+    # a sweep grid of keys over every detector tag, hashed in one pass with
+    # trial indices on both sides of 2^32, so keys of two and three word
+    # counts share the call
+    grid = [(s, r, t, tag) for s in range(2) for r in range(3)
+            for t in (0, 1, 499, (1 << 32) - 1, 1 << 32, (1 << 40) + 7)
+            for tag in range(1 + len(METHODS))]
+    words = stream_words(seed, *np.array(grid).T)
+    assert words.shape == (len(grid), 4) and words.dtype == np.uint64
+    for row, key in zip(words, grid):
+        _assert_numpys_stream(seeded_stream(row), (seed, *key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.tuples(*[st.integers(0, 1 << 70)] * 5))
+def test_any_key_hashes_as_numpys(key):
+    # any non-negative 5-tuple, as shared entries; and the entries below
+    # 2^63 as one-key arrays, so an array entry takes numpy's word count
+    _assert_numpys_stream(seeded_stream(stream_words(*key)[0]), key)
+    entries = [np.array([v]) if v < 1 << 63 else v for v in key]
+    _assert_numpys_stream(seeded_stream(stream_words(*entries)[0]), key)
+
+
+def test_one_key_streams_are_numpys():
+    # the one-key case: each randomized detector's stream of a trial, and
+    # the trial streams of a block whose indices cross 2^32
+    cfg = small_config(master_seed=(1 << 32) + 9, snr_db_list=[0.0, 5.0], R_list=[0, 4])
+    for det in METHODS:
+        key = (cfg.master_seed, 1, 1, 3, 1 + METHODS.index(det))
+        _assert_numpys_stream(detector_rng(cfg, 1, 1, 3, det), key)
+    first = (1 << 32) - 2
+    h, y, _, bits = trial_block(cfg, 1, 0, first, first + 4)
+    for row, trial in enumerate(range(first, first + 4)):
+        ref, ref_bits = reference_trial_instance(cfg, 1, 0, trial)
+        assert (h[row].tobytes(), y[row].tobytes(), bits[row].tobytes()) == \
+            (ref.h.tobytes(), ref.y.tobytes(), ref_bits.tobytes())
+
+
+def test_stream_keys_must_be_non_negative_ints():
+    for key in ((-1, 0), (0, np.array([3, -2])), (0, np.array([0.5])),
+                (0, np.array([1 << 63], dtype=np.uint64))):
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_words(*key)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sweep_streams_skip_numpys_per_key_seeding(monkeypatch, engine):
+    # every stream of a sweep, trial and search alike, comes from the job's
+    # hashed words: numpy's per-key constructors are never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep stream was seeded one key at a time")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    cfg = small_config(detectors=list(METHODS), R_list=[0, 4], trials_per_point=5,
+                       gas=GasConfig(m=8, engine=engine))
+    assert len(run_sweep(cfg)) == 2 * len(METHODS)
+
+
 def test_sweep_noiseless_mld_perfect():
     cfg = small_config(detectors=["MLD"], snr_db_list=[60.0], R_list=[4])
     (rec,) = run_sweep(cfg)
@@ -172,7 +245,7 @@ def test_block_boundaries_keep_each_column(monkeypatch):
         errors = queries = 0
         for trial in range(cfg.trials_per_point):
             inst, bits = trial_instance(cfg, 0, 0, trial)
-            rep = detect(inst, detector_rng(cfg, 0, 0, trial, det))
+            rep = detect(inst, reference_detector_rng(cfg, 0, 0, trial, det))
             errors += int(np.sum(rep.bits_hat != bits))
             queries += rep.oracle_queries
         assert (together[det].bit_errors, together[det].mean_queries) == \
@@ -294,7 +367,8 @@ def test_warm_starts_are_each_trials_equalizer_decision(monkeypatch):
                 errors = queries = 0
                 for trial in range(cfg.trials_per_point):
                     inst, bits = trial_instance(cfg, snr_idx, r_idx, trial)
-                    rep = detect(inst, cfg.gas, detector_rng(cfg, snr_idx, r_idx, trial, det))
+                    rep = detect(inst, cfg.gas,
+                                 reference_detector_rng(cfg, snr_idx, r_idx, trial, det))
                     errors += int(np.sum(rep.bits_hat != bits))
                     queries += rep.oracle_queries
                 rec = records[snr, R, det]
