@@ -211,8 +211,8 @@ def stream_words(*key) -> np.ndarray:
     low, high = per_key & _MASK32, per_key >> 32
     layout = (1 << np.arange(len(arrays))) @ (high != 0)  # bit j: array entry j takes 2 words
     words = np.empty((T, 4), dtype=np.uint64)
-    # np.bincount, not np.unique: unique's first call imports numpy.ma, about
-    # 8 ms and 1.5 MiB, more than a sweep of a few trials spends on its streams
+    # np.bincount, not np.unique: unique's first call imports numpy.ma (8 ms
+    # and 1.5 MiB on a 2-core Xeon), more than a short sweep's streams cost
     for group in np.flatnonzero(np.bincount(layout)):
         keys = layout == group
         lines, j = [], 0
