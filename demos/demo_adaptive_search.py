@@ -1,7 +1,9 @@
 """Adaptive threshold search on a small binary quadratic problem.
 
 Prints the threshold trace round by round, then shows that the closed-form
-sampling engine follows the statevector engine decision for decision.
+sampling engine follows the statevector engine decision for decision.  The
+costs here are integers, but the search encodes them as real costs, as it
+does every cost.
 
 Run as: python3 demos/demo_adaptive_search.py
 """
@@ -24,7 +26,7 @@ def main():
     print("costs over all 8 patterns:", costs.astype(int))
     print("global minimum:", int(costs.min()))
 
-    cfg = GasConfig(m=None, encoding="integer", engine="statevector")
+    cfg = GasConfig(m=None, engine="statevector")
     res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, np.random.default_rng(9))
     print("\nstatevector run:")
     for rnd, thr in res.threshold_trace:
@@ -32,7 +34,7 @@ def main():
     print(f"finished in {res.rounds} rounds, {res.oracle_queries} oracle queries, "
           f"best cost {res.best_cost:g}")
 
-    twin_cfg = GasConfig(m=None, encoding="integer", engine="analytic")
+    twin_cfg = GasConfig(m=None, engine="analytic")
     twin = run_gas(SearchContext(evaluate_all_costs(q), twin_cfg), twin_cfg, np.random.default_rng(9))
     same = (twin.threshold_trace == res.threshold_trace
             and np.array_equal(twin.best_bits, res.best_bits)

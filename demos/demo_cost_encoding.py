@@ -2,8 +2,11 @@
 
 Walks the chain: received block -> binary quadratic cost -> table of
 shifted costs -> value register of the prepared state A|0>, then reads the
-conditional value distribution per bit pattern.  Integer costs land on single bins; real costs spread as a
-squared-Fejer profile around the scaled value.
+conditional value distribution per bit pattern.  Integer costs written
+verbatim land on single bins; real costs spread as a squared-Fejer profile
+around the scaled value.  The package's searches encode real costs only, as
+the detection problem's Gaussian channels give; the integer case shows the
+readout alone.
 
 Run as: python3 demos/demo_cost_encoding.py
 """
@@ -33,10 +36,16 @@ def integer_example():
     )
     costs = evaluate_all_costs(q)
     y = float(costs[0])
-    m = required_value_qubits(q.n, cost_bounds(costs), "integer")
+    # every shift by an attained cost lies in [-spread, spread], strictly
+    # inside the signed window [-2^(m-1), 2^(m-1)) once 2^(m-1) >= spread + 1
+    spread = costs.max() - costs.min()
+    m = 2
+    while 1 << (m - 1) < spread + 1:
+        m += 1
     spec = GasCircuitSpec(q.n, m, costs - y)
     cond = value_rows(spec)
-    print(f"integer case: m = {m} value qubits, threshold y = {y:g}")
+    print(f"integer case (the readout alone: searches encode real costs only): "
+          f"m = {m} value qubits, threshold y = {y:g}")
     for b in range(4):
         peak = int(np.argmax(cond[b]))
         print(f"  bits {b:02b}: cost {costs[b]:4g}, shifted {costs[b]-y:4g}, "
@@ -51,7 +60,7 @@ def real_example():
     inst = MldInstance(h=h, y=y, sigma2=0.2)
     q = mld_to_qubo(inst)
     costs = evaluate_all_costs(q)
-    m = required_value_qubits(q.n, cost_bounds(costs), "real_direct")
+    m = required_value_qubits(q.n, cost_bounds(costs))
     spread = costs.max() - costs.min()
     scale = 2.0 ** (m - 2) / spread
     spec = GasCircuitSpec(q.n, m, scale * (costs - costs.min()))

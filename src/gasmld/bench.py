@@ -85,9 +85,6 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ConfigError("seed must be non-negative")
         searches = bool({"GAS_random", "GAS_warm"} & set(self.detectors))
-        if self.gas.encoding == "integer" and searches:
-            raise ConfigError("gas.encoding = integer needs integer cost coefficients, which "
-                              "the sweep's Gaussian channels never give; use real_direct")
         if self.trials_per_point < 1:
             raise ConfigError("trials must be positive")
         if min(self.R_list) < 0:

@@ -19,8 +19,8 @@ key-register distribution is
 
 with alpha = arcsin(sqrt(p0)) and w_good(b) the joint weight of key b and a
 negative encoded value, 2^-n times the upper-half mass of the key's Fejer
-readout, which ``circuits.fejer_upper_mass`` gives for all keys at once, for
-both encodings: on an integer's exact bin it reads 1 below zero, else 0.
+readout, which ``circuits.fejer_upper_mass`` gives for all keys at once; on
+a shift that falls exactly on a bin it reads 1 below zero, else 0.
 Marked and unmarked components occupy disjoint value bins, so no cross terms
 survive the marginalisation.  Both engines draw identically from the
 supplied generator (one integer for L, which reads nothing while k < 2,
@@ -29,16 +29,19 @@ directly comparable seed for seed.
 
 A search runs on a ``SearchContext``, the one object per QUBO that every
 search on it and both engines read: its read-only cost table, the exact cost
-bounds, the value-register size, the real-encoding scale and the encoding,
-all fixed when the context is built from the table.  Every search on the
-same problem, such as a sweep trial's random-start and warm-started search,
-runs on one context, and a sweep builds it on its trial's row of the
-block's one exhaustive pass, the row its exhaustive search reads.  The
-incumbent is a key index into the table: each round compares the measured
-key's table entry with the threshold, and the bits of the best key are
-decoded once, at return.  Per threshold both engines read the
-context's shifted table a_b = scale (E(b) - threshold), which the integer
-encoding checks against its window when a search sets the threshold.
+bounds, the value-register size and the scale, all fixed when the context is
+built from the table.  Every search on the same problem, such as a sweep
+trial's random-start and warm-started search, runs on one context, and a
+sweep builds it on its trial's row of the block's one exhaustive pass, the
+row its exhaustive search reads.  The incumbent is a key index into the
+table: each round compares the measured key's table entry with the
+threshold, and the bits of the best key are decoded once, at return.  Per
+threshold both engines read the context's shifted table
+a_b = scale (E(b) - threshold).  The search encodes real costs only, as the
+detection QUBO's Gaussian coefficients give: the scale maps the cost spread,
+the widest shift an attained threshold can make, to 2^(m-2), so every
+|a_b| <= 2^(m-2) stays clear of the sign boundary at 2^(m-1) whatever the
+threshold, and nothing needs checking where a threshold moves.
 
 One driver, ``run_searches``, runs a group of searches round by round
 together, and ``run_gas`` is its group of one.  A round walks the running
@@ -58,16 +61,15 @@ A threshold is prepared only when a round rotates a search whose
 threshold moved: a search whose threshold moves is marked stale, and a
 round that rotates a stale search prepares every stale search of the group
 that still runs, in one good-mass call, so a group whose rounds all draw
-L = 0 costs no preparation.  The integer encoding's errors are raised
-where a search sets the threshold, before any round runs at it.  Each
-engine's group is built from the searches' contexts and reads only what
-they hold.  The analytic engine evolves the group's rotating rows as one
-stack (``_Lockstep``), prepared in one good-mass call.  The statevector
-engine runs a group of one (``_Slots``): its context's ``slot`` holds the
-latest rotated-at threshold's A|0>, read-only, and the running sums already
-drawn there, per rotation count L >= 1, so each (threshold, L) pair is
-evolved once however many rounds draw it, and a search that starts where
-the previous one on the context stopped reuses them.
+L = 0 costs no preparation.  Each engine's group is built from the
+searches' contexts and reads only what they hold.  The analytic engine
+evolves the group's rotating rows as one stack (``_Lockstep``), prepared in
+one good-mass call.  The statevector engine runs a group of one
+(``_Slots``): its context's ``slot`` holds the latest rotated-at threshold's
+A|0>, read-only, and the running sums already drawn there, per rotation
+count L >= 1, so each (threshold, L) pair is evolved once however many
+rounds draw it, and a search that starts where the previous one on the
+context stopped reuses them.
 """
 
 import math
@@ -80,7 +82,6 @@ from .circuits import GasCircuitSpec, apply_state_preparation, fejer_upper_mass,
 from .qcore import CapacityError, MAX_QUBITS, register_distribution, sample_index, zero_state
 from .qubo import bits_of
 
-ENCODINGS = ("integer", "real_direct")
 ENGINES = ("statevector", "analytic")
 
 
@@ -91,7 +92,8 @@ class GasConfig:
 
     ``m=None`` sizes the value register automatically from the cost range.
     ``warm_start`` replaces the uniform initial sample with a supplied bit
-    vector whose cost becomes the initial threshold.
+    vector whose cost becomes the initial threshold.  ``encoding`` has one
+    legal value, ``real_direct``: the search encodes real costs only.
     """
 
     m: int | None = 12
@@ -109,8 +111,9 @@ class GasConfig:
             raise ValueError("growth factor must exceed 1")
         if self.max_rounds < 1 or self.stall_rounds < 1:
             raise ValueError("round caps must be positive")
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"unknown encoding {self.encoding!r}")
+        if self.encoding != "real_direct":
+            raise ValueError(f"encoding {self.encoding!r} is not available: the search "
+                             "encodes real costs only, use real_direct")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.warm_start is not None:
@@ -154,24 +157,20 @@ def cost_bounds(costs: np.ndarray) -> tuple[float, float]:
     return float(costs.min()), float(costs.max())
 
 
-def required_value_qubits(n: int, bounds: tuple[float, float], encoding: str) -> int:
+def required_value_qubits(n: int, bounds: tuple[float, float]) -> int:
     """Smallest value register that cannot alias any shifted cost of an
     n-bit problem whose ``cost_bounds`` are ``bounds``.
 
     Thresholds are always attained costs, so the worst shift spans
-    [lo - hi, hi - lo].  Integer encoding needs the exact span strictly
-    inside the signed window; real encoding reserves a factor-2 margin so
-    spectral side lobes stay clear of the sign boundary.  The search stops
-    at the qubits the engine cap leaves beside the n key qubits.
+    [lo - hi, hi - lo].  The real encoding reserves a factor-2 margin, half
+    the window 2^{m-1} at least 2 (hi - lo), so spectral side lobes stay
+    clear of the sign boundary.  The search stops at the qubits the engine
+    cap leaves beside the n key qubits.
     """
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
     lo, hi = bounds
     spread = hi - lo
-    # half the window, 2^{m-1}, must hold spread + 1 (integer) or 2 * spread (real)
-    need = spread + 1.0 if encoding == "integer" else 2.0 * spread
     for m in range(2, MAX_QUBITS - n + 1):
-        if (1 << (m - 1)) >= need:
+        if (1 << (m - 1)) >= 2.0 * spread:
             return m
     raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - n} value qubits")
 
@@ -191,12 +190,11 @@ def check_registers(n: int, cfg: GasConfig) -> None:
 class SearchContext:
     """The search work of one QUBO, built once from its cost table
     ``costs`` (the cost of every key, 2^n entries, as ``qubo.cost_chunks``
-    gives a row) for the ``m``, encoding and engine of ``cfg``, and read by
-    every search on it and by both engines' groups: a read-only view of the
-    table, ``costs``, its exact ``bounds``, the value-register size ``m``
-    and the real-encoding ``scale`` that the bounds give, and the
-    ``encoding``.  ``slot`` is the statevector engine's one threshold slot
-    (see ``_Slots``), None until a round rotates."""
+    gives a row) for the ``m`` and engine of ``cfg``, and read by every
+    search on it and by both engines' groups: a read-only view of the table,
+    ``costs``, its exact ``bounds``, and the value-register size ``m`` and
+    ``scale`` that the bounds give.  ``slot`` is the statevector engine's
+    one threshold slot (see ``_Slots``), None until a round rotates."""
 
     def __init__(self, costs: np.ndarray, cfg: GasConfig):
         costs = np.asarray(costs, dtype=float)
@@ -205,51 +203,19 @@ class SearchContext:
             raise ValueError("a cost table holds one cost per key, 2^n entries")
         check_registers(n, cfg)
         self.n = n
-        self.settings = (cfg.m, cfg.encoding, cfg.engine)
-        self.encoding = cfg.encoding
+        self.settings = (cfg.m, cfg.engine)
         self.costs = costs.view()
         self.costs.flags.writeable = False  # shared by every search and group row on the context
         self.bounds = cost_bounds(self.costs)
         lo, hi = self.bounds
-        self.m = cfg.m if cfg.m is not None else required_value_qubits(n, self.bounds, cfg.encoding)
-        # integer mode encodes costs verbatim; real mode stretches the worst-case
-        # shifted range onto [-2^{m-2}, 2^{m-2}], half the representable window
-        self.scale = 1.0
-        if cfg.encoding == "real_direct" and hi > lo:
-            self.scale = float(2 ** (self.m - 2)) / (hi - lo)
-        if cfg.encoding == "integer":
-            # every threshold is an attained cost, so the shifted costs are
-            # integers at every threshold exactly when they are at lo
-            offsets = self.costs - lo
-            if np.any(np.abs(offsets - np.round(offsets)) > 1e-9):
-                raise ValueError("integer encoding requires integer costs")
+        self.m = cfg.m if cfg.m is not None else required_value_qubits(n, self.bounds)
+        # the widest shift, the cost spread, maps to 2^{m-2}: the window's middle half
+        self.scale = float(2 ** (self.m - 2)) / (hi - lo) if hi > lo else 1.0
         self.slot = None
 
-    def check(self, threshold: float) -> None:
-        """Raise now the errors that preparing ``threshold`` would raise,
-        without reading the table: only the integer encoding has any.  The
-        shifted table and its rounding are monotone in the cost, so the
-        window's ends are the rounded shifts of the bounds."""
-        if self.encoding != "integer":
-            return
-        least, most = np.round(np.subtract(self.bounds, threshold))
-        half = 1 << (self.m - 1)
-        if least < -half or most >= half:
-            raise ValueError(
-                f"shifted cost range [{least:g}, {most:g}] exceeds the signed "
-                f"capacity [-{half}, {half}) of {self.m} value qubits"
-            )
-
     def shifted(self, threshold: float) -> np.ndarray:
-        """a_b = scale (E(b) - threshold) for every key.  The integer encoding
-        writes each a_b as an exact bin, so there it must be an integer inside
-        the signed window [-2^{m-1}, 2^{m-1}), or it would alias onto the
-        wrong sign; it is returned rounded."""
-        shifted = self.scale * (self.costs - threshold)
-        if self.encoding != "integer":
-            return shifted
-        self.check(threshold)
-        return np.round(shifted)
+        """a_b = scale (E(b) - threshold) for every key."""
+        return self.scale * (self.costs - threshold)
 
 
 def _prepare(shifted: np.ndarray, m: int):
@@ -391,15 +357,15 @@ def run_gas(ctx: SearchContext, cfg: GasConfig, rng: np.random.Generator) -> Gas
 def run_searches(searches) -> list[GasResult]:
     """Run a group of searches, ``(ctx, cfg, rng)`` each, round by round
     together; see the module docstring.  The contexts share n and the
-    engine, each ``cfg`` must ask for the m, encoding and engine its context
-    was built with, and each search draws from its own generator only, so
-    its result is the one it would reach alone."""
+    engine, each ``cfg`` must ask for the m and engine its context was built
+    with, and each search draws from its own generator only, so its result
+    is the one it would reach alone."""
     ctxs, cfgs, rngs = zip(*searches)
     n = ctxs[0].n
     for ctx, cfg in zip(ctxs, cfgs):
-        asked = (cfg.m, cfg.encoding, cfg.engine)
+        asked = (cfg.m, cfg.engine)
         if asked != ctx.settings:
-            raise ValueError(f"search asks for (m, encoding, engine) = {asked}, "
+            raise ValueError(f"search asks for (m, engine) = {asked}, "
                              f"the context was built for {ctx.settings}")
         if cfg.warm_start is not None and cfg.warm_start.shape[0] != n:
             raise ValueError("warm start length does not match problem size")
@@ -415,8 +381,6 @@ def run_searches(searches) -> list[GasResult]:
     every = range(len(ctxs))
     best = (np.array(starts) @ (1 << np.arange(n))).tolist()
     threshold = [ctx.costs.item(b) for ctx, b in zip(ctxs, best)]  # always the cost of best
-    for ctx, t in zip(ctxs, threshold):
-        ctx.check(t)
     traces = [[(0, t)] for t in threshold]
     group = (_Slots if cfgs[0].engine == "statevector" else _Lockstep)(ctxs)
     stale = set(every)  # the searches whose threshold the group has not prepared
@@ -459,7 +423,6 @@ def run_searches(searches) -> list[GasResult]:
             if r < cfgs[i].max_rounds and stall[i] < cfgs[i].stall_rounds:
                 running.append(i)
                 if better:  # the next round runs at the new threshold
-                    ctxs[i].check(cost)
                     stale.add(i)
             else:
                 rounds[i] = r

@@ -282,13 +282,28 @@ def brute_force_min(q: QuboProblem) -> tuple[np.ndarray, float]:
     return bits, float(costs[v])
 
 
+def integer_value_qubits(bounds: tuple[float, float]) -> int:
+    """The value register that writes every integer shift of costs within
+    ``bounds`` by an attained threshold, E(b) - y in [lo - hi, hi - lo], on
+    its exact bin without aliasing: the smallest m with
+    2^(m-1) >= spread + 1, so that the shifts lie strictly inside the signed
+    window [-2^(m-1), 2^(m-1)), as the integer encoding of Gilliam, Woerner
+    and Gonciulea (Quantum 5, 428, 2021) needs."""
+    lo, hi = bounds
+    m = 2
+    while 1 << (m - 1) < hi - lo + 1:
+        m += 1
+    return m
+
+
 def reference_running_sum(ctx, threshold: float, L: int) -> np.ndarray:
     """The running sum of the context ``ctx``'s key distribution after L
     rotations at ``threshold``, prepared and evolved afresh: on the
     statevector engine by its Grover iterations, on the analytic engine by
     the closed form of the ``gas`` docstring, one search's scalars at a time."""
     shifted = ctx.shifted(threshold)
-    if ctx.settings[2] == "statevector":
+    _, engine = ctx.settings
+    if engine == "statevector":
         return np.cumsum(_evolve(_prepare(shifted, ctx.m), L))
     n_keys = shifted.shape[0]
     w_good = fejer_upper_mass(shifted, ctx.m)

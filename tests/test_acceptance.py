@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import child_env, record_criterion
-from gasmld.bench import SweepConfig, detector_rng, run_sweep, trial_instance
+from gasmld.bench import SweepConfig, run_sweep, seeded_stream, stream_words, trial_block
 from gasmld.channel import block_from_bits, circulant_matrix, snr_db_to_sigma2, transmit
 from gasmld.circuits import (
     GasCircuitSpec,
@@ -22,6 +22,7 @@ from gasmld.circuits import (
     fejer_distribution,
 )
 from gasmld.detect import (
+    METHODS,
     gas_detect,
     hybrid_detect,
     mld_detect,
@@ -29,7 +30,7 @@ from gasmld.detect import (
     mmse_equalize,
     residual_cost,
 )
-from gasmld.gas import GasConfig, SearchContext, cost_bounds, required_value_qubits, run_gas
+from gasmld.gas import GasConfig, SearchContext, cost_bounds, run_gas
 from gasmld.qcore import hadamard_all, zero_state
 from gasmld.qubo import (
     MldInstance,
@@ -42,6 +43,7 @@ from oracles import (
     PhasePolynomial,
     brute_force_min,
     conditional_value_distributions,
+    integer_value_qubits,
     shifted_cost_polynomial,
     spec_of,
     state_preparation_gates,
@@ -58,6 +60,16 @@ def _random_integer_qubo(rng, n):
     c = rng.integers(-4, 5, size=n).astype(float)
     offset = float(rng.integers(0, 5))
     return QuboProblem(Q=off + off.T + np.diag(diag), c=c, offset=offset)
+
+
+def _search_words(cfg, snr_idx, trials, detectors):
+    """The seed words of each detector's search stream on trials
+    [0, trials) of the point (snr_idx, 0), (detectors, trials, 4), hashed in
+    one ``stream_words`` call."""
+    tags = np.repeat([1 + METHODS.index(det) for det in detectors], trials)
+    words = stream_words(cfg.master_seed, snr_idx, 0,
+                         np.tile(np.arange(trials), len(detectors)), tags)
+    return words.reshape(len(detectors), trials, 4)
 
 
 def _random_mld_instance(rng, n_max=4):
@@ -142,7 +154,7 @@ def test_a02_integer_cost_readout():
         q = _random_integer_qubo(rng, n)
         costs = evaluate_all_costs(q)
         y = float(costs[rng.integers(0, costs.size)])
-        m = required_value_qubits(n, cost_bounds(costs), "integer")
+        m = integer_value_qubits(cost_bounds(costs))
         spec = GasCircuitSpec(n, m, costs - y)
         for state in (apply_state_preparation(zero_state(n + m), spec),
                       state_preparation_gates(zero_state(n + m), shifted_cost_polynomial(q, y), m)):
@@ -212,15 +224,16 @@ def test_a04_exhaustive_detector_optimality():
 
 
 def test_a05_adaptive_search_convergence():
-    """100 seeded statevector runs on random 3-bit integer problems with
-    default caps: at least 99 finish at the global minimum."""
+    """100 seeded statevector runs on random 3-bit integer-valued problems,
+    encoded as real costs, with default caps: at least 99 finish at the
+    global minimum."""
     t0 = time.perf_counter()
     hits = 0
     for trial in range(100):
         rng = np.random.default_rng(np.random.SeedSequence((23, trial)))
         q = _random_integer_qubo(rng, 3)
         optimum = float(evaluate_all_costs(q).min())
-        cfg = GasConfig(m=None, encoding="integer", engine="statevector")
+        cfg = GasConfig(m=None, engine="statevector")
         res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, np.random.default_rng(trial))
         hits += res.best_cost <= optimum + 1e-9
     ok = hits >= 99
@@ -246,11 +259,15 @@ def test_a06_warm_start_query_advantage():
         gas=GasConfig(engine="analytic"),
     ).validate()
     q_random, q_warm = [], []
+    n = cfg.trials_per_point
     for snr_idx in range(2):
-        for trial in range(cfg.trials_per_point):
-            inst, _ = trial_instance(cfg, snr_idx, 0, trial)
-            rr = gas_detect(inst, cfg.gas, detector_rng(cfg, snr_idx, 0, trial, "GAS_random"))
-            rw = hybrid_detect(inst, cfg.gas, detector_rng(cfg, snr_idx, 0, trial, "GAS_warm"))
+        # each point's instances from one block, its search streams from one hash pass
+        h, y, sigma2, _ = trial_block(cfg, snr_idx, 0, 0, n)
+        random_words, warm_words = _search_words(cfg, snr_idx, n, cfg.detectors)
+        for trial in range(n):
+            inst = MldInstance(h=h[trial], y=y[trial], sigma2=sigma2)
+            rr = gas_detect(inst, cfg.gas, seeded_stream(random_words[trial]))
+            rw = hybrid_detect(inst, cfg.gas, seeded_stream(warm_words[trial]))
             q_random.append(rr.oracle_queries)
             q_warm.append(rw.oracle_queries)
     q_random = np.asarray(q_random, dtype=float)
@@ -292,9 +309,11 @@ def test_a07_hybrid_tracks_exhaustive_ber():
         gaps.append(f"{snr:g}dB |d|={abs(hyb.ber - mld.ber):.2e}<={joint:.2e}")
         ok = ok and abs(hyb.ber - mld.ber) <= joint and hyb.ber <= mmse.ber
     worse = 0
+    h, y, sigma2, _ = trial_block(cfg, 0, 0, 0, 200)
+    (warm_words,) = _search_words(cfg, 0, 200, ["GAS_warm"])
     for trial in range(200):
-        inst, _ = trial_instance(cfg, 0, 0, trial)
-        c_h = hybrid_detect(inst, cfg.gas, detector_rng(cfg, 0, 0, trial, "GAS_warm")).cost
+        inst = MldInstance(h=h[trial], y=y[trial], sigma2=sigma2)
+        c_h = hybrid_detect(inst, cfg.gas, seeded_stream(warm_words[trial])).cost
         c_m = residual_cost(inst, mmse_detect(inst).x_hat)
         worse += c_h > c_m + 1e-9
     ok = ok and worse == 0

@@ -46,7 +46,7 @@ from gasmld.detect import (
     mld_detect,
     mmse_detect,
 )
-from gasmld.gas import ENCODINGS, ENGINES, GasConfig, check_registers
+from gasmld.gas import ENGINES, GasConfig, check_registers
 from gasmld.qcore import MAX_QUBITS, CapacityError
 from gasmld.qubo import BRUTE_FORCE_MAX_N, bits_of
 
@@ -713,9 +713,8 @@ def test_config_roundtrip_and_errors():
 
 @st.composite
 def sweep_configs(draw):
-    """Valid SweepConfigs over every key the config grammar carries; the
-    integer encoding comes only with detector lists that run no search, and
-    N and m stay within the caps of the detectors listed."""
+    """Valid SweepConfigs over every key the config grammar carries, with N
+    and m within the caps of the detectors listed."""
     small = st.integers(1, 50)
     detectors = draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True))
     searches = {"GAS_random", "GAS_warm"} & set(detectors)
@@ -728,7 +727,6 @@ def sweep_configs(draw):
         growth_factor=draw(st.floats(1.0, 1e6, exclude_min=True)),
         max_rounds=draw(small),
         stall_rounds=draw(small),
-        encoding=draw(st.just("real_direct") if searches else st.sampled_from(ENCODINGS)),
         engine=draw(st.sampled_from(ENGINES)),
     )
     return SweepConfig(
@@ -851,11 +849,14 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                      "--out", str(bad)]) == 1
         assert f"config error: {what} listed twice" in capsys.readouterr().err
     for text in ("l_bi = 0\n", "gas.encoding = integer\ndetectors = GAS_warm\n",
+                 "gas.encoding = integer\ndetectors = MLD\n",
                  "n = 30\ndetectors = MLD\n", "n = 10\ndetectors = GAS_warm\ngas.m = 20\n"):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(text + "trials = 1\nris = 0\nsnr_db = 0\n")
         assert main(["sweep", "--config", str(cfg_file), "--out", str(bad)]) == 1
-        assert "config error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert ("real_direct" in err) == ("gas.encoding" in text)
     assert not bad.exists()
     out = tmp_path / "threads.csv"
     for threads in ("two", "0", "-3"):
@@ -914,11 +915,11 @@ def test_sweep_config_validation():
     for taps in ({"L_bi": 0}, {"L_iu": 0}):
         with pytest.raises(ConfigError):
             small_config(**taps).validate()
-    # sweep channels never give the integer costs the integer encoding needs
-    for det in ("GAS_random", "GAS_warm"):
-        with pytest.raises(ConfigError):
-            small_config(detectors=["MLD", det], gas=GasConfig(encoding="integer")).validate()
-    small_config(detectors=["MLD", "MMSE"], gas=GasConfig(encoding="integer")).validate()
+    # the search encodes real costs only, so no detector list takes the
+    # integer encoding
+    for detectors in ("MLD", "MLD,GAS_random", "MLD,GAS_warm"):
+        with pytest.raises(ConfigError, match="real costs only, use real_direct"):
+            parse_config(f"gas.encoding = integer\ndetectors = {detectors}\n")
     # past the exhaustive cap for MLD and the searches, or the qubit cap for a fixed m
     for det in ("MLD", "GAS_random", "GAS_warm"):
         auto_m = GasConfig(m=None)

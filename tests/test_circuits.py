@@ -148,9 +148,9 @@ def test_fejer_upper_mass_matches_fejer_rows():
 
 
 def test_fejer_upper_mass_exact_on_integer_bins():
-    # every bin of the signed window [-M/2, M/2), which the integer encoding
-    # writes, reads 1 below zero and 0 from zero up, bit for bit: the analytic
-    # engine's good mass for both encodings
+    # every bin of the signed window [-M/2, M/2), where a real shift can fall,
+    # reads 1 below zero and 0 from zero up, bit for bit: the analytic
+    # engine's good mass there
     for m in range(2, 15):
         M = 1 << m
         a = np.arange(-M // 2, M // 2, dtype=float)

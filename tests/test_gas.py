@@ -11,7 +11,6 @@ import gasmld.circuits
 import gasmld.gas
 import gasmld.qubo
 from gasmld.gas import (
-    ENCODINGS,
     ENGINES,
     GasConfig,
     SearchContext,
@@ -44,7 +43,8 @@ def reader(ctx):
     """The key distribution that a search on the context ``ctx`` draws from
     at (threshold, L), read off the running sums of one group of one
     search, which keeps whatever it holds from one threshold to the next."""
-    group = (_Slots if ctx.settings[2] == "statevector" else _Lockstep)([ctx])
+    _, engine = ctx.settings
+    group = (_Slots if engine == "statevector" else _Lockstep)([ctx])
 
     def distribution(threshold, L):
         group.move([0], [float(threshold)])
@@ -111,22 +111,14 @@ def test_growth_schedule():
     assert k == pytest.approx(np.sqrt(8.0))
 
 
-def test_required_value_qubits_integer():
-    # costs {0, 3}: shifted range [-3, 3] sits strictly inside [-4, 4)
-    assert required_value_qubits(1, (0.0, 3.0), "integer") == 3
-    toy = cost_bounds(evaluate_all_costs(toy_problem()))
-    assert required_value_qubits(1, toy, "integer") == 5  # spread 12 needs 2^{m-1} >= 13
-    # spread 1e9 needs 31 (integer) or 32 (real) value qubits: past the cap beside 3 keys
-    for encoding in ("integer", "real_direct"):
-        with pytest.raises(CapacityError):
-            required_value_qubits(3, (0.0, 1e9), encoding)
-    with pytest.raises(ValueError, match="unknown encoding"):
-        required_value_qubits(1, (0.0, 3.0), "bcd")
-
-
 def test_required_value_qubits_degenerate_and_real():
-    assert required_value_qubits(1, (7.0, 7.0), "integer") == 2
-    assert required_value_qubits(1, (0.0, 3.9), "real_direct") == 4
+    assert required_value_qubits(1, (7.0, 7.0)) == 2
+    assert required_value_qubits(1, (0.0, 3.9)) == 4  # 2^{m-1} >= 7.8
+    toy = cost_bounds(evaluate_all_costs(toy_problem()))
+    assert required_value_qubits(1, toy) == 6  # spread 12 needs 2^{m-1} >= 24
+    # spread 1e9 needs 32 value qubits: past the cap beside 3 keys
+    with pytest.raises(CapacityError):
+        required_value_qubits(3, (0.0, 1e9))
 
 
 def test_cost_bounds_exact():
@@ -140,7 +132,7 @@ def test_toy_trace():
     q = toy_problem()
     reached = 0
     for seed in range(5):
-        cfg = GasConfig(m=None, warm_start=np.array([0]), max_rounds=30, encoding="integer")
+        cfg = GasConfig(m=None, warm_start=np.array([0]), max_rounds=30)
         res = search(q, cfg, np.random.default_rng(seed))
         values = [y for _, y in res.threshold_trace]
         assert values[0] == 16.0
@@ -157,7 +149,7 @@ def test_warm_start_at_optimum_never_moves():
     rng = np.random.default_rng(3)
     q = random_integer_qubo(rng)
     best_bits, best_cost = brute_force_min(q)
-    cfg = GasConfig(m=None, warm_start=best_bits, encoding="integer")
+    cfg = GasConfig(m=None, warm_start=best_bits)
     res = search(q, cfg, np.random.default_rng(11))
     assert res.best_cost == best_cost
     assert np.array_equal(res.best_bits, best_bits)
@@ -181,8 +173,7 @@ def test_stop_reason():
         assert search(q, cfg, np.random.default_rng(5)).stop_reason == "stall"
         # an improvement inside the last stall_rounds rounds leaves the cap to stop it
         improved = [search(toy_problem(), GasConfig(m=None, warm_start=np.array([0]),
-                                                    max_rounds=3, stall_rounds=3,
-                                                    encoding="integer", engine=engine),
+                                                    max_rounds=3, stall_rounds=3, engine=engine),
                            np.random.default_rng(seed))
                     for seed in range(8)]
         improved = [res for res in improved if res.best_cost < 16.0]
@@ -193,7 +184,7 @@ def test_stop_reason():
 def test_determinism():
     rng = np.random.default_rng(4)
     q = random_integer_qubo(rng)
-    cfg = GasConfig(m=8, encoding="integer")
+    cfg = GasConfig(m=8)
     a = search(q, cfg, np.random.default_rng(42))
     b = search(q, cfg, np.random.default_rng(42))
     assert a.threshold_trace == b.threshold_trace
@@ -205,21 +196,6 @@ def test_determinism():
     )
 
 
-def test_engines_agree_integer():
-    rng = np.random.default_rng(5)
-    for seed in range(12):
-        q = random_integer_qubo(rng)
-        runs = []
-        for engine in ("statevector", "analytic"):
-            cfg = GasConfig(m=8, engine=engine, encoding="integer")
-            runs.append(search(q, cfg, np.random.default_rng(seed)))
-        a, b = runs
-        assert a.threshold_trace == b.threshold_trace
-        assert np.array_equal(a.best_bits, b.best_bits)
-        assert a.oracle_queries == b.oracle_queries
-        assert a.measurements == b.measurements
-
-
 def test_engines_agree_real_direct():
     rng = np.random.default_rng(6)
     for seed in range(6):
@@ -229,7 +205,7 @@ def test_engines_agree_real_direct():
         q = mld_to_qubo(MldInstance(h=h, y=y, sigma2=0.1))
         runs = []
         for engine in ("statevector", "analytic"):
-            cfg = GasConfig(m=8, encoding="real_direct", engine=engine)
+            cfg = GasConfig(m=8, engine=engine)
             runs.append(search(q, cfg, np.random.default_rng(seed)))
         a, b = runs
         assert a.threshold_trace == b.threshold_trace
@@ -241,22 +217,23 @@ def test_engine_distributions_match():
     rng = np.random.default_rng(7)
     q = random_integer_qubo(rng)
     costs = sorted({evaluate_cost(q, b) for b in np.ndindex(2, 2, 2)})
-    sv, an = (reader(ctx) for ctx in contexts(q, m=8, encoding="integer"))
+    sv, an = (reader(ctx) for ctx in contexts(q, m=8))
     for y in costs[1:]:
         for L in (0, 1, 2):
             assert np.allclose(sv(y, L), an(y, L), atol=1e-9)
 
 
 def test_correct_marking_probability():
-    # after one iteration the miss probability matches cos^2(3 arcsin sqrt(p0))
-    rng = np.random.default_rng(8)
-    q = random_integer_qubo(rng)
+    # after one iteration the miss probability matches cos^2(3 arcsin sqrt(p0));
+    # the costs 0, 1, 2, 3, 5, 6, 7, 8 spread 8, so the scale 2^(m-2) / 8
+    # puts every shift on an exact bin and the marking is exact
+    q = QuboProblem(Q=np.zeros((3, 3)), c=np.array([1.0, 2.0, 5.0]), offset=0.0)
     by_index = np.array(
         [evaluate_cost(q, [(v >> s) & 1 for s in range(3)]) for v in range(8)]
     )
     # one engine of each kind, threshold after threshold, so a cache entry
     # kept past its threshold shows
-    engines = [reader(ctx) for ctx in contexts(q, m=10, encoding="integer")]
+    engines = [reader(ctx) for ctx in contexts(q, m=10)]
     for y in np.unique(by_index)[1:]:
         p0 = np.mean(by_index < y)
         predicted_miss = np.cos(3.0 * np.arcsin(np.sqrt(p0))) ** 2
@@ -271,7 +248,7 @@ def test_reaches_optimum_small_problems():
     for seed in range(20):
         q = random_integer_qubo(rng)
         _, best = brute_force_min(q)
-        res = search(q, GasConfig(m=None, encoding="integer"), np.random.default_rng(seed))
+        res = search(q, GasConfig(m=None), np.random.default_rng(seed))
         hits += res.best_cost == best
         assert all(y2 <= y1 for (_, y1), (_, y2) in zip(res.threshold_trace, res.threshold_trace[1:]))
     assert hits >= 19
@@ -282,22 +259,15 @@ def test_validation_errors():
         GasConfig(growth_factor=1.0)
     with pytest.raises(ValueError):
         GasConfig(m=1)
-    with pytest.raises(ValueError):
-        GasConfig(encoding="decimal")
+    for encoding in ("decimal", "integer"):
+        with pytest.raises(ValueError, match="real costs only, use real_direct"):
+            GasConfig(encoding=encoding)
     with pytest.raises(ValueError):
         GasConfig(engine="tensor")
     with pytest.raises(ValueError):
         GasConfig(warm_start=np.array([0, 2]))
     with pytest.raises(CapacityError):
-        search(toy_problem(), GasConfig(m=26, encoding="integer"), np.random.default_rng(0))
-    q = QuboProblem(Q=np.array([[0.5]]), c=np.array([0.25]), offset=0.0)
-    for engine in ENGINES:
-        # non-integer coefficients, and costs spread 12 past the [-4, 4) window of m = 3
-        with pytest.raises(ValueError):
-            search(q, GasConfig(m=6, encoding="integer", engine=engine), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            search(toy_problem(), GasConfig(m=3, encoding="integer", engine=engine),
-                   np.random.default_rng(0))
+        search(toy_problem(), GasConfig(m=26), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("warm_start", [[0.7, 1.2], [257.0, 1.0], [np.nan, 1.0], [[0, 1]]])
@@ -311,65 +281,6 @@ def test_warm_start_checked_before_cast(warm_start):
 def test_warm_start_cast_after_check():
     ws = GasConfig(warm_start=[1.0, 0.0, 1.0]).warm_start
     assert ws.dtype == np.int8 and ws.tolist() == [1, 0, 1]
-
-
-def test_integer_window_edge():
-    # m = 3 reads [-4, 4): a shifted cost of -4 is the last one that fits;
-    # one-bit QUBOs with costs [-4, 0] and [0, 4]
-    fits, spills = (QuboProblem(Q=np.zeros((1, 1)), c=np.array([4.0]), offset=offset)
-                    for offset in (-4.0, 0.0))
-    for fit, spill in zip(contexts(fits, m=3, encoding="integer"),
-                          contexts(spills, m=3, encoding="integer")):
-        assert np.allclose(distribution(fit, 0.0, 0), [0.5, 0.5], atol=1e-12)
-        with pytest.raises(ValueError, match="capacity"):
-            distribution(spill, 0.0, 0)
-
-
-def test_integer_window_checked_where_the_threshold_moves():
-    # costs [3, 0, 5, 2]: the start 3 fits the window [-4, 4) of m = 3, the
-    # threshold 0 does not (5 - 0 >= 4); six rounds with k < 2 never rotate,
-    # so only the check where a search sets its threshold can raise, at the
-    # round where the one-search reference raises
-    q = QuboProblem(Q=np.zeros((2, 2)), c=np.array([-3.0, 2.0]), offset=3.0)
-    raised = 0
-    for engine in ENGINES:
-        cfg = GasConfig(m=3, encoding="integer", engine=engine, max_rounds=6, warm_start=[0, 0])
-        for seed in range(20):
-            try:
-                alone = reference_run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg,
-                                          np.random.default_rng(seed))
-            except ValueError:
-                raised += 1
-                with pytest.raises(ValueError, match="capacity"):
-                    search(q, cfg, np.random.default_rng(seed))
-                continue
-            assert _result(search(q, cfg, np.random.default_rng(seed))) == _result(alone)
-    assert 0 < raised < 40
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(3, 6), st.integers(1, 6),
-       st.sampled_from([0.0, 0.5]))
-def test_integer_window_check_reads_the_bounds(n, problem_seed, m, span, shift):
-    # at every threshold, check raises exactly where rounding the whole
-    # shifted table would, with its message, and shifted is that rounding;
-    # a half-integer offset keeps every shifted cost an integer
-    q = random_integer_qubo(np.random.default_rng(problem_seed), n=n, span=span)
-    ctx = SearchContext(evaluate_all_costs(replace(q, offset=q.offset + shift)),
-                        GasConfig(m=m, encoding="integer"))
-    half = 1 << (m - 1)
-    for t in np.unique(ctx.costs).tolist():
-        bins = np.round(ctx.costs - t)
-        if bins.min() >= -half and bins.max() < half:
-            ctx.check(t)
-            assert np.array_equal(ctx.shifted(t), bins)
-            continue
-        message = (f"shifted cost range [{bins.min():g}, {bins.max():g}] exceeds the signed "
-                   f"capacity [-{half}, {half}) of {m} value qubits")
-        for read in (ctx.check, ctx.shifted):
-            with pytest.raises(ValueError) as raised:
-                read(t)
-            assert str(raised.value) == message
 
 
 def test_engine_twin_above_n16():
@@ -439,10 +350,9 @@ def test_search_reads_costs_off_its_table(monkeypatch):
     q = random_integer_qubo(np.random.default_rng(14))
     for m in (None, 8):
         for engine in ENGINES:
-            for encoding in ENCODINGS:
-                for warm_start in (None, np.array([1, 0, 1])):
-                    search(q, GasConfig(m=m, engine=engine, encoding=encoding,
-                                        warm_start=warm_start), np.random.default_rng(0))
+            for warm_start in (None, np.array([1, 0, 1])):
+                search(q, GasConfig(m=m, engine=engine, warm_start=warm_start),
+                       np.random.default_rng(0))
     assert calls == []
 
 
@@ -455,20 +365,18 @@ def test_one_cost_table_per_search(monkeypatch):
         monkeypatch.setattr(gasmld.qubo, name, lambda *args, name=name: calls.append(name))
     for m in (None, 8):
         for engine in ENGINES:
-            for encoding in ENCODINGS:
-                cfg = GasConfig(m=m, engine=engine, encoding=encoding)
-                ctx = SearchContext(table, cfg)
-                for warm_start in (None, np.array([1, 0, 1])):
-                    run_gas(ctx, replace(cfg, warm_start=warm_start), np.random.default_rng(0))
-                assert np.shares_memory(ctx.costs, table), (m, engine, encoding)
+            cfg = GasConfig(m=m, engine=engine)
+            ctx = SearchContext(table, cfg)
+            for warm_start in (None, np.array([1, 0, 1])):
+                run_gas(ctx, replace(cfg, warm_start=warm_start), np.random.default_rng(0))
+            assert np.shares_memory(ctx.costs, table), (m, engine)
     assert calls == [] and table.flags.writeable
 
 
 def test_search_settings_match_context():
-    cfg = GasConfig(m=None, encoding="integer")
+    cfg = GasConfig(m=None)
     ctx = SearchContext(evaluate_all_costs(toy_problem()), cfg)
-    for other in (replace(cfg, m=8), replace(cfg, encoding="real_direct"),
-                  replace(cfg, engine="analytic")):
+    for other in (replace(cfg, m=8), replace(cfg, engine="analytic")):
         with pytest.raises(ValueError, match="context was built for"):
             run_gas(ctx, other, np.random.default_rng(0))
     # the caps, the growth and the warm start are each search's own
@@ -521,12 +429,13 @@ def _outcome(q, cfg, seed, ctx=None):
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([6, 8]),
-       st.sampled_from(ENCODINGS), st.integers(0, 2**32 - 1))
-def test_engine_twin_property(n, problem_seed, m, encoding, seed):
-    # same seed, same trace, or the same error where integer costs overflow m = 6
+       st.integers(0, 2**32 - 1))
+def test_engine_twin_property(n, problem_seed, m, seed):
+    # same seed, same trace, on integer-valued costs, whose ties the
+    # real-valued property below never draws
     q = random_integer_qubo(np.random.default_rng(problem_seed), n=n)
-    sv, an = (_outcome(q, GasConfig(m=m, encoding=encoding, engine=engine), seed)
-              for engine in ENGINES)
+    sv, an = (_outcome(q, GasConfig(m=m, engine=engine), seed) for engine in ENGINES)
+    assert isinstance(sv, tuple)
     assert sv == an
 
 
@@ -565,15 +474,14 @@ def _without_memo(patch):
 
 
 @pytest.mark.parametrize("n", [3, 10])
-@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("engine", ENGINES)
-def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
+def test_memo_changes_no_search(monkeypatch, n, engine):
     # span 1 keeps the automatic m, and so the N = 10 statevector, small
     q = random_integer_qubo(np.random.default_rng(30 + n), n=n, span=1)
     shared = None
     for seed in range(3):
         warm_start = np.arange(n) % 2 if seed == 2 else None
-        cfg = GasConfig(m=None, encoding=encoding, engine=engine, warm_start=warm_start)
+        cfg = GasConfig(m=None, engine=engine, warm_start=warm_start)
         memoized = _outcome(q, cfg, seed)
         assert isinstance(memoized, tuple)
         # nor does the slot the previous seeds' searches left on one context
@@ -585,15 +493,14 @@ def test_memo_changes_no_search(monkeypatch, n, encoding, engine):
 
 
 @pytest.mark.parametrize("n", [3, 10])
-@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("engine", ENGINES)
-def test_shared_context_changes_no_search(n, encoding, engine):
+def test_shared_context_changes_no_search(n, engine):
     # a sweep trial's two searches: the second starts from the first one's
     # best key, the threshold whose preparation and sums the statevector
     # slot still holds, or from a random key; on the analytic engine the
     # two also run as one group on the context
     q = random_integer_qubo(np.random.default_rng(50 + n), n=n, span=1)
-    cfg = GasConfig(m=None, encoding=encoding, engine=engine)
+    cfg = GasConfig(m=None, engine=engine)
     reused = 0
     for seed in range(4):
         ctx = SearchContext(evaluate_all_costs(q), cfg)
@@ -722,20 +629,16 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([1, 3, 5, 10]), st.sampled_from(ENCODINGS), st.integers(0, 2**32 - 1),
+@given(st.sampled_from([1, 3, 5, 10]), st.integers(0, 2**32 - 1),
        st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=3))
-def test_zero_rotations_leave_the_key_register_uniform(n, encoding, problem_seed, picks):
+def test_zero_rotations_leave_the_key_register_uniform(n, problem_seed, picks):
     # A|0> holds the key register in uniform superposition, at any
     # threshold, the argmin's p0 = 0 among them: its key marginal is 2^-n
     # up to the rounding of the 2^m value bins summed into it, and the
     # running sum that an L = 0 draw would read is (b + 1) / 2^n within an
     # ulp or two, so int(u 2^n) is that draw but within ulps of an integer
-    rng = np.random.default_rng(problem_seed)
-    if encoding == "integer":
-        q, m = random_integer_qubo(rng, n=n, span=1), None
-    else:
-        q, m = random_real_qubo(rng, n), 8 if n < 10 else 6
-    statevector, analytic = contexts(q, m=m, encoding=encoding)
+    q = random_real_qubo(np.random.default_rng(problem_seed), n)
+    statevector, analytic = contexts(q, m=8 if n < 10 else 6)
     costs = statevector.costs
     thresholds = [float(costs.min())] + [float(costs[p % costs.shape[0]]) for p in picks]
     uniform = 2.0 ** -n
@@ -831,18 +734,17 @@ def search_groups(draw):
     engine = draw(st.sampled_from(ENGINES))
     # the reference prepares every round afresh: keep its statevectors small
     n = draw(st.sampled_from([1, 3, 5] if engine == "statevector" else [1, 3, 5, 10]))
-    encoding = draw(st.sampled_from(ENCODINGS))
     m = draw(st.sampled_from([None, 6, 8]))
     problems, searches = [], []
     for _ in range(draw(st.integers(1, 3))):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        q = random_integer_qubo(rng, n=n, span=1) if encoding == "integer" else random_real_qubo(rng, n)
+        q = random_real_qubo(rng, n)
         problems.append(q)
         for _ in range(draw(st.integers(1, 2))):
             start = draw(st.sampled_from(["random", "warm", "argmin"]))
             warm_start = {"random": None, "warm": rng.integers(0, 2, size=n),
                           "argmin": brute_force_min(q)[0]}[start]
-            cfg = GasConfig(m=m, encoding=encoding, engine=engine, warm_start=warm_start,
+            cfg = GasConfig(m=m, engine=engine, warm_start=warm_start,
                             max_rounds=draw(st.sampled_from([1, 2, 3, 50])),
                             stall_rounds=draw(st.sampled_from([3, 15])),
                             growth_factor=draw(st.sampled_from([8.0 / 7.0, 2.0])))
@@ -858,16 +760,9 @@ def test_group_driver_matches_the_one_search_reference(group):
     # keeps its own draws, whatever the others in its group do
     problems, searches = group
     ctxs = [SearchContext(evaluate_all_costs(q), searches[0][1]) for q in problems]
-    alone = []
-    for index, cfg, seed in searches:
-        try:
-            alone.append(_result(reference_run_gas(SearchContext(evaluate_all_costs(problems[index]), cfg), cfg,
-                                                   np.random.default_rng(seed))))
-        except ValueError:  # integer costs past the window of m
-            with pytest.raises(ValueError):
-                run_searches([(ctxs[i], cfg, np.random.default_rng(seed))
-                              for i, cfg, seed in searches])
-            return
+    alone = [_result(reference_run_gas(SearchContext(evaluate_all_costs(problems[index]), cfg), cfg,
+                                       np.random.default_rng(seed)))
+             for index, cfg, seed in searches]
     together = run_searches([(ctxs[index], cfg, np.random.default_rng(seed))
                              for index, cfg, seed in searches])
     assert [_result(res) for res in together] == alone
@@ -891,17 +786,15 @@ def test_group_driver_matches_the_reference_at_n10(engine):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 10])
-@pytest.mark.parametrize("encoding", ENCODINGS)
-def test_lockstep_sums_are_the_one_search_sums(n, encoding):
+def test_lockstep_sums_are_the_one_search_sums(n):
     # bit for bit: every row of a stacked round is the running sum that the
     # one-search closed form gives its threshold and L, rows of different
     # contexts, thresholds and rotation counts side by side, the argmin's
     # p0 = 0 among them
     rng = np.random.default_rng(70 + n)
-    problems = ([random_integer_qubo(rng, n=n, span=1) for _ in range(6)] if encoding == "integer"
-                else [random_real_qubo(rng, n) for _ in range(6)])
-    ctxs = [SearchContext(evaluate_all_costs(q), GasConfig(m=None, encoding=encoding, engine="analytic"))
-            for q in problems]
+    ctxs = [SearchContext(evaluate_all_costs(random_real_qubo(rng, n)),
+                          GasConfig(m=None, engine="analytic"))
+            for _ in range(6)]
     group = _Lockstep(ctxs)
     for _ in range(150):
         rows = sorted(rng.choice(6, size=rng.integers(1, 7), replace=False).tolist())
