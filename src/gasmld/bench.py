@@ -67,6 +67,10 @@ class SweepConfig:
     output_path: str = "sweep.csv"
 
     def validate(self) -> "SweepConfig":
+        try:
+            self.gas.__post_init__()  # its fields may have been set after construction
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.snr_db_list or not self.detectors or not self.R_list:
             raise ConfigError("snr_db, detectors, and ris lists must be nonempty")
         for det in self.detectors:
@@ -463,20 +467,15 @@ _KEYS = {
 def apply_settings(base: SweepConfig, settings) -> SweepConfig:
     """A validated copy of ``base`` with ``(where, key, value)`` text settings
     applied in order; ``where`` names the source in error messages."""
-    cfg = replace(base)
-    gas = replace(cfg.gas)
+    cfg = replace(base, gas=replace(base.gas))
     for where, key, value in settings:
         if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         name, conv, _ = _KEYS[key]
         try:
-            setattr(gas if key.startswith("gas.") else cfg, name, conv(value))
+            setattr(cfg.gas if key.startswith("gas.") else cfg, name, conv(value))
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-    try:
-        cfg.gas = replace(gas)  # re-runs GasConfig validation
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg.validate()
 
 

@@ -8,19 +8,19 @@ block of one and add the symbols and residual cost of the decision
 (``mmse_soft``).  The block's costs come from one ``qubo`` pass over its
 stacked QUBOs: the exhaustive search is a row-wise argmin over them, and
 both searches of an instance run on one ``gas.SearchContext`` of its row,
-so the two read one table.  The block's analytic searches run in groups on
-``gas.run_searches``.  The hybrid keeps the equalizer decision as the
-search incumbent, so it can match but never trail the equalizer on any
-single instance.
+so the two read one table.  The block's searches run in groups on
+``gas.run_searches``, all under the one ``GasConfig``.  The hybrid hands
+its search the equalizer decision as the start, the first incumbent, so
+it can match but never trail the equalizer on any single instance.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import circulant_matrix, demodulate, modulate
-from .gas import GasConfig, SearchContext, check_registers, run_gas, run_searches
+from .gas import GasConfig, SearchContext, check_registers, run_searches
 from .qubo import _CHUNK, MldInstance, bits_of, check_finite, cost_chunks, qubo_terms
 
 METHODS = ("MLD", "MMSE", "GAS_random", "GAS_warm")
@@ -87,20 +87,21 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
     once by ``MldInstance``'s rules.  Returns ``{detector: (bits, queries)}``,
     int8 bits (T, N) and oracle queries (T,).
 
-    The searches read ``cfg`` and the generators ``rng_for(detector, row)``,
-    one per search; their register errors are raised before any cost is
-    evaluated.  The equalizer runs once over the block and gives GAS_warm
-    its warm starts.  When MLD or a search is listed, one
+    Every search runs under the one schedule ``cfg`` and draws from its
+    generator ``rng_for(detector, row)``; their register errors are raised
+    before any cost is evaluated.  The equalizer runs once over the block,
+    and its decision on a row is GAS_warm's start there; GAS_random starts
+    uniformly.  When MLD or a search is listed, one
     ``circulant_matrix`` call, one ``qubo_terms`` call and one
     ``cost_chunks`` pass give every trial's costs.  MLD is a row-wise argmin
     over them, ties to the lowest pattern as the patterns ascend, kept only
     on a strict improvement.  A trial's searches share one ``SearchContext``
-    of its row, and the driver runs them in groups, in trial order: on the
-    analytic engine a group holds at most ``qubo._CHUNK`` = 2^16 key
-    entries, 2^N per search, so from N = 16 a search runs alone; on the
-    statevector engine every search runs alone, GAS_random before GAS_warm,
-    so one A|0> is alive and the second search can reuse the first one's
-    slot.
+    of its row, and ``gas.run_searches`` runs them in groups, one call per
+    group, in trial order: on the analytic engine a group holds at most
+    ``qubo._CHUNK`` = 2^16 key entries, 2^N per search, so from N = 16 a
+    search runs alone; on the statevector engine every search runs alone,
+    GAS_random before GAS_warm, so one A|0> is alive and the second search
+    can reuse the first one's slot.
     """
     if np.ndim(h) != 2 or np.shape(y) != np.shape(h) or np.shape(sigma2) not in ((), (len(h),)):
         raise ValueError("h and y must be (T, N) stacks of one shape, and sigma2 a scalar or (T,)")
@@ -111,7 +112,6 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
     searches = [det for det in ("GAS_random", "GAS_warm") if det in out]
     if searches:
         check_registers(N, cfg)
-        cold = cfg if cfg.warm_start is None else replace(cfg, warm_start=None)
     if "MMSE" in out or "GAS_warm" in out:
         mmse = demodulate(mmse_soft(h, y, np.reshape(sigma2, (-1, 1))))
         if "MMSE" in out:
@@ -141,12 +141,9 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
                 ctx = SearchContext(costs[row - rows.start], cfg)
                 for det in searches:
                     keys.append((det, row))
-                    group.append((ctx, replace(cfg, warm_start=mmse[row]) if det == "GAS_warm" else cold,
-                                  rng_for(det, row)))
+                    group.append((ctx, rng_for(det, row), mmse[row] if det == "GAS_warm" else None))
             for at in range(0, len(group), size):
-                part = group[at:at + size]
-                # a group of one goes through run_gas, the call the benchmark's tracer observes
-                results = run_searches(part) if len(part) > 1 else [run_gas(*part[0])]
+                results = run_searches(cfg, group[at:at + size])
                 for (det, row), result in zip(keys[at:at + size], results):
                     out[det][0][row] = result.best_bits
                     out[det][1][row] = result.oracle_queries

@@ -44,16 +44,17 @@ the widest shift an attained threshold can make, to 2^(m-2), so every
 threshold, and nothing needs checking where a threshold moves.
 
 One driver, ``run_searches``, runs a group of searches round by round
-together, and ``run_gas`` is its group of one.  A round walks the running
-searches in group order, and each makes its own two draws from its own
-generator.  A search that drew L = 0 measures A|0> itself, whose key
-register is uniform, P_0(b) = 2^-n (in the closed form
-sin^2(alpha) / p0 = cos^2(alpha) / (1 - p0) = 1): its key is
-int(u 2^n), the count of (b + 1) / 2^n at or below u, and it reads no
-engine.  The running sums of the searches that rotate are drawn from in
-one ``qcore.sample_index`` call, one row per search.  So a search's draws,
-and its result, are what it would reach alone.  An L = 0 key agrees with
-the draw from the running sum of A|0>'s key marginal, which is uniform
+together under one ``GasConfig``, and ``run_gas`` is its group of one.  A
+search is its context, its generator and its start: a warm start's bits, or
+None for a uniform one.  A round walks the running searches in group order,
+and each makes its own two draws from its own generator.  A search that
+drew L = 0 measures A|0> itself, whose key register is uniform, P_0(b) =
+2^-n (in the closed form sin^2(alpha) / p0 = cos^2(alpha) / (1 - p0) = 1):
+its key is int(u 2^n), the count of (b + 1) / 2^n at or below u, and it
+reads no engine.  The running sums of the searches that rotate are drawn
+from in one ``qcore.sample_index`` call, one row per search.  So a search's
+draws, and its result, are what it would reach alone.  An L = 0 key agrees
+with the draw from the running sum of A|0>'s key marginal, which is uniform
 only up to a few ulps, in practice, not by construction: the two could
 differ only where u 2^n falls within a few ulps of an integer.
 
@@ -87,20 +88,19 @@ ENGINES = ("statevector", "analytic")
 
 @dataclass
 class GasConfig:
-    """Knobs for one adaptive search run, whose draws come from the generator
-    given to ``run_gas``.
+    """The schedule every search of a group runs under, the ``gas.*`` sweep
+    keys; a search's generator and start are arguments of ``run_searches``.
 
     ``m=None`` sizes the value register automatically from the cost range.
-    ``warm_start`` replaces the uniform initial sample with a supplied bit
-    vector whose cost becomes the initial threshold.  ``encoding`` has one
-    legal value, ``real_direct``: the search encodes real costs only.
+    ``encoding`` has one legal value, ``real_direct``: the search encodes
+    real costs only.  ``__post_init__`` only checks, so a caller can re-run
+    it on a config whose fields were set after construction.
     """
 
     m: int | None = 12
     growth_factor: float = 8.0 / 7.0
     max_rounds: int = 50
     stall_rounds: int = 15
-    warm_start: np.ndarray | None = None
     encoding: str = "real_direct"
     engine: str = "statevector"
 
@@ -116,8 +116,6 @@ class GasConfig:
                              "encodes real costs only, use real_direct")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.warm_start is not None:
-            self.warm_start = bit_vector(self.warm_start, "warm start must be a flat 0/1 vector")
 
 
 @dataclass(eq=False)
@@ -348,41 +346,43 @@ class _Lockstep:
         return np.add(dist[0], dist[1], out=dist[0]).cumsum(axis=1)
 
 
-def run_gas(ctx: SearchContext, cfg: GasConfig, rng: np.random.Generator) -> GasResult:
-    """One search on the context ``ctx``, drawing from ``rng`` only: the
-    group of one of ``run_searches``."""
-    return run_searches([(ctx, cfg, rng)])[0]
+def run_gas(ctx: SearchContext, cfg: GasConfig, rng: np.random.Generator, start=None) -> GasResult:
+    """One search on the context ``ctx`` from ``start``, drawing from ``rng``
+    only: the group of one of ``run_searches``."""
+    return run_searches(cfg, [(ctx, rng, start)])[0]
 
 
-def run_searches(searches) -> list[GasResult]:
-    """Run a group of searches, ``(ctx, cfg, rng)`` each, round by round
-    together; see the module docstring.  The contexts share n and the
-    engine, each ``cfg`` must ask for the m and engine its context was built
-    with, and each search draws from its own generator only, so its result
-    is the one it would reach alone."""
-    ctxs, cfgs, rngs = zip(*searches)
+def run_searches(cfg: GasConfig, searches) -> list[GasResult]:
+    """Run a group of searches, ``(ctx, rng, start)`` each, round by round
+    together under ``cfg``; see the module docstring.  ``start`` is n bits,
+    whose cost is the first threshold, or None for a uniform start.  The
+    contexts share n and were built for the m and engine of ``cfg``, and
+    each search draws from its own generator only, so its result is the one
+    it would reach alone."""
+    ctxs, rngs, starts = zip(*searches)
     n = ctxs[0].n
-    for ctx, cfg in zip(ctxs, cfgs):
-        asked = (cfg.m, cfg.engine)
+    asked = (cfg.m, cfg.engine)
+    for ctx in ctxs:
         if asked != ctx.settings:
             raise ValueError(f"search asks for (m, engine) = {asked}, "
                              f"the context was built for {ctx.settings}")
-        if cfg.warm_start is not None and cfg.warm_start.shape[0] != n:
-            raise ValueError("warm start length does not match problem size")
-        if ctx.n != n or cfg.engine != cfgs[0].engine:
-            raise ValueError("a group's searches share the key count and the engine")
+        if ctx.n != n:
+            raise ValueError("a group's searches share the key count")
     if len({id(rng) for rng in rngs}) < len(rngs):
         raise ValueError("each search of a group needs its own generator")
+    starts = [s if s is None else bit_vector(s, "warm start must be a flat 0/1 vector")
+              for s in starts]
+    if any(s is not None and s.shape[0] != n for s in starts):
+        raise ValueError("warm start length does not match problem size")
 
     # the incumbent is a key index; a random start is still drawn as n bits,
     # the draw that every seeded sweep's stream goes through
-    starts = [cfg.warm_start if cfg.warm_start is not None else rng.integers(0, 2, size=n)
-              for cfg, rng in zip(cfgs, rngs)]
+    starts = [rng.integers(0, 2, size=n) if s is None else s for s, rng in zip(starts, rngs)]
     every = range(len(ctxs))
     best = (np.array(starts) @ (1 << np.arange(n))).tolist()
     threshold = [ctx.costs.item(b) for ctx, b in zip(ctxs, best)]  # always the cost of best
     traces = [[(0, t)] for t in threshold]
-    group = (_Slots if cfgs[0].engine == "statevector" else _Lockstep)(ctxs)
+    group = (_Slots if cfg.engine == "statevector" else _Lockstep)(ctxs)
     stale = set(every)  # the searches whose threshold the group has not prepared
     k = [1.0] * len(ctxs)
     queries = [0] * len(ctxs)
@@ -417,10 +417,10 @@ def run_searches(searches) -> list[GasResult]:
             if better:
                 threshold[i], best[i], k[i], stall[i] = cost, key, 1.0, 0
             else:
-                k[i] = grow_k(k[i], cfgs[i].growth_factor, cap)
+                k[i] = grow_k(k[i], cfg.growth_factor, cap)
                 stall[i] += 1
             traces[i].append((r, threshold[i]))
-            if r < cfgs[i].max_rounds and stall[i] < cfgs[i].stall_rounds:
+            if r < cfg.max_rounds and stall[i] < cfg.stall_rounds:
                 running.append(i)
                 if better:  # the next round runs at the new threshold
                     stale.add(i)
@@ -435,6 +435,6 @@ def run_searches(searches) -> list[GasResult]:
         rounds=rounds[i],
         oracle_queries=queries[i],
         measurements=rounds[i],  # one key-register measurement per round
-        stop_reason="stall" if stall[i] >= cfgs[i].stall_rounds else "max_rounds",
+        stop_reason="stall" if stall[i] >= cfg.stall_rounds else "max_rounds",
         threshold_trace=traces[i],
     ) for i in every]

@@ -318,14 +318,15 @@ def reference_running_sum(ctx, threshold: float, L: int) -> np.ndarray:
     return np.cumsum(np.sin(angle) ** 2 * w_good / p0 + np.cos(angle) ** 2 * w_bad / (1.0 - p0))
 
 
-def reference_run_gas(ctx, cfg, rng: np.random.Generator) -> GasResult:
-    """One search on ``ctx``, alone, round by round: the random start's n
-    bits, then per round one ``integers`` draw of L uniform on [0, k - 1]
-    and one ``random`` draw of the key, searched on the running sum of
-    ``reference_running_sum``.  An improvement takes the key's cost as the
-    threshold and resets k to 1, else k grows to min(lambda k, sqrt(2^n))."""
+def reference_run_gas(ctx, cfg, rng: np.random.Generator, start=None) -> GasResult:
+    """One search on ``ctx``, alone, round by round: ``start``, or the
+    random start's n bits when it is None, then per round one ``integers``
+    draw of L uniform on [0, k - 1] and one ``random`` draw of the key,
+    searched on the running sum of ``reference_running_sum``.  An
+    improvement takes the key's cost as the threshold and resets k to 1,
+    else k grows to min(lambda k, sqrt(2^n))."""
     n, costs = ctx.n, ctx.costs
-    bits = cfg.warm_start if cfg.warm_start is not None else rng.integers(0, 2, size=n)
+    bits = np.asarray(start) if start is not None else rng.integers(0, 2, size=n)
     best = int(bits @ (1 << np.arange(n)))
     threshold = float(costs[best])
     trace = [(0, threshold)]

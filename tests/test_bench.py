@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -750,6 +751,13 @@ def test_config_roundtrip_property(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
 
+def test_search_config_is_the_gas_keys():
+    # every GasConfig field is a gas.* sweep key, so no per-search state
+    # (a start, a generator) rides on the config that a group shares
+    keyed = {name for key, (name, _, _) in gasmld.bench._KEYS.items() if key.startswith("gas.")}
+    assert {f.name for f in fields(GasConfig)} == keyed
+
+
 def test_config_comments_and_precedence():
     text = "# comment\nsnr_db = 1,2 # trailing\ntrials = 5\ntrials = 6\n"
     cfg = parse_config(text)
@@ -920,6 +928,13 @@ def test_sweep_config_validation():
     for detectors in ("MLD", "MLD,GAS_random", "MLD,GAS_warm"):
         with pytest.raises(ConfigError, match="real costs only, use real_direct"):
             parse_config(f"gas.encoding = integer\ndetectors = {detectors}\n")
+    # a search field set after construction is checked too, before any work
+    for name, value, message in (("m", 1, "at least 2 qubits"),
+                                 ("encoding", "integer", "real costs only")):
+        cfg = small_config(detectors=["GAS_warm"], gas=GasConfig(m=8)).validate()
+        setattr(cfg.gas, name, value)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
     # past the exhaustive cap for MLD and the searches, or the qubit cap for a fixed m
     for det in ("MLD", "GAS_random", "GAS_warm"):
         auto_m = GasConfig(m=None)

@@ -2,15 +2,14 @@
 
 import itertools
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasmld.bench
 import gasmld.detect
-import gasmld.gas
 import gasmld.qubo
 from gasmld.channel import (
     block_from_bits,
@@ -21,6 +20,7 @@ from gasmld.channel import (
     snr_db_to_sigma2,
     transmit,
 )
+from gasmld.bench import SweepConfig
 from gasmld.detect import (
     METHODS,
     DetectionReport,
@@ -406,31 +406,27 @@ def test_block_equals_its_blocks_of_one(seed, N, engine, T):
             assert np.array_equal(block[det][0][row], rep.bits_hat)
             assert block[det][1][row] == rep.oracle_queries
         own = MldInstance(h=inst.h, y=inst.y, sigma2=inst.sigma2)
-        for det, warm in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
-            search = replace(cfg, warm_start=warm)
-            result = run_gas(SearchContext(evaluate_all_costs(mld_to_qubo(own)), search), search, stream(det, row))
+        for det, start in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
+            result = run_gas(SearchContext(evaluate_all_costs(mld_to_qubo(own)), cfg), cfg,
+                             stream(det, row), start)
             assert np.array_equal(block[det][0][row], result.best_bits)
             assert block[det][1][row] == result.oracle_queries
 
 
-@pytest.mark.parametrize("warm", [None, [1, 0, 1]])
-def test_random_starts_share_one_config(monkeypatch, warm):
-    # every random-start search of a call reads one config with no warm
-    # start: ``cfg`` itself, or one cleared copy when it carries one; each
-    # GAS_warm search has its own, holding its row's equalizer decision
-    rng = np.random.default_rng(5)
-    insts = [random_instance(rng)[0] for _ in range(4)]
-    cfg = GasConfig(m=8, engine="analytic", warm_start=warm)
-    seen = []
-    monkeypatch.setattr(gasmld.detect, "run_searches",
-                        lambda searches: seen.extend(searches) or run_searches(searches))
-    decide(*stacked(insts), ["GAS_random", "GAS_warm"], cfg,
-           lambda det, row: np.random.default_rng((row, METHODS.index(det))))
-    cold, hot = seen[0::2], seen[1::2]
-    assert len({id(search[1]) for search in cold}) == 1
-    assert (cold[0][1] is cfg) == (warm is None) and cold[0][1].warm_start is None
-    assert len({id(search[1]) for search in hot}) == len(insts)
-    assert all(search[1].warm_start is not None for search in hot)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sweep_block_builds_no_search_config(monkeypatch, engine):
+    # a search's start is its argument, so every search of a sweep job runs
+    # under the sweep's one config: the job builds no GasConfig, not one
+    # copy per warm start
+    cfg = SweepConfig(snr_db_list=[0.0, 5.0], detectors=["GAS_random", "GAS_warm"], N=3,
+                      trials_per_point=4, gas=GasConfig(m=8, engine=engine)).validate()
+    built = []
+    check = GasConfig.__post_init__
+    monkeypatch.setattr(GasConfig, "__post_init__", lambda self: built.append(self) or check(self))
+    gasmld.bench._run_block((cfg, 0, 8))
+    assert built == []
+    GasConfig()  # the spy sees a config built
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -445,10 +441,8 @@ def test_search_groups_split_at_the_key_bound(monkeypatch, engine, cap):
     cfg = GasConfig(m=8, engine=engine)
     groups = []
     monkeypatch.setattr(gasmld.detect, "_CHUNK", cap)
-    for module in (gasmld.detect, gasmld.gas):
-        monkeypatch.setattr(module, "run_searches",
-                            lambda searches, run=gasmld.gas.run_searches:
-                            groups.append(len(searches)) or run(searches))
+    monkeypatch.setattr(gasmld.detect, "run_searches", lambda cfg, searches:
+                        groups.append(len(searches)) or run_searches(cfg, searches))
 
     def stream(det, row):
         return np.random.default_rng((cap, row, METHODS.index(det)))
@@ -458,9 +452,8 @@ def test_search_groups_split_at_the_key_bound(monkeypatch, engine, cap):
     assert max(groups) == size and sum(groups) == 14
     for row, inst in enumerate(insts):
         own = MldInstance(h=inst.h, y=inst.y, sigma2=inst.sigma2)
-        for det, warm in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
-            search = replace(cfg, warm_start=warm)
-            result = reference_run_gas(SearchContext(evaluate_all_costs(mld_to_qubo(own)), search), search,
-                                       stream(det, row))
+        for det, start in (("GAS_random", None), ("GAS_warm", demodulate(mmse_equalize(own)))):
+            result = reference_run_gas(SearchContext(evaluate_all_costs(mld_to_qubo(own)), cfg), cfg,
+                                       stream(det, row), start)
             assert np.array_equal(block[det][0][row], result.best_bits)
             assert block[det][1][row] == result.oracle_queries

@@ -34,9 +34,9 @@ from gasmld.circuits import fejer_distribution
 from oracles import brute_force_min, reference_run_gas, reference_running_sum
 
 
-def search(q, cfg, rng):
-    """One search on a fresh context of ``q``."""
-    return run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, rng)
+def search(q, cfg, rng, start=None):
+    """One search on a fresh context of ``q``, from ``start``."""
+    return run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, rng, start)
 
 
 def reader(ctx):
@@ -132,8 +132,8 @@ def test_toy_trace():
     q = toy_problem()
     reached = 0
     for seed in range(5):
-        cfg = GasConfig(m=None, warm_start=np.array([0]), max_rounds=30)
-        res = search(q, cfg, np.random.default_rng(seed))
+        cfg = GasConfig(m=None, max_rounds=30)
+        res = search(q, cfg, np.random.default_rng(seed), np.array([0]))
         values = [y for _, y in res.threshold_trace]
         assert values[0] == 16.0
         assert all(v in (16.0, 4.0) for v in values)
@@ -149,8 +149,8 @@ def test_warm_start_at_optimum_never_moves():
     rng = np.random.default_rng(3)
     q = random_integer_qubo(rng)
     best_bits, best_cost = brute_force_min(q)
-    cfg = GasConfig(m=None, warm_start=best_bits)
-    res = search(q, cfg, np.random.default_rng(11))
+    cfg = GasConfig(m=None)
+    res = search(q, cfg, np.random.default_rng(11), best_bits)
     assert res.best_cost == best_cost
     assert np.array_equal(res.best_bits, best_bits)
     assert all(y == best_cost for _, y in res.threshold_trace)
@@ -165,16 +165,16 @@ def test_stop_reason():
         capped = search(q, GasConfig(m=None, max_rounds=1, engine=engine), np.random.default_rng(5))
         assert (capped.rounds, capped.stop_reason) == (1, "max_rounds")
         # nothing beats the warm start, so the search stalls out
-        cfg = GasConfig(m=None, warm_start=best_bits, engine=engine)
-        stalled = search(q, cfg, np.random.default_rng(5))
+        cfg = GasConfig(m=None, engine=engine)
+        stalled = search(q, cfg, np.random.default_rng(5), best_bits)
         assert (stalled.rounds, stalled.stop_reason) == (cfg.stall_rounds, "stall")
         # when both caps are reached in the same round the stall wins
         cfg.max_rounds = cfg.stall_rounds
-        assert search(q, cfg, np.random.default_rng(5)).stop_reason == "stall"
+        assert search(q, cfg, np.random.default_rng(5), best_bits).stop_reason == "stall"
         # an improvement inside the last stall_rounds rounds leaves the cap to stop it
-        improved = [search(toy_problem(), GasConfig(m=None, warm_start=np.array([0]),
-                                                    max_rounds=3, stall_rounds=3, engine=engine),
-                           np.random.default_rng(seed))
+        improved = [search(toy_problem(), GasConfig(m=None, max_rounds=3, stall_rounds=3,
+                                                    engine=engine),
+                           np.random.default_rng(seed), np.array([0]))
                     for seed in range(8)]
         improved = [res for res in improved if res.best_cost < 16.0]
         assert improved
@@ -265,7 +265,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         GasConfig(engine="tensor")
     with pytest.raises(ValueError):
-        GasConfig(warm_start=np.array([0, 2]))
+        search(toy_problem(), GasConfig(m=None), np.random.default_rng(0), np.array([0, 2]))
     with pytest.raises(CapacityError):
         search(toy_problem(), GasConfig(m=26), np.random.default_rng(0))
 
@@ -274,13 +274,19 @@ def test_validation_errors():
 def test_warm_start_checked_before_cast(warm_start):
     # an int8 cast would read [0.7, 1.2] as [0, 1], [257.0, 1.0] as [1, 1]
     # and NaN as 0
+    cfg = GasConfig(m=None)
+    ctx = SearchContext(evaluate_all_costs(random_integer_qubo(np.random.default_rng(3), n=2)), cfg)
     with pytest.raises(ValueError, match="warm start must be a flat 0/1 vector"):
-        GasConfig(warm_start=warm_start)
+        run_gas(ctx, cfg, np.random.default_rng(0), start=warm_start)
 
 
 def test_warm_start_cast_after_check():
-    ws = GasConfig(warm_start=[1.0, 0.0, 1.0]).warm_start
-    assert ws.dtype == np.int8 and ws.tolist() == [1, 0, 1]
+    # a float start reads as the bits it holds: its cost is the first threshold
+    cfg = GasConfig(m=None, max_rounds=1)
+    q = random_integer_qubo(np.random.default_rng(3))
+    ctx = SearchContext(evaluate_all_costs(q), cfg)
+    res = run_gas(ctx, cfg, np.random.default_rng(0), start=[1.0, 0.0, 1.0])
+    assert res.threshold_trace[0][1] == evaluate_cost(q, np.array([1, 0, 1]))
 
 
 def test_engine_twin_above_n16():
@@ -332,9 +338,8 @@ def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
 
 
 def test_warm_start_length_checked():
-    with pytest.raises(ValueError):
-        search(toy_problem(), GasConfig(m=None, warm_start=np.array([0, 1])),
-               np.random.default_rng(0))
+    with pytest.raises(ValueError, match="length does not match"):
+        search(toy_problem(), GasConfig(m=None), np.random.default_rng(0), start=np.array([0, 1]))
 
 
 def test_search_reads_costs_off_its_table(monkeypatch):
@@ -350,9 +355,8 @@ def test_search_reads_costs_off_its_table(monkeypatch):
     q = random_integer_qubo(np.random.default_rng(14))
     for m in (None, 8):
         for engine in ENGINES:
-            for warm_start in (None, np.array([1, 0, 1])):
-                search(q, GasConfig(m=m, engine=engine, warm_start=warm_start),
-                       np.random.default_rng(0))
+            for start in (None, np.array([1, 0, 1])):
+                search(q, GasConfig(m=m, engine=engine), np.random.default_rng(0), start)
     assert calls == []
 
 
@@ -367,8 +371,8 @@ def test_one_cost_table_per_search(monkeypatch):
         for engine in ENGINES:
             cfg = GasConfig(m=m, engine=engine)
             ctx = SearchContext(table, cfg)
-            for warm_start in (None, np.array([1, 0, 1])):
-                run_gas(ctx, replace(cfg, warm_start=warm_start), np.random.default_rng(0))
+            for start in (None, np.array([1, 0, 1])):
+                run_gas(ctx, cfg, np.random.default_rng(0), start)
             assert np.shares_memory(ctx.costs, table), (m, engine)
     assert calls == [] and table.flags.writeable
 
@@ -379,9 +383,8 @@ def test_search_settings_match_context():
     for other in (replace(cfg, m=8), replace(cfg, engine="analytic")):
         with pytest.raises(ValueError, match="context was built for"):
             run_gas(ctx, other, np.random.default_rng(0))
-    # the caps, the growth and the warm start are each search's own
-    res = run_gas(ctx, replace(cfg, max_rounds=2, growth_factor=2.0, warm_start=[1]),
-                  np.random.default_rng(0))
+    # a context fixes only (m, engine): the caps, the growth and the start are the run's
+    res = run_gas(ctx, replace(cfg, max_rounds=2, growth_factor=2.0), np.random.default_rng(0), [1])
     assert res.rounds == 2 and res.best_cost == 4.0
 
 
@@ -415,13 +418,13 @@ def test_cost_table_is_read_only(engine):
     assert np.array_equal(ctx.costs, evaluate_all_costs(q))
 
 
-def _outcome(q, cfg, seed, ctx=None):
+def _outcome(q, cfg, seed, ctx=None, start=None):
     """A search's result as ``_result`` gives it, on the generator of
-    ``seed``, or the type of error it raised; on the context ``ctx``, or on
-    a fresh one."""
+    ``seed`` from ``start``, or the type of error it raised; on the context
+    ``ctx``, or on a fresh one."""
     try:
         res = run_gas(ctx or SearchContext(evaluate_all_costs(q), cfg), cfg,
-                      np.random.default_rng(seed))
+                      np.random.default_rng(seed), start)
     except ValueError as exc:
         return type(exc)
     return _result(res)
@@ -480,16 +483,16 @@ def test_memo_changes_no_search(monkeypatch, n, engine):
     q = random_integer_qubo(np.random.default_rng(30 + n), n=n, span=1)
     shared = None
     for seed in range(3):
-        warm_start = np.arange(n) % 2 if seed == 2 else None
-        cfg = GasConfig(m=None, engine=engine, warm_start=warm_start)
-        memoized = _outcome(q, cfg, seed)
+        start = np.arange(n) % 2 if seed == 2 else None
+        cfg = GasConfig(m=None, engine=engine)
+        memoized = _outcome(q, cfg, seed, start=start)
         assert isinstance(memoized, tuple)
         # nor does the slot the previous seeds' searches left on one context
         shared = shared or SearchContext(evaluate_all_costs(q), cfg)
-        assert _outcome(q, cfg, seed, shared) == memoized
+        assert _outcome(q, cfg, seed, shared, start) == memoized
         with monkeypatch.context() as patch:
             _without_memo(patch)
-            assert _outcome(q, cfg, seed) == memoized
+            assert _outcome(q, cfg, seed, start=start) == memoized
 
 
 @pytest.mark.parametrize("n", [3, 10])
@@ -507,16 +510,14 @@ def test_shared_context_changes_no_search(n, engine):
         first = run_gas(ctx, cfg, np.random.default_rng(seed))
         if engine == "statevector":
             reused += ctx.slot[0] == first.best_cost
-        for warm_start in (first.best_bits, None):
-            second = replace(cfg, warm_start=warm_start)
-            assert _outcome(q, second, seed + 10, ctx) == _outcome(q, second, seed + 10)
+        for start in (first.best_bits, None):
+            assert (_outcome(q, cfg, seed + 10, ctx, start)
+                    == _outcome(q, cfg, seed + 10, start=start))
         if engine == "analytic":
-            pair = run_searches([(ctx, cfg, np.random.default_rng(seed)),
-                                 (ctx, replace(cfg, warm_start=first.best_bits),
-                                  np.random.default_rng(seed + 10))])
+            pair = run_searches(cfg, [(ctx, np.random.default_rng(seed), None),
+                                      (ctx, np.random.default_rng(seed + 10), first.best_bits)])
             assert _result(pair[0]) == _outcome(q, cfg, seed)
-            assert _result(pair[1]) == _outcome(q, replace(cfg, warm_start=first.best_bits),
-                                                seed + 10)
+            assert _result(pair[1]) == _outcome(q, cfg, seed + 10, start=first.best_bits)
             reused += 1
     assert reused > 0
 
@@ -605,7 +606,7 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
     ctx = SearchContext(evaluate_all_costs(q), cfg)
     first = run_gas(ctx, cfg, np.random.default_rng(3))
     split = len(draws)
-    second = run_gas(ctx, replace(cfg, warm_start=first.best_bits), np.random.default_rng(4))
+    second = run_gas(ctx, cfg, np.random.default_rng(4), first.best_bits)
     rotated = _rotated([first, second], draws)
     assert len(draws) == first.rounds + second.rounds
     assert 0 < len(rotated) < len(draws)
@@ -682,10 +683,9 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
     problems = [random_real_qubo(np.random.default_rng(80 + i), 3) for i in range(3)]
     cfg = GasConfig(m=6, engine="analytic")
     ctxs = [SearchContext(evaluate_all_costs(q), cfg) for q in problems]
-    searches = [(0, cfg, 1), (0, replace(cfg, warm_start=brute_force_min(problems[0])[0]), 2),
-                (1, cfg, 3), (2, replace(cfg, max_rounds=6), 4)]
-    results = run_searches([(ctxs[i], c, np.random.default_rng(seed)) for i, c, seed in searches])
-    assert results[3].rounds == 6 and results[3].oracle_queries == 0  # k < 2 for six rounds
+    searches = [(0, 1, None), (0, 2, brute_force_min(problems[0])[0]), (1, 3, None)]
+    results = run_searches(cfg, [(ctxs[i], np.random.default_rng(seed), start)
+                                 for i, seed, start in searches])
     # round r draws once for each search that runs r rounds or more, in group order
     running = [[i for i, res in enumerate(results) if res.rounds >= r]
                for r in range(1, max(res.rounds for res in results) + 1)]
@@ -712,12 +712,17 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
     assert prepared == expected
     for row, res in enumerate(results):
         assert {y for y, _ in _rotated([res], own[row])} <= {t for i, t in prepared if i == row}
-    # a search that only draws L = 0 reads no engine, on either engine
-    statevector = GasConfig(m=6, max_rounds=6)
-    calls.clear()
-    res = run_gas(SearchContext(evaluate_all_costs(problems[2]), statevector), statevector,
-                  np.random.default_rng(4))
-    assert _result(res) == _result(results[3]) and calls == []
+    # a search that only draws L = 0, as k < 2 for six rounds, reads no
+    # engine, on either engine
+    alone = []
+    for engine in ENGINES:
+        capped = GasConfig(m=6, max_rounds=6, engine=engine)
+        calls.clear()
+        res = run_gas(SearchContext(evaluate_all_costs(problems[2]), capped), capped,
+                      np.random.default_rng(4))
+        assert res.rounds == 6 and res.oracle_queries == 0 and calls == []
+        alone.append(_result(res))
+    assert alone[0] == alone[1]
 
 
 def _result(res):
@@ -728,28 +733,28 @@ def _result(res):
 
 @st.composite
 def search_groups(draw):
-    """A group of searches on one to three contexts of one n and engine,
-    one or two searches on each: a random start, a warm start of random
-    bits or one at the table's argmin, each with its own caps and seed."""
+    """A group of searches under one config, its caps, growth and m drawn
+    once, on one to three contexts of one n and engine, one or two searches
+    on each: a random start, a warm start of random bits or one at the
+    table's argmin, each with its own seed."""
     engine = draw(st.sampled_from(ENGINES))
     # the reference prepares every round afresh: keep its statevectors small
     n = draw(st.sampled_from([1, 3, 5] if engine == "statevector" else [1, 3, 5, 10]))
-    m = draw(st.sampled_from([None, 6, 8]))
+    cfg = GasConfig(m=draw(st.sampled_from([None, 6, 8])), engine=engine,
+                    max_rounds=draw(st.sampled_from([1, 2, 3, 50])),
+                    stall_rounds=draw(st.sampled_from([3, 15])),
+                    growth_factor=draw(st.sampled_from([8.0 / 7.0, 2.0])))
     problems, searches = [], []
     for _ in range(draw(st.integers(1, 3))):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         q = random_real_qubo(rng, n)
         problems.append(q)
         for _ in range(draw(st.integers(1, 2))):
-            start = draw(st.sampled_from(["random", "warm", "argmin"]))
-            warm_start = {"random": None, "warm": rng.integers(0, 2, size=n),
-                          "argmin": brute_force_min(q)[0]}[start]
-            cfg = GasConfig(m=m, engine=engine, warm_start=warm_start,
-                            max_rounds=draw(st.sampled_from([1, 2, 3, 50])),
-                            stall_rounds=draw(st.sampled_from([3, 15])),
-                            growth_factor=draw(st.sampled_from([8.0 / 7.0, 2.0])))
-            searches.append((len(problems) - 1, cfg, draw(st.integers(0, 2**32 - 1))))
-    return problems, searches
+            kind = draw(st.sampled_from(["random", "warm", "argmin"]))
+            start = {"random": None, "warm": rng.integers(0, 2, size=n),
+                     "argmin": brute_force_min(q)[0]}[kind]
+            searches.append((len(problems) - 1, draw(st.integers(0, 2**32 - 1)), start))
+    return problems, cfg, searches
 
 
 @settings(max_examples=60, deadline=None)
@@ -758,13 +763,13 @@ def test_group_driver_matches_the_one_search_reference(group):
     # every search of a group reaches the result that the one-search driver
     # gives it alone, on a fresh context, from the same seed: each search
     # keeps its own draws, whatever the others in its group do
-    problems, searches = group
-    ctxs = [SearchContext(evaluate_all_costs(q), searches[0][1]) for q in problems]
+    problems, cfg, searches = group
+    ctxs = [SearchContext(evaluate_all_costs(q), cfg) for q in problems]
     alone = [_result(reference_run_gas(SearchContext(evaluate_all_costs(problems[index]), cfg), cfg,
-                                       np.random.default_rng(seed)))
-             for index, cfg, seed in searches]
-    together = run_searches([(ctxs[index], cfg, np.random.default_rng(seed))
-                             for index, cfg, seed in searches])
+                                       np.random.default_rng(seed), start))
+             for index, seed, start in searches]
+    together = run_searches(cfg, [(ctxs[index], np.random.default_rng(seed), start)
+                                  for index, seed, start in searches])
     assert [_result(res) for res in together] == alone
 
 
@@ -775,13 +780,14 @@ def test_group_driver_matches_the_reference_at_n10(engine):
     problems = [random_real_qubo(np.random.default_rng(60 + i), 10) for i in range(2)]
     cfg = GasConfig(m=6, engine=engine, max_rounds=30)
     ctxs = [SearchContext(evaluate_all_costs(q), cfg) for q in problems]
-    searches = [(0, cfg, 1), (0, replace(cfg, warm_start=np.arange(10) % 2), 2), (1, cfg, 3)]
+    searches = [(0, 1, None), (0, 2, np.arange(10) % 2), (1, 3, None)]
     if engine == "statevector":
         searches = searches[:1]
-    together = run_searches([(ctxs[i], c, np.random.default_rng(seed)) for i, c, seed in searches])
-    for res, (i, c, seed) in zip(together, searches):
-        alone = reference_run_gas(SearchContext(evaluate_all_costs(problems[i]), c), c,
-                                  np.random.default_rng(seed))
+    together = run_searches(cfg, [(ctxs[i], np.random.default_rng(seed), start)
+                                  for i, seed, start in searches])
+    for res, (i, seed, start) in zip(together, searches):
+        alone = reference_run_gas(SearchContext(evaluate_all_costs(problems[i]), cfg), cfg,
+                                  np.random.default_rng(seed), start)
         assert _result(res) == _result(alone)
 
 
@@ -812,7 +818,7 @@ def test_group_checks_its_searches():
     rng = np.random.default_rng(0)
     # a shared generator would interleave two searches' draws
     with pytest.raises(ValueError, match="own generator"):
-        run_searches([(ctx, cfg, rng), (ctx, cfg, rng)])
+        run_searches(cfg, [(ctx, rng, None), (ctx, rng, None)])
     other = SearchContext(evaluate_all_costs(random_integer_qubo(np.random.default_rng(1))), cfg)
     with pytest.raises(ValueError, match="share the key count"):
-        run_searches([(ctx, cfg, rng), (other, cfg, np.random.default_rng(1))])
+        run_searches(cfg, [(ctx, rng, None), (other, np.random.default_rng(1), None)])
