@@ -26,7 +26,8 @@ def main():
     print("costs over all 8 patterns:", costs.astype(int))
     print("global minimum:", int(costs.min()))
 
-    cfg = GasConfig(m=None, engine="statevector")
+    # 6 value qubits; the scale maps the costs' spread to 2^(6-2) bins
+    cfg = GasConfig(m=6, engine="statevector")
     res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, np.random.default_rng(9))
     print("\nstatevector run:")
     for rnd, thr in res.threshold_trace:
@@ -34,7 +35,7 @@ def main():
     print(f"finished in {res.rounds} rounds, {res.oracle_queries} oracle queries, "
           f"best cost {res.best_cost:g}")
 
-    twin_cfg = GasConfig(m=None, engine="analytic")
+    twin_cfg = GasConfig(m=6, engine="analytic")
     twin = run_gas(SearchContext(evaluate_all_costs(q), twin_cfg), twin_cfg, np.random.default_rng(9))
     same = (twin.threshold_trace == res.threshold_trace
             and np.array_equal(twin.best_bits, res.best_bits)

@@ -15,7 +15,7 @@ import numpy as np
 
 from gasmld.channel import block_from_bits, circulant_matrix, transmit
 from gasmld.circuits import GasCircuitSpec, apply_state_preparation
-from gasmld.gas import cost_bounds, required_value_qubits
+from gasmld.gas import GasConfig, SearchContext
 from gasmld.qcore import zero_state
 from gasmld.qubo import MldInstance, QuboProblem, evaluate_all_costs, mld_to_qubo
 
@@ -60,16 +60,17 @@ def real_example():
     inst = MldInstance(h=h, y=y, sigma2=0.2)
     q = mld_to_qubo(inst)
     costs = evaluate_all_costs(q)
-    m = required_value_qubits(q.n, cost_bounds(costs))
-    spread = costs.max() - costs.min()
-    scale = 2.0 ** (m - 2) / spread
-    spec = GasCircuitSpec(q.n, m, scale * (costs - costs.min()))
+    # the search's own encoding: a fixed m, and the scale that maps the cost
+    # spread to 2^(m-2), whatever that spread is
+    ctx = SearchContext(costs, GasConfig(m=12))
+    shifted = ctx.shifted(costs.min())
+    spec = GasCircuitSpec(q.n, ctx.m, shifted)
     cond = value_rows(spec)
-    print(f"\nreal case: m = {m}, scale {scale:.4f} (costs span {spread:.4f})")
+    print(f"\nreal case: m = {ctx.m}, scale {ctx.scale:.4f} maps the costs' span "
+          f"{costs.max() - costs.min():.4f} to 2^(m-2) = {1 << (ctx.m - 2)}")
     for b in range(4):
         peak = int(np.argmax(cond[b]))
-        scaled = scale * (costs[b] - costs.min())
-        print(f"  bits {b:02b}: scaled value {scaled:7.3f}, peak bin {peak}, "
+        print(f"  bits {b:02b}: scaled value {shifted[b]:7.3f}, peak bin {peak}, "
               f"p = {cond[b, peak]:.4f}")
 
 

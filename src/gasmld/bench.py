@@ -454,8 +454,7 @@ _KEYS = {
     "trials": ("trials_per_point", int, str),
     "seed": ("master_seed", int, str),
     "out": ("output_path", str, str),
-    "gas.m": ("m", lambda v: None if v == "auto" else int(v),
-              lambda v: "auto" if v is None else str(v)),
+    "gas.m": ("m", int, str),
     "gas.lambda": ("growth_factor", float, repr),
     "gas.max_rounds": ("max_rounds", int, str),
     "gas.stall_rounds": ("stall_rounds", int, str),

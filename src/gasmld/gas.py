@@ -29,11 +29,11 @@ directly comparable seed for seed.
 
 A search runs on a ``SearchContext``, the one object per QUBO that every
 search on it and both engines read: its read-only cost table, the exact cost
-bounds, the value-register size and the scale, all fixed when the context is
-built from the table.  Every search on the same problem, such as a sweep
-trial's random-start and warm-started search, runs on one context, and a
-sweep builds it on its trial's row of the block's one exhaustive pass, the
-row its exhaustive search reads.  The incumbent is a key index into the
+bounds and the scale, fixed when the context is built from the table, and
+the config's value-register size m.  Every search on the same problem, such
+as a sweep trial's random-start and warm-started search, runs on one
+context, and a sweep builds it on its trial's row of the block's one
+exhaustive pass, the row its exhaustive search reads.  The incumbent is a key index into the
 table: each round compares the measured key's table entry with the
 threshold, and the bits of the best key are decoded once, at return.  Per
 threshold both engines read the context's shifted table
@@ -41,7 +41,9 @@ a_b = scale (E(b) - threshold).  The search encodes real costs only, as the
 detection QUBO's Gaussian coefficients give: the scale maps the cost spread,
 the widest shift an attained threshold can make, to 2^(m-2), so every
 |a_b| <= 2^(m-2) stays clear of the sign boundary at 2^(m-1) whatever the
-threshold, and nothing needs checking where a threshold moves.
+threshold, and nothing needs checking where a threshold moves.  So m is
+fixed, not sized to the costs: costs scaled by a power of two (short of
+overflow) give the same shifted table, bit for bit, and the same search.
 
 One driver, ``run_searches``, runs a group of searches round by round
 together under one ``GasConfig``, and ``run_gas`` is its group of one.  A
@@ -91,13 +93,14 @@ class GasConfig:
     """The schedule every search of a group runs under, the ``gas.*`` sweep
     keys; a search's generator and start are arguments of ``run_searches``.
 
-    ``m=None`` sizes the value register automatically from the cost range.
-    ``encoding`` has one legal value, ``real_direct``: the search encodes
-    real costs only.  ``__post_init__`` only checks, so a caller can re-run
-    it on a config whose fields were set after construction.
+    ``m`` is the value register's fixed size, an integer of at least 2: the
+    scale maps any cost spread to 2^(m-2) bins.  ``encoding`` has one legal
+    value, ``real_direct``: the search encodes real costs only.
+    ``__post_init__`` only checks, so a caller can re-run it on a config
+    whose fields were set after construction.
     """
 
-    m: int | None = 12
+    m: int = 12
     growth_factor: float = 8.0 / 7.0
     max_rounds: int = 50
     stall_rounds: int = 15
@@ -105,8 +108,8 @@ class GasConfig:
     engine: str = "statevector"
 
     def __post_init__(self):
-        if self.m is not None and self.m < 2:
-            raise ValueError("value register needs at least 2 qubits")
+        if not isinstance(self.m, int) or self.m < 2:
+            raise ValueError(f"value register needs at least 2 qubits, got m = {self.m!r}")
         if not self.growth_factor > 1.0:
             raise ValueError("growth factor must exceed 1")
         if self.max_rounds < 1 or self.stall_rounds < 1:
@@ -155,34 +158,14 @@ def cost_bounds(costs: np.ndarray) -> tuple[float, float]:
     return float(costs.min()), float(costs.max())
 
 
-def required_value_qubits(n: int, bounds: tuple[float, float]) -> int:
-    """Smallest value register that cannot alias any shifted cost of an
-    n-bit problem whose ``cost_bounds`` are ``bounds``.
-
-    Thresholds are always attained costs, so the worst shift spans
-    [lo - hi, hi - lo].  The real encoding reserves a factor-2 margin, half
-    the window 2^{m-1} at least 2 (hi - lo), so spectral side lobes stay
-    clear of the sign boundary.  The search stops at the qubits the engine
-    cap leaves beside the n key qubits.
-    """
-    lo, hi = bounds
-    spread = hi - lo
-    for m in range(2, MAX_QUBITS - n + 1):
-        if (1 << (m - 1)) >= 2.0 * spread:
-            return m
-    raise CapacityError(f"cost spread {spread:g} needs more than {MAX_QUBITS - n} value qubits")
-
-
 def check_registers(n: int, cfg: GasConfig) -> None:
     """Raise the errors of a search on n key bits under ``cfg`` that need
     no cost table, so a caller can raise them before it builds one: no key
-    qubit, or n key and the least value qubits (``cfg.m``, or 2 for the
-    automatic m) over the qubit cap."""
+    qubit, or n key and ``cfg.m`` value qubits over the qubit cap."""
     if n < 1:
         raise ValueError("need at least one key qubit")
-    least_m = cfg.m if cfg.m is not None else 2
-    if n + least_m > MAX_QUBITS:
-        raise CapacityError(f"{n} key + {least_m} value qubits exceed the {MAX_QUBITS}-qubit cap")
+    if n + cfg.m > MAX_QUBITS:
+        raise CapacityError(f"{n} key + {cfg.m} value qubits exceed the {MAX_QUBITS}-qubit cap")
 
 
 class SearchContext:
@@ -190,9 +173,10 @@ class SearchContext:
     ``costs`` (the cost of every key, 2^n entries, as ``qubo.cost_chunks``
     gives a row) for the ``m`` and engine of ``cfg``, and read by every
     search on it and by both engines' groups: a read-only view of the table,
-    ``costs``, its exact ``bounds``, and the value-register size ``m`` and
-    ``scale`` that the bounds give.  ``slot`` is the statevector engine's
-    one threshold slot (see ``_Slots``), None until a round rotates."""
+    ``costs``, its exact ``bounds``, the config's value-register size ``m``
+    and the ``scale`` that maps the bounds' spread to 2^(m-2).  ``slot`` is
+    the statevector engine's one threshold slot (see ``_Slots``), None until
+    a round rotates."""
 
     def __init__(self, costs: np.ndarray, cfg: GasConfig):
         costs = np.asarray(costs, dtype=float)
@@ -206,7 +190,7 @@ class SearchContext:
         self.costs.flags.writeable = False  # shared by every search and group row on the context
         self.bounds = cost_bounds(self.costs)
         lo, hi = self.bounds
-        self.m = cfg.m if cfg.m is not None else required_value_qubits(n, self.bounds)
+        self.m = cfg.m
         # the widest shift, the cost spread, maps to 2^{m-2}: the window's middle half
         self.scale = float(2 ** (self.m - 2)) / (hi - lo) if hi > lo else 1.0
         self.slot = None
@@ -284,13 +268,12 @@ class _Lockstep:
 
     Each row keeps its threshold's weights w_good and w_bad (see the module
     docstring), read off its context's shifted table, in one (2, S, 2^n)
-    stack, with p0 and 1 - p0 beside them.
-    The driver moves the stale rows, those whose threshold no preparation
-    has read, in a round that rotates one of them: every stale row that
-    still runs moves, and they are prepared together, one
-    ``fejer_upper_mass`` call per value-register size, since a key's mass
-    does not depend on the other keys of the call.  A round evolves the
-    rows it rotates as one stack, one row-wise ``cumsum``.  Every row's
+    stack, with p0 and 1 - p0 beside them.  The driver moves the stale
+    rows, those whose threshold no preparation has read, in a round that
+    rotates one of them: every stale row that still runs moves, and they
+    are prepared together in one ``fejer_upper_mass`` call, since a key's
+    mass does not depend on the other keys of the call.  A round evolves
+    the rows it rotates as one stack, one row-wise ``cumsum``.  Every row's
     arithmetic is the one-search closed form's, operation for operation:
     the squares of sin and cos go through ``np.float_power``, which rounds
     as the scalar ``**`` does, where the array ``**`` (x * x) differs in
@@ -305,19 +288,11 @@ class _Lockstep:
         self._at = np.full(S, np.nan)  # each row's threshold
 
     def move(self, rows: list, thresholds: list) -> None:
-        # each m's rows side by side, so that the kernel reads them as one
-        # view and its output is the only other (rows, 2^n) array
-        moved = sorted(zip(rows, thresholds), key=lambda pair: self._ctxs[pair[0]].m)
-        rows, thresholds = [r for r, _ in moved], [t for _, t in moved]
-        ctxs = [self._ctxs[r] for r in rows]
-        w_good = np.empty((len(rows), self._weights.shape[2]))  # each shifted table, then its good mass
-        for row, (ctx, t) in enumerate(zip(ctxs, thresholds)):
-            w_good[row] = ctx.shifted(t)
-        start = 0
-        for m in sorted({ctx.m for ctx in ctxs}):  # a sweep's contexts share one m
-            part = w_good[start:start + sum(ctx.m == m for ctx in ctxs)]
-            part[:] = fejer_upper_mass(part.ravel(), m).reshape(part.shape)
-            start += part.shape[0]
+        shifted = np.empty((len(rows), self._weights.shape[2]))
+        for row, (r, t) in enumerate(zip(rows, thresholds)):
+            shifted[row] = self._ctxs[r].shifted(t)
+        # a group's contexts share the config's m: one kernel call reads every row
+        w_good = fejer_upper_mass(shifted.ravel(), self._ctxs[0].m).reshape(shifted.shape)
         n_keys = w_good.shape[1]
         w_good /= n_keys
         self._weights[0, rows] = w_good

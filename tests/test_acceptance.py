@@ -225,15 +225,15 @@ def test_a04_exhaustive_detector_optimality():
 
 def test_a05_adaptive_search_convergence():
     """100 seeded statevector runs on random 3-bit integer-valued problems,
-    encoded as real costs, with default caps: at least 99 finish at the
-    global minimum."""
+    encoded as real costs on 6 value qubits, with default caps: at least 99
+    finish at the global minimum."""
     t0 = time.perf_counter()
     hits = 0
     for trial in range(100):
         rng = np.random.default_rng(np.random.SeedSequence((23, trial)))
         q = _random_integer_qubo(rng, 3)
         optimum = float(evaluate_all_costs(q).min())
-        cfg = GasConfig(m=None, engine="statevector")
+        cfg = GasConfig(m=6, engine="statevector")
         res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, np.random.default_rng(trial))
         hits += res.best_cost <= optimum + 1e-9
     ok = hits >= 99

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from gasmld.bench import (
     BerRecord,
     ConfigError,
     SweepConfig,
+    config_settings,
     detector_rng,
     emit_csv,
     fig_recipe,
@@ -694,7 +696,7 @@ def test_fig_recipes():
 
 def test_config_roundtrip_and_errors():
     cfg = fig_recipe("fig2")
-    cfg.gas.m = None
+    cfg.gas.m = 7
     text = format_config(cfg)
     again = parse_config(text)
     assert again == cfg
@@ -724,7 +726,7 @@ def sweep_configs(draw):
     L_bi = draw(st.integers(1, min(N, 50)))
     L_iu = draw(st.integers(1, min(N - L_bi + 1, 50)))
     gas = GasConfig(
-        m=draw(st.none() | st.integers(2, MAX_QUBITS - N if searches else MAX_QUBITS)),
+        m=draw(st.integers(2, MAX_QUBITS - N if searches else MAX_QUBITS)),
         growth_factor=draw(st.floats(1.0, 1e6, exclude_min=True)),
         max_rounds=draw(small),
         stall_rounds=draw(small),
@@ -749,6 +751,16 @@ def sweep_configs(draw):
 @given(sweep_configs())
 def test_config_roundtrip_property(cfg):
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_readme_config_example_parses():
+    # README's --config example names every key and parses as it stands,
+    # so the docs cannot drift from the grammar unnoticed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("`sweep` also accepts `--config FILE`", 1)[1].split("```\n", 2)[1]
+    assert [key for _, key, _ in config_settings(example)] == list(gasmld.bench._KEYS)
+    cfg = parse_config(example)
+    assert (cfg.N, cfg.trials_per_point, cfg.gas) == (3, 2000, GasConfig(m=12, engine="analytic"))
 
 
 def test_search_config_is_the_gas_keys():
@@ -858,7 +870,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert f"config error: {what} listed twice" in capsys.readouterr().err
     for text in ("l_bi = 0\n", "gas.encoding = integer\ndetectors = GAS_warm\n",
                  "gas.encoding = integer\ndetectors = MLD\n",
-                 "n = 30\ndetectors = MLD\n", "n = 10\ndetectors = GAS_warm\ngas.m = 20\n"):
+                 "n = 30\ndetectors = MLD\n", "n = 10\ndetectors = GAS_warm\ngas.m = 20\n",
+                 "gas.m = auto\ndetectors = GAS_warm\n"):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(text + "trials = 1\nris = 0\nsnr_db = 0\n")
         assert main(["sweep", "--config", str(cfg_file), "--out", str(bad)]) == 1
@@ -929,7 +942,7 @@ def test_sweep_config_validation():
         with pytest.raises(ConfigError, match="real costs only, use real_direct"):
             parse_config(f"gas.encoding = integer\ndetectors = {detectors}\n")
     # a search field set after construction is checked too, before any work
-    for name, value, message in (("m", 1, "at least 2 qubits"),
+    for name, value, message in (("m", 1, "at least 2 qubits"), ("m", None, "at least 2 qubits"),
                                  ("encoding", "integer", "real costs only")):
         cfg = small_config(detectors=["GAS_warm"], gas=GasConfig(m=8)).validate()
         setattr(cfg.gas, name, value)
@@ -937,10 +950,10 @@ def test_sweep_config_validation():
             cfg.validate()
     # past the exhaustive cap for MLD and the searches, or the qubit cap for a fixed m
     for det in ("MLD", "GAS_random", "GAS_warm"):
-        auto_m = GasConfig(m=None)
+        least_m = GasConfig(m=2)
         with pytest.raises(ConfigError, match="exhaustive cap"):
-            small_config(detectors=[det], N=BRUTE_FORCE_MAX_N + 1, gas=auto_m).validate()
-        small_config(detectors=[det], N=BRUTE_FORCE_MAX_N, gas=auto_m).validate()
+            small_config(detectors=[det], N=BRUTE_FORCE_MAX_N + 1, gas=least_m).validate()
+        small_config(detectors=[det], N=BRUTE_FORCE_MAX_N, gas=least_m).validate()
     small_config(detectors=["MMSE"], N=10 * BRUTE_FORCE_MAX_N).validate()
     for det in ("GAS_random", "GAS_warm"):
         with pytest.raises(ConfigError, match="qubit cap"):

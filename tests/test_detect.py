@@ -136,17 +136,15 @@ def test_searches_read_whole_tables_beyond_one_array(monkeypatch):
 
 
 def test_search_capacity_raised_before_any_cost_pass(monkeypatch):
-    # 15 key + 12 value qubits, or 25 key and the automatic m's least 2,
-    # exceed the cap: both searches raise before the block's costs exist,
-    # which at N = 24 would be 128 MiB a trial
+    # 15 key + 12 value qubits exceed the cap: both searches raise before
+    # the block's costs exist, which at N = 15 would be 256 KiB a trial
     passes = []
     for name in ("qubo_terms", "cost_chunks"):
         monkeypatch.setattr(gasmld.detect, name, lambda *args, name=name: passes.append(name))
-    for N, m in ((15, 12), (25, None)):
-        inst = MldInstance(h=[1.0, 0.5], y=np.ones(N, dtype=complex), sigma2=1.0)
-        for detect in (gas_detect, hybrid_detect):
-            with pytest.raises(CapacityError, match="26-qubit cap"):
-                detect(inst, GasConfig(m=m, engine="analytic"), np.random.default_rng(0))
+    inst = MldInstance(h=[1.0, 0.5], y=np.ones(15, dtype=complex), sigma2=1.0)
+    for detect in (gas_detect, hybrid_detect):
+        with pytest.raises(CapacityError, match="26-qubit cap"):
+            detect(inst, GasConfig(m=12, engine="analytic"), np.random.default_rng(0))
     assert passes == []
 
 

@@ -21,7 +21,6 @@ from gasmld.gas import (
     check_registers,
     cost_bounds,
     grow_k,
-    required_value_qubits,
     run_gas,
     run_searches,
     sample_rotation_count,
@@ -111,16 +110,6 @@ def test_growth_schedule():
     assert k == pytest.approx(np.sqrt(8.0))
 
 
-def test_required_value_qubits_degenerate_and_real():
-    assert required_value_qubits(1, (7.0, 7.0)) == 2
-    assert required_value_qubits(1, (0.0, 3.9)) == 4  # 2^{m-1} >= 7.8
-    toy = cost_bounds(evaluate_all_costs(toy_problem()))
-    assert required_value_qubits(1, toy) == 6  # spread 12 needs 2^{m-1} >= 24
-    # spread 1e9 needs 32 value qubits: past the cap beside 3 keys
-    with pytest.raises(CapacityError):
-        required_value_qubits(3, (0.0, 1e9))
-
-
 def test_cost_bounds_exact():
     assert cost_bounds(evaluate_all_costs(toy_problem())) == (4.0, 16.0)
     n = 20  # exact at every n the table reaches: E(b) = 5 - popcount(b)
@@ -132,7 +121,7 @@ def test_toy_trace():
     q = toy_problem()
     reached = 0
     for seed in range(5):
-        cfg = GasConfig(m=None, max_rounds=30)
+        cfg = GasConfig(m=6, max_rounds=30)
         res = search(q, cfg, np.random.default_rng(seed), np.array([0]))
         values = [y for _, y in res.threshold_trace]
         assert values[0] == 16.0
@@ -149,7 +138,7 @@ def test_warm_start_at_optimum_never_moves():
     rng = np.random.default_rng(3)
     q = random_integer_qubo(rng)
     best_bits, best_cost = brute_force_min(q)
-    cfg = GasConfig(m=None)
+    cfg = GasConfig(m=7)
     res = search(q, cfg, np.random.default_rng(11), best_bits)
     assert res.best_cost == best_cost
     assert np.array_equal(res.best_bits, best_bits)
@@ -162,17 +151,17 @@ def test_stop_reason():
     q = random_integer_qubo(rng)
     best_bits, _ = brute_force_min(q)
     for engine in ENGINES:
-        capped = search(q, GasConfig(m=None, max_rounds=1, engine=engine), np.random.default_rng(5))
+        capped = search(q, GasConfig(m=7, max_rounds=1, engine=engine), np.random.default_rng(5))
         assert (capped.rounds, capped.stop_reason) == (1, "max_rounds")
         # nothing beats the warm start, so the search stalls out
-        cfg = GasConfig(m=None, engine=engine)
+        cfg = GasConfig(m=7, engine=engine)
         stalled = search(q, cfg, np.random.default_rng(5), best_bits)
         assert (stalled.rounds, stalled.stop_reason) == (cfg.stall_rounds, "stall")
         # when both caps are reached in the same round the stall wins
         cfg.max_rounds = cfg.stall_rounds
         assert search(q, cfg, np.random.default_rng(5), best_bits).stop_reason == "stall"
         # an improvement inside the last stall_rounds rounds leaves the cap to stop it
-        improved = [search(toy_problem(), GasConfig(m=None, max_rounds=3, stall_rounds=3,
+        improved = [search(toy_problem(), GasConfig(m=6, max_rounds=3, stall_rounds=3,
                                                     engine=engine),
                            np.random.default_rng(seed), np.array([0]))
                     for seed in range(8)]
@@ -248,7 +237,7 @@ def test_reaches_optimum_small_problems():
     for seed in range(20):
         q = random_integer_qubo(rng)
         _, best = brute_force_min(q)
-        res = search(q, GasConfig(m=None), np.random.default_rng(seed))
+        res = search(q, GasConfig(m=6), np.random.default_rng(seed))
         hits += res.best_cost == best
         assert all(y2 <= y1 for (_, y1), (_, y2) in zip(res.threshold_trace, res.threshold_trace[1:]))
     assert hits >= 19
@@ -265,7 +254,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         GasConfig(engine="tensor")
     with pytest.raises(ValueError):
-        search(toy_problem(), GasConfig(m=None), np.random.default_rng(0), np.array([0, 2]))
+        search(toy_problem(), GasConfig(m=6), np.random.default_rng(0), np.array([0, 2]))
     with pytest.raises(CapacityError):
         search(toy_problem(), GasConfig(m=26), np.random.default_rng(0))
 
@@ -274,7 +263,7 @@ def test_validation_errors():
 def test_warm_start_checked_before_cast(warm_start):
     # an int8 cast would read [0.7, 1.2] as [0, 1], [257.0, 1.0] as [1, 1]
     # and NaN as 0
-    cfg = GasConfig(m=None)
+    cfg = GasConfig(m=5)
     ctx = SearchContext(evaluate_all_costs(random_integer_qubo(np.random.default_rng(3), n=2)), cfg)
     with pytest.raises(ValueError, match="warm start must be a flat 0/1 vector"):
         run_gas(ctx, cfg, np.random.default_rng(0), start=warm_start)
@@ -282,7 +271,7 @@ def test_warm_start_checked_before_cast(warm_start):
 
 def test_warm_start_cast_after_check():
     # a float start reads as the bits it holds: its cost is the first threshold
-    cfg = GasConfig(m=None, max_rounds=1)
+    cfg = GasConfig(m=7, max_rounds=1)
     q = random_integer_qubo(np.random.default_rng(3))
     ctx = SearchContext(evaluate_all_costs(q), cfg)
     res = run_gas(ctx, cfg, np.random.default_rng(0), start=[1.0, 0.0, 1.0])
@@ -307,7 +296,7 @@ def test_capacity_checked_before_cost_table():
     # the register errors need no table, so a caller raises them before it
     # builds one (``detect.decide`` does, see test_detect); a context built
     # on a table checks them again
-    for n, m in ((25, None), (1, 26)):
+    for n, m in ((25, 2), (1, 26)):
         with pytest.raises(CapacityError, match="26-qubit cap"):
             check_registers(n, GasConfig(m=m))
     with pytest.raises(ValueError, match="at least one key qubit"):
@@ -339,7 +328,7 @@ def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
 
 def test_warm_start_length_checked():
     with pytest.raises(ValueError, match="length does not match"):
-        search(toy_problem(), GasConfig(m=None), np.random.default_rng(0), start=np.array([0, 1]))
+        search(toy_problem(), GasConfig(m=6), np.random.default_rng(0), start=np.array([0, 1]))
 
 
 def test_search_reads_costs_off_its_table(monkeypatch):
@@ -353,7 +342,7 @@ def test_search_reads_costs_off_its_table(monkeypatch):
     for module in (gasmld.qubo, gasmld.gas):
         monkeypatch.setattr(module, "evaluate_cost", counted, raising=False)
     q = random_integer_qubo(np.random.default_rng(14))
-    for m in (None, 8):
+    for m in (6, 8):
         for engine in ENGINES:
             for start in (None, np.array([1, 0, 1])):
                 search(q, GasConfig(m=m, engine=engine), np.random.default_rng(0), start)
@@ -367,7 +356,7 @@ def test_one_cost_table_per_search(monkeypatch):
     calls = []
     for name in ("cost_chunks", "evaluate_all_costs", "evaluate_cost"):
         monkeypatch.setattr(gasmld.qubo, name, lambda *args, name=name: calls.append(name))
-    for m in (None, 8):
+    for m in (6, 8):
         for engine in ENGINES:
             cfg = GasConfig(m=m, engine=engine)
             ctx = SearchContext(table, cfg)
@@ -378,7 +367,7 @@ def test_one_cost_table_per_search(monkeypatch):
 
 
 def test_search_settings_match_context():
-    cfg = GasConfig(m=None)
+    cfg = GasConfig(m=6)
     ctx = SearchContext(evaluate_all_costs(toy_problem()), cfg)
     for other in (replace(cfg, m=8), replace(cfg, engine="analytic")):
         with pytest.raises(ValueError, match="context was built for"):
@@ -409,7 +398,7 @@ def test_cost_table_is_read_only(engine):
     # both searches of a trial and every row of a group read the context's
     # table in place: a stray write raises
     q = random_integer_qubo(np.random.default_rng(16))
-    cfg = GasConfig(m=None, engine=engine)
+    cfg = GasConfig(m=7, engine=engine)
     ctx = SearchContext(evaluate_all_costs(q), cfg)
     for seed in range(2):
         run_gas(ctx, cfg, np.random.default_rng(seed))
@@ -456,6 +445,25 @@ def test_engine_twin_property_real(n, problem_seed, m, seed):
     assert abs(best_cost - evaluate_cost(q, bits)) <= 1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("analytic", 3), ("analytic", 6), ("analytic", 10),
+                        ("statevector", 3), ("statevector", 5)]),
+       st.integers(0, 2**32 - 1), st.sampled_from([6, 12]), st.integers(0, 2**32 - 1))
+def test_search_does_not_depend_on_the_costs_scale(case, problem_seed, m, seed):
+    # the scale maps any cost spread to 2^(m-2) bins of the fixed m, so costs
+    # scaled by 2^k give the shifted table bit for bit, and the same search:
+    # the same bits, queries and rounds, and the trace scaled by 2^k
+    engine, n = case
+    costs = evaluate_all_costs(random_real_qubo(np.random.default_rng(problem_seed), n))
+    cfg = GasConfig(m=m, engine=engine)
+    base = _result(run_gas(SearchContext(costs, cfg), cfg, np.random.default_rng(seed)))
+    trace, bits, queries, best_cost, *rest = base
+    for k in (-8, 3, 20):
+        res = run_gas(SearchContext(np.ldexp(costs, k), cfg), cfg, np.random.default_rng(seed))
+        assert _result(res) == ([(r, np.ldexp(y, k)) for r, y in trace], bits, queries,
+                                np.ldexp(best_cost, k), *rest)
+
+
 def _evolve_every_round(ctx, threshold, L):
     """``_Slots.cumulative`` without the context's threshold slot or the
     memo: every round prepares and evolves afresh."""
@@ -479,12 +487,12 @@ def _without_memo(patch):
 @pytest.mark.parametrize("n", [3, 10])
 @pytest.mark.parametrize("engine", ENGINES)
 def test_memo_changes_no_search(monkeypatch, n, engine):
-    # span 1 keeps the automatic m, and so the N = 10 statevector, small
+    # a small m keeps the N = 10 statevector small
     q = random_integer_qubo(np.random.default_rng(30 + n), n=n, span=1)
     shared = None
     for seed in range(3):
         start = np.arange(n) % 2 if seed == 2 else None
-        cfg = GasConfig(m=None, engine=engine)
+        cfg = GasConfig(m=4 if n == 3 else 7, engine=engine)
         memoized = _outcome(q, cfg, seed, start=start)
         assert isinstance(memoized, tuple)
         # nor does the slot the previous seeds' searches left on one context
@@ -503,7 +511,7 @@ def test_shared_context_changes_no_search(n, engine):
     # slot still holds, or from a random key; on the analytic engine the
     # two also run as one group on the context
     q = random_integer_qubo(np.random.default_rng(50 + n), n=n, span=1)
-    cfg = GasConfig(m=None, engine=engine)
+    cfg = GasConfig(m=4 if n == 3 else 7, engine=engine)
     reused = 0
     for seed in range(4):
         ctx = SearchContext(evaluate_all_costs(q), cfg)
@@ -740,7 +748,7 @@ def search_groups(draw):
     engine = draw(st.sampled_from(ENGINES))
     # the reference prepares every round afresh: keep its statevectors small
     n = draw(st.sampled_from([1, 3, 5] if engine == "statevector" else [1, 3, 5, 10]))
-    cfg = GasConfig(m=draw(st.sampled_from([None, 6, 8])), engine=engine,
+    cfg = GasConfig(m=draw(st.sampled_from([6, 8])), engine=engine,
                     max_rounds=draw(st.sampled_from([1, 2, 3, 50])),
                     stall_rounds=draw(st.sampled_from([3, 15])),
                     growth_factor=draw(st.sampled_from([8.0 / 7.0, 2.0])))
@@ -795,11 +803,11 @@ def test_group_driver_matches_the_reference_at_n10(engine):
 def test_lockstep_sums_are_the_one_search_sums(n):
     # bit for bit: every row of a stacked round is the running sum that the
     # one-search closed form gives its threshold and L, rows of different
-    # contexts, thresholds and rotation counts side by side, the argmin's
-    # p0 = 0 among them
+    # contexts under one m, thresholds and rotation counts side by side, the
+    # argmin's p0 = 0 among them
     rng = np.random.default_rng(70 + n)
     ctxs = [SearchContext(evaluate_all_costs(random_real_qubo(rng, n)),
-                          GasConfig(m=None, engine="analytic"))
+                          GasConfig(m=6, engine="analytic"))
             for _ in range(6)]
     group = _Lockstep(ctxs)
     for _ in range(150):
@@ -813,7 +821,7 @@ def test_lockstep_sums_are_the_one_search_sums(n):
 
 
 def test_group_checks_its_searches():
-    cfg = GasConfig(m=None, engine="analytic")
+    cfg = GasConfig(m=6, engine="analytic")
     ctx = SearchContext(evaluate_all_costs(toy_problem()), cfg)
     rng = np.random.default_rng(0)
     # a shared generator would interleave two searches' draws
