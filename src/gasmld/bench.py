@@ -6,9 +6,11 @@ does not mention the detector.  The stream is read in that order: one
 ``standard_normal`` call for every channel tap (``channel.channel_normals``),
 ``integers(0, 2, N)`` for the bits, then, when sigma2 > 0, one
 ``standard_normal(2N)`` for the noise; a block of trials reads each stream
-so (``trial_block``) and stays stacked arrays, never per-trial instances,
-until ``detect.decide`` has decided it.  Every detector therefore faces the
-exact same instance sequence and comparisons are paired.  Randomized detectors
+so (``trial_block``, which decodes the bits from the ceil(N/2) raw words
+that ``integers`` reads, ``random_bits``) and stays stacked arrays, never
+per-trial instances, until ``detect.decide`` has decided it.  Every
+detector therefore faces the exact same instance sequence and comparisons
+are paired.  Randomized detectors
 get their own stream keyed by the same tuple with the detector's global
 index in METHODS appended, so adding or reordering detectors in a config
 never perturbs any other column.
@@ -17,9 +19,10 @@ Each stream is numpy's ``default_rng(SeedSequence(key))``, a PCG64 stream,
 bit for bit; the sweep only hashes its keys a job at a time
 (``stream_words``): numpy's ``SeedSequence`` hash runs once on all of a
 block's keys, and each stream's PCG64 seeds itself from its key's words
-(``seeded_stream``).  The bytes so rest on numpy keeping that hash and
-PCG64's seeding fixed, as every seeded numpy stream does, and the tests
-compare the streams with numpy's own, so a change there fails loudly.
+(``seeded_stream``).  The bytes so rest on numpy keeping that hash,
+PCG64's seeding and its bounded-integer draw fixed, as every seeded numpy
+stream does, and the tests compare the streams and the decoded draws with
+numpy's own, so a change there fails loudly.
 
 A sweep's job is a run of consecutive trials in (point, trial) order that
 may cross from one (snr, R) point into the next: it stacks each point's
@@ -248,6 +251,14 @@ def seeded_stream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Seeded(words)))
 
 
+def random_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """numpy's ``integers(0, 2, size=count)`` on a PCG64 stream that carries
+    no half, from the stream's next ceil(count / 2) raw ``words`` along the
+    last axis: each draw reads one 32-bit half, low half first, and Lemire's
+    draw on a range of 2, which never rejects, is its top bit."""
+    return np.asarray(words, dtype="<u8").view("<u4")[..., :count] >> 31
+
+
 def trial_block(cfg: SweepConfig, snr_idx: int, r_idx: int, start: int, stop: int):
     """Trials [start, stop) of one point as ``detect.decide`` reads them:
     ``(h, y, sigma2, bits)``, the padded responses, the received blocks and
@@ -261,14 +272,18 @@ def trial_block(cfg: SweepConfig, snr_idx: int, r_idx: int, start: int, stop: in
     R, N, T = cfg.R_list[r_idx], cfg.N, stop - start
     sigma2 = snr_db_to_sigma2(cfg.snr_db_list[snr_idx])
     taps = np.empty((T, channel_normals(R, cfg.L_bi, cfg.L_iu)))
-    bits = np.empty((T, N), dtype=np.int64)
+    raw = np.empty((T, (N + 1) // 2), dtype=np.uint64)  # the words the bits are drawn from
     noise = np.empty((T, noise_normals(N, sigma2)))
     for row, words in enumerate(stream_words(cfg.master_seed, snr_idx, r_idx,
                                              np.arange(start, stop), 0)):
         rng = seeded_stream(words)
         rng.standard_normal(out=taps[row])
-        bits[row] = rng.integers(0, 2, size=N)
+        raw[row] = rng.bit_generator.random_raw(raw.shape[1])
         rng.standard_normal(out=noise[row])
+    # a fresh stream carries no half, and ziggurat normals neither read nor
+    # set the carry, so these are integers(0, 2, N)'s bits and the noise is
+    # drawn from the words numpy's own draw leaves
+    bits = random_bits(raw, N).astype(np.int64)
     h = first_column(channel_stack(taps, R, cfg.L_bi, cfg.L_iu).h_eff, N)
     x = modulate(bits)
     lag = _lag(N)  # h_t[lag] is circulant_matrix(h_t, N), without its padding copy

@@ -22,7 +22,7 @@ negative encoded value, 2^-n times the upper-half mass of the key's Fejer
 readout, which ``circuits.fejer_upper_mass`` gives for all keys at once; on
 a shift that falls exactly on a bin it reads 1 below zero, else 0.
 Marked and unmarked components occupy disjoint value bins, so no cross terms
-survive the marginalisation.  Both engines draw identically from the
+survive the marginalisation.  Both engines make the same draws from the
 supplied generator (one integer for L, which reads nothing while k < 2,
 and one uniform for the measurement per round), which makes their traces
 directly comparable seed for seed.
@@ -60,6 +60,21 @@ with the draw from the running sum of A|0>'s key marginal, which is uniform
 only up to a few ulps, in practice, not by construction: the two could
 differ only where u 2^n falls within a few ulps of an integer.
 
+A search draws from a PCG64 generator, numpy's default, and any other is
+refused before any search of the group draws.  Its draws are numpy's own,
+bit for bit: a random start's n bits, ``integers(0, 2, size=n)``, then per
+round L, ``integers(0, top + 1)`` with top = floor(k - 1), and u,
+``random()``.  The driver decodes them from the raw words that each search
+pulls from its generator a few at a time (``_Draws``).  numpy takes a draw
+on a range below 2^32 from one 32-bit half of a word, the low half of a
+fresh word or else the high half carried from the last one: a start bit is
+a half's top bit, and L is Lemire's multiply-and-reject on a half.  u is a
+fresh word's top 53 bits over 2^53.  k is 1 after every improvement and
+grows alike after each, so top is read off a table indexed by the rounds
+since the last improvement (``rotation_tops``).  When the group returns,
+each generator is left where numpy's own draws would leave it: rewound past
+the words pulled but not read, holding the carry that the draws leave.
+
 A threshold is prepared only when a round rotates a search whose
 threshold moved: a search whose threshold moves is marked stale, and a
 round that rotates a stale search prepares every stale search of the group
@@ -76,6 +91,7 @@ context stopped reuses them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,10 +126,13 @@ class GasConfig:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError(f"value register needs at least 2 qubits, got m = {self.m!r}")
-        if not self.growth_factor > 1.0:
-            raise ValueError("growth factor must exceed 1")
-        if self.max_rounds < 1 or self.stall_rounds < 1:
-            raise ValueError("round caps must be positive")
+        if not isinstance(self.growth_factor, numbers.Real) or not self.growth_factor > 1.0:
+            raise ValueError(f"growth factor must be a real number above 1, "
+                             f"got {self.growth_factor!r}")
+        for name in ("max_rounds", "stall_rounds"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+                raise ValueError(f"{name} must be an int of at least 1, got {cap!r}")
         if self.encoding != "real_direct":
             raise ValueError(f"encoding {self.encoding!r} is not available: the search "
                              "encodes real costs only, use real_direct")
@@ -132,24 +151,102 @@ class GasResult:
     threshold_trace: list = field(default_factory=list)  # (round, threshold)
 
 
-def sample_rotation_count(k: float, rng: np.random.Generator) -> int:
-    """Draw L uniformly from the integers in [0, k-1].
-
-    For fractional k the support therefore holds ceil(k-1) values; the top
-    count only becomes reachable once k actually exceeds it by a full unit.
-    """
-    if k < 1.0:
-        raise ValueError("rotation schedule parameter must be >= 1")
-    top = math.floor(k - 1.0)
-    # numpy returns the bound of a one-value range without reading the
-    # generator, so k < 2 takes no draw
-    return int(rng.integers(0, top + 1)) if top else 0
+_LOW = 0xFFFFFFFF  # a 32-bit half of a raw word
+_ULP = 2.0 ** -53
+_CHUNK = 8  # raw words a search pulls from its generator at a time
 
 
-def grow_k(k: float, growth_factor: float, cap: float) -> float:
-    """Schedule update after a non-improving round: min(growth * k, cap),
-    with the cap sqrt(2^n) of an n-bit search."""
-    return min(growth_factor * k, cap)
+class _Draws:
+    """A search's draws from its PCG64 generator, decoded from the raw words
+    it pulls ``_CHUNK`` at a time, bit for bit numpy's own: ``bits(n)`` is
+    ``integers(0, 2, size=n)``, and ``round(top)`` is a round's
+    ``integers(0, top + 1)`` and ``random()``.  numpy hands a draw on a
+    range below 2^32 one 32-bit half of a word: the low half of a fresh
+    word, or else the high half that the last fresh word left, the carry
+    (the state's ``has_uint32`` and ``uinteger``, read once, here), which
+    ``random()`` neither reads nor clears.  The generator runs ahead of the
+    draws until ``release`` leaves it where numpy's own draws would: rewound
+    past the words pulled but not read, holding the carry they leave."""
+
+    __slots__ = ("_bg", "_words", "_at", "_has", "_carry", "_held")
+
+    def __init__(self, rng: np.random.Generator):
+        bg = getattr(rng, "bit_generator", None)
+        if not isinstance(bg, np.random.PCG64):
+            raise ValueError("a search decodes its draws from the raw words of a PCG64 "
+                             f"generator, got {type(bg if bg is not None else rng).__name__}")
+        state = bg.state
+        self._bg = bg
+        self._words, self._at = [], 0  # the pulled words, and the index of the next unread one
+        self._has, self._carry = state["has_uint32"], state["uinteger"]
+        self._held = (self._has, self._carry)  # the carry the generator holds until released
+
+    def _word(self) -> int:
+        at = self._at
+        if at == len(self._words):
+            self._words, at = self._bg.random_raw(_CHUNK).tolist(), 0
+        self._at = at + 1
+        return self._words[at]
+
+    def _half(self) -> int:
+        if self._has:
+            self._has = 0
+            return self._carry
+        word = self._word()
+        self._has, self._carry = 1, word >> 32
+        return word & _LOW
+
+    def bits(self, n: int) -> list:
+        """``integers(0, 2, size=n)``: Lemire's draw on a range of 2, which
+        never rejects, is the top bit of one half."""
+        return [self._half() >> 31 for _ in range(n)]
+
+    def round(self, top: int) -> tuple[int, float]:
+        """One round's draws: L, ``integers(0, top + 1)`` for 0 <= top <
+        2^32, which draws nothing at top = 0, by Lemire's multiply-and-reject
+        on one half per try, as numpy draws it; then u, ``random()``, a fresh
+        word's top 53 bits over 2^53.  ``_half`` and ``_word`` are inlined
+        on the first try: every running search draws a round each round."""
+        words, at = self._words, self._at
+        L = 0
+        if top:
+            span = top + 1
+            if self._has:
+                self._has = 0
+                m = self._carry * span
+            else:
+                if at == len(words):
+                    self._words = words = self._bg.random_raw(_CHUNK).tolist()
+                    at = 0
+                word = words[at]
+                at += 1
+                self._has, self._carry = 1, word >> 32
+                m = (word & _LOW) * span
+            if m & _LOW < span:  # only a low part below span can need a retry
+                self._at = at
+                floor = (_LOW - top) % span  # 2^32 mod span
+                while m & _LOW < floor:
+                    m = self._half() * span
+                words, at = self._words, self._at
+            L = m >> 32
+        if at == len(words):
+            self._words = words = self._bg.random_raw(_CHUNK).tolist()
+            at = 0
+        self._at = at + 1
+        return L, (words[at] >> 11) * _ULP
+
+    def release(self) -> None:
+        """Leave the generator where numpy's own draws would."""
+        unread = len(self._words) - self._at
+        held = self._held
+        if unread:
+            self._bg.advance(-unread)  # which clears the carry
+            held = (0, 0)
+        if (self._has, self._carry) != held:
+            state = self._bg.state
+            state["has_uint32"], state["uinteger"] = self._has, self._carry
+            self._bg.state = state
+        self._words, self._at, self._held = [], 0, (self._has, self._carry)
 
 
 def cost_bounds(costs: np.ndarray) -> tuple[float, float]:
@@ -350,28 +447,55 @@ def run_searches(cfg: GasConfig, searches) -> list[GasResult]:
     if any(s is not None and s.shape[0] != n for s in starts):
         raise ValueError("warm start length does not match problem size")
 
-    # the incumbent is a key index; a random start is still drawn as n bits,
-    # the draw that every seeded sweep's stream goes through
-    starts = [rng.integers(0, 2, size=n) if s is None else s for s, rng in zip(starts, rngs)]
+    draws = [_Draws(rng) for rng in rngs]  # each generator is checked before any draw
+    try:
+        # the incumbent is a key index; a random start is still drawn as n
+        # bits, the draw that every seeded sweep's stream goes through
+        starts = [d.bits(n) if s is None else s for s, d in zip(starts, draws)]
+        return _run(cfg, ctxs, draws, starts)
+    finally:
+        for d in draws:
+            d.release()
+
+
+def rotation_tops(cfg: GasConfig, n: int) -> list:
+    """floor(k - 1), the top of a round's L, after s = 0, 1, ... rounds
+    without improvement: k is 1 at s = 0, as an improvement resets it, and
+    then min(growth_factor k, sqrt(2^n)).  The table stops where k reaches
+    sqrt(2^n), so a later s reads its last entry, or where s reaches a
+    round cap, past which no round runs."""
+    cap = math.sqrt(2.0 ** n)
+    k, tops = 1.0, [0]
+    while k < cap and len(tops) < min(cfg.stall_rounds, cfg.max_rounds):
+        k = min(cfg.growth_factor * k, cap)
+        tops.append(math.floor(k - 1.0))
+    return tops
+
+
+def _run(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
+    """``run_searches``' rounds, from each search's start."""
+    n = ctxs[0].n
     every = range(len(ctxs))
     best = (np.array(starts) @ (1 << np.arange(n))).tolist()
     threshold = [ctx.costs.item(b) for ctx, b in zip(ctxs, best)]  # always the cost of best
     traces = [[(0, t)] for t in threshold]
     group = (_Slots if cfg.engine == "statevector" else _Lockstep)(ctxs)
     stale = set(every)  # the searches whose threshold the group has not prepared
-    k = [1.0] * len(ctxs)
     queries = [0] * len(ctxs)
     stall = [0] * len(ctxs)
     rounds = [0] * len(ctxs)
-    cap = math.sqrt(2.0 ** n)
+    tops = rotation_tops(cfg, n)
+    size = len(tops)
     n_keys = 1 << n
     rows, r = list(every), 0  # the searches still running, and the round they run
     while rows:
         r += 1
         L, u = [], []
         for i in rows:
-            L.append(sample_rotation_count(k[i], rngs[i]))
-            u.append(rngs[i].random())
+            s = stall[i]
+            L_i, u_i = draws[i].round(tops[s] if s < size else tops[-1])
+            L.append(L_i)
+            u.append(u_i)
         keys = [int(x * n_keys) for x in u]  # L = 0: the uniform key of A|0>
         turn = [j for j, l in enumerate(L) if l]
         if turn:
@@ -390,9 +514,8 @@ def run_searches(cfg: GasConfig, searches) -> list[GasResult]:
             queries[i] += L_i
             better = cost < threshold[i]
             if better:
-                threshold[i], best[i], k[i], stall[i] = cost, key, 1.0, 0
+                threshold[i], best[i], stall[i] = cost, key, 0
             else:
-                k[i] = grow_k(k[i], cfg.growth_factor, cap)
                 stall[i] += 1
             traces[i].append((r, threshold[i]))
             if r < cfg.max_rounds and stall[i] < cfg.stall_rounds:

@@ -318,13 +318,33 @@ def reference_running_sum(ctx, threshold: float, L: int) -> np.ndarray:
     return np.cumsum(np.sin(angle) ** 2 * w_good / p0 + np.cos(angle) ** 2 * w_bad / (1.0 - p0))
 
 
+def sample_rotation_count(k: float, rng: np.random.Generator) -> int:
+    """Draw L uniformly from the integers in [0, k-1].
+
+    For fractional k the support therefore holds ceil(k-1) values; the top
+    count only becomes reachable once k actually exceeds it by a full unit.
+    """
+    if k < 1.0:
+        raise ValueError("rotation schedule parameter must be >= 1")
+    top = math.floor(k - 1.0)
+    # numpy returns the bound of a one-value range without reading the
+    # generator, so k < 2 takes no draw
+    return int(rng.integers(0, top + 1)) if top else 0
+
+
+def grow_k(k: float, growth_factor: float, cap: float) -> float:
+    """Schedule update after a non-improving round: min(growth * k, cap),
+    with the cap sqrt(2^n) of an n-bit search."""
+    return min(growth_factor * k, cap)
+
+
 def reference_run_gas(ctx, cfg, rng: np.random.Generator, start=None) -> GasResult:
-    """One search on ``ctx``, alone, round by round: ``start``, or the
-    random start's n bits when it is None, then per round one ``integers``
-    draw of L uniform on [0, k - 1] and one ``random`` draw of the key,
+    """One search on ``ctx``, alone, round by round, with numpy's own draws:
+    ``start``, or the random start's n bits when it is None, then per round
+    L from ``sample_rotation_count`` and one ``random`` draw of the key,
     searched on the running sum of ``reference_running_sum``.  An
     improvement takes the key's cost as the threshold and resets k to 1,
-    else k grows to min(lambda k, sqrt(2^n))."""
+    else k grows by ``grow_k`` to min(lambda k, sqrt(2^n))."""
     n, costs = ctx.n, ctx.costs
     bits = np.asarray(start) if start is not None else rng.integers(0, 2, size=n)
     best = int(bits @ (1 << np.arange(n)))
@@ -333,7 +353,7 @@ def reference_run_gas(ctx, cfg, rng: np.random.Generator, start=None) -> GasResu
     k, queries, stall, rounds = 1.0, 0, 0, 0
     while rounds < cfg.max_rounds and stall < cfg.stall_rounds:
         rounds += 1
-        L = int(rng.integers(0, math.floor(k - 1.0) + 1))
+        L = sample_rotation_count(k, rng)
         cumulative = reference_running_sum(ctx, threshold, L)
         u = rng.random() * cumulative[-1]
         idx = min(int(np.searchsorted(cumulative, u, side="right")), cumulative.shape[0] - 1)
@@ -341,13 +361,31 @@ def reference_run_gas(ctx, cfg, rng: np.random.Generator, start=None) -> GasResu
         if costs[idx] < threshold:
             threshold, best, k, stall = float(costs[idx]), idx, 1.0, 0
         else:
-            k = min(cfg.growth_factor * k, math.sqrt(2.0 ** n))
+            k = grow_k(k, cfg.growth_factor, math.sqrt(2.0 ** n))
             stall += 1
         trace.append((rounds, threshold))
     return GasResult(best_bits=bits_of(best, n), best_cost=threshold, rounds=rounds,
                      oracle_queries=queries, measurements=rounds,
                      stop_reason="stall" if stall >= cfg.stall_rounds else "max_rounds",
                      threshold_trace=trace)
+
+
+def replayed_rotation_counts(result: GasResult, cfg, n: int, rng: np.random.Generator,
+                             start=None) -> list:
+    """Each round's L of a search that returned ``result``, replayed with
+    numpy's own draws on ``rng``, a twin of the search's generator: the
+    random start when ``start`` is None, then per round L and the key's
+    uniform, with k reset by every round that lowered the trace's
+    threshold and grown by every other."""
+    if start is None:
+        rng.integers(0, 2, size=n)
+    k, draws = 1.0, []
+    levels = [y for _, y in result.threshold_trace]
+    for before, after in zip(levels, levels[1:]):
+        draws.append(sample_rotation_count(k, rng))
+        rng.random()
+        k = 1.0 if after < before else grow_k(k, cfg.growth_factor, math.sqrt(2.0 ** n))
+    return draws
 
 
 def qfunc(x: float) -> float:

@@ -35,6 +35,7 @@ from gasmld.bench import (
     fig_recipe,
     format_config,
     parse_config,
+    random_bits,
     run_sweep,
     seeded_stream,
     stream_words,
@@ -116,6 +117,22 @@ def test_trial_block_matches_the_one_trial_reference(N, R, snr_db, seed, start, 
                 assert got_y.tobytes() == ref.y.tobytes()
                 assert got_bits.tobytes() == ref_bits.tobytes()
             assert sigma2 == inst.sigma2 == ref.sigma2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), N=st.integers(1, 40), taps=st.integers(0, 12))
+def test_trial_bits_are_numpys_draws(seed, N, taps):
+    # a trial's bits, decoded from the ceil(N/2) raw words between its two
+    # normal draws, are numpy's integers(0, 2, N), and the noise normals
+    # after them are numpy's: ziggurat neither reads nor sets the carry that
+    # an odd N leaves
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert ours.standard_normal(taps).tobytes() == ref.standard_normal(taps).tobytes()
+    words = ours.bit_generator.random_raw((N + 1) // 2)
+    bits = random_bits(words, N)
+    assert bits.tolist() == ref.integers(0, 2, size=N).tolist()
+    assert random_bits(words[None], N).tolist() == [bits.tolist()]  # a block's stacked rows
+    assert ours.standard_normal(2 * N).tobytes() == ref.standard_normal(2 * N).tobytes()
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
@@ -943,7 +960,10 @@ def test_sweep_config_validation():
             parse_config(f"gas.encoding = integer\ndetectors = {detectors}\n")
     # a search field set after construction is checked too, before any work
     for name, value, message in (("m", 1, "at least 2 qubits"), ("m", None, "at least 2 qubits"),
-                                 ("encoding", "integer", "real costs only")):
+                                 ("encoding", "integer", "real costs only"),
+                                 ("stall_rounds", 2.5, "stall_rounds must be an int"),
+                                 ("max_rounds", None, "max_rounds must be an int"),
+                                 ("growth_factor", "2", "real number above 1")):
         cfg = small_config(detectors=["GAS_warm"], gas=GasConfig(m=8)).validate()
         setattr(cfg.gas, name, value)
         with pytest.raises(ConfigError, match=message):

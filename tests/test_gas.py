@@ -1,5 +1,6 @@
-"""Adaptive search driver: schedule, sizing, traces, engine agreement."""
+"""Adaptive search driver: schedule, sizing, draws, traces, engine agreement."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,23 +15,24 @@ from gasmld.gas import (
     ENGINES,
     GasConfig,
     SearchContext,
+    _Draws,
     _Lockstep,
     _Slots,
     _evolve,
     _prepare,
     check_registers,
     cost_bounds,
-    grow_k,
+    rotation_tops,
     run_gas,
     run_searches,
-    sample_rotation_count,
 )
 from gasmld.qcore import CapacityError, register_distribution
 from gasmld.qubo import QuboProblem, evaluate_all_costs, evaluate_cost, mld_to_qubo, MldInstance
 from gasmld.channel import circulant_matrix
 from gasmld.circuits import fejer_distribution
 
-from oracles import brute_force_min, reference_run_gas, reference_running_sum
+from oracles import (brute_force_min, grow_k, reference_run_gas, reference_running_sum,
+                     replayed_rotation_counts, sample_rotation_count)
 
 
 def search(q, cfg, rng, start=None):
@@ -108,6 +110,130 @@ def test_growth_schedule():
     for _ in range(100):
         k = grow_k(k, lam, cap)
     assert k == pytest.approx(np.sqrt(8.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 24), growth_factor=st.sampled_from([8.0 / 7.0, 1.0001, 2.0, math.inf])
+       | st.floats(1.0, 10.0, exclude_min=True), stall_rounds=st.integers(1, 80),
+       max_rounds=st.integers(1, 80))
+def test_rotation_tops_follow_the_schedule(n, growth_factor, stall_rounds, max_rounds):
+    # the top of a round's L after s rounds without improvement is floor(k - 1)
+    # of the k that grow_k reaches in s steps from 1, for every s a round runs at
+    cfg = GasConfig(growth_factor=growth_factor, stall_rounds=stall_rounds, max_rounds=max_rounds)
+    tops = rotation_tops(cfg, n)
+    assert 1 <= len(tops) <= min(stall_rounds, max_rounds)
+    k = 1.0
+    for s in range(min(stall_rounds, max_rounds)):
+        assert tops[min(s, len(tops) - 1)] == math.floor(k - 1.0)
+        k = grow_k(k, growth_factor, math.sqrt(2.0 ** n))
+
+
+CARRIES = ("none", "held", "spent")
+# tops where Lemire's draw rejects often: 2^32 mod (top + 1) is about half,
+# a quarter and a third of 2^32; and the widest ranges
+HARD_TOPS = (2**31, 3 * 2**30, 5 * 2**29 + 7, 2**32 - 2, 2**32 - 1)
+
+
+def _carrying(seed: int, carry: str) -> np.random.Generator:
+    """A PCG64 generator of ``seed`` after a few draws, which leave it with
+    no carried half ("none"), a carried half ("held") or a spent one,
+    has_uint32 = 0 beside a non-zero uinteger ("spent")."""
+    rng = np.random.default_rng(seed)
+    rng.random()
+    rng.integers(0, 2, size=CARRIES.index(carry))
+    return rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), carry=st.sampled_from(CARRIES),
+       tops=st.lists(st.integers(0, 40) | st.integers(1, 2**32 - 2) | st.sampled_from(HARD_TOPS),
+                     min_size=1, max_size=40))
+def test_round_draws_are_numpys(seed, carry, tops):
+    # each round's L and u, decoded from raw words, are numpy's own
+    # integers(0, top + 1) and random() on a twin generator, from either
+    # carry state, and the generator is left where numpy's draws leave it
+    rng, twin = _carrying(seed, carry), _carrying(seed, carry)
+    draws = _Draws(rng)
+    for top in tops:
+        assert draws.round(top) == (int(twin.integers(0, top + 1)), twin.random())
+    draws.release()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _words_read(start: dict, bg) -> int:
+    """How many raw words ``bg`` is past the PCG64 state ``start``."""
+    probe = np.random.PCG64()
+    probe.state = start
+    for words in range(10_000):
+        if probe.state["state"] == bg.state["state"]:
+            return words
+        probe.advance(1)
+    raise AssertionError("more than 10,000 words apart")
+
+
+@pytest.mark.parametrize("top", HARD_TOPS[:3])
+def test_round_draws_reject_as_numpy_does(top):
+    # at these tops Lemire's draw throws away a quarter to a half of its
+    # halves; the decoder draws again exactly where numpy does
+    rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+    start = rng.bit_generator.state
+    draws = _Draws(rng)
+    rounds = [draws.round(top) for _ in range(200)]
+    draws.release()
+    assert rounds == [(int(twin.integers(0, top + 1)), twin.random()) for _ in range(200)]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    # 200 words for u and 100 for 200 unrejected halves: the rest were rejected
+    assert _words_read(start, rng.bit_generator) > 300 + 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), carry=st.sampled_from(CARRIES), n=st.integers(1, 64))
+def test_random_start_bits_are_numpys(seed, carry, n):
+    # a random start's n bits are numpy's integers(0, 2, size=n), and the
+    # carry they leave is the one the next round's L reads
+    rng, twin = _carrying(seed, carry), _carrying(seed, carry)
+    draws = _Draws(rng)
+    assert draws.bits(n) == twin.integers(0, 2, size=n).tolist()
+    assert draws.round(5) == (int(twin.integers(0, 6)), twin.random())
+    draws.release()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine=st.sampled_from(ENGINES), n=st.sampled_from([1, 3, 5]), warm=st.booleans(),
+       carry=st.sampled_from(CARRIES), seed=st.integers(0, 2**32 - 1),
+       max_rounds=st.sampled_from([1, 4, 50]), stall_rounds=st.sampled_from([2, 15]))
+def test_search_leaves_its_generator_as_numpys_draws_do(engine, n, warm, carry, seed, max_rounds,
+                                                        stall_rounds):
+    # after a search its generator is where the reference's own numpy
+    # draws leave a twin generator, carry included, so a caller that draws
+    # on reads the same stream
+    q = random_real_qubo(np.random.default_rng(seed), n)
+    cfg = GasConfig(m=6, engine=engine, max_rounds=max_rounds, stall_rounds=stall_rounds)
+    start = np.random.default_rng(seed + 1).integers(0, 2, size=n) if warm else None
+    rng, twin = _carrying(seed, carry), _carrying(seed, carry)
+    res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, rng, start)
+    ref = reference_run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, twin, start)
+    assert _result(res) == _result(ref)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_search_needs_a_pcg64_generator():
+    # the draws are decoded from PCG64 words: any other generator is refused
+    # before any search of the group draws
+    cfg = GasConfig(m=6, engine="analytic")
+    ctx = SearchContext(evaluate_all_costs(toy_problem()), cfg)
+    for other in (np.random.Generator(np.random.MT19937(0)), np.random.RandomState(0)):
+        pcg, twin = np.random.default_rng(1), np.random.default_rng(1)
+        with pytest.raises(ValueError, match="PCG64"):
+            run_gas(ctx, cfg, other)
+        with pytest.raises(ValueError, match="PCG64"):
+            run_searches(cfg, [(ctx, pcg, None), (ctx, other, None)])
+        assert pcg.bit_generator.state == twin.bit_generator.state
+    mt, twin = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+    with pytest.raises(ValueError, match="PCG64"):
+        run_gas(ctx, cfg, mt)
+    assert mt.random() == twin.random()
 
 
 def test_cost_bounds_exact():
@@ -253,6 +379,17 @@ def test_validation_errors():
             GasConfig(encoding=encoding)
     with pytest.raises(ValueError):
         GasConfig(engine="tensor")
+    # the round caps are ints of at least 1, not bools, and the growth a
+    # real number above 1, at construction and when set afterwards
+    for name, value in (("stall_rounds", 2.5), ("max_rounds", None), ("growth_factor", "2"),
+                        ("max_rounds", True), ("stall_rounds", 0), ("max_rounds", np.int64(5)),
+                        ("growth_factor", math.nan), ("growth_factor", None)):
+        with pytest.raises(ValueError, match=name.replace("growth_factor", "growth factor")):
+            GasConfig(**{name: value})
+        cfg = GasConfig()
+        setattr(cfg, name, value)
+        with pytest.raises(ValueError):
+            cfg.__post_init__()
     with pytest.raises(ValueError):
         search(toy_problem(), GasConfig(m=6), np.random.default_rng(0), np.array([0, 2]))
     with pytest.raises(CapacityError):
@@ -560,13 +697,7 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
     # search), and no other threshold is; the statevector engine evolves
     # each (threshold, L >= 1) pair of a context once, and the analytic
     # engine each rotating round once
-    draws, evolutions, memo_sizes, prepared = [], [], [], []
-
-    def recorded_draw(k, rng):
-        draws.append(sample_rotation_count(k, rng))
-        return draws[-1]
-
-    monkeypatch.setattr(gasmld.gas, "sample_rotation_count", recorded_draw)
+    evolutions, memo_sizes, prepared = [], [], []
 
     def counted(prepared, L, evolve=_evolve):
         evolutions.append(L)
@@ -613,8 +744,11 @@ def test_each_threshold_and_rotation_count_evolves_once(monkeypatch, engine, n, 
     # a trial's two searches on one context, the second from the first one's best key
     ctx = SearchContext(evaluate_all_costs(q), cfg)
     first = run_gas(ctx, cfg, np.random.default_rng(3))
-    split = len(draws)
     second = run_gas(ctx, cfg, np.random.default_rng(4), first.best_bits)
+    # each round's L, replayed with numpy's own draws on twin generators
+    draws = replayed_rotation_counts(first, cfg, n, np.random.default_rng(3))
+    split = len(draws)
+    draws += replayed_rotation_counts(second, cfg, n, np.random.default_rng(4), first.best_bits)
     rotated = _rotated([first, second], draws)
     assert len(draws) == first.rounds + second.rounds
     assert 0 < len(rotated) < len(draws)
@@ -665,16 +799,14 @@ def test_zero_rotations_leave_the_key_register_uniform(n, problem_seed, picks):
 def test_zero_rotation_rounds_read_no_state(monkeypatch):
     # a round whose running searches all draw L = 0 calls no engine: every
     # key comes from its uniform, and only the rounds where some search
-    # rotates prepare or evolve anything, only at the thresholds they rotate at
-    draws, calls, prepared = [], [], []
-
-    def recorded_draw(k, rng):
-        draws.append(sample_rotation_count(k, rng))
-        return draws[-1]
+    # rotates prepare or evolve anything, only at the thresholds they rotate
+    # at; each round's L is replayed with numpy's own draws on a twin
+    # generator of its search
+    calls, prepared = [], []
 
     def spy(name, function):
         def called(*args):
-            calls.append((len(draws), name))
+            calls.append(name)
             return function(*args)
         return called
 
@@ -682,9 +814,12 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
         prepared.extend(zip(rows, thresholds))
         return move(self, rows, thresholds)
 
-    monkeypatch.setattr(gasmld.gas, "sample_rotation_count", recorded_draw)
+    def lockstep_sums(self, rows, L, sums=_Lockstep.sums):
+        calls.append(("sums", list(rows), list(L)))
+        return sums(self, rows, L)
+
     monkeypatch.setattr(_Lockstep, "move", spy("move", lockstep_move))
-    monkeypatch.setattr(_Lockstep, "sums", spy("sums", _Lockstep.sums))
+    monkeypatch.setattr(_Lockstep, "sums", lockstep_sums)
     monkeypatch.setattr(_Slots, "cumulative", staticmethod(spy("cumulative", _Slots.cumulative)))
     monkeypatch.setattr(gasmld.gas, "fejer_upper_mass",
                         spy("kernel", gasmld.circuits.fejer_upper_mass))
@@ -694,30 +829,29 @@ def test_zero_rotation_rounds_read_no_state(monkeypatch):
     searches = [(0, 1, None), (0, 2, brute_force_min(problems[0])[0]), (1, 3, None)]
     results = run_searches(cfg, [(ctxs[i], np.random.default_rng(seed), start)
                                  for i, seed, start in searches])
-    # round r draws once for each search that runs r rounds or more, in group order
-    running = [[i for i, res in enumerate(results) if res.rounds >= r]
-               for r in range(1, max(res.rounds for res in results) + 1)]
-    ends = np.cumsum([len(rows) for rows in running])
-    per_round = np.split(np.array(draws), ends[:-1])
-    rotating = {int(end) for end, L in zip(ends, per_round) if L.any()}
-    assert {at for at, _ in calls} == rotating
-    assert 0 < len(rotating) < len(ends)
-    assert {name for _, name in calls} == {"move", "sums", "kernel"}
+    own = [replayed_rotation_counts(res, cfg, 3, np.random.default_rng(seed), start)
+           for res, (_, seed, start) in zip(results, searches)]
+    # round r runs every search that runs r rounds or more, in group order;
     # a round that rotates a stale search, one whose threshold was not
     # prepared, prepares every stale running search at its threshold, each
-    # threshold of a search once; so a search is prepared at every threshold
-    # it rotates at, and the group makes one call per such round
-    own = [[] for _ in results]
-    expected, stale = [], set(range(len(results)))
-    for r, (rows, L) in enumerate(zip(running, per_round), 1):
+    # threshold of a search once, in one kernel call, and then draws from
+    # the rotating searches' sums; a round that rotates none calls nothing
+    expected, expected_prepared, stale, rotating = [], [], set(range(len(results))), 0
+    for r in range(1, max(res.rounds for res in results) + 1):
+        rows = [i for i, res in enumerate(results) if res.rounds >= r]
         level = {i: results[i].threshold_trace[r - 1][1] for i in rows}
-        if any(l and i in stale for i, l in zip(rows, L.tolist())):
-            expected.extend((i, level[i]) for i in rows if i in stale)
-            stale.difference_update(rows)
+        turn = [i for i in rows if own[i][r - 1]]
+        if turn:
+            rotating += 1
+            if stale & set(turn):
+                expected += ["move", "kernel"]
+                expected_prepared.extend((i, level[i]) for i in rows if i in stale)
+                stale.difference_update(rows)
+            expected.append(("sums", turn, [own[i][r - 1] for i in turn]))
         stale.update(i for i in rows if results[i].threshold_trace[r][1] < level[i])
-        for i, l in zip(rows, L.tolist()):
-            own[i].append(l)
-    assert prepared == expected
+    assert calls == expected
+    assert 0 < rotating < max(res.rounds for res in results)
+    assert prepared == expected_prepared
     for row, res in enumerate(results):
         assert {y for y, _ in _rotated([res], own[row])} <= {t for i, t in prepared if i == row}
     # a search that only draws L = 0, as k < 2 for six rounds, reads no
@@ -773,12 +907,16 @@ def test_group_driver_matches_the_one_search_reference(group):
     # keeps its own draws, whatever the others in its group do
     problems, cfg, searches = group
     ctxs = [SearchContext(evaluate_all_costs(q), cfg) for q in problems]
+    twins = [np.random.default_rng(seed) for _, seed, _ in searches]
     alone = [_result(reference_run_gas(SearchContext(evaluate_all_costs(problems[index]), cfg), cfg,
-                                       np.random.default_rng(seed), start))
-             for index, seed, start in searches]
-    together = run_searches(cfg, [(ctxs[index], np.random.default_rng(seed), start)
-                                  for index, seed, start in searches])
+                                       twin, start))
+             for (index, _, start), twin in zip(searches, twins)]
+    rngs = [np.random.default_rng(seed) for _, seed, _ in searches]
+    together = run_searches(cfg, [(ctxs[index], rng, start)
+                                  for (index, _, start), rng in zip(searches, rngs)])
     assert [_result(res) for res in together] == alone
+    # and each generator is left where its own numpy draws leave it
+    assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
