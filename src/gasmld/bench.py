@@ -94,6 +94,8 @@ class SweepConfig:
         searches = bool({"GAS_random", "GAS_warm"} & set(self.detectors))
         if self.trials_per_point < 1:
             raise ConfigError("trials must be positive")
+        if self.trials_per_point > 2**63:  # a trial's index keys its streams, below 2^63
+            raise ConfigError("trials must be at most 2^63")
         if min(self.R_list) < 0:
             raise ConfigError("RIS element counts must be non-negative")
         if self.L_bi < 1 or self.L_iu < 1:

@@ -48,32 +48,52 @@ overflow) give the same shifted table, bit for bit, and the same search.
 One driver, ``run_searches``, runs a group of searches round by round
 together under one ``GasConfig``, and ``run_gas`` is its group of one.  A
 search is its context, its generator and its start: a warm start's bits, or
-None for a uniform one.  A round walks the running searches in group order,
-and each makes its own two draws from its own generator.  A search that
-drew L = 0 measures A|0> itself, whose key register is uniform, P_0(b) =
-2^-n (in the closed form sin^2(alpha) / p0 = cos^2(alpha) / (1 - p0) = 1):
-its key is int(u 2^n), the count of (b + 1) / 2^n at or below u, and it
-reads no engine.  The running sums of the searches that rotate are drawn
-from in one ``qcore.sample_index`` call, one row per search.  So a search's
-draws, and its result, are what it would reach alone.  An L = 0 key agrees
-with the draw from the running sum of A|0>'s key marginal, which is uniform
-only up to a few ulps, in practice, not by construction: the two could
-differ only where u 2^n falls within a few ulps of an integer.
+None for a uniform one.  Each running search makes its own two draws per
+round from its own generator.  A search that drew L = 0 measures A|0>
+itself, whose key register is uniform, P_0(b) = 2^-n (in the closed form
+sin^2(alpha) / p0 = cos^2(alpha) / (1 - p0) = 1): its key is int(u 2^n),
+the count of (b + 1) / 2^n at or below u, and it reads no engine.  The
+running sums of the searches that rotate are drawn from in one
+``qcore.sample_index`` call, one row per search.  So a search's draws, and
+its result, are what it would reach alone.  An L = 0 key agrees with the
+draw from the running sum of A|0>'s key marginal, which is uniform only up
+to a few ulps, in practice, not by construction: the two could differ only
+where u 2^n falls within a few ulps of an integer.
+
+A round takes one of two paths, chosen by the group's size, which give
+every search the same result and leave its generator in the same state.  A
+group of fewer than ``_ARRAY_GROUP`` searches walks its running searches in
+group order (``_run``), each decoding its draws from its own words
+(``_Draws``) and updating its own scalars.  A larger group keeps its state
+as arrays (``_run_arrays``): incumbent keys, thresholds, stall and query
+counts, and each search's raw words, one row of a buffer (``_Words``).  A
+round is then a fixed set of numpy calls over the running rows, whatever
+their number: the rows' draws are decoded together, a row whose first
+Lemire try may reject drawing again alone, the costs are gathered from the
+group's stacked tables, the rows are updated by masks, and the round's
+thresholds become one row of the trace, from which each search's
+``threshold_trace`` is read at return.  An array round costs tens of
+microseconds whatever its rows, a row of the loop a few, so the arrays pay
+from about 64 searches, where the two paths were measured to cross at
+n = 3; at n = 10 they tie up to 64, the most one sweep group holds there.
+A one-worker fig2 block runs 384.
 
 A search draws from a PCG64 generator, numpy's default, and any other is
 refused before any search of the group draws.  Its draws are numpy's own,
 bit for bit: a random start's n bits, ``integers(0, 2, size=n)``, then per
 round L, ``integers(0, top + 1)`` with top = floor(k - 1), and u,
 ``random()``.  The driver decodes them from the raw words that each search
-pulls from its generator a few at a time (``_Draws``).  numpy takes a draw
+pulls from its generator a few at a time.  numpy takes a draw
 on a range below 2^32 from one 32-bit half of a word, the low half of a
 fresh word or else the high half carried from the last one: a start bit is
 a half's top bit, and L is Lemire's multiply-and-reject on a half.  u is a
 fresh word's top 53 bits over 2^53.  k is 1 after every improvement and
 grows alike after each, so top is read off a table indexed by the rounds
 since the last improvement (``rotation_tops``).  When the group returns,
-each generator is left where numpy's own draws would leave it: rewound past
-the words pulled but not read, holding the carry that the draws leave.
+each generator is left where numpy's own draws would leave it: its state,
+read once when the search starts, is stepped past the words read, not
+those pulled, and holds the carry that the draws leave, written back in
+one assignment.
 
 A threshold is prepared only when a round rotates a search whose
 threshold moved: a search whose threshold moves is marked stale, and a
@@ -154,6 +174,24 @@ class GasResult:
 _LOW = 0xFFFFFFFF  # a 32-bit half of a raw word
 _ULP = 2.0 ** -53
 _CHUNK = 8  # raw words a search pulls from its generator at a time
+_ROW_WORDS = 32  # raw words a search of an array group pulls at a time, its row of the buffer
+# The fewest searches whose group runs its rounds as arrays: the two round
+# paths' measured crossover at n = 3 (at n = 10 they tie up to 64)
+_ARRAY_GROUP = 64
+_LCG_MASK = (1 << 128) - 1  # PCG64 steps a 128-bit LCG state
+
+
+def _lcg_steps() -> list:
+    """(a, b) for 2^j steps of PCG64's LCG, j = 0..127: those steps take
+    the state s with increment inc to a s + b inc mod 2^128."""
+    a, b, steps = 0x2360ED051FC65DA44385DF649FCCF645, 1, []  # one step: s -> a s + inc
+    for _ in range(128):
+        steps.append((a, b))
+        a, b = a * a & _LCG_MASK, (a + 1) * b & _LCG_MASK
+    return steps
+
+
+_LCG_STEPS = _lcg_steps()
 
 
 class _Draws:
@@ -165,10 +203,11 @@ class _Draws:
     word, or else the high half that the last fresh word left, the carry
     (the state's ``has_uint32`` and ``uinteger``, read once, here), which
     ``random()`` neither reads nor clears.  The generator runs ahead of the
-    draws until ``release`` leaves it where numpy's own draws would: rewound
-    past the words pulled but not read, holding the carry they leave."""
+    draws until ``release`` leaves it where numpy's own draws would: the
+    state read here stepped past the words read, holding the carry they
+    leave, written back in one assignment."""
 
-    __slots__ = ("_bg", "_words", "_at", "_has", "_carry", "_held")
+    __slots__ = ("_bg", "_held", "_pulled", "_words", "_at", "_has", "_carry")
 
     def __init__(self, rng: np.random.Generator):
         bg = getattr(rng, "bit_generator", None)
@@ -177,14 +216,21 @@ class _Draws:
                              f"generator, got {type(bg if bg is not None else rng).__name__}")
         state = bg.state
         self._bg = bg
-        self._words, self._at = [], 0  # the pulled words, and the index of the next unread one
         self._has, self._carry = state["has_uint32"], state["uinteger"]
-        self._held = (self._has, self._carry)  # the carry the generator holds until released
+        # the LCG state and increment the generator holds until released
+        self._held = (state["state"]["state"], state["state"]["inc"])
+        self._pulled = 0  # the words pulled since then
+        self._words, self._at = [], 0  # the pulled words, and the index of the next unread one
+
+    def pull(self, count: int) -> np.ndarray:
+        """The generator's next ``count`` raw words."""
+        self._pulled += count
+        return self._bg.random_raw(count)
 
     def _word(self) -> int:
         at = self._at
         if at == len(self._words):
-            self._words, at = self._bg.random_raw(_CHUNK).tolist(), 0
+            self._words, at = self.pull(_CHUNK).tolist(), 0
         self._at = at + 1
         return self._words[at]
 
@@ -216,7 +262,7 @@ class _Draws:
                 m = self._carry * span
             else:
                 if at == len(words):
-                    self._words = words = self._bg.random_raw(_CHUNK).tolist()
+                    self._words = words = self.pull(_CHUNK).tolist()
                     at = 0
                 word = words[at]
                 at += 1
@@ -230,23 +276,103 @@ class _Draws:
                 words, at = self._words, self._at
             L = m >> 32
         if at == len(words):
-            self._words = words = self._bg.random_raw(_CHUNK).tolist()
+            self._words = words = self.pull(_CHUNK).tolist()
             at = 0
         self._at = at + 1
         return L, (words[at] >> 11) * _ULP
 
     def release(self) -> None:
-        """Leave the generator where numpy's own draws would."""
-        unread = len(self._words) - self._at
-        held = self._held
-        if unread:
-            self._bg.advance(-unread)  # which clears the carry
-            held = (0, 0)
-        if (self._has, self._carry) != held:
-            state = self._bg.state
-            state["has_uint32"], state["uinteger"] = self._has, self._carry
-            self._bg.state = state
-        self._words, self._at, self._held = [], 0, (self._has, self._carry)
+        """Leave the generator where numpy's own draws would: its state,
+        as read, stepped once per word read, with the carry they leave."""
+        s, inc = self._held
+        read = self._pulled - (len(self._words) - self._at)
+        for a, b in _LCG_STEPS[:read.bit_length()]:
+            if read & 1:
+                s = (a * s + b * inc) & _LCG_MASK
+            read >>= 1
+        self._bg.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                          "has_uint32": self._has, "uinteger": self._carry}
+        self._held, self._pulled, self._words, self._at = (s, inc), 0, [], 0
+
+
+class _Words:
+    """The draws of an array group's searches, ``_Draws``' state for every
+    search at once: an (S, ``_ROW_WORDS``) buffer of raw words, one row per
+    search, with each row's read position and carry.  A search pulls a
+    whole row from its generator at a time, when its row runs out.
+    ``bits`` and ``round`` make each asked-for row's draws, bit for bit
+    ``_Draws.bits`` and ``_Draws.round``, and ``settle`` hands each row back
+    to its ``_Draws``, whose ``release`` leaves the generator where numpy's
+    own draws would."""
+
+    def __init__(self, draws: list):
+        self._draws = draws
+        self._buf = np.array([d.pull(_ROW_WORDS) for d in draws], dtype=np.uint64)
+        self._flat = self._buf.reshape(-1)
+        width = self._buf.shape[1]
+        self._end = np.arange(1, len(draws) + 1) * width  # each row's end in ``_flat``
+        self._at = self._end - width  # each row's next unread word in ``_flat``
+        self._has = np.array([d._has for d in draws], dtype=bool)
+        self._carry = np.array([d._carry for d in draws], dtype=np.uint64)
+
+    def _words(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's next fresh word."""
+        at = self._at[rows]
+        out = at == self._end[rows]
+        if np.count_nonzero(out):
+            width = self._buf.shape[1]
+            for i in rows[out].tolist():
+                self._buf[i] = self._draws[i].pull(width)
+            at[out] -= width
+        self._at[rows] = at + 1
+        return self._flat[at]
+
+    def _halves(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's next 32-bit half: its carry, or else the low half of
+        a fresh word, whose high half it then carries."""
+        has = self._has[rows]
+        half = self._carry[rows]
+        fresh = ~has
+        pulled = rows[fresh]
+        word = self._words(pulled)
+        half[fresh] = word & _LOW
+        self._carry[pulled] = word >> 32
+        self._has[rows] = fresh
+        return half
+
+    def bits(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Each row's ``integers(0, 2, size=n)``, (rows, n): the top bit of
+        each of its next n halves."""
+        bits = np.empty((n, rows.size), dtype=np.int64)
+        for j in range(n):
+            bits[j] = self._halves(rows) >> 31
+        return bits.T
+
+    def round(self, rows: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's round draws, as ``_Draws.round`` makes them at its
+        ``top`` (uint64): L, by Lemire's multiply-and-reject on the row's
+        next half where top > 0, and u's word, u = (word >> 11) 2^-53.  A
+        row whose first try may reject draws again alone."""
+        L = np.zeros(rows.size, dtype=np.int64)
+        draw = top.nonzero()[0]  # top = 0 draws nothing
+        if draw.size:
+            span = top[draw] + 1
+            m = self._halves(rows[draw]) * span
+            L[draw] = m >> 32
+            for j in (m & _LOW < span).nonzero()[0].tolist():  # only these can need a retry
+                s, m_j = int(span[j]), int(m[j])
+                floor = (_LOW - s + 1) % s  # 2^32 mod span
+                while m_j & _LOW < floor:
+                    m_j = int(self._halves(rows[draw[j:j + 1]])[0]) * s
+                L[draw[j]] = m_j >> 32
+        return L, self._words(rows)
+
+    def settle(self) -> None:
+        """Hand each row's words, read position and carry to its ``_Draws``."""
+        at = (self._at - self._end + self._buf.shape[1]).tolist()
+        for d, words, at, has, carry in zip(self._draws, self._buf, at, self._has.tolist(),
+                                            self._carry.tolist()):
+            d._words, d._at, d._has, d._carry = words, at, int(has), carry
 
 
 def cost_bounds(costs: np.ndarray) -> tuple[float, float]:
@@ -442,17 +568,20 @@ def run_searches(cfg: GasConfig, searches) -> list[GasResult]:
             raise ValueError("a group's searches share the key count")
     if len({id(rng) for rng in rngs}) < len(rngs):
         raise ValueError("each search of a group needs its own generator")
-    starts = [s if s is None else bit_vector(s, "warm start must be a flat 0/1 vector")
-              for s in starts]
-    if any(s is not None and s.shape[0] != n for s in starts):
-        raise ValueError("warm start length does not match problem size")
+    given = [np.asarray(s) for s in starts if s is not None]
+    if given:
+        message = "warm start must be a flat 0/1 vector"
+        if any(s.ndim != 1 for s in given):
+            raise ValueError(message)
+        bits = bit_vector(np.concatenate(given), message)  # one check for the group's warm starts
+        if any(s.shape[0] != n for s in given):
+            raise ValueError("warm start length does not match problem size")
+        rows = iter(bits.reshape(-1, n))
+        starts = [s if s is None else next(rows) for s in starts]
 
     draws = [_Draws(rng) for rng in rngs]  # each generator is checked before any draw
     try:
-        # the incumbent is a key index; a random start is still drawn as n
-        # bits, the draw that every seeded sweep's stream goes through
-        starts = [d.bits(n) if s is None else s for s, d in zip(starts, draws)]
-        return _run(cfg, ctxs, draws, starts)
+        return (_run if len(draws) < _ARRAY_GROUP else _run_arrays)(cfg, ctxs, draws, starts)
     finally:
         for d in draws:
             d.release()
@@ -473,8 +602,12 @@ def rotation_tops(cfg: GasConfig, n: int) -> list:
 
 
 def _run(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
-    """``run_searches``' rounds, from each search's start."""
+    """``run_searches``' rounds for a group of fewer than ``_ARRAY_GROUP``
+    searches, one search at a time, from each search's start."""
     n = ctxs[0].n
+    # the incumbent is a key index; a random start is still drawn as n
+    # bits, the draw that every seeded sweep's stream goes through
+    starts = [d.bits(n) if s is None else s for s, d in zip(starts, draws)]
     every = range(len(ctxs))
     best = (np.array(starts) @ (1 << np.arange(n))).tolist()
     threshold = [ctx.costs.item(b) for ctx, b in zip(ctxs, best)]  # always the cost of best
@@ -526,7 +659,77 @@ def _run(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
                 rounds[i] = r
         rows = running
 
-    bits = bits_of(np.array(best), n)
+    return _results(cfg, n, best, threshold, rounds, queries, stall, traces)
+
+
+def _run_arrays(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
+    """``_run``'s rounds for a group of at least ``_ARRAY_GROUP`` searches,
+    each round a fixed set of numpy calls over the running searches, with
+    the draws of ``_Words``: a random start's n bits, then per round L and
+    u, and the rows' updates by masks.  Each round's thresholds go into one
+    row of the trace, and every search's ``threshold_trace`` is read off it
+    at return."""
+    n, S = ctxs[0].n, len(ctxs)
+    words = _Words(draws)
+    try:
+        start = np.empty((S, n), dtype=np.int64)
+        warm = [i for i, s in enumerate(starts) if s is not None]
+        if warm:
+            start[warm] = [starts[i] for i in warm]
+        uniform = np.array([i for i, s in enumerate(starts) if s is None], dtype=np.intp)
+        if uniform.size:
+            start[uniform] = words.bits(uniform, n)
+        best = start @ (1 << np.arange(n))
+        table = np.stack([ctx.costs for ctx in ctxs])
+        threshold = table[np.arange(S), best]  # always the cost of best
+        trace = [threshold.copy()]
+        group = (_Slots if cfg.engine == "statevector" else _Lockstep)(ctxs)
+        stale = np.ones(S, dtype=bool)  # the searches whose threshold the group has not prepared
+        queries = np.zeros(S, dtype=np.int64)
+        stall = np.zeros(S, dtype=np.intp)
+        rounds = np.zeros(S, dtype=np.int64)
+        tops = np.array(rotation_tops(cfg, n), dtype=np.uint64)  # read with indices clipped
+        rows, r = np.arange(S), 0  # the searches still running, and the round they run
+        while rows.size:
+            r += 1
+            L, word = words.round(rows, np.take(tops, stall[rows], mode="clip"))
+            keys = (word >> (64 - n)).astype(np.intp)  # L = 0: int(u 2^n), the uniform key of A|0>
+            turn = L.nonzero()[0]
+            if turn.size:
+                rotating = rows[turn]
+                if np.count_nonzero(stale[rotating]):  # then every stale row moves, in one call
+                    fresh = rows[stale[rows]]
+                    group.move(fresh.tolist(), threshold[fresh].tolist())
+                    stale[fresh] = False
+                keys[turn] = sample_index(group.sums(rotating.tolist(), L[turn].tolist()),
+                                          (word[turn] >> 11) * _ULP)
+                queries[rotating] += L[turn]
+            cost = table[rows, keys]
+            better = cost < threshold[rows]
+            won = rows[better]
+            threshold[won], best[won] = cost[better], keys[better]
+            stall[rows] += 1
+            stall[won] = 0
+            stale[won] = True  # the next round runs at the new threshold
+            rounds[rows] = r
+            trace.append(threshold.copy())
+            if r == cfg.max_rounds:
+                break
+            rows = rows[stall[rows] < cfg.stall_rounds]
+    finally:
+        words.settle()
+    trace = np.stack(trace, axis=1)  # each search's thresholds, round by round
+    traces = [list(zip(range(k + 1), trace[i, :k + 1].tolist()))
+              for i, k in enumerate(rounds.tolist())]
+    return _results(cfg, n, best, threshold.tolist(), rounds.tolist(), queries.tolist(),
+                    stall.tolist(), traces)
+
+
+def _results(cfg: GasConfig, n: int, best, threshold: list, rounds: list, queries: list,
+             stall: list, traces: list) -> list[GasResult]:
+    """Each search's ``GasResult``, from its incumbent key, threshold, round
+    and query counts, rounds since the last improvement and trace."""
+    bits = bits_of(np.asarray(best), n)
     return [GasResult(
         best_bits=bits[i],
         best_cost=threshold[i],
@@ -535,4 +738,4 @@ def _run(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
         measurements=rounds[i],  # one key-register measurement per round
         stop_reason="stall" if stall[i] >= cfg.stall_rounds else "max_rounds",
         threshold_trace=traces[i],
-    ) for i in every]
+    ) for i in range(len(traces))]

@@ -519,6 +519,32 @@ def test_n10_search_bytes(monkeypatch, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_n10_array_group_bytes(monkeypatch, tmp_path):
+    # as above, 32 trials, recorded before large groups ran as arrays: the
+    # trials' 64 searches, the most that one group holds at N = 10, run as
+    # one group at least as large as the array path's threshold, so an
+    # array round that decoded a draw or moved a row apart from the per-row
+    # loop would move these bytes
+    out = tmp_path / "n10_array.csv"
+    monkeypatch.setenv("GASMLD_THREADS", "1")
+    sizes = []
+    inner = gasmld.detect.run_searches
+
+    def spy(cfg, searches):
+        sizes.append(len(searches))
+        return inner(cfg, searches)
+
+    monkeypatch.setattr(gasmld.detect, "run_searches", spy)
+    cfg = SweepConfig(snr_db_list=[0.0], detectors=["MLD", "GAS_random", "GAS_warm"],
+                      R_list=[4], N=10, trials_per_point=32, master_seed=1234,
+                      gas=GasConfig(m=12, max_rounds=50, stall_rounds=15, engine="analytic"),
+                      output_path=str(out))
+    emit_csv(run_sweep(cfg.validate()), cfg.output_path)
+    assert sizes == [64] and sizes[0] >= gasmld.gas._ARRAY_GROUP
+    digest = "1634342ce70be116ec7405e0befa05c74596925bde009d1d52dae7e33b949fdd"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_n18_mld_bytes(monkeypatch, tmp_path):
     # an exhaustive-only sweep over 2^18-key tables, as first recorded: each
     # trial's costs come as runs of its patterns, 2^16 at a time, so an
@@ -865,6 +891,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--detector", "bogus", "--trials", "1"]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["sweep", "--trials", "-3"]) == 1
+    assert main(["sweep", "--recipe", "fig2", "--trials", "99999999999999999999",
+                 "--out", str(tmp_path / "never.csv")]) == 1
+    assert "config error: trials must be at most 2^63" in capsys.readouterr().err
     for flags in (["--snr", "abc"], ["--ris", "x"]):
         assert main(["sweep", *flags, "--trials", "1"]) == 1
         assert "config error: " + flags[0] in capsys.readouterr().err
@@ -929,6 +958,11 @@ def test_sweep_config_validation():
         small_config(detectors=[]).validate()
     with pytest.raises(ConfigError):
         small_config(trials_per_point=0).validate()
+    # a trial's index keys its streams, which hold indices below 2^63
+    for trials in (2**63 + 1, 10**20):
+        with pytest.raises(ConfigError, match="at most 2\\^63"):
+            small_config(trials_per_point=trials).validate()
+    small_config(trials_per_point=2**63).validate()
     with pytest.raises(ConfigError):
         small_config(R_list=[-1]).validate()
     with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ import gasmld.circuits
 import gasmld.gas
 import gasmld.qubo
 from gasmld.gas import (
+    _ARRAY_GROUP,
     ENGINES,
     GasConfig,
     SearchContext,
     _Draws,
     _Lockstep,
     _Slots,
+    _Words,
     _evolve,
     _prepare,
     check_registers,
@@ -202,20 +205,69 @@ def test_random_start_bits_are_numpys(seed, carry, n):
 @settings(max_examples=40, deadline=None)
 @given(engine=st.sampled_from(ENGINES), n=st.sampled_from([1, 3, 5]), warm=st.booleans(),
        carry=st.sampled_from(CARRIES), seed=st.integers(0, 2**32 - 1),
-       max_rounds=st.sampled_from([1, 4, 50]), stall_rounds=st.sampled_from([2, 15]))
+       max_rounds=st.sampled_from([1, 4, 50]), stall_rounds=st.sampled_from([2, 15]),
+       size=st.sampled_from([1, _ARRAY_GROUP + 1]))
 def test_search_leaves_its_generator_as_numpys_draws_do(engine, n, warm, carry, seed, max_rounds,
-                                                        stall_rounds):
+                                                        stall_rounds, size):
     # after a search its generator is where the reference's own numpy
     # draws leave a twin generator, carry included, so a caller that draws
-    # on reads the same stream
+    # on reads the same stream; in a group of one, and in a group large
+    # enough to run as arrays, whose searches take every carry state and
+    # both kinds of start
     q = random_real_qubo(np.random.default_rng(seed), n)
     cfg = GasConfig(m=6, engine=engine, max_rounds=max_rounds, stall_rounds=stall_rounds)
-    start = np.random.default_rng(seed + 1).integers(0, 2, size=n) if warm else None
-    rng, twin = _carrying(seed, carry), _carrying(seed, carry)
-    res = run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, rng, start)
-    ref = reference_run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, twin, start)
-    assert _result(res) == _result(ref)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    ctx = SearchContext(evaluate_all_costs(q), cfg)
+    carries = [CARRIES[(CARRIES.index(carry) + i) % 3] for i in range(size)]
+    starts = [np.random.default_rng(seed + 1 + i).integers(0, 2, size=n) if warm and i % 2 == 0
+              else None for i in range(size)]
+    rngs = [_carrying(seed + i, c) for i, c in enumerate(carries)]
+    twins = [_carrying(seed + i, c) for i, c in enumerate(carries)]
+    results = run_searches(cfg, [(ctx, rng, start) for rng, start in zip(rngs, starts)])
+    for res, twin, start in zip(results, twins, starts):
+        ref = reference_run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg, twin, start)
+        assert _result(res) == _result(ref)
+    assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
+
+
+_TOPS = st.integers(0, 40) | st.integers(1, 2**32 - 2) | st.sampled_from(HARD_TOPS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.sampled_from(CARRIES), st.booleans()),
+                     min_size=1, max_size=5),
+       n=st.integers(1, 8), width=st.sampled_from([1, 2, 3, gasmld.gas._ROW_WORDS]),
+       data=st.data())
+def test_array_draws_are_numpys(rows, n, width, data):
+    # an array group's decoder makes each row's draws as _Draws and numpy
+    # make them: a random start's n bits, then each round's L and u at the
+    # row's own top, for rows in any carry state, at tops where Lemire's
+    # draw rejects often, and with rows of 1 to 3 words, which run out
+    # between a round's L and its u; then each generator is left where
+    # numpy's own draws leave it
+    twins = [_carrying(seed, carry) for seed, carry, _ in rows]
+    singles = [_Draws(_carrying(seed, carry)) for seed, carry, _ in rows]
+    rngs = [_carrying(seed, carry) for seed, carry, _ in rows]
+    uniform = np.array([i for i, (_, _, random) in enumerate(rows) if random], dtype=np.intp)
+    with patch.object(gasmld.gas, "_ROW_WORDS", width):
+        draws = [_Draws(rng) for rng in rngs]
+        words = _Words(draws)
+        if uniform.size:
+            bits = words.bits(uniform, n).tolist()
+            assert bits == [twins[i].integers(0, 2, size=n).tolist() for i in uniform]
+            assert bits == [singles[i].bits(n) for i in uniform]
+        for _ in range(data.draw(st.integers(1, 12))):
+            # a round runs a subset of the rows, in order, each at its own top
+            running = [i for i in range(len(rows)) if data.draw(st.booleans())]
+            tops = [data.draw(_TOPS) for _ in running]
+            L, word = words.round(np.array(running, dtype=np.intp), np.array(tops, dtype=np.uint64))
+            drawn = list(zip(L.tolist(), ((word >> 11) * 2.0 ** -53).tolist()))
+            assert drawn == [(int(twins[i].integers(0, top + 1)), twins[i].random())
+                             for i, top in zip(running, tops)]
+            assert drawn == [singles[i].round(top) for i, top in zip(running, tops)]
+        words.settle()
+        for d in draws:
+            d.release()
+    assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
 
 
 def test_search_needs_a_pcg64_generator():
@@ -874,37 +926,44 @@ def _result(res):
 
 
 @st.composite
-def search_groups(draw):
+def search_groups(draw, large=False):
     """A group of searches under one config, its caps, growth and m drawn
-    once, on one to three contexts of one n and engine, one or two searches
-    on each: a random start, a warm start of random bits or one at the
-    table's argmin, each with its own seed."""
+    once, on contexts of one n and engine: a random start, a warm start of
+    random bits or one at the table's argmin, each with its own seed.  A
+    small group holds one or two searches on each of one to three contexts;
+    a ``large`` one holds one search fewer than ``_ARRAY_GROUP``, exactly
+    as many or a few more, spread over one to six contexts, so its rounds
+    run on either path."""
     engine = draw(st.sampled_from(ENGINES))
     # the reference prepares every round afresh: keep its statevectors small
-    n = draw(st.sampled_from([1, 3, 5] if engine == "statevector" else [1, 3, 5, 10]))
-    cfg = GasConfig(m=draw(st.sampled_from([6, 8])), engine=engine,
-                    max_rounds=draw(st.sampled_from([1, 2, 3, 50])),
+    sizes = {("statevector", False): [1, 3, 5], ("analytic", False): [1, 3, 5, 10],
+             ("statevector", True): [1, 3], ("analytic", True): [1, 3, 5]}
+    n = draw(st.sampled_from(sizes[engine, large]))
+    cfg = GasConfig(m=6 if large and engine == "statevector" else draw(st.sampled_from([6, 8])),
+                    engine=engine, max_rounds=draw(st.sampled_from([1, 2, 3, 50])),
                     stall_rounds=draw(st.sampled_from([3, 15])),
                     growth_factor=draw(st.sampled_from([8.0 / 7.0, 2.0])))
-    problems, searches = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        q = random_real_qubo(rng, n)
-        problems.append(q)
-        for _ in range(draw(st.integers(1, 2))):
-            kind = draw(st.sampled_from(["random", "warm", "argmin"]))
-            start = {"random": None, "warm": rng.integers(0, 2, size=n),
-                     "argmin": brute_force_min(q)[0]}[kind]
-            searches.append((len(problems) - 1, draw(st.integers(0, 2**32 - 1)), start))
+    problems = [random_real_qubo(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+                for _ in range(draw(st.integers(1, 6 if large else 3)))]
+    if large:
+        count = _ARRAY_GROUP + draw(st.sampled_from([-1, 0, 5]))
+        on = [draw(st.integers(0, len(problems) - 1)) for _ in range(count)]
+    else:
+        on = [i for i in range(len(problems)) for _ in range(draw(st.integers(1, 2)))]
+    searches = []
+    for index in on:
+        seed = draw(st.integers(0, 2**32 - 1))
+        kind = draw(st.sampled_from(["random", "warm", "argmin"]))
+        start = {"random": None, "warm": np.random.default_rng(seed + 1).integers(0, 2, size=n),
+                 "argmin": brute_force_min(problems[index])[0]}[kind]
+        searches.append((index, seed, start))
     return problems, cfg, searches
 
 
-@settings(max_examples=60, deadline=None)
-@given(search_groups())
-def test_group_driver_matches_the_one_search_reference(group):
-    # every search of a group reaches the result that the one-search driver
-    # gives it alone, on a fresh context, from the same seed: each search
-    # keeps its own draws, whatever the others in its group do
+def _group_matches_the_reference(group):
+    """Every search of ``group`` reaches the result that the one-search
+    reference gives it alone, on a fresh context, from the same seed, and
+    leaves its generator where its own numpy draws leave a twin."""
     problems, cfg, searches = group
     ctxs = [SearchContext(evaluate_all_costs(q), cfg) for q in problems]
     twins = [np.random.default_rng(seed) for _, seed, _ in searches]
@@ -915,8 +974,24 @@ def test_group_driver_matches_the_one_search_reference(group):
     together = run_searches(cfg, [(ctxs[index], rng, start)
                                   for (index, _, start), rng in zip(searches, rngs)])
     assert [_result(res) for res in together] == alone
-    # and each generator is left where its own numpy draws leave it
     assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_groups())
+def test_group_driver_matches_the_one_search_reference(group):
+    # every search of a group reaches the result that the one-search driver
+    # gives it alone: each search keeps its own draws, whatever the others
+    # in its group do
+    _group_matches_the_reference(group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_groups(large=True))
+def test_large_group_driver_matches_the_one_search_reference(group):
+    # as above, on groups on both sides of the size from which a group runs
+    # its rounds as arrays
+    _group_matches_the_reference(group)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
