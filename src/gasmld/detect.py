@@ -101,7 +101,7 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
     ``qubo._CHUNK`` = 2^16 key entries, 2^N per search, so from N = 16 a
     search runs alone; on the statevector engine every search runs alone,
     GAS_random before GAS_warm, so one A|0> is alive and the second search
-    can reuse the first one's slot.
+    can reuse the first one's slot.  No ``GasResult`` or trace is built.
     """
     if np.ndim(h) != 2 or np.shape(y) != np.shape(h) or np.shape(sigma2) not in ((), (len(h),)):
         raise ValueError("h and y must be (T, N) stacks of one shape, and sigma2 a scalar or (T,)")
@@ -119,11 +119,14 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
     if not (searches or "MLD" in out):
         return out
     H = circulant_matrix(h, N)
+    D = len(searches)
     # searches per driver call, and the trials whose contexts are built together
     size = 1 if searches and cfg.engine == "statevector" else max(1, _CHUNK >> N)
-    per = -(-size // max(1, len(searches)))
+    per = -(-size // max(1, D))
     least = np.full(T, np.inf)
     best = np.zeros(T, dtype=np.int64)
+    # each search's bits and queries, trial by trial in group order: a call's are one slice
+    bits, queries = np.zeros((T * D, N), dtype=np.int8), np.zeros(T * D, dtype=np.int64)
     chunks = cost_chunks(*qubo_terms(H, y))  # N <= 24
     for rows, start, costs in _whole_rows(chunks, N) if searches else chunks:
         if "MLD" in out:
@@ -136,17 +139,17 @@ def decide(h, y, sigma2, detectors, cfg: GasConfig | None, rng_for) -> dict:
             continue
         stop = min(rows.stop, T)
         for first in range(rows.start, stop, per):
-            keys, group = [], []
+            group = []
             for row in range(first, min(first + per, stop)):
                 ctx = SearchContext(costs[row - rows.start], cfg)
                 for det in searches:
-                    keys.append((det, row))
                     group.append((ctx, rng_for(det, row), mmse[row] if det == "GAS_warm" else None))
             for at in range(0, len(group), size):
                 results = run_searches(cfg, group[at:at + size])
-                for (det, row), result in zip(keys[at:at + size], results):
-                    out[det][0][row] = result.best_bits
-                    out[det][1][row] = result.oracle_queries
+                done = slice(first * D + at, first * D + at + len(results))
+                bits[done], queries[done] = results.bits, results.queries
+    for j, det in enumerate(searches):  # one copy per detector
+        out[det][0][:], out[det][1][:] = bits[j::D], queries[j::D]
     if "MLD" in out:
         out["MLD"][0][:] = bits_of(best, N)
     return out

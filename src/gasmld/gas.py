@@ -71,12 +71,12 @@ round is then a fixed set of numpy calls over the running rows, whatever
 their number: the rows' draws are decoded together, a row whose first
 Lemire try may reject drawing again alone, the costs are gathered from the
 group's stacked tables, the rows are updated by masks, and the round's
-thresholds become one row of the trace, from which each search's
-``threshold_trace`` is read at return.  An array round costs tens of
+thresholds become one row of the trace.  An array round costs tens of
 microseconds whatever its rows, a row of the loop a few, so the arrays pay
 from about 64 searches, where the two paths were measured to cross at
 n = 3; at n = 10 they tie up to 64, the most one sweep group holds there.
-A one-worker fig2 block runs 384.
+A one-worker fig2 block runs 384.  Both paths return ``GasResults``, arrays
+from which a search's ``GasResult``, trace included, is built when read.
 
 A search draws from a PCG64 generator, numpy's default, and any other is
 refused before any search of the group draws.  Its draws are numpy's own,
@@ -169,6 +169,31 @@ class GasResult:
     measurements: int
     stop_reason: str  # "stall": stall_rounds without improvement; "max_rounds": the round cap
     threshold_trace: list = field(default_factory=list)  # (round, threshold)
+
+
+@dataclass(eq=False)
+class GasResults:
+    """A group's results as arrays, search i's in row i: the incumbents'
+    ``bits`` (S, n) int8 and ``cost``, the ``rounds``, oracle ``queries``,
+    whether a search ``stalled`` (else it met the round cap) and ``trace``
+    (R + 1, S), the thresholds after rounds 0..R.  ``results[i]`` builds
+    search i's ``GasResult`` when read; ``len`` and iteration read as a list."""
+    bits: np.ndarray
+    cost: np.ndarray
+    rounds: np.ndarray
+    queries: np.ndarray
+    stalled: np.ndarray
+    trace: np.ndarray
+
+    def __len__(self) -> int:
+        return self.cost.shape[0]
+
+    def __getitem__(self, i: int) -> GasResult:
+        # numpy's indexing counts negative indices from the end and raises IndexError past it
+        k = int(self.rounds[i])  # the search's rounds, one key-register measurement each
+        return GasResult(self.bits[i], float(self.cost[i]), k, int(self.queries[i]), k,
+                         "stall" if self.stalled[i] else "max_rounds",
+                         list(enumerate(self.trace[:k + 1, i].tolist())))
 
 
 _LOW = 0xFFFFFFFF  # a 32-bit half of a raw word
@@ -343,10 +368,7 @@ class _Words:
     def bits(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Each row's ``integers(0, 2, size=n)``, (rows, n): the top bit of
         each of its next n halves."""
-        bits = np.empty((n, rows.size), dtype=np.int64)
-        for j in range(n):
-            bits[j] = self._halves(rows) >> 31
-        return bits.T
+        return np.array([self._halves(rows) >> 31 for _ in range(n)], dtype=np.int64).T
 
     def round(self, rows: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's round draws, as ``_Draws.round`` makes them at its
@@ -413,6 +435,8 @@ class SearchContext:
         self.costs.flags.writeable = False  # shared by every search and group row on the context
         self.bounds = cost_bounds(self.costs)
         lo, hi = self.bounds
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max propagate NaN
+            raise ValueError("a cost table must be finite")
         self.m = cfg.m
         # the widest shift, the cost spread, maps to 2^{m-2}: the window's middle half
         self.scale = float(2 ** (self.m - 2)) / (hi - lo) if hi > lo else 1.0
@@ -493,29 +517,30 @@ class _Lockstep:
     docstring), read off its context's shifted table, in one (2, S, 2^n)
     stack, with p0 and 1 - p0 beside them.  The driver moves the stale
     rows, those whose threshold no preparation has read, in a round that
-    rotates one of them: every stale row that still runs moves, and they
-    are prepared together in one ``fejer_upper_mass`` call, since a key's
-    mass does not depend on the other keys of the call.  A round evolves
-    the rows it rotates as one stack, one row-wise ``cumsum``.  Every row's
-    arithmetic is the one-search closed form's, operation for operation:
-    the squares of sin and cos go through ``np.float_power``, which rounds
-    as the scalar ``**`` does, where the array ``**`` (x * x) differs in
-    about 0.1% of angles."""
+    rotates one of them: every stale row that still runs moves, shifted by
+    ``SearchContext.shifted``'s operations in one broadcast off the stacked
+    ``table``, and they are prepared together in one ``fejer_upper_mass``
+    call, since a key's mass does not depend on the other keys of the call.
+    A round evolves the rows it rotates as one stack, one row-wise
+    ``cumsum``.  Every row's arithmetic is the one-search closed form's,
+    operation for operation: the squares of sin and cos go through
+    ``np.float_power``, which rounds as the scalar ``**`` does, where the
+    array ``**`` (x * x) differs in about 0.1% of angles."""
 
-    def __init__(self, ctxs):
-        self._ctxs = ctxs
-        S = len(ctxs)
-        self._weights = np.empty((2, S, ctxs[0].costs.shape[0]))  # w_good, w_bad
-        self._split = np.empty((2, S))  # p0 and 1 - p0, the divisors of w_good and w_bad
-        self._alpha = np.empty(S)  # arcsin(sqrt(p0))
-        self._at = np.full(S, np.nan)  # each row's threshold
+    def __init__(self, ctxs, table=None):
+        if table is None:  # a group of one reads its context's table, not a copy
+            table = ctxs[0].costs[None] if len(ctxs) == 1 else np.stack([c.costs for c in ctxs])
+        self._table = table
+        self._scale = np.array([ctx.scale for ctx in ctxs])
+        self._m = ctxs[0].m  # a group's contexts share the config's m
+        self._weights = np.empty((2, *self._table.shape))  # w_good, w_bad
+        self._split = np.empty((2, len(ctxs)))  # p0 and 1 - p0, the divisors of w_good and w_bad
+        self._alpha = np.empty(len(ctxs))  # arcsin(sqrt(p0))
+        self._at = np.full(len(ctxs), np.nan)  # each row's threshold
 
-    def move(self, rows: list, thresholds: list) -> None:
-        shifted = np.empty((len(rows), self._weights.shape[2]))
-        for row, (r, t) in enumerate(zip(rows, thresholds)):
-            shifted[row] = self._ctxs[r].shifted(t)
-        # a group's contexts share the config's m: one kernel call reads every row
-        w_good = fejer_upper_mass(shifted.ravel(), self._ctxs[0].m).reshape(shifted.shape)
+    def move(self, rows, thresholds) -> None:
+        shifted = self._scale[rows, None] * (self._table[rows] - np.asarray(thresholds)[:, None])
+        w_good = fejer_upper_mass(shifted.ravel(), self._m).reshape(shifted.shape)
         n_keys = w_good.shape[1]
         w_good /= n_keys
         self._weights[0, rows] = w_good
@@ -531,16 +556,15 @@ class _Lockstep:
         self._alpha[rows] = np.arcsin(np.sqrt(p0))
         self._at[rows] = thresholds
 
-    def sums(self, rows: list, L: list) -> np.ndarray:
-        at = np.array(rows)
-        angle = np.array([2 * l + 1 for l in L]) * self._alpha[at]
-        scale = np.empty((2, at.size, 1))
+    def sums(self, rows, L) -> np.ndarray:
+        angle = (2 * np.asarray(L) + 1) * self._alpha[rows]
+        scale = np.empty((2, len(rows), 1))
         np.sin(angle, out=scale[0, :, 0])
         np.cos(angle, out=scale[1, :, 0])
         np.float_power(scale, 2, out=scale)
-        dist = self._weights[:, at]
+        dist = self._weights[:, rows]
         dist *= scale
-        dist /= self._split[:, at, None]
+        dist /= self._split[:, rows, None]
         return np.add(dist[0], dist[1], out=dist[0]).cumsum(axis=1)
 
 
@@ -550,13 +574,16 @@ def run_gas(ctx: SearchContext, cfg: GasConfig, rng: np.random.Generator, start=
     return run_searches(cfg, [(ctx, rng, start)])[0]
 
 
-def run_searches(cfg: GasConfig, searches) -> list[GasResult]:
+def run_searches(cfg: GasConfig, searches) -> GasResults:
     """Run a group of searches, ``(ctx, rng, start)`` each, round by round
     together under ``cfg``; see the module docstring.  ``start`` is n bits,
     whose cost is the first threshold, or None for a uniform start.  The
     contexts share n and were built for the m and engine of ``cfg``, and
     each search draws from its own generator only, so its result is the one
-    it would reach alone."""
+    it would reach alone: row i of the ``GasResults`` returned, whose
+    ``results[i]`` builds its ``GasResult``, trace included, on demand."""
+    if not searches:
+        raise ValueError("a group needs at least one search")
     ctxs, rngs, starts = zip(*searches)
     n = ctxs[0].n
     asked = (cfg.m, cfg.engine)
@@ -601,26 +628,23 @@ def rotation_tops(cfg: GasConfig, n: int) -> list:
     return tops
 
 
-def _run(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
+def _run(cfg: GasConfig, ctxs, draws: list, starts: list) -> GasResults:
     """``run_searches``' rounds for a group of fewer than ``_ARRAY_GROUP``
     searches, one search at a time, from each search's start."""
-    n = ctxs[0].n
+    n, S = ctxs[0].n, len(ctxs)
     # the incumbent is a key index; a random start is still drawn as n
     # bits, the draw that every seeded sweep's stream goes through
     starts = [d.bits(n) if s is None else s for s, d in zip(starts, draws)]
-    every = range(len(ctxs))
     best = (np.array(starts) @ (1 << np.arange(n))).tolist()
     threshold = [ctx.costs.item(b) for ctx, b in zip(ctxs, best)]  # always the cost of best
-    traces = [[(0, t)] for t in threshold]
+    trace = threshold.copy()  # every search's threshold, round by round, flat
     group = (_Slots if cfg.engine == "statevector" else _Lockstep)(ctxs)
-    stale = set(every)  # the searches whose threshold the group has not prepared
-    queries = [0] * len(ctxs)
-    stall = [0] * len(ctxs)
-    rounds = [0] * len(ctxs)
+    stale = set(range(S))  # the searches whose threshold the group has not prepared
+    queries, stall, rounds = [0] * S, [0] * S, [0] * S
     tops = rotation_tops(cfg, n)
     size = len(tops)
     n_keys = 1 << n
-    rows, r = list(every), 0  # the searches still running, and the round they run
+    rows, r = list(range(S)), 0  # the searches still running, and the round they run
     while rows:
         r += 1
         L, u = [], []
@@ -650,44 +674,37 @@ def _run(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
                 threshold[i], best[i], stall[i] = cost, key, 0
             else:
                 stall[i] += 1
-            traces[i].append((r, threshold[i]))
             if r < cfg.max_rounds and stall[i] < cfg.stall_rounds:
                 running.append(i)
                 if better:  # the next round runs at the new threshold
                     stale.add(i)
             else:
                 rounds[i] = r
+        trace += threshold
         rows = running
+    return GasResults(bits_of(best, n), np.array(threshold), np.array(rounds), np.array(queries),
+                      np.array(stall) >= cfg.stall_rounds, np.array(trace).reshape(-1, S))
 
-    return _results(cfg, n, best, threshold, rounds, queries, stall, traces)
 
-
-def _run_arrays(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResult]:
+def _run_arrays(cfg: GasConfig, ctxs, draws: list, starts: list) -> GasResults:
     """``_run``'s rounds for a group of at least ``_ARRAY_GROUP`` searches,
     each round a fixed set of numpy calls over the running searches, with
     the draws of ``_Words``: a random start's n bits, then per round L and
     u, and the rows' updates by masks.  Each round's thresholds go into one
-    row of the trace, and every search's ``threshold_trace`` is read off it
-    at return."""
+    row of the trace."""
     n, S = ctxs[0].n, len(ctxs)
     words = _Words(draws)
     try:
-        start = np.empty((S, n), dtype=np.int64)
-        warm = [i for i, s in enumerate(starts) if s is not None]
-        if warm:
-            start[warm] = [starts[i] for i in warm]
         uniform = np.array([i for i, s in enumerate(starts) if s is None], dtype=np.intp)
-        if uniform.size:
-            start[uniform] = words.bits(uniform, n)
+        drawn = iter(words.bits(uniform, n) if uniform.size else ())
+        start = np.array([next(drawn) if s is None else s for s in starts], dtype=np.int64)
         best = start @ (1 << np.arange(n))
-        table = np.stack([ctx.costs for ctx in ctxs])
+        table = np.stack([ctx.costs for ctx in ctxs])  # the engine's stack too, built once
         threshold = table[np.arange(S), best]  # always the cost of best
         trace = [threshold.copy()]
-        group = (_Slots if cfg.engine == "statevector" else _Lockstep)(ctxs)
+        group = _Slots(ctxs) if cfg.engine == "statevector" else _Lockstep(ctxs, table)
         stale = np.ones(S, dtype=bool)  # the searches whose threshold the group has not prepared
-        queries = np.zeros(S, dtype=np.int64)
-        stall = np.zeros(S, dtype=np.intp)
-        rounds = np.zeros(S, dtype=np.int64)
+        queries, stall, rounds = (np.zeros(S, dtype=np.int64) for _ in range(3))
         tops = np.array(rotation_tops(cfg, n), dtype=np.uint64)  # read with indices clipped
         rows, r = np.arange(S), 0  # the searches still running, and the round they run
         while rows.size:
@@ -699,10 +716,9 @@ def _run_arrays(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResu
                 rotating = rows[turn]
                 if np.count_nonzero(stale[rotating]):  # then every stale row moves, in one call
                     fresh = rows[stale[rows]]
-                    group.move(fresh.tolist(), threshold[fresh].tolist())
+                    group.move(fresh, threshold[fresh])
                     stale[fresh] = False
-                keys[turn] = sample_index(group.sums(rotating.tolist(), L[turn].tolist()),
-                                          (word[turn] >> 11) * _ULP)
+                keys[turn] = sample_index(group.sums(rotating, L[turn]), (word[turn] >> 11) * _ULP)
                 queries[rotating] += L[turn]
             cost = table[rows, keys]
             better = cost < threshold[rows]
@@ -718,24 +734,5 @@ def _run_arrays(cfg: GasConfig, ctxs, draws: list, starts: list) -> list[GasResu
             rows = rows[stall[rows] < cfg.stall_rounds]
     finally:
         words.settle()
-    trace = np.stack(trace, axis=1)  # each search's thresholds, round by round
-    traces = [list(zip(range(k + 1), trace[i, :k + 1].tolist()))
-              for i, k in enumerate(rounds.tolist())]
-    return _results(cfg, n, best, threshold.tolist(), rounds.tolist(), queries.tolist(),
-                    stall.tolist(), traces)
-
-
-def _results(cfg: GasConfig, n: int, best, threshold: list, rounds: list, queries: list,
-             stall: list, traces: list) -> list[GasResult]:
-    """Each search's ``GasResult``, from its incumbent key, threshold, round
-    and query counts, rounds since the last improvement and trace."""
-    bits = bits_of(np.asarray(best), n)
-    return [GasResult(
-        best_bits=bits[i],
-        best_cost=threshold[i],
-        rounds=rounds[i],
-        oracle_queries=queries[i],
-        measurements=rounds[i],  # one key-register measurement per round
-        stop_reason="stall" if stall[i] >= cfg.stall_rounds else "max_rounds",
-        threshold_trace=traces[i],
-    ) for i in range(len(traces))]
+    return GasResults(bits_of(best, n), threshold, rounds, queries, stall >= cfg.stall_rounds,
+                      np.stack(trace))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import gasmld.bench
 import gasmld.detect
+import gasmld.gas
 import gasmld.qubo
 from gasmld.channel import (
     block_from_bits,
@@ -455,3 +456,36 @@ def test_search_groups_split_at_the_key_bound(monkeypatch, engine, cap):
                                        stream(det, row), start)
             assert np.array_equal(block[det][0][row], result.best_bits)
             assert block[det][1][row] == result.oracle_queries
+
+
+@pytest.mark.parametrize(("engine", "T"), [("analytic", 32), ("analytic", 3), ("statevector", 3)])
+def test_decide_builds_no_per_search_result(monkeypatch, engine, T):
+    # a block's searches come back as arrays, whose rows ``decide`` writes
+    # directly: no search of the block builds a ``GasResult``, neither in a
+    # 64-search group that runs as arrays nor in the per-row loop, and the
+    # decisions are those of the unguarded run
+    rng = np.random.default_rng(90 + T)
+    insts = [random_instance(rng, N=3, snr_db=rng.uniform(-5.0, 10.0))[0] for _ in range(T)]
+    cfg = GasConfig(m=8, engine=engine)
+
+    def stream(det, row):
+        return np.random.default_rng((T, row, METHODS.index(det)))
+
+    expected = decide(*stacked(insts), METHODS, cfg, stream)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-search GasResult was built")
+
+    monkeypatch.setattr(gasmld.gas, "GasResult", refused)
+    ctx = SearchContext(evaluate_all_costs(mld_to_qubo(insts[0])), cfg)
+    with pytest.raises(AssertionError, match="per-search"):
+        run_gas(ctx, cfg, stream("GAS_random", 0))  # the guard sees a result read
+    sizes = []
+    monkeypatch.setattr(gasmld.detect, "run_searches", lambda cfg, searches:
+                        sizes.append(len(searches)) or run_searches(cfg, searches))
+    block = decide(*stacked(insts), METHODS, cfg, stream)
+    assert sizes == ([2 * T] if engine == "analytic" else [1] * 2 * T)
+    assert (max(sizes) >= gasmld.gas._ARRAY_GROUP) == (T == 32)
+    for det in METHODS:
+        assert np.array_equal(block[det][0], expected[det][0])
+        assert np.array_equal(block[det][1], expected[det][1])

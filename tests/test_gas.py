@@ -498,6 +498,19 @@ def test_capacity_checked_before_cost_table():
             SearchContext(table, GasConfig())
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_context_refuses_a_non_finite_table(engine, bad):
+    # a NaN entry would give NaN bounds and a unit scale, an infinite one a
+    # zero scale and NaN shifts: the context refuses either before any search
+    costs = evaluate_all_costs(toy_problem())
+    for at in (0, costs.size - 1):
+        table = costs.copy()
+        table[at] = bad
+        with pytest.raises(ValueError, match="a cost table must be finite"):
+            SearchContext(table, GasConfig(m=6, engine=engine))
+
+
 def test_analytic_engine_makes_no_fejer_rows(monkeypatch):
     # the analytic engine reads its good mass off fejer_upper_mass, never a row
     calls = []
@@ -1043,3 +1056,73 @@ def test_group_checks_its_searches():
     other = SearchContext(evaluate_all_costs(random_integer_qubo(np.random.default_rng(1))), cfg)
     with pytest.raises(ValueError, match="share the key count"):
         run_searches(cfg, [(ctx, rng, None), (other, np.random.default_rng(1), None)])
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="a group needs at least one search"):
+            run_searches(cfg, empty)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 3, 10]), m=st.sampled_from([2, 6, 12]),
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), integer=st.booleans())
+def test_lockstep_move_shifts_as_the_context_does(n, m, seed, rows, integer):
+    # a group shifts its moving rows in one broadcast off its stacked table
+    # and scales: its kernel reads each row's ``ctx.shifted(t)`` bit for bit,
+    # and its weights are those of a group moved one row at a time, on real
+    # tables and on integer ones, whose ties put shifts exactly on bins
+    rng = np.random.default_rng(seed)
+    cfg = GasConfig(m=m, engine="analytic")
+    tables = rng.normal(size=(rows, 1 << n)) * rng.uniform(0.01, 100.0, size=(rows, 1))
+    ctxs = [SearchContext(np.round(t * 4) if integer else t, cfg) for t in tables]
+    thresholds = [float(rng.choice(ctx.costs)) for ctx in ctxs]
+    seen, kernel = [], gasmld.gas.fejer_upper_mass
+    with patch.object(gasmld.gas, "fejer_upper_mass",
+                      lambda shifted, m: seen.append(shifted.copy()) or kernel(shifted, m)):
+        together = _Lockstep(ctxs)
+        together.move(list(range(rows)), thresholds)
+        alone = _Lockstep(ctxs)
+        for r, t in enumerate(thresholds):
+            alone.move([r], [t])
+    shifted = [ctx.shifted(t) for ctx, t in zip(ctxs, thresholds)]
+    bits = lambda a: np.asarray(a).view(np.uint64)  # noqa: E731 (bit for bit, signed zeros too)
+    assert np.array_equal(bits(seen[0]), bits(np.concatenate(shifted)))
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(seen[1:], shifted, strict=True))
+    for name in ("_weights", "_split", "_alpha", "_at"):
+        assert np.array_equal(bits(getattr(together, name)), bits(getattr(alone, name)))
+    # a group of one shifts its context's own table, no copy of its 2^n entries
+    assert np.shares_memory(_Lockstep(ctxs[:1])._table, ctxs[0].costs)
+
+
+@pytest.mark.parametrize("size", [1, 2, _ARRAY_GROUP + 1])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_group_results_read_as_the_list_of_results(engine, size):
+    # a group returns arrays, and reads as the list of its searches' results:
+    # its length, negative indices, IndexError past either end, and
+    # iteration are a list's, and each result's trace ends at its own round
+    # count, on both round paths, with the types a search returned before
+    q = random_real_qubo(np.random.default_rng(19), 3)
+    cfg = GasConfig(m=6, engine=engine, max_rounds=12, stall_rounds=4)
+    ctx = SearchContext(evaluate_all_costs(q), cfg)
+    starts = [None if i % 3 else np.array([1, 0, 1]) for i in range(size)]
+    results = run_searches(cfg, [(ctx, np.random.default_rng(50 + i), start)
+                                 for i, start in enumerate(starts)])
+    listed = [results[i] for i in range(len(results))]
+    assert len(results) == size == results.trace.shape[1]
+    assert [_result(res) for res in results] == [_result(res) for res in listed]
+    assert _result(results[-1]) == _result(listed[-1])
+    assert _result(results[-size]) == _result(listed[0])
+    for past in (size, -size - 1):
+        with pytest.raises(IndexError):
+            results[past]
+    assert results.trace.shape[0] == max(res.rounds for res in listed) + 1
+    if size > 2:
+        assert len({res.rounds for res in listed}) > 1  # searches that stop apart
+    for res, start, seed in zip(listed, starts, range(50, 50 + size)):
+        assert [r for r, _ in res.threshold_trace] == list(range(res.rounds + 1))
+        assert res.threshold_trace[-1][1] == res.best_cost
+        assert res.rounds == cfg.max_rounds or res.stop_reason == "stall"
+        assert all(type(x) is int for x in (res.rounds, res.oracle_queries, res.measurements))
+        assert type(res.best_cost) is float and res.best_bits.dtype == np.int8
+        assert all(type(r) is int and type(y) is float for r, y in res.threshold_trace)
+        alone = reference_run_gas(SearchContext(evaluate_all_costs(q), cfg), cfg,
+                                  np.random.default_rng(seed), start)
+        assert _result(res) == _result(alone)
